@@ -54,7 +54,6 @@ from .core import (
 )
 from .expansion import (
     TruncatedPoly,
-    alphabet_split_eval,
     certify_equal,
     embed,
     expand,

@@ -309,6 +309,8 @@ def _cmd_u_function(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.max_degree is not None and args.max_degree < 1:
+        raise ValueError(f"--max-degree must be at least 1, got {args.max_degree}")
     results = run_all(args.max_degree)
     for res in results:
         for line in res.lines():

@@ -7,7 +7,15 @@ descent set is contained in that of alpha; it is a basis of QSym over any
 ring in which 2 is invertible, so coefficients here are Fractions whose
 denominators are powers of 2 under all conversions.
 
-Conversion, product, coproduct and antipode rules implemented per basis:
+Conversions among M, L and eta are one descent-set transform: a degree-n
+component is a vector indexed by subsets of [n-1], and each change of
+basis is the (n-1)-fold tensor power of one 2x2 matrix (Yates' algorithm,
+the fast zeta/Moebius transform).  K converts through K_to_eta into eta
+and from there like eta; conversion into K eliminates triangularly
+against the K images.  The pairwise names (eta_to_M, M_to_L, ...) are
+thin wrappers over ``convert``.
+
+Product, coproduct and antipode rules implemented per basis:
 
 - M:   quasi-shuffle product, deconcatenation coproduct, signed
        reversed-refinement antipode.
@@ -22,6 +30,7 @@ Conversion, product, coproduct and antipode rules implemented per basis:
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping
@@ -32,7 +41,6 @@ from .combinatorics import (
     check_permutation,
     complement,
     composition_of_subset,
-    compositions,
     contract_set,
     descent_set,
     descent_set_of_permutation,
@@ -47,6 +55,15 @@ from .combinatorics import (
 BASES = ("M", "L", "K", "eta")
 
 _ZERO = Fraction(0)
+
+
+def _bump(acc: dict, key, value) -> None:
+    """Add value to acc[key], dropping the key when the sum cancels."""
+    new = acc.get(key, 0) + value
+    if new:
+        acc[key] = new
+    else:
+        acc.pop(key, None)
 
 
 def term_sort_key(comp: Composition):
@@ -103,13 +120,7 @@ class QSymElement:
         items = terms.items() if isinstance(terms, Mapping) else terms
         acc: dict[Composition, Fraction] = {}
         for comp, coeff in items:
-            comp = _check_index(basis, comp)
-            coeff = _coerce_coeff(coeff)
-            new = acc.get(comp, _ZERO) + coeff
-            if new:
-                acc[comp] = new
-            else:
-                acc.pop(comp, None)
+            _bump(acc, _check_index(basis, comp), _coerce_coeff(coeff))
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "_terms", acc)
 
@@ -169,11 +180,7 @@ class QSymElement:
         self._require_same_basis(other)
         acc = dict(self._terms)
         for comp, coeff in other._terms.items():
-            new = acc.get(comp, _ZERO) + coeff
-            if new:
-                acc[comp] = new
-            else:
-                acc.pop(comp, None)
+            _bump(acc, comp, coeff)
         return _raw(self.basis, acc)
 
     def __sub__(self, other):
@@ -230,11 +237,7 @@ class QSymElement:
             if image.basis != basis:
                 raise ValueError(f"term map returned basis {image.basis}, expected {basis}")
             for comp2, coeff2 in image._terms.items():
-                new = acc.get(comp2, _ZERO) + coeff * coeff2
-                if new:
-                    acc[comp2] = new
-                else:
-                    acc.pop(comp2, None)
+                _bump(acc, comp2, coeff * coeff2)
         return _raw(basis, acc)
 
     # -- serialization -------------------------------------------------------
@@ -277,12 +280,7 @@ class TensorElement:
         acc: dict[tuple[Composition, Composition], Fraction] = {}
         for (cl, cr), coeff in items:
             key = (_check_index(left, cl), _check_index(right, cr))
-            coeff = _coerce_coeff(coeff)
-            new = acc.get(key, _ZERO) + coeff
-            if new:
-                acc[key] = new
-            else:
-                acc.pop(key, None)
+            _bump(acc, key, _coerce_coeff(coeff))
         object.__setattr__(self, "bases", (left, right))
         object.__setattr__(self, "_terms", acc)
 
@@ -336,12 +334,7 @@ class TensorElement:
                 raise ValueError("leg maps returned unexpected bases")
             for l2, vl in left.terms.items():
                 for r2, vr in right.terms.items():
-                    key = (l2, r2)
-                    new = acc.get(key, _ZERO) + coeff * vl * vr
-                    if new:
-                        acc[key] = new
-                    else:
-                        acc.pop(key, None)
+                    _bump(acc, (l2, r2), coeff * vl * vr)
         out = TensorElement.__new__(TensorElement)
         object.__setattr__(out, "bases", tuple(bases))
         object.__setattr__(out, "_terms", acc)
@@ -352,11 +345,8 @@ class TensorElement:
         left, right = self.bases
         if left != right:
             raise ValueError("legs must share a basis to be multiplied")
-        out = QSymElement.zero(left if left != "K" else "eta")
-        for (cl, cr), coeff in self._terms.items():
-            prod = multiply(QSymElement.term(left, cl), QSymElement.term(right, cr))
-            out = out + prod.scale(coeff)
-        return out
+        pairs = ((cl, cr, coeff) for (cl, cr), coeff in self._terms.items())
+        return _bilinear(left, pairs)
 
     def to_json_dict(self) -> dict:
         return {
@@ -382,13 +372,7 @@ def eta_to_M(alpha: Iterable[int]) -> QSymElement:
     >>> eta_to_M((1, 3, 1)) == QSymElement("M", {(5,): 2, (1, 4): 4, (4, 1): 4, (1, 3, 1): 8})
     True
     """
-    alpha = check_composition(alpha)
-    n = sum(alpha)
-    terms = {}
-    for s in subsets(descent_set(alpha)):
-        beta = composition_of_subset(n, s)
-        terms[beta] = Fraction(2 ** len(beta))
-    return _raw("M", terms)
+    return convert(QSymElement.term("eta", alpha), "M")
 
 
 def M_to_eta(beta: Iterable[int]) -> QSymElement:
@@ -397,56 +381,22 @@ def M_to_eta(beta: Iterable[int]) -> QSymElement:
     Every coefficient is dyadic; inverting 2 is the only demand this basis
     places on the coefficient ring.
     """
-    beta = check_composition(beta)
-    n = sum(beta)
-    scale = Fraction(1, 2 ** len(beta))
-    assert scale.denominator & (scale.denominator - 1) == 0
-    terms = {}
-    for s in subsets(descent_set(beta)):
-        alpha = composition_of_subset(n, s)
-        sign = -1 if (len(beta) - len(alpha)) % 2 else 1
-        terms[alpha] = sign * scale
-    return _raw("eta", terms)
+    return convert(QSymElement.term("M", beta), "eta")
 
 
 def L_to_M(alpha: Iterable[int]) -> QSymElement:
     """L_alpha as the sum of M_beta over refinements Des(alpha) <= Des(beta)."""
-    alpha = check_composition(alpha)
-    n = sum(alpha)
-    base = set(descent_set(alpha))
-    rest = [i for i in range(1, n) if i not in base]
-    terms = {}
-    for extra in subsets(rest):
-        beta = composition_of_subset(n, sorted(base.union(extra)))
-        terms[beta] = Fraction(1)
-    return _raw("M", terms)
+    return convert(QSymElement.term("L", alpha), "M")
 
 
 def M_to_L(beta: Iterable[int]) -> QSymElement:
     """M_beta as the signed sum of L_gamma over refinements (Moebius inversion)."""
-    beta = check_composition(beta)
-    n = sum(beta)
-    base = set(descent_set(beta))
-    rest = [i for i in range(1, n) if i not in base]
-    terms = {}
-    for extra in subsets(rest):
-        gamma = composition_of_subset(n, sorted(base.union(extra)))
-        terms[gamma] = Fraction(-1 if len(extra) % 2 else 1)
-    return _raw("L", terms)
+    return convert(QSymElement.term("M", beta), "L")
 
 
 def eta_to_L(alpha: Iterable[int]) -> QSymElement:
     """eta_alpha in the fundamental basis: coefficient +-2 on every L_gamma."""
-    alpha = check_composition(alpha)
-    n = sum(alpha)
-    if n == 0:
-        return QSymElement.unit("L")
-    des = set(descent_set(alpha))
-    terms = {}
-    for gamma in compositions(n):
-        missing = sum(1 for i in descent_set(gamma) if i not in des)
-        terms[gamma] = Fraction(-2 if missing % 2 else 2)
-    return _raw("L", terms)
+    return convert(QSymElement.term("eta", alpha), "L")
 
 
 def _peak_sign(n: int, length: int) -> int:
@@ -475,7 +425,7 @@ def K_to_eta(alpha: Iterable[int]) -> QSymElement:
 
 def K_to_M(alpha: Iterable[int]) -> QSymElement:
     """K_alpha in the monomial basis (through eta)."""
-    return K_to_eta(alpha).map_terms(eta_to_M, "M")
+    return convert(QSymElement.term("K", alpha), "M")
 
 
 def signed_subset_sum(s: Iterable, t: Iterable) -> int:
@@ -531,7 +481,7 @@ def eta_product(alpha: Iterable[int], beta: Iterable[int]) -> QSymElement:
     alpha = check_composition(alpha)
     beta = check_composition(beta)
     total = len(alpha) + len(beta)
-    terms: dict[Composition, Fraction] = {}
+    terms: dict[Composition, int] = {}
     for positions in itertools.combinations(range(1, total + 1), len(beta)):
         taken = set(positions)
         gamma = []
@@ -548,14 +498,8 @@ def eta_product(alpha: Iterable[int], beta: Iterable[int]) -> QSymElement:
             i for i in positions if i + 1 not in taken and i != 1 and i != total
         ]
         for chosen in subsets(boundary):
-            idx = contract_set(gamma, chosen)
-            sign = -1 if len(chosen) % 2 else 1
-            new = terms.get(idx, _ZERO) + sign
-            if new:
-                terms[idx] = new
-            else:
-                terms.pop(idx, None)
-    return _raw("eta", terms)
+            _bump(terms, contract_set(gamma, chosen), -1 if len(chosen) % 2 else 1)
+    return _raw("eta", {comp: Fraction(c) for comp, c in terms.items()})
 
 
 def multiply(a: QSymElement, b: QSymElement) -> QSymElement:
@@ -567,29 +511,35 @@ def multiply(a: QSymElement, b: QSymElement) -> QSymElement:
     if a.basis != b.basis:
         raise ValueError(f"basis mismatch: {a.basis} vs {b.basis}; convert first")
     basis = a.basis
-    if basis == "M":
-        acc: dict[Composition, Fraction] = {}
-        for ca, va in a.terms.items():
-            for cb, vb in b.terms.items():
-                coeff = va * vb
-                for gamma in quasi_shuffles(ca, cb):
-                    new = acc.get(gamma, _ZERO) + coeff
-                    if new:
-                        acc[gamma] = new
-                    else:
-                        acc.pop(gamma, None)
-        return _raw("M", acc)
-    if basis == "eta":
-        out = QSymElement.zero("eta")
-        for ca, va in a.terms.items():
-            for cb, vb in b.terms.items():
-                out = out + eta_product(ca, cb).scale(va * vb)
-        return out
+    if basis in ("M", "eta"):
+        pairs = (
+            (ca, cb, va * vb)
+            for ca, va in a._terms.items()
+            for cb, vb in b._terms.items()
+        )
+        return _bilinear(basis, pairs)
     if basis == "L":
         prod = multiply(convert(a, "M"), convert(b, "M"))
         return convert(prod, "L")
     # K: multiply in eta; the result need not lie in the K span
     return multiply(convert(a, "eta"), convert(b, "eta"))
+
+
+def _bilinear(basis: str, pairs) -> QSymElement:
+    """Sum of coeff * (basis term ca times basis term cb) over (ca, cb, coeff)."""
+    acc: dict[Composition, Fraction] = {}
+    for ca, cb, coeff in pairs:
+        if basis == "M":
+            for gamma in quasi_shuffles(ca, cb):
+                _bump(acc, gamma, coeff)
+            continue
+        if basis == "eta":
+            prod = eta_product(ca, cb)
+        else:
+            prod = multiply(QSymElement.term(basis, ca), QSymElement.term(basis, cb))
+        for gamma, c in prod._terms.items():
+            _bump(acc, gamma, coeff * c)
+    return _raw("eta" if basis == "K" else basis, acc)
 
 
 # ---------------------------------------------------------------------------
@@ -606,12 +556,7 @@ def coproduct(a: QSymElement) -> TensorElement:
         acc: dict[tuple[Composition, Composition], Fraction] = {}
         for comp, coeff in a.terms.items():
             for k in range(len(comp) + 1):
-                key = (comp[:k], comp[k:])
-                new = acc.get(key, _ZERO) + coeff
-                if new:
-                    acc[key] = new
-                else:
-                    acc.pop(key, None)
+                _bump(acc, (comp[:k], comp[k:]), coeff)
         out = TensorElement.__new__(TensorElement)
         object.__setattr__(out, "bases", (a.basis, a.basis))
         object.__setattr__(out, "_terms", acc)
@@ -647,13 +592,7 @@ def antipode(a: QSymElement) -> QSymElement:
     if a.basis == "eta":
         acc = {}
         for comp, coeff in a.terms.items():
-            sign = -1 if len(comp) % 2 else 1
-            key = reverse(comp)
-            new = acc.get(key, _ZERO) + sign * coeff
-            if new:
-                acc[key] = new
-            else:
-                acc.pop(key, None)
+            _bump(acc, reverse(comp), -coeff if len(comp) % 2 else coeff)
         return _raw("eta", acc)
     if a.basis == "L":
         acc = {}
@@ -663,11 +602,7 @@ def antipode(a: QSymElement) -> QSymElement:
             else:
                 key = complement(comp)
                 sign = -1 if sum(comp) % 2 else 1
-            new = acc.get(key, _ZERO) + sign * coeff
-            if new:
-                acc[key] = new
-            else:
-                acc.pop(key, None)
+            _bump(acc, key, sign * coeff)
         return _raw("L", acc)
     return antipode(convert(a, "eta"))
 
@@ -676,15 +611,82 @@ def antipode(a: QSymElement) -> QSymElement:
 # generic conversion
 
 
-_TERM_ROUTES = {
-    ("eta", "M"): eta_to_M,
-    ("M", "eta"): M_to_eta,
-    ("L", "M"): L_to_M,
-    ("M", "L"): M_to_L,
-    ("eta", "L"): eta_to_L,
-    ("K", "eta"): K_to_eta,
-    ("K", "M"): K_to_M,
+_H = Fraction(1, 2)
+
+# (source, target): (matrix, scale).  Entry [a][b] of the matrix is the
+# factor from source bit a to target bit b of a descent-set bitmask; every
+# component of degree n >= 1 is multiplied by scale on top.
+_LATTICE = {
+    ("eta", "M"): (((1, 0), (1, 2)), 2),
+    ("M", "eta"): (((1, 0), (-_H, _H)), _H),
+    ("L", "M"): (((1, 1), (0, 1)), 1),
+    ("M", "L"): (((1, -1), (0, 1)), 1),
+    ("eta", "L"): (((1, -1), (1, 1)), 2),
+    ("L", "eta"): (((_H, _H), (-_H, _H)), _H),
 }
+
+
+def _descent_mask(comp: Composition) -> int:
+    """Bit i-1 is set exactly when i is a descent of comp."""
+    mask = total = 0
+    for part in comp[:-1]:
+        total += part
+        mask |= 1 << (total - 1)
+    return mask
+
+
+def _composition_of_mask(n: int, mask: int) -> Composition:
+    parts = []
+    last = 0
+    while mask:
+        low = mask & -mask
+        pos = low.bit_length()
+        parts.append(pos - last)
+        last = pos
+        mask ^= low
+    parts.append(n - last)
+    return tuple(parts)
+
+
+def _lattice_transform(a: QSymElement, target: str) -> QSymElement:
+    """Rewrite an M, L or eta element in another of these three bases.
+
+    Each homogeneous component of degree n is a sparse vector indexed by
+    descent-set bitmasks over [n-1], and the change of basis is the
+    (n-1)-fold tensor power of one 2x2 matrix, applied one bit at a time to
+    the current support (Yates' algorithm).  Denominators are cleared per
+    degree first, so the butterflies run on ints and each output term
+    costs one Fraction.
+    """
+    matrix, scale = _LATTICE[a.basis, target]
+    den = math.lcm(*(x.denominator for row in matrix for x in row))
+    rows = [[int(x * den) for x in row] for row in matrix]
+    by_degree: dict[int, dict[int, Fraction]] = {}
+    for comp, coeff in a._terms.items():
+        by_degree.setdefault(sum(comp), {})[_descent_mask(comp)] = coeff
+    out: dict[Composition, Fraction] = {}
+    for n, component in by_degree.items():
+        if n == 0:
+            out[()] = component[0]
+            continue
+        common = math.lcm(*(c.denominator for c in component.values()))
+        vec = {m: c.numerator * (common // c.denominator) for m, c in component.items()}
+        for i in range(n - 1):
+            bit = 1 << i
+            nxt: dict[int, int] = {}
+            for m, v in vec.items():
+                to_low, to_high = rows[1] if m & bit else rows[0]
+                if to_low:
+                    _bump(nxt, m & ~bit, to_low * v)
+                if to_high:
+                    _bump(nxt, m | bit, to_high * v)
+            vec = nxt
+        factor = Fraction(scale, common * den ** (n - 1))
+        for m, v in vec.items():
+            out[_composition_of_mask(n, m)] = Fraction(
+                v * factor.numerator, factor.denominator
+            )
+    return _raw(target, out)
 
 
 def _eta_to_K(a: QSymElement) -> QSymElement:
@@ -704,11 +706,7 @@ def _eta_to_K(a: QSymElement) -> QSymElement:
         coeff = remaining[beta] * _peak_sign(sum(beta), len(beta))
         out[beta] = coeff
         for comp, val in K_to_eta(beta).terms.items():
-            new = remaining.get(comp, _ZERO) - coeff * val
-            if new:
-                remaining[comp] = new
-            else:
-                remaining.pop(comp, None)
+            _bump(remaining, comp, -coeff * val)
     if remaining:
         raise NotInPeakSpanError(_raw("eta", remaining))
     return _raw("K", out)
@@ -724,10 +722,10 @@ def convert(a: QSymElement, target: str) -> QSymElement:
         raise ValueError(f"unknown basis {target!r}; expected one of {BASES}")
     if a.basis == target:
         return a
-    route = _TERM_ROUTES.get((a.basis, target))
-    if route is not None:
-        return a.map_terms(route, target)
     if target == "K":
         return _eta_to_K(convert(a, "eta"))
-    # remaining pairs: L -> eta and K -> L, both through M
-    return convert(convert(a, "M"), target)
+    if a.basis == "K":
+        a = a.map_terms(K_to_eta, "eta")
+        if target == "eta":
+            return a
+    return _lattice_transform(a, target)

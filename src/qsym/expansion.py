@@ -18,10 +18,11 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .combinatorics import descent_set, peak_set_of_composition
-from .core import QSymElement, format_rational
+from .core import QSymElement, _bump, format_rational
 
 Monomial = tuple[tuple[int, int], ...]
 
@@ -31,7 +32,11 @@ def _mono_degree(key: Monomial) -> int:
 
 
 class TruncatedPoly:
-    """A polynomial in x_1..x_nvars with all terms of total degree <= degree."""
+    """A polynomial in x_1..x_nvars with all terms of total degree <= degree.
+
+    Immutable: ``terms`` is a read-only view, so a shared (cached) result
+    cannot be changed through a caller's reference.
+    """
 
     __slots__ = ("nvars", "degree", "terms", "truncated")
 
@@ -50,14 +55,10 @@ class TruncatedPoly:
                 raise ValueError(f"variables must be strictly ascending in {key!r}")
             if _mono_degree(key) > degree:
                 raise ValueError(f"monomial {key!r} exceeds the degree bound {degree}")
-            new = acc.get(key, 0) + coeff
-            if new:
-                acc[key] = new
-            else:
-                acc.pop(key, None)
+            _bump(acc, key, coeff)
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "terms", acc)
+        object.__setattr__(self, "terms", MappingProxyType(acc))
         object.__setattr__(self, "truncated", truncated)
 
     def __setattr__(self, name, value):
@@ -113,7 +114,7 @@ def _raw_poly(nvars: int, degree: int, acc: dict, truncated: bool = False) -> Tr
     poly = TruncatedPoly.__new__(TruncatedPoly)
     object.__setattr__(poly, "nvars", nvars)
     object.__setattr__(poly, "degree", degree)
-    object.__setattr__(poly, "terms", acc)
+    object.__setattr__(poly, "terms", MappingProxyType(acc))
     object.__setattr__(poly, "truncated", truncated)
     return poly
 
@@ -154,16 +155,10 @@ def poly_add(p: TruncatedPoly, q: TruncatedPoly) -> TruncatedPoly:
     else:
         bound = max(p.degree, q.degree)
         flagged = False
-    acc: dict[Monomial, Fraction | int] = {}
-    for src in (p.terms, q.terms):
-        for key, coeff in src.items():
-            if _mono_degree(key) > bound:
-                continue
-            new = acc.get(key, 0) + coeff
-            if new:
-                acc[key] = new
-            else:
-                acc.pop(key, None)
+    acc = {key: c for key, c in p.terms.items() if _mono_degree(key) <= bound}
+    for key, coeff in q.terms.items():
+        if _mono_degree(key) <= bound:
+            _bump(acc, key, coeff)
     return _raw_poly(p.nvars, bound, acc, flagged)
 
 
@@ -214,12 +209,7 @@ def poly_mul(p: TruncatedPoly, q: TruncatedPoly) -> TruncatedPoly:
         for kb, vb in q.terms.items():
             if da + _mono_degree(kb) > bound:
                 continue
-            key = _mono_mul(ka, kb)
-            new = acc.get(key, 0) + va * vb
-            if new:
-                acc[key] = new
-            else:
-                acc.pop(key, None)
+            _bump(acc, _mono_mul(ka, kb), va * vb)
     return _raw_poly(p.nvars, bound, acc, flagged)
 
 
@@ -239,7 +229,7 @@ def embed(p: TruncatedPoly, nvars: int, offset: int = 0) -> TruncatedPoly:
 
 @lru_cache(maxsize=None)
 def _expand_term(basis: str, comp: tuple, nvars: int) -> Mapping[Monomial, int]:
-    """Expansion of one basis element; cached, treat the result as read-only."""
+    """Expansion of one basis element; cached, so returned read-only."""
     acc: dict[Monomial, int] = {}
     variables = range(1, nvars + 1)
     if basis == "M":
@@ -263,7 +253,7 @@ def _expand_term(basis: str, comp: tuple, nvars: int) -> Mapping[Monomial, int]:
             for v, part in zip(t, comp):
                 exps[v] = exps.get(v, 0) + part
             _bump(acc, tuple(sorted(exps.items())), 1 << len(set(t)))
-    return acc
+    return MappingProxyType(acc)
 
 
 def _mono_of_tuple(t: tuple) -> Monomial:
@@ -271,14 +261,6 @@ def _mono_of_tuple(t: tuple) -> Monomial:
     for v in t:
         exps[v] = exps.get(v, 0) + 1
     return tuple(sorted(exps.items()))
-
-
-def _bump(acc: dict, key: Monomial, value) -> None:
-    new = acc.get(key, 0) + value
-    if new:
-        acc[key] = new
-    else:
-        acc.pop(key, None)
 
 
 def expand(a: QSymElement, nvars: int, degree: int | None = None) -> TruncatedPoly:
@@ -300,16 +282,6 @@ def expand(a: QSymElement, nvars: int, degree: int | None = None) -> TruncatedPo
         for key, value in _expand_term(a.basis, comp, nvars).items():
             _bump(acc, key, coeff * value)
     return _raw_poly(nvars, degree, acc)
-
-
-def alphabet_split_eval(a: QSymElement, n1: int, n2: int, degree: int | None = None) -> TruncatedPoly:
-    """Expansion on the concatenated alphabet x_1..x_n1, x_(n1+1)..x_(n1+n2).
-
-    Equals the sum over coproduct terms of the first leg expanded in the
-    first block times the second leg expanded in the second block; this is
-    what certifies the coproduct.
-    """
-    return expand(a, n1 + n2, degree)
 
 
 def certify_equal(a: QSymElement, b: QSymElement) -> bool:

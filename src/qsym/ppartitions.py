@@ -16,7 +16,7 @@ enriched monomial quasisymmetric functions.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .combinatorics import (
     Composition,
@@ -28,7 +28,7 @@ from .combinatorics import (
     peak_set_of_permutation,
     subsets,
 )
-from .core import QSymElement
+from .core import QSymElement, _bump
 from .expansion import Monomial, TruncatedPoly, _raw_poly
 
 SignedValue = int  # nonzero: -n is (-, n), +n is (+, n)
@@ -248,6 +248,35 @@ def is_enriched_partition(
     )
 
 
+def _assignments(poset: LabelledWeightedPoset, zs: tuple) -> Iterator[Assignment]:
+    """Every enriched assignment into the checked alphabet zs.
+
+    Depth-first along a linear extension, pruning a value as soon as it
+    breaks a relation to an already-assigned vertex.
+    """
+    n = poset.n
+    order = poset.linear_extension()
+    preds = [
+        [j for j in range(k) if poset.less(order[j], order[k])] for k in range(n)
+    ]
+    vals: list[SignedValue] = [0] * n
+
+    def rec(k: int) -> Iterator[Assignment]:
+        if k == n:
+            by_label = [0] * n
+            for pos, label in enumerate(order):
+                by_label[label - 1] = vals[pos]
+            yield tuple(by_label)
+            return
+        label = order[k]
+        for z in zs:
+            if all(_respects(order[j], label, vals[j], z) for j in preds[k]):
+                vals[k] = z
+                yield from rec(k + 1)
+
+    return rec(0)
+
+
 def enumerate_assignments(
     poset: LabelledWeightedPoset, alphabet: Iterable[SignedValue]
 ) -> list[Assignment]:
@@ -256,31 +285,7 @@ def enumerate_assignments(
     Brute force with pruning along a linear extension; the output order is
     by signed order of the values at labels 1, 2, ....
     """
-    zs = _check_alphabet(alphabet)
-    n = poset.n
-    if n == 0:
-        return [()]
-    order = poset.linear_extension()
-    preds = [
-        [j for j in range(k) if poset.less(order[j], order[k])] for k in range(n)
-    ]
-    out: list[Assignment] = []
-    vals: list[SignedValue] = [0] * n
-
-    def rec(k: int) -> None:
-        if k == n:
-            by_label = [0] * n
-            for pos, label in enumerate(order):
-                by_label[label - 1] = vals[pos]
-            out.append(tuple(by_label))
-            return
-        label = order[k]
-        for z in zs:
-            if all(_respects(order[j], label, vals[j], z) for j in preds[k]):
-                vals[k] = z
-                rec(k + 1)
-
-    rec(0)
+    out = list(_assignments(poset, _check_alphabet(alphabet)))
     out.sort(key=lambda t: tuple(signed_order_key(v) for v in t))
     return out
 
@@ -376,31 +381,12 @@ def _gamma_chain(labels, weights, zs, nvars, degree) -> TruncatedPoly:
 
 
 def _gamma_dfs(poset, zs, nvars, degree) -> TruncatedPoly:
-    order = poset.linear_extension()
-    n = poset.n
-    preds = [
-        [j for j in range(k) if poset.less(order[j], order[k])] for k in range(n)
-    ]
-    weights = poset.weights
     acc: dict = {}
-    vals: list[SignedValue] = [0] * n
-
-    def rec(k: int) -> None:
-        if k == n:
-            exps: dict[int, int] = {}
-            for pos, label in enumerate(order):
-                var = abs(vals[pos])
-                exps[var] = exps.get(var, 0) + weights[label - 1]
-            key = tuple(sorted(exps.items()))
-            acc[key] = acc.get(key, 0) + 1
-            return
-        label = order[k]
-        for z in zs:
-            if all(_respects(order[j], label, vals[j], z) for j in preds[k]):
-                vals[k] = z
-                rec(k + 1)
-
-    rec(0)
+    for values in _assignments(poset, zs):
+        exps: dict[int, int] = {}
+        for value, w in zip(values, poset.weights):
+            exps[abs(value)] = exps.get(abs(value), 0) + w
+        _bump(acc, tuple(sorted(exps.items())), 1)
     return _raw_poly(nvars, degree, acc)
 
 

@@ -15,6 +15,7 @@ from qsym.cli import (
     parse_permutation,
 )
 from qsym.core import M_to_eta, QSymElement, coproduct, eta_to_M
+from qsym.verification import check_specializations
 
 
 def test_parse_element_golden():
@@ -171,3 +172,28 @@ def test_cli_verify(capsys):
     assert rc == 0
     assert "10/10 checks passed" in out
     assert out.count("PASS") == 10
+
+
+def test_cli_verify_smallest_bound(capsys):
+    # a random element that cancels to zero must compare against 0, not fail
+    rc = main(["verify", "--max-degree", "1"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "10/10 checks passed" in out
+    assert out.count("PASS") == 10
+
+
+@pytest.mark.parametrize("bound", ["0", "-1"])
+def test_cli_verify_rejects_bounds_below_one(capsys, bound):
+    rc = main(["verify", "--max-degree", bound])
+    captured = capsys.readouterr()
+    assert rc != 0
+    assert captured.out == ""
+    assert captured.err.startswith("error: --max-degree must be at least 1")
+    assert "Traceback" not in captured.err
+
+
+def test_verify_check_without_cases_fails():
+    result = check_specializations(0)
+    assert result.detail == "0 specializations"
+    assert not result.passed

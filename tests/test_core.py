@@ -189,18 +189,38 @@ def test_triangularity(n):
 def test_convert_all_basis_pairs():
     rng = random.Random(7)
     bases = ("M", "L", "eta")
+    cases = []
     for _ in range(25):
         basis = rng.choice(bases)
         n = rng.randint(0, 5)
         comps = list(compositions(n))
-        elem = QSymElement(
+        cases.append(QSymElement(
             basis,
             [(rng.choice(comps), Fraction(rng.randint(-4, 4), rng.choice([1, 2])))
              for _ in range(rng.randint(1, 3))],
-        )
+        ))
+    # every single term with n <= 6, odd-indexed K included
+    for n in range(7):
+        for basis in bases:
+            cases.extend(QSymElement.term(basis, c) for c in compositions(n))
+        cases.extend(QSymElement.term("K", c) for c in odd_compositions(n))
+    # one dense component per degree <= 7, with non-dyadic coefficients
+    for n in range(8):
+        basis = bases[n % 3]
+        cases.append(QSymElement(
+            basis, [(c, Fraction(k + 1, 3 + 2 * (k % 3))) for k, c in enumerate(compositions(n))]
+        ))
+    # mixed degrees, the empty composition included
+    cases.append(QSymElement("eta", {(): Fraction(2, 3), (1,): -1, (2, 1): Fraction(5, 7),
+                                     (1, 1, 2): Fraction(-1, 9), (3, 1, 1): 4}))
+    for elem in cases:
         for target in bases:
-            assert convert(convert(elem, target), basis) == elem
-            assert certify_equal(convert(elem, target), elem)
+            if target == elem.basis:
+                continue
+            image = convert(elem, target)
+            assert image.basis == target
+            assert convert(image, elem.basis) == elem
+            assert certify_equal(image, elem)
 
 
 def test_convert_to_K():

@@ -9,7 +9,6 @@ from qsym.combinatorics import compositions
 from qsym.core import QSymElement, eta_to_M, L_to_M, multiply
 from qsym.expansion import (
     TruncatedPoly,
-    alphabet_split_eval,
     certify_equal,
     embed,
     expand,
@@ -178,14 +177,15 @@ def test_embed():
 
 
 def test_alphabet_split_examples():
-    p = alphabet_split_eval(M(1), 1, 1)
+    # expansion on the concatenated alphabet x_1..x_n1, x_(n1+1)..x_(n1+n2)
+    p = expand(M(1), 1 + 1)
     assert dict(p.terms) == {((1, 1),): 1, ((2, 1),): 1}
-    assert dict(alphabet_split_eval(QSymElement.unit("M"), 2, 2, 0).terms) == {(): 1}
+    assert dict(expand(QSymElement.unit("M"), 2 + 2, 0).terms) == {(): 1}
     # blockwise sum over the deconcatenation coproduct of eta_(1,2)
     from qsym.core import coproduct
 
     elem = eta(1, 2)
-    lhs = alphabet_split_eval(elem, 2, 2, 3)
+    lhs = expand(elem, 2 + 2, 3)
     rhs = None
     for (cl, cr), coeff in coproduct(elem).terms.items():
         piece = poly_mul(

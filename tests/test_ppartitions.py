@@ -188,6 +188,18 @@ def test_gamma_degenerate_cases():
         gamma(LabelledWeightedPoset(1), (0, 1))
 
 
+def test_gamma_result_is_read_only():
+    poset, zs = chain_poset((1, 3, 2)), signed_alphabet(2)
+    first = gamma(poset, zs)
+    full = dict(first.terms)
+    assert full
+    with pytest.raises(AttributeError):
+        first.terms.clear()
+    with pytest.raises(TypeError):
+        first.terms[((1, 3),)] = 5
+    assert dict(gamma(poset, zs).terms) == full
+
+
 def test_gamma_chain_matches_dfs():
     rng = random.Random(9)
     for _ in range(20):
