@@ -19,12 +19,17 @@ Product, coproduct and antipode rules implemented per basis:
 
 - M:   quasi-shuffle product, deconcatenation coproduct, signed
        reversed-refinement antipode.
-- L:   product/coproduct through M; antipode is sign-and-complement.
+- L:   shuffle product, coproduct by cutting the descent set,
+       sign-and-complement antipode.
 - eta: closed product rule through shuffles with contractions,
        deconcatenation coproduct, sign-and-reverse antipode.
 - K:   a basis of the peak subalgebra only (odd compositions); product,
        coproduct and antipode route through eta and return eta-tagged
        results.
+
+The M, L and eta products share one pair walk over (parts of alpha
+consumed, parts of beta consumed) that merges equal partial products as it
+goes, so no product term is enumerated twice.
 """
 
 from __future__ import annotations
@@ -41,13 +46,11 @@ from .combinatorics import (
     check_permutation,
     complement,
     composition_of_subset,
-    contract_set,
     descent_set,
     descent_set_of_permutation,
     odd_composition_of_peak_set,
     peak_set_of_composition,
     peak_set_of_permutation,
-    quasi_shuffles,
     reverse,
     subsets,
 )
@@ -267,6 +270,14 @@ def _raw(basis: str, acc: dict) -> QSymElement:
     return elem
 
 
+def _raw_tensor(bases: tuple[str, str], acc: dict) -> "TensorElement":
+    """Internal constructor for already-normalized tensor term dictionaries."""
+    out = TensorElement.__new__(TensorElement)
+    object.__setattr__(out, "bases", bases)
+    object.__setattr__(out, "_terms", acc)
+    return out
+
+
 class TensorElement:
     """A linear combination of pure tensors of basis elements."""
 
@@ -335,16 +346,15 @@ class TensorElement:
             for l2, vl in left.terms.items():
                 for r2, vr in right.terms.items():
                     _bump(acc, (l2, r2), coeff * vl * vr)
-        out = TensorElement.__new__(TensorElement)
-        object.__setattr__(out, "bases", tuple(bases))
-        object.__setattr__(out, "_terms", acc)
-        return out
+        return _raw_tensor(tuple(bases), acc)
 
     def multiply_legs(self) -> QSymElement:
         """Multiply the two legs of every tensor and sum the results."""
         left, right = self.bases
         if left != right:
             raise ValueError("legs must share a basis to be multiplied")
+        if left == "K":
+            return self.map_legs(K_to_eta, K_to_eta, ("eta", "eta")).multiply_legs()
         pairs = ((cl, cr, coeff) for (cl, cr), coeff in self._terms.items())
         return _bilinear(left, pairs)
 
@@ -472,34 +482,15 @@ def eta_product(alpha: Iterable[int], beta: Iterable[int]) -> QSymElement:
         sum over I of (-1)^|I| eta_{gamma contracted at I}.
 
     The same index composition can arise from several interleavings; like
-    terms are combined.
+    terms are combined.  The sum is taken by the pair walk, whose steps are
+    in bijection with the pairs (interleaving, contraction set).
 
     >>> eta_product((1, 2), (2,)) == QSymElement(
     ...     "eta", {(2, 1, 2): 1, (1, 2, 2): 2, (5,): -1})
     True
     """
-    alpha = check_composition(alpha)
-    beta = check_composition(beta)
-    total = len(alpha) + len(beta)
-    terms: dict[Composition, int] = {}
-    for positions in itertools.combinations(range(1, total + 1), len(beta)):
-        taken = set(positions)
-        gamma = []
-        ai = bi = 0
-        for k in range(1, total + 1):
-            if k in taken:
-                gamma.append(beta[bi])
-                bi += 1
-            else:
-                gamma.append(alpha[ai])
-                ai += 1
-        gamma = tuple(gamma)
-        boundary = [
-            i for i in positions if i + 1 not in taken and i != 1 and i != total
-        ]
-        for chosen in subsets(boundary):
-            _bump(terms, contract_set(gamma, chosen), -1 if len(chosen) % 2 else 1)
-    return _raw("eta", {comp: Fraction(c) for comp, c in terms.items()})
+    pair = (check_composition(alpha), check_composition(beta), Fraction(1))
+    return _bilinear("eta", [pair])
 
 
 def multiply(a: QSymElement, b: QSymElement) -> QSymElement:
@@ -510,36 +501,107 @@ def multiply(a: QSymElement, b: QSymElement) -> QSymElement:
     """
     if a.basis != b.basis:
         raise ValueError(f"basis mismatch: {a.basis} vs {b.basis}; convert first")
-    basis = a.basis
-    if basis in ("M", "eta"):
-        pairs = (
-            (ca, cb, va * vb)
-            for ca, va in a._terms.items()
-            for cb, vb in b._terms.items()
-        )
-        return _bilinear(basis, pairs)
-    if basis == "L":
-        prod = multiply(convert(a, "M"), convert(b, "M"))
-        return convert(prod, "L")
-    # K: multiply in eta; the result need not lie in the K span
-    return multiply(convert(a, "eta"), convert(b, "eta"))
+    if a.basis == "K":
+        a, b = convert(a, "eta"), convert(b, "eta")
+    pairs = (
+        (ca, cb, va * vb) for ca, va in a._terms.items() for cb, vb in b._terms.items()
+    )
+    return _bilinear(a.basis, pairs)
 
 
 def _bilinear(basis: str, pairs) -> QSymElement:
-    """Sum of coeff * (basis term ca times basis term cb) over (ca, cb, coeff)."""
-    acc: dict[Composition, Fraction] = {}
+    """Sum of coeff * (term ca times term cb) over (ca, cb, coeff), in M, L or eta.
+
+    Denominators are cleared once with an lcm, so the walk multiplicities
+    accumulate as ints and each output term costs one Fraction.
+    """
+    pairs = list(pairs)
+    common = math.lcm(*(coeff.denominator for _, _, coeff in pairs))
+    acc: dict[tuple[int, int], int] = {}
     for ca, cb, coeff in pairs:
-        if basis == "M":
-            for gamma in quasi_shuffles(ca, cb):
-                _bump(acc, gamma, coeff)
-            continue
-        if basis == "eta":
-            prod = eta_product(ca, cb)
-        else:
-            prod = multiply(QSymElement.term(basis, ca), QSymElement.term(basis, cb))
-        for gamma, c in prod._terms.items():
-            _bump(acc, gamma, coeff * c)
-    return _raw("eta" if basis == "K" else basis, acc)
+        scaled = coeff.numerator * (common // coeff.denominator)
+        n = sum(ca) + sum(cb)
+        for mask, mult in _pair_walk(basis, ca, cb).items():
+            _bump(acc, (n, mask), scaled * mult)
+    return _raw(
+        basis,
+        {_composition_of_mask(n, m): Fraction(v, common) for (n, m), v in acc.items()},
+    )
+
+
+def _pair_walk(basis: str, alpha: Composition, beta: Composition) -> dict[int, int]:
+    """The product of two basis terms as {descent mask: multiplicity}.
+
+    A walk over states (i, j, last): i parts of alpha and j parts of beta
+    consumed, and which of the two the last step took from.  Each state
+    holds the partial products that reach it, merged by descent mask, so
+    no product term is ever enumerated twice.  The size output so far is
+    fixed by (i, j), so a step that starts a new part sets the descent bit
+    at that size.  Steps per basis:
+
+    - M: alpha_i, beta_j, or the quasi-shuffle merge alpha_i + beta_j,
+      each as a new part.
+    - eta: alpha_i or beta_j as a new part, or beta_j followed by alpha_i
+      added to the previous part with sign -1 (the contraction; needs a
+      previous part).
+    - L: the shuffle rule, one letter per step, with alpha and beta read
+      as words of |alpha| and |beta| letters whose descent sets are
+      Des(alpha) and Des(beta), every letter of the second word larger
+      than every letter of the first.  A first-word letter starts a new
+      part after a second-word letter, or after a first-word letter at a
+      descent of alpha; a second-word letter starts one only after a
+      second-word letter at a descent of beta.
+    """
+    if not alpha or not beta:
+        return {_descent_mask(alpha or beta): 1}
+    lasts = ("",)
+    if basis == "L":
+        des_a, des_b = _descent_mask(alpha), _descent_mask(beta)
+        alpha, beta = (1,) * sum(alpha), (1,) * sum(beta)
+        lasts = ("", "a", "b")
+    l, m = len(alpha), len(beta)
+    size_a = list(itertools.accumulate(alpha, initial=0))
+    size_b = list(itertools.accumulate(beta, initial=0))
+    states: dict[tuple[int, int, str], dict[int, int]] = {(0, 0, ""): {0: 1}}
+    for i in range(l + 1):
+        for j in range(m + 1):
+            if (i, j) == (l, m):
+                break
+            size = size_a[i] + size_b[j]
+            cut = 1 << (size - 1) if size else 0
+            for last in lasts:
+                vec = states.pop((i, j, last), None)
+                if vec is None:
+                    continue
+                steps = []
+                if basis == "L":
+                    if i < l:
+                        new = last == "b" or (last == "a" and des_a >> (i - 1) & 1)
+                        steps.append((i + 1, j, "a", cut if new else 0, 1))
+                    if j < m:
+                        new = last == "b" and des_b >> (j - 1) & 1
+                        steps.append((i, j + 1, "b", cut if new else 0, 1))
+                else:
+                    if i < l:
+                        steps.append((i + 1, j, "", cut, 1))
+                    if j < m:
+                        steps.append((i, j + 1, "", cut, 1))
+                    if i < l and j < m:
+                        if basis == "M":
+                            steps.append((i + 1, j + 1, "", cut, 1))
+                        elif size:
+                            steps.append((i + 1, j + 1, "", 0, -1))
+                # Hot loop: plain get/add; zero counts are dropped at the end.
+                for ni, nj, nlast, bit, sign in steps:
+                    target = states.setdefault((ni, nj, nlast), {})
+                    for mask, c in vec.items():
+                        key = mask | bit
+                        target[key] = target.get(key, 0) + sign * c
+    out: dict[int, int] = {}
+    for vec in states.values():
+        for mask, c in vec.items():
+            _bump(out, mask, c)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -549,22 +611,31 @@ def _bilinear(basis: str, pairs) -> QSymElement:
 def coproduct(a: QSymElement) -> TensorElement:
     """Coproduct; deconcatenation in the M and eta bases.
 
-    L input returns an (L, L)-tensor through M; K input returns an
+    In L, Delta L_alpha is the sum over k = 0..n of L on [k] tensor L on
+    [n-k], with descent sets Des(alpha) cut at k.  K input returns an
     (eta, eta)-tensor.
     """
-    if a.basis in ("M", "eta"):
-        acc: dict[tuple[Composition, Composition], Fraction] = {}
-        for comp, coeff in a.terms.items():
-            for k in range(len(comp) + 1):
-                _bump(acc, (comp[:k], comp[k:]), coeff)
-        out = TensorElement.__new__(TensorElement)
-        object.__setattr__(out, "bases", (a.basis, a.basis))
-        object.__setattr__(out, "_terms", acc)
-        return out
-    if a.basis == "L":
-        inner = coproduct(convert(a, "M"))
-        return inner.map_legs(M_to_L, M_to_L, ("L", "L"))
-    return coproduct(convert(a, "eta"))
+    if a.basis == "K":
+        return coproduct(convert(a, "eta"))
+    acc: dict[tuple[Composition, Composition], Fraction] = {}
+    for comp, coeff in a._terms.items():
+        for cut in _cuts(a.basis, comp):
+            _bump(acc, cut, coeff)
+    return _raw_tensor((a.basis, a.basis), acc)
+
+
+def _cuts(basis: str, comp: Composition) -> list[tuple[Composition, Composition]]:
+    """The (left, right) index pairs of the coproduct of one M, L or eta term."""
+    if basis != "L":
+        return [(comp[:k], comp[k:]) for k in range(len(comp) + 1)]
+    n, mask = sum(comp), _descent_mask(comp)
+    return [
+        (
+            _composition_of_mask(k, mask & ((1 << max(k - 1, 0)) - 1)),
+            _composition_of_mask(n - k, mask >> k),
+        )
+        for k in range(n + 1)
+    ]
 
 
 def _antipode_M_term(alpha: Composition) -> QSymElement:
@@ -636,6 +707,8 @@ def _descent_mask(comp: Composition) -> int:
 
 
 def _composition_of_mask(n: int, mask: int) -> Composition:
+    if not n:
+        return ()
     parts = []
     last = 0
     while mask:

@@ -16,6 +16,7 @@ untruncated polynomials.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
@@ -275,12 +276,15 @@ def expand(a: QSymElement, nvars: int, degree: int | None = None) -> TruncatedPo
             f"degree bound {degree} below element degree {a.degree}; "
             "expanding would silently truncate"
         )
-    acc: dict[Monomial, Fraction | int] = {}
+    # Clear denominators once, so the sum runs on ints.
+    common = math.lcm(*(coeff.denominator for coeff in a.terms.values()))
+    acc: dict[Monomial, int] = {}
     for comp, coeff in a.terms.items():
-        if coeff.denominator == 1:
-            coeff = coeff.numerator
+        scaled = coeff.numerator * (common // coeff.denominator)
         for key, value in _expand_term(a.basis, comp, nvars).items():
-            _bump(acc, key, coeff * value)
+            _bump(acc, key, scaled * value)
+    if common != 1:
+        acc = {key: Fraction(v, common) for key, v in acc.items()}
     return _raw_poly(nvars, degree, acc)
 
 

@@ -31,6 +31,7 @@ from .core import (
     L_of_permutation,
     M_to_eta,
     QSymElement,
+    _bump,
     antipode,
     convert,
     coproduct,
@@ -309,6 +310,15 @@ def check_specializations(max_degree: int | None = None) -> CheckResult:
     return r.result(f"P-partition specializations (n <= {top})", "specializations")
 
 
+def _sum_terms(polys) -> dict:
+    """The terms of a sum of polynomials, accumulated in one dict."""
+    acc: dict = {}
+    for p in polys:
+        for key, coeff in p.terms.items():
+            _bump(acc, key, coeff)
+    return acc
+
+
 def check_shuffle_products(max_degree: int | None = None) -> CheckResult:
     """Chain generating functions multiply by (co)shuffling, at both alphabets."""
     top = _cap(6, max_degree)
@@ -324,12 +334,12 @@ def check_shuffle_products(max_degree: int | None = None) -> CheckResult:
                             gamma(chain_poset(pi), zs, nvars),
                             gamma(chain_poset(sigma), zs, nvars),
                         )
-                        rhs = None
-                        for word in shuffles(pi, sigma):
-                            piece = gamma(chain_poset(word), zs, nvars)
-                            rhs = piece if rhs is None else poly_add(rhs, piece)
+                        rhs = _sum_terms(
+                            gamma(chain_poset(word), zs, nvars)
+                            for word in shuffles(pi, sigma)
+                        )
                         r.check(
-                            lhs == rhs,
+                            lhs.terms == rhs,
                             f"shuffle product pi={pi} sigma={sigma} |Z|={len(zs)}",
                         )
     rng = random.Random(_SEED)
@@ -348,12 +358,12 @@ def check_shuffle_products(max_degree: int | None = None) -> CheckResult:
                 universal_gamma(pi, alpha, zs, nvars),
                 universal_gamma(sigma, beta, zs, nvars),
             )
-            rhs = None
-            for tau, gamma_comp in coshuffle_product(pi, alpha, sigma, beta):
-                piece = universal_gamma(tau, gamma_comp, zs, nvars)
-                rhs = piece if rhs is None else poly_add(rhs, piece)
+            rhs = _sum_terms(
+                universal_gamma(tau, gamma_comp, zs, nvars)
+                for tau, gamma_comp in coshuffle_product(pi, alpha, sigma, beta)
+            )
             r.check(
-                lhs == rhs,
+                lhs.terms == rhs,
                 f"coshuffle product ({pi},{alpha}) x ({sigma},{beta}) |Z|={len(zs)}",
             )
     return r.result(

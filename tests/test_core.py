@@ -2,11 +2,17 @@
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from qsym.combinatorics import compositions, descent_set, odd_compositions
+from qsym.combinatorics import (
+    compositions,
+    descent_set,
+    odd_compositions,
+    quasi_shuffles,
+)
 from qsym.core import (
     K_of_permutation,
     K_to_M,
@@ -280,6 +286,27 @@ def test_eta_product_matches_M_route(total):
                 assert convert(eta_product(alpha, beta), "M") == via_m
 
 
+@pytest.mark.parametrize("total", range(9))
+def test_M_product_counts_quasi_shuffles(total):
+    # the pair walk merges duplicates; the generator yields every path
+    for na in range(total + 1):
+        for alpha in compositions(na):
+            for beta in compositions(total - na):
+                prod = multiply(M(*alpha), M(*beta))
+                assert dict(prod.terms) == Counter(quasi_shuffles(alpha, beta))
+
+
+@pytest.mark.parametrize("total", range(8))
+def test_L_product_shuffle_rule(total):
+    for na in range(total + 1):
+        for alpha in compositions(na):
+            for beta in compositions(total - na):
+                prod = multiply(L(*alpha), L(*beta))
+                via_m = multiply(L_to_M(alpha), L_to_M(beta))
+                assert convert(prod, "M") == via_m
+                assert certify_equal(prod, via_m)
+
+
 def test_L_product_through_M():
     prod = multiply(L(1), L(1))
     assert prod == QSymElement("L", {(1, 1): 1, (2,): 1})
@@ -377,6 +404,13 @@ def test_coassociativity(n):
                 key = (l, r[:k], r[k:])
                 right[key] = right.get(key, 0) + c
         assert left == right
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_L_coproduct_matches_M_route(n):
+    for alpha in compositions(n):
+        via_m = coproduct(L_to_M(alpha)).map_legs(M_to_L, M_to_L, ("L", "L"))
+        assert coproduct(L(*alpha)) == via_m
 
 
 def test_coproduct_L_and_K_routes():
