@@ -46,7 +46,6 @@ from .combinatorics import (
     check_permutation,
     complement,
     composition_of_subset,
-    descent_set,
     descent_set_of_permutation,
     odd_composition_of_peak_set,
     peak_set_of_composition,
@@ -639,13 +638,15 @@ def _cuts(basis: str, comp: Composition) -> list[tuple[Composition, Composition]
 
 
 def _antipode_M_term(alpha: Composition) -> QSymElement:
+    """Every coarsening of the reversal: one M term per submask of its descents."""
     n = sum(alpha)
-    sign = -1 if len(alpha) % 2 else 1
-    base = set(descent_set(reverse(alpha)))
-    terms = {}
-    for s in subsets(sorted(base)):
-        gamma = composition_of_subset(n, s)
-        terms[gamma] = Fraction(sign)
+    sign = Fraction(-1 if len(alpha) % 2 else 1)
+    mask = _descent_mask(reverse(alpha))
+    sub = mask
+    terms = {_composition_of_mask(n, sub): sign}
+    while sub:
+        sub = (sub - 1) & mask
+        terms[_composition_of_mask(n, sub)] = sign
     return _raw("M", terms)
 
 

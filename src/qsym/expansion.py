@@ -1,13 +1,18 @@
 """Exact truncated polynomial expansions in variables x_1..x_N.
 
 This is the ground truth the symbolic layer is certified against: every
-basis element has a defining series, and two quasisymmetric functions of
-degree <= d are equal iff their expansions in d variables agree (the
-monomials with at most d distinct variables stay linearly independent at
-N = d).
+basis element has a defining series.  A quasisymmetric function is fixed
+by its coefficients on the monomials x_1^b_1 ... x_k^b_k, one for every
+composition b, so ``certify_equal`` compares those coefficients, read
+straight from each element's defining series (the weakly increasing index
+tuples whose value set is exactly {1..k}).  ``expand`` stays the full
+expansion in N variables.
 
 Monomials are sparse tuples of (variable, exponent) pairs with variables
 ascending; coefficients are exact (int or Fraction, interchangeable).
+Inside the product kernels a monomial is packed into one int, a fixed-width
+field per variable (Kronecker substitution), so multiplying monomials is
+one int addition; results are decoded back to tuples.
 Products that would create monomials beyond the degree bound drop them
 and set the ``truncated`` flag; identities are only certified on
 untruncated polynomials.
@@ -20,7 +25,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .combinatorics import descent_set, peak_set_of_composition
 from .core import QSymElement, _bump, format_rational
@@ -177,15 +182,32 @@ def poly_sub(p: TruncatedPoly, q: TruncatedPoly) -> TruncatedPoly:
     return poly_add(p, poly_scale(q, -1))
 
 
-def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    if not a:
-        return b
-    if not b:
-        return a
-    exps: dict[int, int] = dict(a)
-    for v, e in b:
-        exps[v] = exps.get(v, 0) + e
-    return tuple(sorted(exps.items()))
+def _pack(key: Monomial, width: int) -> int:
+    """One int for a monomial: the exponent of x_v fills bits (v-1)*width on.
+
+    With width at least the bit length of every exponent that can occur,
+    no field carries into the next, so adding packed keys multiplies
+    monomials (Kronecker substitution).
+    """
+    return sum(e << ((v - 1) * width) for v, e in key)
+
+
+def _unpack(packed: int, width: int) -> Monomial:
+    """The monomial of a packed key, variables ascending."""
+    mask = (1 << width) - 1
+    out = []
+    var = 1
+    while packed:
+        if packed & mask:
+            out.append((var, packed & mask))
+        packed >>= width
+        var += 1
+    return tuple(out)
+
+
+def _field_width(bound: int) -> int:
+    """Bits per variable when no exponent exceeds bound."""
+    return max(bound, 1).bit_length()
 
 
 def poly_mul(p: TruncatedPoly, q: TruncatedPoly) -> TruncatedPoly:
@@ -204,14 +226,23 @@ def poly_mul(p: TruncatedPoly, q: TruncatedPoly) -> TruncatedPoly:
     else:
         bound = p.degree + q.degree
         flagged = False
-    acc: dict[Monomial, Fraction | int] = {}
+    width = _field_width(bound)
+    # q's packed terms by degree, so each p term meets only the q terms
+    # whose product stays within the bound; a term above the bound (of a
+    # truncated operand) may pack with carries, but is never multiplied
+    by_degree: dict[int, list] = {}
+    for key, coeff in q.terms.items():
+        by_degree.setdefault(_mono_degree(key), []).append((_pack(key, width), coeff))
+    acc: dict[int, Fraction | int] = {}
     for ka, va in p.terms.items():
-        da = _mono_degree(ka)
-        for kb, vb in q.terms.items():
-            if da + _mono_degree(kb) > bound:
-                continue
-            _bump(acc, _mono_mul(ka, kb), va * vb)
-    return _raw_poly(p.nvars, bound, acc, flagged)
+        a = _pack(ka, width)
+        room = bound - _mono_degree(ka)
+        for db, group in by_degree.items():
+            if db <= room:
+                for b, vb in group:
+                    acc[a + b] = acc.get(a + b, 0) + va * vb
+    terms = {_unpack(key, width): c for key, c in acc.items() if c}
+    return _raw_poly(p.nvars, bound, terms, flagged)
 
 
 def embed(p: TruncatedPoly, nvars: int, offset: int = 0) -> TruncatedPoly:
@@ -236,32 +267,76 @@ def _expand_term(basis: str, comp: tuple, nvars: int) -> Mapping[Monomial, int]:
     if basis == "M":
         for idx in itertools.combinations(variables, len(comp)):
             acc[tuple(zip(idx, comp))] = 1
-    elif basis == "L":
-        n = sum(comp)
-        descents = descent_set(comp)
-        for t in itertools.combinations_with_replacement(variables, n):
-            if all(t[j - 1] < t[j] for j in descents):
-                _bump(acc, _mono_of_tuple(t), 1)
-    elif basis == "K":
-        n = sum(comp)
-        peaks = peak_set_of_composition(comp)
-        for t in itertools.combinations_with_replacement(variables, n):
-            if all(t[j - 2] < t[j] for j in peaks):
-                _bump(acc, _mono_of_tuple(t), 1 << len(set(t)))
-    else:  # eta
-        for t in itertools.combinations_with_replacement(variables, len(comp)):
-            exps: dict[int, int] = {}
-            for v, part in zip(t, comp):
-                exps[v] = exps.get(v, 0) + part
-            _bump(acc, tuple(sorted(exps.items())), 1 << len(set(t)))
+        return MappingProxyType(acc)
+    parts = _series_parts(basis, comp)
+    tuples = itertools.combinations_with_replacement(variables, len(parts))
+    for t, weight in _series_terms(basis, comp, tuples):
+        exps: dict[int, int] = {}
+        for v, part in zip(t, parts):
+            exps[v] = exps.get(v, 0) + part
+        _bump(acc, tuple(sorted(exps.items())), weight)
     return MappingProxyType(acc)
 
 
-def _mono_of_tuple(t: tuple) -> Monomial:
-    exps: dict[int, int] = {}
-    for v in t:
-        exps[v] = exps.get(v, 0) + 1
-    return tuple(sorted(exps.items()))
+@lru_cache(maxsize=None)
+def _m_coefficients(basis: str, comp: tuple) -> Mapping[tuple, int]:
+    """Coefficients of one basis element on x_1^b_1 ... x_k^b_k, keyed by b.
+
+    Read from the defining series over the weakly increasing index tuples
+    whose value set is exactly {1..k}; cached, so returned read-only.
+    """
+    if basis == "M":
+        return MappingProxyType({comp: 1})
+    acc: dict[tuple, int] = {}
+    parts = _series_parts(basis, comp)
+    for t, weight in _series_terms(basis, comp, _onto_tuples(len(parts))):
+        b = [0] * (t[-1] if t else 0)
+        for v, part in zip(t, parts):
+            b[v - 1] += part
+        _bump(acc, tuple(b), weight)
+    return MappingProxyType(acc)
+
+
+def _series_parts(basis: str, comp: tuple) -> tuple:
+    """The exponent each index of an L, K or eta series tuple carries."""
+    return comp if basis == "eta" else (1,) * sum(comp)
+
+
+def _series_terms(basis: str, comp: tuple, tuples: Iterable[tuple]) -> Iterator[tuple]:
+    """(t, weight) for the weakly increasing index tuples t in the defining
+    series of one L, K or eta element:
+
+    L:   strict ascent at every descent of comp, weight 1;
+    K:   i_(j-1) < i_(j+1) at every peak j of comp, weight 2^#distinct;
+    eta: no condition (one index per part), weight 2^#distinct.
+    """
+    if basis == "L":
+        descents = descent_set(comp)
+        return ((t, 1) for t in tuples if all(t[j - 1] < t[j] for j in descents))
+    if basis == "K":
+        peaks = peak_set_of_composition(comp)
+        tuples = (t for t in tuples if all(t[j - 2] < t[j] for j in peaks))
+    return ((t, 1 << len(set(t))) for t in tuples)
+
+
+def _onto_tuples(length: int) -> Iterator[tuple]:
+    """The weakly increasing tuples of a given length onto some {1..k}:
+    they start at 1, and each later entry repeats the last or adds one."""
+    if not length:
+        return iter([()])
+    steps = itertools.product((0, 1), repeat=length - 1)
+    return (tuple(itertools.accumulate(s, initial=1)) for s in steps)
+
+
+def _int_sum(a: QSymElement, common: int, table, *args) -> dict:
+    """Sum of the tables of a's terms, each scaled by its coefficient times
+    common (a multiple of every denominator), so the sum runs on ints."""
+    acc: dict = {}
+    for comp, coeff in a.terms.items():
+        scaled = coeff.numerator * (common // coeff.denominator)
+        for key, value in table(a.basis, comp, *args).items():
+            _bump(acc, key, scaled * value)
+    return acc
 
 
 def expand(a: QSymElement, nvars: int, degree: int | None = None) -> TruncatedPoly:
@@ -276,23 +351,21 @@ def expand(a: QSymElement, nvars: int, degree: int | None = None) -> TruncatedPo
             f"degree bound {degree} below element degree {a.degree}; "
             "expanding would silently truncate"
         )
-    # Clear denominators once, so the sum runs on ints.
     common = math.lcm(*(coeff.denominator for coeff in a.terms.values()))
-    acc: dict[Monomial, int] = {}
-    for comp, coeff in a.terms.items():
-        scaled = coeff.numerator * (common // coeff.denominator)
-        for key, value in _expand_term(a.basis, comp, nvars).items():
-            _bump(acc, key, scaled * value)
+    acc = _int_sum(a, common, _expand_term, nvars)
     if common != 1:
         acc = {key: Fraction(v, common) for key, v in acc.items()}
     return _raw_poly(nvars, degree, acc)
 
 
 def certify_equal(a: QSymElement, b: QSymElement) -> bool:
-    """Ground-truth equality: expand both in max(deg) variables and compare.
+    """Ground-truth equality: compare the coefficients on x_1^b_1 ... x_k^b_k.
 
-    Sound for quasisymmetric functions: degree-d elements agree iff their
-    expansions in d variables agree.
+    Sound for quasisymmetric functions, which these monomial coefficients
+    (one per composition b, of every degree) determine.  Each element's
+    coefficients come from its basis elements' defining series, never from
+    a basis conversion; both sides are scaled by one common denominator
+    and summed in ints.
     """
-    d = max(a.degree, b.degree)
-    return expand(a, d, d) == expand(b, d, d)
+    common = math.lcm(*(c.denominator for x in (a, b) for c in x.terms.values()))
+    return _int_sum(a, common, _m_coefficients) == _int_sum(b, common, _m_coefficients)

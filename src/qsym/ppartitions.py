@@ -29,7 +29,7 @@ from .combinatorics import (
     subsets,
 )
 from .core import QSymElement, _bump
-from .expansion import Monomial, TruncatedPoly, _raw_poly
+from .expansion import TruncatedPoly, _field_width, _raw_poly, _unpack
 
 SignedValue = int  # nonzero: -n is (-, n), +n is (+, n)
 
@@ -328,56 +328,39 @@ def _gamma_cached(
     return _gamma_dfs(poset, zs, nvars, degree)
 
 
-def _mono_mul_var(key: Monomial, var: int, exp: int) -> Monomial:
-    out = []
-    inserted = False
-    for v, e in key:
-        if v == var:
-            out.append((v, e + exp))
-            inserted = True
-        else:
-            if not inserted and v > var:
-                out.append((var, exp))
-                inserted = True
-            out.append((v, e))
-    if not inserted:
-        out.append((var, exp))
-    return tuple(out)
-
-
 def _gamma_chain(labels, weights, zs, nvars, degree) -> TruncatedPoly:
     """Transfer-matrix pass along a chain.
 
     For consecutive chain vertices the allowed previous values form a
     prefix of the signed order (plus an equality case depending on the
     label direction), so one running prefix sum per step replaces the
-    |Z|^2 transition scan.
+    |Z|^2 transition scan.  States are keyed by packed monomials, so
+    assigning value z to a vertex of weight w adds w << shift[z].
     """
-    first = labels[0]
-    w0 = weights[first - 1]
-    states: list[dict] = [{((abs(z), w0),): 1} for z in zs]
+    width = _field_width(degree)
+    shift = {z: (abs(z) - 1) * width for z in zs}
+    w0 = weights[labels[0] - 1]
+    states: list[dict] = [{w0 << shift[z]: 1} for z in zs]
     for prev_label, cur_label in zip(labels, labels[1:]):
         eq_positive = prev_label < cur_label
         w = weights[cur_label - 1]
         running: dict = {}
         new_states: list[dict] = []
-        for zi, z in enumerate(zs):
-            base = dict(running)
+        for z, state in zip(zs, states):
+            step = w << shift[z]
+            new = {key + step: c for key, c in running.items()}
             if (z > 0) == eq_positive:
-                for key, c in states[zi].items():
-                    base[key] = base.get(key, 0) + c
-            var = abs(z)
-            new_states.append(
-                {_mono_mul_var(key, var, w): c for key, c in base.items()}
-            )
-            for key, c in states[zi].items():
+                for key, c in state.items():
+                    new[key + step] = new.get(key + step, 0) + c
+            new_states.append(new)
+            for key, c in state.items():
                 running[key] = running.get(key, 0) + c
         states = new_states
     acc: dict = {}
     for state in states:
         for key, c in state.items():
             acc[key] = acc.get(key, 0) + c
-    return _raw_poly(nvars, degree, {k: v for k, v in acc.items() if v})
+    return _raw_poly(nvars, degree, {_unpack(key, width): c for key, c in acc.items()})
 
 
 def _gamma_dfs(poset, zs, nvars, degree) -> TruncatedPoly:

@@ -15,7 +15,9 @@ from qsym.cli import (
     parse_permutation,
 )
 from qsym.core import M_to_eta, QSymElement, coproduct, eta_to_M
-from qsym.verification import check_specializations
+from qsym import verification
+from qsym.expansion import TruncatedPoly
+from qsym.verification import check_eta_coproduct, check_specializations
 
 
 def test_parse_element_golden():
@@ -197,3 +199,18 @@ def test_verify_check_without_cases_fails():
     result = check_specializations(0)
     assert result.detail == "0 specializations"
     assert not result.passed
+
+
+def test_eta_coproduct_split_fails_on_a_truncated_piece(monkeypatch):
+    real_mul = verification.poly_mul
+
+    def truncating_mul(p, q):
+        prod = real_mul(p, q)
+        return TruncatedPoly(prod.nvars, prod.degree, prod.terms, truncated=True)
+
+    monkeypatch.setattr(verification, "poly_mul", truncating_mul)
+    result = check_eta_coproduct()
+    assert not result.passed
+    assert result.detail == "84 coproducts"
+    assert len(result.failures) == 20
+    assert all(f.startswith("alphabet split of ") for f in result.failures)

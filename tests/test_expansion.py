@@ -5,10 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from qsym.combinatorics import compositions
-from qsym.core import QSymElement, eta_to_M, L_to_M, multiply
+from qsym.combinatorics import compositions, odd_compositions
+from qsym.core import QSymElement, convert, eta_to_M, L_to_M, multiply
 from qsym.expansion import (
     TruncatedPoly,
+    _m_coefficients,
     certify_equal,
     embed,
     expand,
@@ -127,6 +128,61 @@ def test_certify_equal():
     assert certify_equal(eta(1, 3, 1), eta_to_M((1, 3, 1)))
 
 
+@pytest.mark.parametrize("n", range(8))
+def test_m_coefficients_match_expansion(n):
+    # every single M, L, eta and odd K term of degree n (n = 0: the unit)
+    terms = [(basis, comp) for basis in ("M", "L", "eta") for comp in compositions(n)]
+    terms += [("K", comp) for comp in odd_compositions(n)]
+    for basis, comp in terms:
+        poly = expand(QSymElement.term(basis, comp), n, n)
+        got = _m_coefficients(basis, comp)
+        assert set(got) <= set(compositions(n))
+        for b in compositions(n):
+            want = poly.coefficient(enumerate(b, 1))  # x1^b1 ... xk^bk
+            assert got.get(b, 0) == want, (basis, comp, b)
+
+
+def _dense(basis, n, den):
+    return QSymElement(
+        basis, [(comp, Fraction(i + 1, den)) for i, comp in enumerate(compositions(n))]
+    )
+
+
+_MIXED = QSymElement(
+    "L", {(): Fraction(1, 3), (2,): Fraction(-2, 5), (1, 2): 3, (2, 1, 2): Fraction(1, 7)}
+)
+_SENSITIVITY = [_dense(basis, n, 3) for n in range(7) for basis in ("L", "eta")] + [_MIXED]
+
+
+@pytest.mark.parametrize("x", _SENSITIVITY, ids=lambda x: f"{x.basis}-{x.degree}")
+def test_certify_equal_sees_every_M_coefficient(x):
+    # x against its M form, then against that form plus M_b/2: every
+    # coefficient of degree <= deg x must be able to break certification
+    in_m = convert(x, "M")
+    assert certify_equal(x, in_m)
+    for n in range(x.degree + 1):
+        for b in compositions(n):
+            assert not certify_equal(x, in_m + QSymElement.term("M", b, Fraction(1, 2))), b
+
+
+def test_certify_equal_reaches_no_conversion(monkeypatch):
+    import qsym.core
+    import qsym.expansion
+
+    cases = [(eta(1, 3, 1), eta_to_M((1, 3, 1))), (QSymElement.term("K", (3, 1)), M(4))]
+    cases += [(QSymElement.term("L", (2, 1)), L_to_M((2, 1)))]
+
+    def refuse(*args):
+        raise AssertionError("the oracle reached a basis conversion")
+
+    for name in ("convert", "_lattice_transform", "_eta_to_K", "K_to_eta", "eta_to_M",
+                 "M_to_eta", "L_to_M", "M_to_L", "eta_to_L", "K_to_M"):
+        for module in (qsym.core, qsym.expansion):
+            monkeypatch.setattr(module, name, refuse, raising=False)
+    _m_coefficients.cache_clear()
+    assert [certify_equal(a, b) for a, b in cases] == [True, False, True]
+
+
 def test_poly_construction_validation():
     TruncatedPoly(2, 3, {((1, 2), (2, 1)): 1})
     with pytest.raises(ValueError):
@@ -161,6 +217,53 @@ def test_truncated_inputs_stay_flagged():
     s = poly_add(p, q)
     assert s.truncated and s.degree == 1
     assert dict(s.terms) == {((1, 1),): 2}
+
+
+def _reference_mul(p, q, bound):
+    """Tuple-key product of two term dicts, monomials above bound dropped."""
+    acc = {}
+    for ka, va in p.terms.items():
+        for kb, vb in q.terms.items():
+            exps = dict(ka)
+            for v, e in kb:
+                exps[v] = exps.get(v, 0) + e
+            if sum(exps.values()) <= bound:
+                key = tuple(sorted(exps.items()))
+                acc[key] = acc.get(key, 0) + va * vb
+    return {key: c for key, c in acc.items() if c}
+
+
+def _poly_of_degree(d, truncated=False):
+    """Terms up to degree d in 3 variables, top and bottom fields at full degree."""
+    terms = {(): 1}
+    if d >= 1:
+        terms.update({((1, d),): 2, ((3, d),): -1})
+    if d >= 2:
+        terms[((1, 1), (2, d - 1))] = Fraction(1, 2)
+        terms[((2, 1), (3, 1))] = 3
+    return TruncatedPoly(3, d, terms, truncated)
+
+
+@pytest.mark.parametrize("bound", [1, 2, 3, 4, 7, 8, 15, 16])
+def test_poly_mul_matches_reference_at_field_boundaries(bound):
+    # exponents reach the product's bound, whose bit length sets the field width
+    for d1 in range(bound + 1):
+        p, q = _poly_of_degree(d1), _poly_of_degree(bound - d1)
+        prod = poly_mul(p, q)
+        assert dict(prod.terms) == _reference_mul(p, q, bound)
+        assert ((3, bound),) in prod.terms and not prod.truncated
+
+
+def test_poly_mul_truncated_operand_above_bound():
+    # a truncated operand of degree 16 against one truncated at 3: its terms
+    # above the bound do not fit fields of the bound's width, and must drop
+    p, q = _poly_of_degree(16, truncated=True), _poly_of_degree(3, truncated=True)
+    for left, right in ((p, q), (q, p), (p, _poly_of_degree(2))):
+        bound = min(x.degree for x in (left, right) if x.truncated)
+        prod = poly_mul(left, right)
+        assert prod.truncated and prod.degree == bound
+        assert dict(prod.terms) == _reference_mul(left, right, bound)
+        assert prod.terms
 
 
 def test_poly_mismatched_nvars():

@@ -200,18 +200,35 @@ def test_gamma_result_is_read_only():
     assert dict(gamma(poset, zs).terms) == full
 
 
+def _chain_against_dfs(word, alpha):
+    """_gamma_chain == _gamma_dfs at both alphabets of magnitude 3."""
+    poset = weighted_chain(word, alpha)
+    degree = sum(alpha)
+    out = []
+    for zs in (positive_alphabet(3), signed_alphabet(3)):
+        fast = _gamma_chain(poset.chain_order(), poset.weights, zs, 3, degree)
+        assert fast == _gamma_dfs(poset, zs, 3, degree)
+        out.append(fast)
+    return out
+
+
 def test_gamma_chain_matches_dfs():
     rng = random.Random(9)
     for _ in range(20):
         n = rng.randint(1, 5)
         word = list(range(1, n + 1))
         rng.shuffle(word)
-        alpha = tuple(rng.randint(1, 3) for _ in range(n))
-        poset = weighted_chain(tuple(word), alpha)
-        zs = signed_alphabet(3)
-        fast = _gamma_chain(poset.chain_order(), poset.weights, zs, 3, sum(alpha))
-        slow = _gamma_dfs(poset, zs, 3, sum(alpha))
-        assert fast == slow
+        _chain_against_dfs(tuple(word), tuple(rng.randint(1, 3) for _ in range(n)))
+    # all the weight on one variable: an exponent equals the degree bound,
+    # at the bit-length boundaries of the packed exponent fields
+    for degree in (1, 2, 3, 4, 7, 8, 15, 16):
+        n = min(degree, 3)
+        alpha = (degree - n + 1,) + (1,) * (n - 1)
+        top = ((3, degree),)
+        pos, sgn = _chain_against_dfs(tuple(range(1, n + 1)), alpha)
+        assert pos.terms[top] > 0 and sgn.terms[top] > 0
+        pos, sgn = _chain_against_dfs(tuple(range(n, 0, -1)), alpha)
+        assert sgn.terms[top] > 0
 
 
 @pytest.mark.parametrize("n", range(1, 6))
