@@ -192,8 +192,12 @@ def _pack(key: Monomial, width: int) -> int:
     return sum(e << ((v - 1) * width) for v, e in key)
 
 
+@lru_cache(maxsize=4096)
 def _unpack(packed: int, width: int) -> Monomial:
-    """The monomial of a packed key, variables ascending."""
+    """The monomial of a packed key, variables ascending.
+
+    Memoized: results in few variables decode the same keys again and again.
+    """
     mask = (1 << width) - 1
     out = []
     var = 1

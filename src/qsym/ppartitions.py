@@ -11,10 +11,16 @@ The generating function gamma sums x_|f(i)|^weight(i) over all such
 assignments into a finite alphabet; with a weighted chain this produces,
 at the right specializations, the monomial, fundamental, peak and
 enriched monomial quasisymmetric functions.
+
+On a chain the conditions between neighbours imply all the others, and
+they read the labels only through whether each step goes up.  So a
+chain's gamma depends only on that up-down pattern, the weights along
+the chain and the alphabet, and it is cached by exactly that key.
 """
 
 from __future__ import annotations
 
+import itertools
 from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -57,12 +63,24 @@ def signed_alphabet(n: int) -> tuple[SignedValue, ...]:
 
 
 def _check_alphabet(alphabet: Iterable[SignedValue]) -> tuple[SignedValue, ...]:
+    """The alphabet's distinct values in signed order.  Only tuples of plain
+    ints are memoized: the memo compares keys by equality, under which True
+    and 1.0 equal 1, so anything else is checked in full on every call."""
+    if type(alphabet) is tuple and all(type(z) is int for z in alphabet):
+        return _check_int_tuple(alphabet)
+    return _sorted_alphabet(alphabet)
+
+
+def _sorted_alphabet(alphabet: Iterable[SignedValue]) -> tuple[SignedValue, ...]:
     values = set()
     for z in alphabet:
         if not isinstance(z, int) or isinstance(z, bool) or z == 0:
             raise ValueError(f"alphabet entries must be nonzero ints, got {z!r}")
         values.add(z)
     return tuple(sorted(values, key=signed_order_key))
+
+
+_check_int_tuple = lru_cache(maxsize=256)(_sorted_alphabet)
 
 
 class LabelledWeightedPoset:
@@ -158,14 +176,20 @@ class LabelledWeightedPoset:
         return tuple(placed)
 
     def chain_order(self) -> tuple[int, ...] | None:
-        """The labels along the chain when the order is total, else None."""
-        counts = {v: 0 for v in range(1, self.n + 1)}
+        """The labels along the chain when the order is total, else None.
+
+        An order is total exactly when all n(n-1)/2 pairs are related; then
+        the vertex with k successors sits k places from the top.
+        """
+        n = self.n
+        if len(self._less) != n * (n - 1) // 2:
+            return None
+        order = [0] * n
+        successors = [0] * (n + 1)
         for i, _ in self._less:
-            counts[i] += 1
-        order = sorted(counts, key=lambda v: -counts[v])
-        for a, b in zip(order, order[1:]):
-            if not self.less(a, b):
-                return None
+            successors[i] += 1
+        for v in range(1, n + 1):
+            order[n - 1 - successors[v]] = v
         return tuple(order)
 
     def __eq__(self, other):
@@ -201,14 +225,24 @@ class LabelledWeightedPoset:
             data.get("weights"),
         )
 
+    @classmethod
+    def _chain(cls, word: Permutation, weights: tuple[int, ...]) -> "LabelledWeightedPoset":
+        """The chain of a checked word, with checked weights indexed by label.
+
+        Every ordered pair along the chain is listed, so the relations are
+        already transitively closed and acyclic: no closure pass is needed.
+        """
+        poset = cls.__new__(cls)
+        object.__setattr__(poset, "n", len(word))
+        object.__setattr__(poset, "weights", weights)
+        object.__setattr__(poset, "_less", frozenset(itertools.combinations(word, 2)))
+        return poset
+
 
 def chain_poset(pi: Iterable[int]) -> LabelledWeightedPoset:
     """The total order pi_1 <_P pi_2 <_P ... <_P pi_n with unit weights."""
     word = check_permutation(pi)
-    relations = [
-        (word[i], word[j]) for i in range(len(word)) for j in range(i + 1, len(word))
-    ]
-    return LabelledWeightedPoset(len(word), relations)
+    return LabelledWeightedPoset._chain(word, (1,) * len(word))
 
 
 def weighted_chain(pi: Iterable[int], alpha: Iterable[int]) -> LabelledWeightedPoset:
@@ -220,10 +254,7 @@ def weighted_chain(pi: Iterable[int], alpha: Iterable[int]) -> LabelledWeightedP
     weights = [0] * len(word)
     for label, w in zip(word, parts):
         weights[label - 1] = w
-    relations = [
-        (word[i], word[j]) for i in range(len(word)) for j in range(i + 1, len(word))
-    ]
-    return LabelledWeightedPoset(len(word), relations, weights)
+    return LabelledWeightedPoset._chain(word, tuple(weights))
 
 
 def _respects(label_i: int, label_j: int, fi: SignedValue, fj: SignedValue) -> bool:
@@ -310,40 +341,47 @@ def gamma(
         nvars = top
     if top > nvars:
         raise ValueError(f"alphabet magnitude {top} exceeds the variable count {nvars}")
+    chain = poset.chain_order()
+    if chain:
+        ups = tuple(a < b for a, b in zip(chain, chain[1:]))
+        ws = tuple(poset.weights[label - 1] for label in chain)
+        return _gamma_chain(ups, ws, zs, nvars)
     return _gamma_cached(poset, zs, nvars)
 
 
-@lru_cache(maxsize=None)
-def _gamma_cached(
-    poset: LabelledWeightedPoset, zs: tuple, nvars: int
-) -> TruncatedPoly:
+@lru_cache(maxsize=1024)
+def _gamma_cached(poset: LabelledWeightedPoset, zs: tuple, nvars: int) -> TruncatedPoly:
+    """gamma of the empty poset and of posets that are not chains."""
     degree = sum(poset.weights)
     if poset.n == 0:
         return _raw_poly(nvars, 0, {(): 1})
     if not zs:
         return _raw_poly(nvars, degree, {})
-    chain = poset.chain_order()
-    if chain is not None:
-        return _gamma_chain(chain, poset.weights, zs, nvars, degree)
     return _gamma_dfs(poset, zs, nvars, degree)
 
 
-def _gamma_chain(labels, weights, zs, nvars, degree) -> TruncatedPoly:
-    """Transfer-matrix pass along a chain.
+@lru_cache(maxsize=4096)
+def _gamma_chain(ups: tuple, ws: tuple, zs: tuple, nvars: int) -> TruncatedPoly:
+    """gamma of a nonempty chain by a transfer-matrix pass along it.
+
+    ups[k] says whether the labels rise from chain vertex k to k+1, and
+    ws[k] is the weight of vertex k.  Conditions between neighbours imply
+    the rest (a tie across several steps is a tie at each step, of one
+    sign), and a tie between neighbours is allowed exactly when its sign
+    matches their direction, so the labels drop out: chains with one
+    pattern and one weight sequence share one cache entry.
 
     For consecutive chain vertices the allowed previous values form a
     prefix of the signed order (plus an equality case depending on the
-    label direction), so one running prefix sum per step replaces the
-    |Z|^2 transition scan.  States are keyed by packed monomials, so
-    assigning value z to a vertex of weight w adds w << shift[z].
+    direction), so one running prefix sum per step replaces the |Z|^2
+    transition scan.  States are keyed by packed monomials, so assigning
+    value z to a vertex of weight w adds w << shift[z].
     """
+    degree = sum(ws)
     width = _field_width(degree)
     shift = {z: (abs(z) - 1) * width for z in zs}
-    w0 = weights[labels[0] - 1]
-    states: list[dict] = [{w0 << shift[z]: 1} for z in zs]
-    for prev_label, cur_label in zip(labels, labels[1:]):
-        eq_positive = prev_label < cur_label
-        w = weights[cur_label - 1]
+    states: list[dict] = [{ws[0] << shift[z]: 1} for z in zs]
+    for eq_positive, w in zip(ups, ws[1:]):
         running: dict = {}
         new_states: list[dict] = []
         for z, state in zip(zs, states):

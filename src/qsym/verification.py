@@ -31,7 +31,6 @@ from .core import (
     L_of_permutation,
     M_to_eta,
     QSymElement,
-    _bump,
     antipode,
     convert,
     coproduct,
@@ -314,12 +313,13 @@ def check_specializations(max_degree: int | None = None) -> CheckResult:
 
 
 def _sum_terms(polys) -> dict:
-    """The terms of a sum of polynomials, accumulated in one dict."""
+    """The terms of a sum of polynomials, accumulated in one dict; the
+    terms that cancel are dropped once, at the end."""
     acc: dict = {}
     for p in polys:
         for key, coeff in p.terms.items():
-            _bump(acc, key, coeff)
-    return acc
+            acc[key] = acc.get(key, 0) + coeff
+    return {key: coeff for key, coeff in acc.items() if coeff}
 
 
 def check_shuffle_products(max_degree: int | None = None) -> CheckResult:

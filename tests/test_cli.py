@@ -1,6 +1,7 @@
 """Element grammar, command dispatch, output determinism."""
 
 import json
+import pathlib
 from fractions import Fraction
 
 import pytest
@@ -174,6 +175,13 @@ def test_cli_verify(capsys):
     assert rc == 0
     assert "10/10 checks passed" in out
     assert out.count("PASS") == 10
+
+
+def test_cli_verify_stdout_is_byte_identical(capsys):
+    golden = pathlib.Path(__file__).parent / "data" / "verify_stdout.txt"
+    rc = main(["verify"])
+    assert rc == 0
+    assert capsys.readouterr().out.encode() == golden.read_bytes()
 
 
 def test_cli_verify_smallest_bound(capsys):

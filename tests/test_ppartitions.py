@@ -91,6 +91,48 @@ def test_weighted_chain():
         weighted_chain((1, 2), (1,))
 
 
+def _closed_chain(word, weights):
+    """The chain of word through the general constructor, with its closure."""
+    pairs = [(a, b) for i, a in enumerate(word) for b in word[i + 1:]]
+    return LabelledWeightedPoset(len(word), pairs, weights)
+
+
+def _assert_same_poset(fast, slow):
+    assert fast == slow and hash(fast) == hash(slow)
+    assert fast.relations == slow.relations
+    assert fast.covers() == slow.covers()
+    assert fast.chain_order() == slow.chain_order()
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_chain_constructors_match_the_closed_poset(n):
+    """Every word takes unit weights; words up to n = 4 also take every
+    weighting from {1, 2, 3}, longer words three seeded ones."""
+    rng = random.Random(n)
+    every = list(itertools.product((1, 2, 3), repeat=n))
+    for word in itertools.permutations(range(1, n + 1)):
+        _assert_same_poset(chain_poset(word), _closed_chain(word, None))
+        for alpha in every if n <= 4 else rng.sample(every, 3):
+            weights = [0] * n
+            for label, w in zip(word, alpha):
+                weights[label - 1] = w
+            _assert_same_poset(weighted_chain(word, alpha), _closed_chain(word, weights))
+
+
+@pytest.mark.parametrize("word", [(1, 1), (0, 1), (2, 3), (1, 2, 4), (2,)])
+def test_chain_constructors_reject_bad_words(word):
+    with pytest.raises(ValueError, match="not a permutation"):
+        chain_poset(word)
+    with pytest.raises(ValueError, match="not a permutation"):
+        weighted_chain(word, (1,) * len(word))
+
+
+@pytest.mark.parametrize("alpha", [(1, 0), (1, -2), (1, True), (1, 1.5), (2, "1")])
+def test_weighted_chain_rejects_bad_weights(alpha):
+    with pytest.raises(ValueError, match="composition parts must be positive integers"):
+        weighted_chain((2, 1), alpha)
+
+
 def test_is_enriched_partition():
     up = chain_poset((1, 2))
     down = chain_poset((2, 1))
@@ -188,6 +230,27 @@ def test_gamma_degenerate_cases():
         gamma(LabelledWeightedPoset(1), (0, 1))
 
 
+@pytest.mark.parametrize("bad", [(0, 1, 2), (True, 2), (1, 2.0), (1.0, 2)])
+@pytest.mark.parametrize("form", [tuple, list, iter])
+def test_alphabet_memo_never_caches_a_pass(bad, form):
+    # (True, 2) and (1.0, 2) equal the valid (1, 2), so an equality-keyed
+    # memo that had seen (1, 2) would wave them through
+    poset = chain_poset((2, 1))
+    gamma(poset, (1, 2))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="nonzero ints"):
+            gamma(poset, form(bad))
+
+
+def test_alphabet_forms_agree():
+    for poset in (chain_poset((1, 3, 2)), LabelledWeightedPoset(3, [(1, 2)])):
+        zs = [2, -1, 1, -2, 2]
+        by_tuple = gamma(poset, tuple(zs))
+        assert gamma(poset, zs) == by_tuple
+        assert dict(gamma(poset, zs).terms) == dict(by_tuple.terms)
+        assert gamma(poset, iter(zs)) == gamma(poset, signed_alphabet(2)) == by_tuple
+
+
 def test_gamma_result_is_read_only():
     poset, zs = chain_poset((1, 3, 2)), signed_alphabet(2)
     first = gamma(poset, zs)
@@ -200,13 +263,18 @@ def test_gamma_result_is_read_only():
     assert dict(gamma(poset, zs).terms) == full
 
 
+def _ups(word):
+    """The up-down pattern of a word: whether each neighbouring pair rises."""
+    return tuple(a < b for a, b in zip(word, word[1:]))
+
+
 def _chain_against_dfs(word, alpha):
     """_gamma_chain == _gamma_dfs at both alphabets of magnitude 3."""
     poset = weighted_chain(word, alpha)
     degree = sum(alpha)
     out = []
     for zs in (positive_alphabet(3), signed_alphabet(3)):
-        fast = _gamma_chain(poset.chain_order(), poset.weights, zs, 3, degree)
+        fast = _gamma_chain(_ups(word), tuple(alpha), zs, 3)
         assert fast == _gamma_dfs(poset, zs, 3, degree)
         out.append(fast)
     return out
@@ -229,6 +297,55 @@ def test_gamma_chain_matches_dfs():
         assert pos.terms[top] > 0 and sgn.terms[top] > 0
         pos, sgn = _chain_against_dfs(tuple(range(n, 0, -1)), alpha)
         assert sgn.terms[top] > 0
+
+
+def _words_by_pattern(n):
+    groups: dict = {}
+    for word in itertools.permutations(range(1, n + 1)):
+        groups.setdefault(_ups(word), []).append(word)
+    return groups
+
+
+def _weightings(n, rng):
+    """Weights from {1, 2} along a chain of n: all of them up to n = 4,
+    a seeded sample of four beyond."""
+    every = list(itertools.product((1, 2), repeat=n))
+    return every if n <= 4 else rng.sample(every, 4)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_chain_gamma_depends_only_on_up_down_pattern(n):
+    rng = random.Random(n)
+    for words in _words_by_pattern(n).values():
+        for ws in _weightings(n, rng):
+            for zs in (positive_alphabet(3), signed_alphabet(3)):
+                results = set()
+                for word in words:
+                    poset = weighted_chain(word, ws)
+                    got = gamma(poset, zs, 3)
+                    assert got == _gamma_dfs(poset, zs, 3, sum(ws))
+                    results.add(got)
+                assert len(results) == 1
+
+
+def test_flipping_one_direction_changes_gamma_as_dfs_says():
+    rng = random.Random(2)
+    changed = 0
+    for n in range(2, 6):
+        groups = _words_by_pattern(n)
+        for ws in ((1,) * n, tuple(rng.choice((1, 2)) for _ in range(n))):
+            for zs in (positive_alphabet(3), signed_alphabet(3)):
+                dfs = {
+                    ups: _gamma_dfs(weighted_chain(words[0], ws), zs, 3, sum(ws))
+                    for ups, words in groups.items()
+                }
+                for ups in groups:
+                    for k in range(n - 1):
+                        flipped = ups[:k] + (not ups[k],) + ups[k + 1:]
+                        moved = _gamma_chain(ups, ws, zs, 3) != _gamma_chain(flipped, ws, zs, 3)
+                        assert moved == (dfs[ups] != dfs[flipped])
+                        changed += moved
+    assert changed > 0
 
 
 @pytest.mark.parametrize("n", range(1, 6))
