@@ -7,13 +7,17 @@ descent set is contained in that of alpha; it is a basis of QSym over any
 ring in which 2 is invertible, so coefficients here are Fractions whose
 denominators are powers of 2 under all conversions.
 
-Conversions among M, L and eta are one descent-set transform: a degree-n
-component is a vector indexed by subsets of [n-1], and each change of
-basis is the (n-1)-fold tensor power of one 2x2 matrix (Yates' algorithm,
-the fast zeta/Moebius transform).  K converts through K_to_eta into eta
-and from there like eta; conversion into K eliminates triangularly
-against the K images.  The pairwise names (eta_to_M, M_to_L, ...) are
-thin wrappers over ``convert``.
+Every conversion and every antipode is one Boolean-lattice transform: a
+degree-n component is a vector indexed by subsets of [n-1], and the map
+is the (n-1)-fold tensor power of one 2x2 matrix (Yates' algorithm, the
+fast zeta/Moebius transform), looked up in the ``_LATTICE`` table.  M, L
+and eta index a component by descent sets.  K and eta are related on peak
+sets instead, K_alpha being the signed sum of eta_beta over the odd beta
+with Peak(beta) <= Peak(alpha), so K converts through eta; an element
+with eta terms that have an even part lies outside the peak subalgebra.
+The antipode reverses each index and applies the basis's own entry.  The
+pairwise names (eta_to_M, K_to_eta, ...) are thin wrappers over
+``convert``.
 
 Product, coproduct and antipode rules implemented per basis:
 
@@ -44,13 +48,11 @@ from .combinatorics import (
     Composition,
     check_composition,
     check_permutation,
-    complement,
     composition_of_subset,
     descent_set_of_permutation,
     odd_composition_of_peak_set,
     peak_set_of_composition,
     peak_set_of_permutation,
-    reverse,
     subsets,
 )
 
@@ -408,28 +410,17 @@ def eta_to_L(alpha: Iterable[int]) -> QSymElement:
     return convert(QSymElement.term("eta", alpha), "L")
 
 
-def _peak_sign(n: int, length: int) -> int:
-    return -1 if ((n - length) // 2) % 2 else 1
-
-
 def K_to_eta(alpha: Iterable[int]) -> QSymElement:
-    """K_alpha as a signed sum of eta_beta over Peak(beta) <= Peak(alpha).
+    """K_alpha as the sum of (-1)^|S| eta_beta(S) over S <= Peak(alpha).
 
-    The sign (-1)^((n - len(beta))/2) compensates for the sign carried by
-    the classical odd-indexed monomial peak functions, which the eta basis
-    drops.
+    beta(S) is the odd composition with peak set S.  The sign (-1)^|S|
+    compensates for the sign carried by the classical odd-indexed monomial
+    peak functions, which the eta basis drops.
 
     >>> K_to_eta((3,)) == QSymElement("eta", {(1, 1, 1): 1, (3,): -1})
     True
     """
-    alpha = check_composition(alpha)
-    n = sum(alpha)
-    peaks = peak_set_of_composition(alpha)  # validates oddness
-    terms = {}
-    for s in subsets(peaks):
-        beta = odd_composition_of_peak_set(n, s)
-        terms[beta] = Fraction(_peak_sign(n, len(beta)))
-    return _raw("eta", terms)
+    return convert(QSymElement.term("K", alpha), "eta")
 
 
 def K_to_M(alpha: Iterable[int]) -> QSymElement:
@@ -637,21 +628,9 @@ def _cuts(basis: str, comp: Composition) -> list[tuple[Composition, Composition]
     ]
 
 
-def _antipode_M_term(alpha: Composition) -> QSymElement:
-    """Every coarsening of the reversal: one M term per submask of its descents."""
-    n = sum(alpha)
-    sign = Fraction(-1 if len(alpha) % 2 else 1)
-    mask = _descent_mask(reverse(alpha))
-    sub = mask
-    terms = {_composition_of_mask(n, sub): sign}
-    while sub:
-        sub = (sub - 1) & mask
-        terms[_composition_of_mask(n, sub)] = sign
-    return _raw("M", terms)
-
-
 def antipode(a: QSymElement) -> QSymElement:
-    """The Hopf antipode, per basis.
+    """The Hopf antipode: reverse every index, then apply the basis's own
+    ``_LATTICE`` entry.
 
     M:   S(M_alpha) = (-1)^len(alpha) * sum of M_gamma over coarsenings of
          the reversal.
@@ -659,24 +638,10 @@ def antipode(a: QSymElement) -> QSymElement:
     L:   S(L_alpha) = (-1)^|alpha| * L_complement(alpha).
     K:   routed through eta; the result carries the eta tag.
     """
-    if a.basis == "M":
-        return a.map_terms(_antipode_M_term, "M")
-    if a.basis == "eta":
-        acc = {}
-        for comp, coeff in a.terms.items():
-            _bump(acc, reverse(comp), -coeff if len(comp) % 2 else coeff)
-        return _raw("eta", acc)
-    if a.basis == "L":
-        acc = {}
-        for comp, coeff in a.terms.items():
-            if not comp:
-                key, sign = comp, 1
-            else:
-                key = complement(comp)
-                sign = -1 if sum(comp) % 2 else 1
-            _bump(acc, key, sign * coeff)
-        return _raw("L", acc)
-    return antipode(convert(a, "eta"))
+    if a.basis == "K":
+        return antipode(convert(a, "eta"))
+    flipped = _raw(a.basis, {comp[::-1]: coeff for comp, coeff in a._terms.items()})
+    return _lattice_transform(flipped, a.basis)
 
 
 # ---------------------------------------------------------------------------
@@ -686,8 +651,11 @@ def antipode(a: QSymElement) -> QSymElement:
 _H = Fraction(1, 2)
 
 # (source, target): (matrix, scale).  Entry [a][b] of the matrix is the
-# factor from source bit a to target bit b of a descent-set bitmask; every
-# component of degree n >= 1 is multiplied by scale on top.
+# factor from source bit a to target bit b of a subset bitmask; every
+# component of degree n >= 1 is multiplied by scale on top.  M, L and eta
+# index a component by its descent set; K and its eta image by its peak set
+# (peak p is bit p-1).  A diagonal entry is the antipode of that basis,
+# applied to the reversed indices.
 _LATTICE = {
     ("eta", "M"): (((1, 0), (1, 2)), 2),
     ("M", "eta"): (((1, 0), (-_H, _H)), _H),
@@ -695,6 +663,11 @@ _LATTICE = {
     ("M", "L"): (((1, -1), (0, 1)), 1),
     ("eta", "L"): (((1, -1), (1, 1)), 2),
     ("L", "eta"): (((_H, _H), (-_H, _H)), _H),
+    ("K", "eta"): (((1, 0), (1, -1)), 1),
+    ("eta", "K"): (((1, 0), (1, -1)), 1),
+    ("M", "M"): (((1, 0), (-1, -1)), -1),
+    ("eta", "eta"): (((1, 0), (0, -1)), -1),
+    ("L", "L"): (((0, -1), (-1, 0)), -1),
 }
 
 
@@ -722,22 +695,35 @@ def _composition_of_mask(n: int, mask: int) -> Composition:
     return tuple(parts)
 
 
+def _peak_mask(comp: Composition) -> int:
+    """Bit p-1 is set exactly when p is a peak of the odd composition comp."""
+    return sum(1 << (p - 1) for p in peak_set_of_composition(comp))
+
+
+def _odd_composition_of_mask(n: int, mask: int) -> Composition:
+    peaks = [p for p in range(1, n) if mask >> (p - 1) & 1]
+    return odd_composition_of_peak_set(n, peaks)
+
+
 def _lattice_transform(a: QSymElement, target: str) -> QSymElement:
-    """Rewrite an M, L or eta element in another of these three bases.
+    """Apply the ``_LATTICE`` entry (a.basis, target) to an element.
 
     Each homogeneous component of degree n is a sparse vector indexed by
-    descent-set bitmasks over [n-1], and the change of basis is the
-    (n-1)-fold tensor power of one 2x2 matrix, applied one bit at a time to
-    the current support (Yates' algorithm).  Denominators are cleared per
-    degree first, so the butterflies run on ints and each output term
-    costs one Fraction.
+    subset bitmasks over [n-1] (peak sets when K is one of the two bases,
+    descent sets otherwise), and the map is the (n-1)-fold tensor power of
+    one 2x2 matrix, applied one bit at a time to the current support
+    (Yates' algorithm).  Denominators are cleared per degree first, so the
+    butterflies run on ints and each output term costs one Fraction.
     """
     matrix, scale = _LATTICE[a.basis, target]
+    mask_of, comp_of = _descent_mask, _composition_of_mask
+    if "K" in (a.basis, target):
+        mask_of, comp_of = _peak_mask, _odd_composition_of_mask
     den = math.lcm(*(x.denominator for row in matrix for x in row))
     rows = [[int(x * den) for x in row] for row in matrix]
     by_degree: dict[int, dict[int, Fraction]] = {}
     for comp, coeff in a._terms.items():
-        by_degree.setdefault(sum(comp), {})[_descent_mask(comp)] = coeff
+        by_degree.setdefault(sum(comp), {})[mask_of(comp)] = coeff
     out: dict[Composition, Fraction] = {}
     for n, component in by_degree.items():
         if n == 0:
@@ -757,49 +743,26 @@ def _lattice_transform(a: QSymElement, target: str) -> QSymElement:
             vec = nxt
         factor = Fraction(scale, common * den ** (n - 1))
         for m, v in vec.items():
-            out[_composition_of_mask(n, m)] = Fraction(
-                v * factor.numerator, factor.denominator
-            )
+            out[comp_of(n, m)] = Fraction(v * factor.numerator, factor.denominator)
     return _raw(target, out)
-
-
-def _eta_to_K(a: QSymElement) -> QSymElement:
-    """Triangular elimination of an eta element against the K images.
-
-    K_beta expands as +-eta_beta plus terms with strictly smaller peak
-    sets, so repeatedly stripping an odd term of maximal peak count
-    terminates; whatever survives is outside the peak subalgebra.
-    """
-    remaining = dict(a.terms)
-    out: dict[Composition, Fraction] = {}
-    while True:
-        cands = [c for c in remaining if all(p % 2 == 1 for p in c)]
-        if not cands:
-            break
-        beta = max(cands, key=lambda c: (len(peak_set_of_composition(c)), c))
-        coeff = remaining[beta] * _peak_sign(sum(beta), len(beta))
-        out[beta] = coeff
-        for comp, val in K_to_eta(beta).terms.items():
-            _bump(remaining, comp, -coeff * val)
-    if remaining:
-        raise NotInPeakSpanError(_raw("eta", remaining))
-    return _raw("K", out)
 
 
 def convert(a: QSymElement, target: str) -> QSymElement:
     """Rewrite an element in another basis, exactly.
 
-    Raises NotInPeakSpanError (carrying the eta residual) when the target
-    is K and the element does not lie in the peak subalgebra.
+    K converts to and from eta only, so every other pair with K goes
+    through eta.  Raises NotInPeakSpanError, carrying the eta terms that
+    have an even part, when the target is K and the element does not lie
+    in the peak subalgebra.
     """
     if target not in BASES:
         raise ValueError(f"unknown basis {target!r}; expected one of {BASES}")
     if a.basis == target:
         return a
+    if "K" in (a.basis, target) and "eta" not in (a.basis, target):
+        return convert(convert(a, "eta"), target)
     if target == "K":
-        return _eta_to_K(convert(a, "eta"))
-    if a.basis == "K":
-        a = a.map_terms(K_to_eta, "eta")
-        if target == "eta":
-            return a
+        residual = {c: v for c, v in a._terms.items() if any(p % 2 == 0 for p in c)}
+        if residual:
+            raise NotInPeakSpanError(_raw("eta", residual))
     return _lattice_transform(a, target)

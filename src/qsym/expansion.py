@@ -282,7 +282,7 @@ def _expand_term(basis: str, comp: tuple, nvars: int) -> Mapping[Monomial, int]:
     return MappingProxyType(acc)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def _m_coefficients(basis: str, comp: tuple) -> Mapping[tuple, int]:
     """Coefficients of one basis element on x_1^b_1 ... x_k^b_k, keyed by b.
 
@@ -334,13 +334,14 @@ def _onto_tuples(length: int) -> Iterator[tuple]:
 
 def _int_sum(a: QSymElement, common: int, table, *args) -> dict:
     """Sum of the tables of a's terms, each scaled by its coefficient times
-    common (a multiple of every denominator), so the sum runs on ints."""
+    common (a multiple of every denominator), so the sum runs on ints; the
+    keys that cancel are dropped once, at the end."""
     acc: dict = {}
     for comp, coeff in a.terms.items():
         scaled = coeff.numerator * (common // coeff.denominator)
         for key, value in table(a.basis, comp, *args).items():
-            _bump(acc, key, scaled * value)
-    return acc
+            acc[key] = acc.get(key, 0) + scaled * value
+    return {key: value for key, value in acc.items() if value}
 
 
 def expand(a: QSymElement, nvars: int, degree: int | None = None) -> TruncatedPoly:

@@ -241,6 +241,18 @@ def test_convert_to_K():
     with pytest.raises(NotInPeakSpanError) as info:
         convert(mixed, "K")
     assert info.value.residual == eta(2)
+    # dense at two degrees: every odd index as a K image, every even-part
+    # eta term outside the span; the residual is exactly the latter
+    rng = random.Random(6)
+    degrees = (6, 7)
+    odd = [c for n in degrees for c in odd_compositions(n)]
+    even = [c for n in degrees for c in compositions(n) if any(p % 2 == 0 for p in c)]
+    k_part = QSymElement("K", {c: Fraction(rng.randint(1, 9), 3) for c in odd})
+    outside = QSymElement("eta", {c: Fraction(rng.randint(1, 9), 7) for c in even})
+    assert convert(convert(k_part, "M"), "K") == k_part
+    with pytest.raises(NotInPeakSpanError) as info:
+        convert(convert(k_part, "M") + convert(outside, "M"), "K")
+    assert info.value.residual == outside
 
 
 # ---------------------------------------------------------------------------
@@ -475,13 +487,15 @@ def test_antipode_is_algebra_anti_endomorphism():
 
 @pytest.mark.parametrize("n", range(6))
 def test_hopf_antipode_axiom(n):
-    for alpha in compositions(n):
-        for basis in ("M", "eta"):
+    # K has no coproduct of its own: the axiom runs on its eta image
+    for basis in ("M", "L", "eta", "K"):
+        legs = "eta" if basis == "K" else basis
+        for alpha in odd_compositions(n) if basis == "K" else compositions(n):
             elem = QSymElement.term(basis, alpha)
             folded = coproduct(elem).map_legs(
-                lambda c: antipode(QSymElement.term(basis, c)),
-                lambda c: QSymElement.term(basis, c),
-                (basis, basis),
+                lambda c: antipode(QSymElement.term(legs, c)),
+                lambda c: QSymElement.term(legs, c),
+                (legs, legs),
             ).multiply_legs()
-            expected = QSymElement.unit(basis).scale(elem.counit())
+            expected = QSymElement.unit(legs).scale(elem.counit())
             assert certify_equal(folded, expected)

@@ -1,6 +1,7 @@
 """Docstring examples stay correct."""
 
 import doctest
+from pathlib import Path
 
 import pytest
 
@@ -11,5 +12,14 @@ import qsym.core
 @pytest.mark.parametrize("module", [qsym.combinatorics, qsym.core])
 def test_doctests(module):
     result = doctest.testmod(module)
+    assert result.failed == 0
+    assert result.attempted > 0
+
+
+def test_readme_quick_tour():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    result = doctest.testfile(
+        str(readme), module_relative=False, optionflags=doctest.NORMALIZE_WHITESPACE
+    )
     assert result.failed == 0
     assert result.attempted > 0
