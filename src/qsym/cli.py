@@ -321,6 +321,7 @@ def _cmd_verify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser on every call, so changing it never reaches ``main``."""
     parser = argparse.ArgumentParser(
         prog="qsym",
         description="Exact computer algebra for quasisymmetric functions "
@@ -398,8 +399,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one command; every call in a process parses with one private parser."""
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError, json.JSONDecodeError) as exc:

@@ -735,15 +735,20 @@ def _lattice_transform(a: QSymElement, target: str) -> QSymElement:
             bit = 1 << i
             nxt: dict[int, int] = {}
             for m, v in vec.items():
+                if not v:
+                    continue
                 to_low, to_high = rows[1] if m & bit else rows[0]
                 if to_low:
-                    _bump(nxt, m & ~bit, to_low * v)
+                    low = m & ~bit
+                    nxt[low] = nxt.get(low, 0) + to_low * v
                 if to_high:
-                    _bump(nxt, m | bit, to_high * v)
+                    high = m | bit
+                    nxt[high] = nxt.get(high, 0) + to_high * v
             vec = nxt
         factor = Fraction(scale, common * den ** (n - 1))
         for m, v in vec.items():
-            out[comp_of(n, m)] = Fraction(v * factor.numerator, factor.denominator)
+            if v:
+                out[comp_of(n, m)] = Fraction(v * factor.numerator, factor.denominator)
     return _raw(target, out)
 
 

@@ -349,6 +349,8 @@ def expand(a: QSymElement, nvars: int, degree: int | None = None) -> TruncatedPo
 
     ``degree`` defaults to the element's degree and may not be below it.
     """
+    if nvars < 0:
+        raise ValueError(f"nvars must be nonnegative, got {nvars}")
     if degree is None:
         degree = a.degree
     if degree < a.degree:

@@ -83,6 +83,10 @@ def _sorted_alphabet(alphabet: Iterable[SignedValue]) -> tuple[SignedValue, ...]
 _check_int_tuple = lru_cache(maxsize=256)(_sorted_alphabet)
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 class LabelledWeightedPoset:
     """A strict partial order on labels 1..n with a positive weight per vertex.
 
@@ -105,7 +109,7 @@ class LabelledWeightedPoset:
         weights = tuple(weights)
         if len(weights) != n:
             raise ValueError(f"expected {n} weights, got {len(weights)}")
-        if any(not isinstance(w, int) or isinstance(w, bool) or w < 1 for w in weights):
+        if any(not _is_int(w) or w < 1 for w in weights):
             raise ValueError("weights must be positive integers")
         succ: dict[int, set[int]] = {v: set() for v in range(1, n + 1)}
         for i, j in relations:
@@ -219,11 +223,26 @@ class LabelledWeightedPoset:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "LabelledWeightedPoset":
-        return cls(
-            int(data["n"]),
-            [tuple(pair) for pair in data.get("covers", ())],
-            data.get("weights"),
-        )
+        """Read ``to_json_dict``'s form; ValueError names a malformed field."""
+        if not isinstance(data, Mapping):
+            raise ValueError(f"a poset must be a JSON object, got {type(data).__name__}")
+        if "n" not in data:
+            raise ValueError("poset field 'n' is missing")
+        n = data["n"]
+        if not _is_int(n):
+            raise ValueError(f"poset field 'n' must be an integer, got {n!r}")
+        covers = data.get("covers", [])
+        if not isinstance(covers, (list, tuple)) or not all(
+            isinstance(pair, (list, tuple)) and len(pair) == 2 and all(map(_is_int, pair))
+            for pair in covers
+        ):
+            raise ValueError(
+                f"poset field 'covers' must be a list of [i, j] integer pairs, got {covers!r}"
+            )
+        weights = data.get("weights")
+        if weights is not None and not isinstance(weights, (list, tuple)):
+            raise ValueError(f"poset field 'weights' must be a list, got {weights!r}")
+        return cls(n, [tuple(pair) for pair in covers], weights)
 
     @classmethod
     def _chain(cls, word: Permutation, weights: tuple[int, ...]) -> "LabelledWeightedPoset":
@@ -245,12 +264,20 @@ def chain_poset(pi: Iterable[int]) -> LabelledWeightedPoset:
     return LabelledWeightedPoset._chain(word, (1,) * len(word))
 
 
-def weighted_chain(pi: Iterable[int], alpha: Iterable[int]) -> LabelledWeightedPoset:
-    """The chain of pi with the vertex labelled pi_i weighted by alpha_i."""
+def _check_weighted_word(
+    pi: Iterable[int], alpha: Iterable[int]
+) -> tuple[Permutation, Composition]:
+    """The checked word and parts, one part per letter."""
     word = check_permutation(pi)
     parts = check_composition(alpha)
     if len(parts) != len(word):
         raise ValueError("need exactly one weight part per permutation letter")
+    return word, parts
+
+
+def weighted_chain(pi: Iterable[int], alpha: Iterable[int]) -> LabelledWeightedPoset:
+    """The chain of pi with the vertex labelled pi_i weighted by alpha_i."""
+    word, parts = _check_weighted_word(pi, alpha)
     weights = [0] * len(word)
     for label, w in zip(word, parts):
         weights[label - 1] = w
@@ -336,17 +363,29 @@ def gamma(
     with degree bound equal to the total weight.
     """
     zs = _check_alphabet(alphabet)
-    top = max((abs(z) for z in zs), default=0)
-    if nvars is None:
-        nvars = top
-    if top > nvars:
-        raise ValueError(f"alphabet magnitude {top} exceeds the variable count {nvars}")
+    nvars = _check_nvars(zs, nvars)
     chain = poset.chain_order()
     if chain:
-        ups = tuple(a < b for a, b in zip(chain, chain[1:]))
         ws = tuple(poset.weights[label - 1] for label in chain)
-        return _gamma_chain(ups, ws, zs, nvars)
+        return _gamma_chain(_up_steps(chain), ws, zs, nvars)
     return _gamma_cached(poset, zs, nvars)
+
+
+def _check_nvars(zs: tuple, nvars: int | None) -> int:
+    """The variable count for a checked alphabet (default: its largest magnitude)."""
+    top = max((abs(z) for z in zs), default=0)
+    if nvars is None:
+        return top
+    if nvars < 0:
+        raise ValueError(f"nvars must be nonnegative, got {nvars}")
+    if top > nvars:
+        raise ValueError(f"alphabet magnitude {top} exceeds the variable count {nvars}")
+    return nvars
+
+
+def _up_steps(word: tuple) -> tuple:
+    """Whether the labels rise at each step along a chain."""
+    return tuple(a < b for a, b in zip(word, word[1:]))
 
 
 @lru_cache(maxsize=1024)
@@ -423,9 +462,16 @@ def universal_gamma(
     fundamental function of pi; unit weights over the signed alphabet give
     its peak function; the identity permutation over the signed alphabet
     gives the enriched monomial of alpha; the reversed identity over the
-    positive alphabet gives the monomial function of alpha.
+    positive alphabet gives the monomial function of alpha.  Equal to
+    ``gamma(weighted_chain(pi, alpha), alphabet, nvars)``, but read straight
+    from the chain key without building the poset.
     """
-    return gamma(weighted_chain(pi, alpha), alphabet, nvars)
+    word, parts = _check_weighted_word(pi, alpha)
+    zs = _check_alphabet(alphabet)
+    nvars = _check_nvars(zs, nvars)
+    if not word:
+        return _gamma_cached(LabelledWeightedPoset(0), zs, nvars)
+    return _gamma_chain(_up_steps(word), parts, zs, nvars)
 
 
 def universal_to_eta(pi: Iterable[int], alpha: Iterable[int]) -> QSymElement:
@@ -434,10 +480,7 @@ def universal_to_eta(pi: Iterable[int], alpha: Iterable[int]) -> QSymElement:
 
         sum over I inside Peak(pi) of (-1)^|I| eta_{alpha contracted at I}.
     """
-    word = check_permutation(pi)
-    parts = check_composition(alpha)
-    if len(parts) != len(word):
-        raise ValueError("need exactly one weight part per permutation letter")
+    word, parts = _check_weighted_word(pi, alpha)
     peaks = peak_set_of_permutation(word)
     terms = []
     for chosen in subsets(peaks):

@@ -47,9 +47,7 @@ from .expansion import (
     poly_scale,
 )
 from .ppartitions import (
-    chain_poset,
     coshuffle_product,
-    gamma,
     positive_alphabet,
     signed_alphabet,
     universal_gamma,
@@ -334,11 +332,11 @@ def check_shuffle_products(max_degree: int | None = None) -> CheckResult:
                 for sigma in itertools.permutations(range(1, m + 1)):
                     for zs in alphabets:
                         lhs = poly_mul(
-                            gamma(chain_poset(pi), zs, nvars),
-                            gamma(chain_poset(sigma), zs, nvars),
+                            universal_gamma(pi, (1,) * n, zs, nvars),
+                            universal_gamma(sigma, (1,) * m, zs, nvars),
                         )
                         rhs = _sum_terms(
-                            gamma(chain_poset(word), zs, nvars)
+                            universal_gamma(word, (1,) * (n + m), zs, nvars)
                             for word in shuffles(pi, sigma)
                         )
                         r.check(

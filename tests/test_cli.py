@@ -1,13 +1,18 @@
 """Element grammar, command dispatch, output determinism."""
 
+import argparse
+import contextlib
+import io
 import json
 import pathlib
 from fractions import Fraction
 
 import pytest
 
+from qsym import cli
 from qsym.cli import (
     ElementParseError,
+    build_parser,
     format_element,
     format_tensor,
     main,
@@ -222,3 +227,119 @@ def test_eta_coproduct_split_fails_on_a_truncated_piece(monkeypatch):
     assert result.detail == "84 coproducts"
     assert len(result.failures) == 20
     assert all(f.startswith("alphabet split of ") for f in result.failures)
+
+
+# One process, one request after another: every verb in text and JSON, an
+# element parse error and an argparse usage error in the middle, so the
+# later requests run after failed ones.  Exit code 2 is argparse's SystemExit.
+_POSET = str(pathlib.Path(__file__).parent / "data" / "poset_fork.json")
+CLI_SESSION = [
+    (["convert", "eta[1,3,1]", "--to", "M"], 0),
+    (["convert", "2*M[5] + 4*M[1,4]", "--to", "eta", "--format", "json"], 0),
+    (["multiply", "eta[1,2]", "eta[2]", "--basis", "eta"], 0),
+    (["multiply", "1/2*M[1]", "L[2,1]", "--basis", "M", "--to", "L", "--format", "json"], 0),
+    (["coproduct", "eta[1,2]"], 0),
+    (["coproduct", "M[2,1] - 3*M[3]", "--format", "json"], 0),
+    (["antipode", "L[2,1] + 2*L[1,1,1]"], 0),
+    (["antipode", "eta[2,5]", "--to", "M", "--format", "json"], 0),
+    (["expand", "M[2,1]", "--nvars", "3"], 0),
+    (["expand", "1/3*L[1,2]", "--format", "json"], 0),
+    (["gamma", "--poset", _POSET, "--zset", "P", "--nvars", "3"], 0),
+    (["convert", "M[1] + L[2]", "--to", "eta"], 1),
+    (["gamma", "--poset", _POSET, "--zset", "Ppm", "--nvars", "2", "--format", "json"], 0),
+    (["u-function", "1 3 2", "1,1,1"], 0),
+    (["convert", "M[1]"], 2),
+    (["u-function", "1 3 2", "1,2,1", "--format", "json"], 0),
+    (["u-function", "12", "2,1", "--zset", "P", "--nvars", "2"], 0),
+    (["u-function", "231", "1,1,1", "--zset=-1,+1,-2", "--format", "json"], 0),
+    (["convert", "K[3,1]", "--to", "L"], 0),
+    (["convert", "eta[1,1] - 2*eta[3]", "--to", "K", "--format", "json"], 0),
+    (["multiply", "K[1]", "K[3]", "--format", "json"], 0),
+    (["gamma", "--poset", _POSET, "--zset=1,-1,2"], 0),
+    (["antipode", "K[1,3]"], 0),
+    (["verify", "--max-degree", "2"], 0),
+]
+
+
+def run_cli_session() -> tuple[str, list[int]]:
+    """Concatenated stdout and the exit codes of CLI_SESSION, run in order."""
+    out, codes = io.StringIO(), []
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        for argv, _ in CLI_SESSION:
+            try:
+                codes.append(main(argv))
+            except SystemExit as exc:
+                codes.append(exc.code)
+    return out.getvalue(), codes
+
+
+def test_cli_session_stdout_is_byte_identical():
+    golden = pathlib.Path(__file__).parent / "data" / "cli_session_stdout.txt"
+    out, codes = run_cli_session()
+    assert codes == [code for _, code in CLI_SESSION]
+    assert out.encode() == golden.read_bytes()
+
+
+def test_main_builds_its_parser_once(monkeypatch):
+    built = []
+
+    def counting_build():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "_PARSER", None)
+    monkeypatch.setattr(cli, "build_parser", counting_build)
+    run_cli_session()
+    assert len(built) == 1
+
+
+def test_build_parser_returns_a_new_parser_each_call():
+    first, second = build_parser(), build_parser()
+    assert first is not second
+    assert first is not cli._PARSER
+
+
+def test_changing_a_built_parser_does_not_reach_main(capsys):
+    def hijacked(args):
+        print("hijacked")
+        return 3
+
+    handed = build_parser()
+    handed.prog = "hijacked"
+    handed.set_defaults(func=hijacked)
+    for action in handed._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                sub.set_defaults(func=hijacked)
+    assert main(["antipode", "eta[2,5]"]) == 0
+    assert capsys.readouterr().out == "eta[5,2]\n"
+    with pytest.raises(SystemExit) as info:
+        main([])
+    assert info.value.code == 2
+    assert "usage: qsym " in capsys.readouterr().err
+
+
+def test_cli_expand_rejects_negative_nvars(capsys):
+    assert main(["expand", "M[1,2]", "--nvars", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: nvars must be nonnegative, got -1\n"
+
+
+@pytest.mark.parametrize(
+    "content, field",
+    [
+        ('{"covers": [[1, 2]]}', "'n'"),
+        ("[[1, 2]]", "JSON object"),
+        ('{"n": 2, "covers": [1]}', "'covers'"),
+    ],
+)
+def test_cli_gamma_malformed_poset_file(tmp_path, capsys, content, field):
+    path = tmp_path / "poset.json"
+    path.write_text(content, encoding="utf-8")
+    assert main(["gamma", "--poset", str(path), "--zset", "P", "--nvars", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert field in captured.err
+    assert "Traceback" not in captured.err

@@ -69,6 +69,12 @@ def test_expand_refuses_low_degree():
         expand(M(2, 1), 3, 2)
 
 
+@pytest.mark.parametrize("elem", [M(1, 2), QSymElement.unit("M"), QSymElement.zero("eta")])
+def test_expand_refuses_negative_nvars(elem):
+    with pytest.raises(ValueError, match="nvars must be nonnegative"):
+        expand(elem, -1)
+
+
 def test_expand_is_linear():
     a = eta_to_M((2, 1))
     b = L_to_M((1, 2))

@@ -69,6 +69,23 @@ def test_poset_json_round_trip():
     assert LabelledWeightedPoset.from_json_dict(data) == p
 
 
+@pytest.mark.parametrize(
+    "data, field",
+    [
+        ({"covers": [[1, 2]]}, "'n'"),
+        ([[1, 2]], "JSON object"),
+        ({"n": 2, "covers": [1]}, "'covers'"),
+        ({"n": "2"}, "'n'"),
+        ({"n": 3, "covers": [[1, 2, 3]]}, "'covers'"),
+        ({"n": 2, "covers": [["1", 2]]}, "'covers'"),
+        ({"n": 2, "weights": 5}, "'weights'"),
+    ],
+)
+def test_poset_json_rejects_malformed_fields(data, field):
+    with pytest.raises(ValueError, match=field):
+        LabelledWeightedPoset.from_json_dict(data)
+
+
 def test_chain_poset():
     p = chain_poset((1, 2))
     assert p.less(1, 2) and not p.less(2, 1)
@@ -228,6 +245,27 @@ def test_gamma_degenerate_cases():
         gamma(LabelledWeightedPoset(1), signed_alphabet(3), nvars=2)
     with pytest.raises(ValueError):
         gamma(LabelledWeightedPoset(1), (0, 1))
+    for nvars in (-1, -3):
+        with pytest.raises(ValueError, match="nonnegative"):
+            gamma(LabelledWeightedPoset(2), (), nvars)
+        with pytest.raises(ValueError, match="nonnegative"):
+            universal_gamma((1,), (1,), (), nvars)
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_universal_gamma_equals_gamma_of_the_weighted_chain(n):
+    rng = random.Random(n)
+    for word in itertools.permutations(range(1, n + 1)):
+        alpha = tuple(rng.randint(1, 3) for _ in word)
+        for zs in ((), positive_alphabet(2), signed_alphabet(3), (-2, 1, 3)):
+            for nvars in (None, 4):
+                assert universal_gamma(word, alpha, zs, nvars) == gamma(
+                    weighted_chain(word, alpha), zs, nvars
+                )
+    with pytest.raises(ValueError, match="one weight part"):
+        universal_gamma((1, 2), (1,), positive_alphabet(2))
+    with pytest.raises(ValueError, match="exceeds"):
+        universal_gamma((1, 2), (1, 1), positive_alphabet(3), 2)
 
 
 @pytest.mark.parametrize("bad", [(0, 1, 2), (True, 2), (1, 2.0), (1.0, 2)])
