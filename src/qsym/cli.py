@@ -111,6 +111,8 @@ class _ElementParser:
                 den = self._peek()
                 if den is None or not den.isdigit():
                     raise ElementParseError("expected a denominator", self._pos())
+                if int(den) == 0:
+                    raise ElementParseError("zero denominator", self._pos())
                 coeff = Fraction(num, int(self._take()))
             else:
                 coeff = Fraction(num)
@@ -149,43 +151,37 @@ def parse_element(text: str) -> QSymElement:
     return _ElementParser(text).parse()
 
 
+def _signed_sum(items, body, zero: str) -> str:
+    """``a + 2*b - c`` from (key, coeff) items, ``body(key)`` naming each term."""
+    pieces = []
+    for key, coeff in items:
+        mag = abs(coeff)
+        text = body(key) if mag == 1 else f"{format_rational(mag)}*{body(key)}"
+        if pieces:
+            pieces.append(f" {'+' if coeff > 0 else '-'} {text}")
+        else:
+            pieces.append(text if coeff > 0 else f"-{text}")
+    return "".join(pieces) or zero
+
+
+def _basis_term(basis: str, comp) -> str:
+    return f"{basis}[{','.join(str(p) for p in comp)}]"
+
+
 def format_element(elem: QSymElement) -> str:
     """Canonical text form; ``parse_element`` round-trips it."""
-    items = elem.sorted_terms()
-    if not items:
-        return f"0*{elem.basis}[]"
-    pieces = []
-    for k, (comp, coeff) in enumerate(items):
-        body = f"{elem.basis}[{','.join(str(p) for p in comp)}]"
-        mag = abs(coeff)
-        if mag != 1:
-            body = f"{format_rational(mag)}*{body}"
-        if k == 0:
-            pieces.append(body if coeff > 0 else f"-{body}")
-        else:
-            pieces.append(f" {'+' if coeff > 0 else '-'} {body}")
-    return "".join(pieces)
+    return _signed_sum(
+        elem.sorted_terms(), lambda comp: _basis_term(elem.basis, comp), f"0*{elem.basis}[]"
+    )
 
 
 def format_tensor(tensor: TensorElement) -> str:
-    items = tensor.sorted_terms()
-    if not items:
-        return "0"
     lb, rb = tensor.bases
-    pieces = []
-    for k, ((cl, cr), coeff) in enumerate(items):
-        body = (
-            f"{lb}[{','.join(str(p) for p in cl)}] (x) "
-            f"{rb}[{','.join(str(p) for p in cr)}]"
-        )
-        mag = abs(coeff)
-        if mag != 1:
-            body = f"{format_rational(mag)}*{body}"
-        if k == 0:
-            pieces.append(body if coeff > 0 else f"-{body}")
-        else:
-            pieces.append(f" {'+' if coeff > 0 else '-'} {body}")
-    return "".join(pieces)
+    return _signed_sum(
+        tensor.sorted_terms(),
+        lambda pair: f"{_basis_term(lb, pair[0])} (x) {_basis_term(rb, pair[1])}",
+        "0",
+    )
 
 
 def parse_permutation(text: str) -> tuple[int, ...]:

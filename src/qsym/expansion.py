@@ -263,7 +263,7 @@ def embed(p: TruncatedPoly, nvars: int, offset: int = 0) -> TruncatedPoly:
 # defining series of the basis elements
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def _expand_term(basis: str, comp: tuple, nvars: int) -> Mapping[Monomial, int]:
     """Expansion of one basis element; cached, so returned read-only."""
     acc: dict[Monomial, int] = {}

@@ -15,12 +15,16 @@ enriched monomial quasisymmetric functions.
 On a chain the conditions between neighbours imply all the others, and
 they read the labels only through whether each step goes up.  So a
 chain's gamma depends only on that up-down pattern, the weights along
-the chain and the alphabet, and it is cached by exactly that key.
+the chain and the alphabet, and it is cached by exactly that key.  The
+enriched P-partitions of any other poset split disjointly over its linear
+extensions (Stembridge's fundamental lemma), so its gamma is the sum of
+the chain functions of its extensions.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -34,7 +38,7 @@ from .combinatorics import (
     peak_set_of_permutation,
     subsets,
 )
-from .core import QSymElement, _bump
+from .core import QSymElement
 from .expansion import TruncatedPoly, _field_width, _raw_poly, _unpack
 
 SignedValue = int  # nonzero: -n is (-, n), +n is (+, n)
@@ -169,15 +173,24 @@ class LabelledWeightedPoset:
 
     def linear_extension(self) -> tuple[int, ...]:
         """Smallest-label-first topological order."""
-        placed: list[int] = []
-        remaining = set(range(1, self.n + 1))
-        while remaining:
-            v = min(
-                u for u in remaining if all(p not in remaining for p, q in self._less if q == u)
-            )
-            placed.append(v)
-            remaining.remove(v)
-        return tuple(placed)
+        return next(self.linear_extensions())
+
+    def linear_extensions(self) -> Iterator[tuple[int, ...]]:
+        """Every linear extension, in lexicographic order of the label words:
+        depth first, testing each label's predecessor bitmask."""
+        n = self.n
+        preds = [0] * (n + 1)
+        for i, j in self._less:
+            preds[j] |= 1 << i
+
+        def rec(word: tuple, placed: int) -> Iterator[tuple[int, ...]]:
+            if len(word) == n:
+                yield word
+            for v in range(1, n + 1):
+                if not placed >> v & 1 and preds[v] & placed == preds[v]:
+                    yield from rec(word + (v,), placed | 1 << v)
+
+        return rec((), 0)
 
     def chain_order(self) -> tuple[int, ...] | None:
         """The labels along the chain when the order is total, else None.
@@ -360,15 +373,24 @@ def gamma(
     """Sum of prod_i x_|f(i)|^weight(i) over all enriched assignments into Z.
 
     The result lives in x_1..x_nvars (default: the largest magnitude in Z)
-    with degree bound equal to the total weight.
+    with degree bound equal to the total weight.  A chain returns its
+    shared cached result; otherwise each distinct chain key among the
+    linear extensions is added once, times its count.
     """
     zs = _check_alphabet(alphabet)
     nvars = _check_nvars(zs, nvars)
+
+    def chain_key(word: tuple) -> tuple:
+        return _up_steps(word), tuple(poset.weights[label - 1] for label in word)
+
     chain = poset.chain_order()
-    if chain:
-        ws = tuple(poset.weights[label - 1] for label in chain)
-        return _gamma_chain(_up_steps(chain), ws, zs, nvars)
-    return _gamma_cached(poset, zs, nvars)
+    if chain is not None:
+        return _gamma_chain(*chain_key(chain), zs, nvars)
+    acc: dict = {}
+    for key, count in Counter(map(chain_key, poset.linear_extensions())).items():
+        for mono, c in _gamma_chain(*key, zs, nvars).terms.items():
+            acc[mono] = acc.get(mono, 0) + count * c
+    return _raw_poly(nvars, sum(poset.weights), acc)
 
 
 def _check_nvars(zs: tuple, nvars: int | None) -> int:
@@ -388,20 +410,9 @@ def _up_steps(word: tuple) -> tuple:
     return tuple(a < b for a, b in zip(word, word[1:]))
 
 
-@lru_cache(maxsize=1024)
-def _gamma_cached(poset: LabelledWeightedPoset, zs: tuple, nvars: int) -> TruncatedPoly:
-    """gamma of the empty poset and of posets that are not chains."""
-    degree = sum(poset.weights)
-    if poset.n == 0:
-        return _raw_poly(nvars, 0, {(): 1})
-    if not zs:
-        return _raw_poly(nvars, degree, {})
-    return _gamma_dfs(poset, zs, nvars, degree)
-
-
 @lru_cache(maxsize=4096)
 def _gamma_chain(ups: tuple, ws: tuple, zs: tuple, nvars: int) -> TruncatedPoly:
-    """gamma of a nonempty chain by a transfer-matrix pass along it.
+    """gamma of a chain by a transfer-matrix pass along it.
 
     ups[k] says whether the labels rise from chain vertex k to k+1, and
     ws[k] is the weight of vertex k.  Conditions between neighbours imply
@@ -416,6 +427,8 @@ def _gamma_chain(ups: tuple, ws: tuple, zs: tuple, nvars: int) -> TruncatedPoly:
     transition scan.  States are keyed by packed monomials, so assigning
     value z to a vertex of weight w adds w << shift[z].
     """
+    if not ws:
+        return _raw_poly(nvars, 0, {(): 1})
     degree = sum(ws)
     width = _field_width(degree)
     shift = {z: (abs(z) - 1) * width for z in zs}
@@ -440,16 +453,6 @@ def _gamma_chain(ups: tuple, ws: tuple, zs: tuple, nvars: int) -> TruncatedPoly:
     return _raw_poly(nvars, degree, {_unpack(key, width): c for key, c in acc.items()})
 
 
-def _gamma_dfs(poset, zs, nvars, degree) -> TruncatedPoly:
-    acc: dict = {}
-    for values in _assignments(poset, zs):
-        exps: dict[int, int] = {}
-        for value, w in zip(values, poset.weights):
-            exps[abs(value)] = exps.get(abs(value), 0) + w
-        _bump(acc, tuple(sorted(exps.items())), 1)
-    return _raw_poly(nvars, degree, acc)
-
-
 def universal_gamma(
     pi: Iterable[int],
     alpha: Iterable[int],
@@ -469,8 +472,6 @@ def universal_gamma(
     word, parts = _check_weighted_word(pi, alpha)
     zs = _check_alphabet(alphabet)
     nvars = _check_nvars(zs, nvars)
-    if not word:
-        return _gamma_cached(LabelledWeightedPoset(0), zs, nvars)
     return _gamma_chain(_up_steps(word), parts, zs, nvars)
 
 

@@ -61,6 +61,17 @@ def test_parse_error_position():
     assert info.value.position == 5
 
 
+@pytest.mark.parametrize("text, position", [("1/0*M[1]", 2), ("M[2] - 3/00*M[1,1]", 9)])
+def test_zero_denominator_is_a_parse_error(text, position, capsys):
+    with pytest.raises(ElementParseError, match="zero denominator") as info:
+        parse_element(text)
+    assert info.value.position == position
+    assert main(["convert", text, "--to", "L"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: zero denominator (at position {position})\n"
+
+
 def test_format_parse_round_trip():
     candidates = [
         QSymElement.zero("eta"),

@@ -1,10 +1,14 @@
 """Truncated polynomial oracle: series, arithmetic, certification."""
 
+import importlib
+import inspect
 import itertools
+import pkgutil
 from fractions import Fraction
 
 import pytest
 
+import qsym
 from qsym.combinatorics import compositions, odd_compositions
 from qsym.core import QSymElement, convert, eta_to_M, L_to_M, multiply
 from qsym.expansion import (
@@ -187,6 +191,23 @@ def test_certify_equal_reaches_no_conversion(monkeypatch):
             monkeypatch.setattr(module, name, refuse, raising=False)
     _m_coefficients.cache_clear()
     assert [certify_equal(a, b) for a, b in cases] == [True, False, True]
+
+
+def test_every_lru_cache_is_bounded():
+    """No memo in qsym grows without bound.  Every cache is module level, so
+    scanning module attributes finds as many as the source declares."""
+    bounded = 0
+    for info in pkgutil.iter_modules(qsym.__path__):
+        module = importlib.import_module(f"qsym.{info.name}")
+        caches = [
+            obj for obj in vars(module).values()
+            if hasattr(obj, "cache_info") and obj.__module__ == module.__name__
+        ]
+        assert len(caches) == inspect.getsource(module).count("lru_cache("), module
+        for cache in caches:
+            assert cache.cache_info().maxsize is not None, cache.__name__
+        bounded += len(caches)
+    assert bounded >= 5
 
 
 def test_poly_construction_validation():

@@ -14,7 +14,7 @@ from qsym.combinatorics import (
     shuffles,
 )
 from qsym.core import K_to_eta, QSymElement, convert
-from qsym.expansion import expand, poly_add, poly_mul
+from qsym.expansion import TruncatedPoly, expand, poly_add, poly_mul
 from qsym.ppartitions import (
     LabelledWeightedPoset,
     chain_poset,
@@ -30,7 +30,7 @@ from qsym.ppartitions import (
     universal_to_eta,
     weighted_chain,
 )
-from qsym.ppartitions import _gamma_chain, _gamma_dfs
+from qsym.ppartitions import _gamma_chain
 
 
 def test_signed_order():
@@ -301,19 +301,30 @@ def test_gamma_result_is_read_only():
     assert dict(gamma(poset, zs).terms) == full
 
 
+def _assignment_sum(poset, zs, nvars):
+    """gamma by the DFS reference: one monomial per enriched assignment."""
+    acc = {}
+    for values in enumerate_assignments(poset, zs):
+        exps = {}
+        for value, w in zip(values, poset.weights):
+            exps[abs(value)] = exps.get(abs(value), 0) + w
+        key = tuple(sorted(exps.items()))
+        acc[key] = acc.get(key, 0) + 1
+    return TruncatedPoly(nvars, sum(poset.weights), acc)
+
+
 def _ups(word):
     """The up-down pattern of a word: whether each neighbouring pair rises."""
     return tuple(a < b for a, b in zip(word, word[1:]))
 
 
 def _chain_against_dfs(word, alpha):
-    """_gamma_chain == _gamma_dfs at both alphabets of magnitude 3."""
+    """_gamma_chain == the assignment sum at both alphabets of magnitude 3."""
     poset = weighted_chain(word, alpha)
-    degree = sum(alpha)
     out = []
     for zs in (positive_alphabet(3), signed_alphabet(3)):
         fast = _gamma_chain(_ups(word), tuple(alpha), zs, 3)
-        assert fast == _gamma_dfs(poset, zs, 3, degree)
+        assert fast == _assignment_sum(poset, zs, 3)
         out.append(fast)
     return out
 
@@ -361,7 +372,7 @@ def test_chain_gamma_depends_only_on_up_down_pattern(n):
                 for word in words:
                     poset = weighted_chain(word, ws)
                     got = gamma(poset, zs, 3)
-                    assert got == _gamma_dfs(poset, zs, 3, sum(ws))
+                    assert got == _assignment_sum(poset, zs, 3)
                     results.add(got)
                 assert len(results) == 1
 
@@ -374,7 +385,7 @@ def test_flipping_one_direction_changes_gamma_as_dfs_says():
         for ws in ((1,) * n, tuple(rng.choice((1, 2)) for _ in range(n))):
             for zs in (positive_alphabet(3), signed_alphabet(3)):
                 dfs = {
-                    ups: _gamma_dfs(weighted_chain(words[0], ws), zs, 3, sum(ws))
+                    ups: _assignment_sum(weighted_chain(words[0], ws), zs, 3)
                     for ups, words in groups.items()
                 }
                 for ups in groups:
@@ -384,6 +395,121 @@ def test_flipping_one_direction_changes_gamma_as_dfs_says():
                         assert moved == (dfs[ups] != dfs[flipped])
                         changed += moved
     assert changed > 0
+
+
+def _every_poset(n):
+    """Every strict partial order on labels 1..n, once each."""
+    pairs = list(itertools.permutations(range(1, n + 1), 2))
+    out = set()
+    for chosen in itertools.product((False, True), repeat=len(pairs)):
+        try:
+            out.add(LabelledWeightedPoset(n, itertools.compress(pairs, chosen)))
+        except ValueError:  # a cycle
+            pass
+    return sorted(out, key=lambda p: sorted(p.relations))
+
+
+def _respecting_words(poset):
+    """The label words that respect every relation, by brute force."""
+    return [
+        word
+        for word in itertools.permutations(range(1, poset.n + 1))
+        if all(word.index(i) < word.index(j) for i, j in poset.relations)
+    ]
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_linear_extensions_of_every_small_poset(n):
+    posets = _every_poset(n)
+    assert len(posets) == (1, 1, 3, 19, 219)[n]
+    for poset in posets:
+        extensions = list(poset.linear_extensions())
+        assert extensions == _respecting_words(poset)  # lexicographic, no repeats
+        assert poset.linear_extension() == extensions[0]
+
+
+def test_linear_extensions_of_antichains_and_chains():
+    for n in range(6):
+        extensions = list(LabelledWeightedPoset(n).linear_extensions())
+        assert len(extensions) == len(set(extensions)) == math.factorial(n)
+        assert extensions == sorted(extensions)
+    assert list(LabelledWeightedPoset(0).linear_extensions()) == [()]
+    assert LabelledWeightedPoset(0).linear_extension() == ()
+    for word in ((1, 2, 3, 4), (3, 1, 4, 2), (5, 4, 3, 2, 1)):
+        chain = chain_poset(word)
+        assert list(chain.linear_extensions()) == [word]
+        assert chain.linear_extension() == word == chain.chain_order()
+    rng = random.Random(11)
+    for _ in range(20):
+        poset = _random_poset(rng, max_n=7)
+        extensions = list(poset.linear_extensions())
+        assert extensions == sorted(set(extensions))
+        assert poset.linear_extension() == extensions[0]
+        for word in extensions:
+            assert all(word.index(i) < word.index(j) for i, j in poset.relations)
+
+
+def _assert_gamma_is_assignment_sum(poset, zs, nvars):
+    got, want = gamma(poset, zs, nvars), _assignment_sum(poset, zs, nvars)
+    assert got == want
+    assert dict(got.terms) == dict(want.terms)
+    assert got.degree == want.degree
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_gamma_matches_assignment_sum_on_every_small_poset(n):
+    rng = random.Random(n)
+    for poset in _every_poset(n):
+        heavy = LabelledWeightedPoset(
+            n, poset.relations, [rng.choice((1, 2)) for _ in range(n)]
+        )
+        for weighted in (poset, heavy):
+            for zs in (positive_alphabet(3), signed_alphabet(3)):
+                _assert_gamma_is_assignment_sum(weighted, zs, 3)
+
+
+@pytest.mark.parametrize("n", (5, 6))
+def test_gamma_matches_assignment_sum_on_seeded_posets(n):
+    rng = random.Random(40 + n)
+    zs = signed_alphabet(2)
+    for _ in range(6):
+        theta = list(range(1, n + 1))
+        rng.shuffle(theta)
+        relations = [
+            (theta[i], theta[j]) for i, j in itertools.combinations(range(n), 2)
+            if rng.random() < 0.3
+        ]
+        weights = [rng.choice((1, 2)) for _ in range(n)]
+        _assert_gamma_is_assignment_sum(LabelledWeightedPoset(n, relations, weights), zs, 2)
+
+
+def _disjoint_union(p, q):
+    """p beside q, q's labels shifted past p's, with no relation between them."""
+    shifted = [(i + p.n, j + p.n) for i, j in q.relations]
+    return LabelledWeightedPoset(
+        p.n + q.n, list(p.relations) + shifted, p.weights + q.weights
+    )
+
+
+def test_gamma_of_a_disjoint_union_is_the_product():
+    rng = random.Random(23)
+    for _ in range(15):
+        p = _random_poset(rng, max_n=3, weighted=True)
+        q = _random_poset(rng, max_n=3, weighted=True)
+        for zs in (positive_alphabet(3), signed_alphabet(3)):
+            assert gamma(_disjoint_union(p, q), zs, 3) == poly_mul(
+                gamma(p, zs, 3), gamma(q, zs, 3)
+            )
+    # the antichain of 6 over the full signed alphabet: 12^6 assignments
+    zs = signed_alphabet(6)
+    vertex = LabelledWeightedPoset(1)
+    antichain, product = vertex, gamma(vertex, zs)
+    for _ in range(5):
+        antichain = _disjoint_union(antichain, vertex)
+        product = poly_mul(product, gamma(vertex, zs))
+    assert antichain == LabelledWeightedPoset(6)
+    got = gamma(antichain, zs)
+    assert got == product and got.degree == product.degree == 6
 
 
 @pytest.mark.parametrize("n", range(1, 6))
