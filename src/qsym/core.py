@@ -85,9 +85,8 @@ def _coerce_coeff(value) -> Fraction:
     raise TypeError(f"coefficients must be exact rationals, got {value!r}")
 
 
-def format_rational(value: Fraction) -> str:
+def format_rational(value: Fraction | int) -> str:
     """p/q with q omitted when 1 and the sign on the numerator."""
-    value = Fraction(value)
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"

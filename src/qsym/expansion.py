@@ -5,8 +5,12 @@ basis element has a defining series.  A quasisymmetric function is fixed
 by its coefficients on the monomials x_1^b_1 ... x_k^b_k, one for every
 composition b, so ``certify_equal`` compares those coefficients, read
 straight from each element's defining series (the weakly increasing index
-tuples whose value set is exactly {1..k}).  ``expand`` stays the full
-expansion in N variables.
+tuples whose value set is exactly {1..k}).  ``expand`` builds the full
+expansion in N variables from the same coefficients c_b: every monomial
+x_i1^b1 ... x_ik^bk with i1 < ... < ik lies in exactly one M_b, so the
+expansion is the disjoint union of c_b times the monomials of M_b, and
+needs no sums.  Both are sized before they enumerate, and refused past a
+fixed budget.
 
 Monomials are sparse tuples of (variable, exponent) pairs with variables
 ascending; coefficients are exact (int or Fraction, interchangeable).
@@ -103,7 +107,7 @@ class TruncatedPoly:
             "nvars": self.nvars,
             "degree": self.degree,
             "terms": [
-                {"exps": [[v, e] for v, e in key], "coeff": format_rational(Fraction(c))}
+                {"exps": [[v, e] for v, e in key], "coeff": format_rational(c)}
                 for key, c in self.sorted_terms()
             ],
         }
@@ -132,7 +136,6 @@ def format_poly(p: TruncatedPoly) -> str:
     parts = []
     for key, coeff in p.sorted_terms():
         mono = "*".join(f"x{v}" if e == 1 else f"x{v}^{e}" for v, e in key)
-        coeff = Fraction(coeff)
         if not key:
             text = format_rational(coeff)
         elif coeff == 1:
@@ -263,23 +266,10 @@ def embed(p: TruncatedPoly, nvars: int, offset: int = 0) -> TruncatedPoly:
 # defining series of the basis elements
 
 
-@lru_cache(maxsize=4096)
-def _expand_term(basis: str, comp: tuple, nvars: int) -> Mapping[Monomial, int]:
-    """Expansion of one basis element; cached, so returned read-only."""
-    acc: dict[Monomial, int] = {}
-    variables = range(1, nvars + 1)
-    if basis == "M":
-        for idx in itertools.combinations(variables, len(comp)):
-            acc[tuple(zip(idx, comp))] = 1
-        return MappingProxyType(acc)
-    parts = _series_parts(basis, comp)
-    tuples = itertools.combinations_with_replacement(variables, len(parts))
-    for t, weight in _series_terms(basis, comp, tuples):
-        exps: dict[int, int] = {}
-        for v, part in zip(t, parts):
-            exps[v] = exps.get(v, 0) + part
-        _bump(acc, tuple(sorted(exps.items())), weight)
-    return MappingProxyType(acc)
+# Work budgets: each enumeration is sized before it starts and refused,
+# with its estimate, when it would exceed these.
+_SERIES_BUDGET = 1 << 20  # index tuples in the defining series of one term
+_MONOMIAL_BUDGET = 10**6  # monomials in one expansion
 
 
 @lru_cache(maxsize=4096)
@@ -287,18 +277,32 @@ def _m_coefficients(basis: str, comp: tuple) -> Mapping[tuple, int]:
     """Coefficients of one basis element on x_1^b_1 ... x_k^b_k, keyed by b.
 
     Read from the defining series over the weakly increasing index tuples
-    whose value set is exactly {1..k}; cached, so returned read-only.
+    whose value set is exactly {1..k}: 2^(len(parts)-1) of them, refused
+    past _SERIES_BUDGET.  Cached, so returned read-only.
     """
     if basis == "M":
         return MappingProxyType({comp: 1})
-    acc: dict[tuple, int] = {}
     parts = _series_parts(basis, comp)
+    tuples = 1 << max(len(parts) - 1, 0)
+    if tuples > _SERIES_BUDGET:
+        raise ValueError(
+            f"the series of {basis}{list(comp)} needs {tuples} index tuples, "
+            f"over the budget of {_SERIES_BUDGET}"
+        )
+    acc: dict[tuple, int] = {}
     for t, weight in _series_terms(basis, comp, _onto_tuples(len(parts))):
         b = [0] * (t[-1] if t else 0)
         for v, part in zip(t, parts):
             b[v - 1] += part
         _bump(acc, tuple(b), weight)
     return MappingProxyType(acc)
+
+
+@lru_cache(maxsize=1024)
+def _m_monomials(b: tuple, nvars: int) -> tuple[Monomial, ...]:
+    """The monomials x_i1^b1 ... x_ik^bk of M_b, over i1 < ... < ik <= nvars."""
+    variables = range(1, nvars + 1)
+    return tuple(tuple(zip(idx, b)) for idx in itertools.combinations(variables, len(b)))
 
 
 def _series_parts(basis: str, comp: tuple) -> tuple:
@@ -332,14 +336,14 @@ def _onto_tuples(length: int) -> Iterator[tuple]:
     return (tuple(itertools.accumulate(s, initial=1)) for s in steps)
 
 
-def _int_sum(a: QSymElement, common: int, table, *args) -> dict:
+def _int_sum(a: QSymElement, common: int, table) -> dict:
     """Sum of the tables of a's terms, each scaled by its coefficient times
     common (a multiple of every denominator), so the sum runs on ints; the
     keys that cancel are dropped once, at the end."""
     acc: dict = {}
     for comp, coeff in a.terms.items():
         scaled = coeff.numerator * (common // coeff.denominator)
-        for key, value in table(a.basis, comp, *args).items():
+        for key, value in table(a.basis, comp).items():
             acc[key] = acc.get(key, 0) + scaled * value
     return {key: value for key, value in acc.items() if value}
 
@@ -348,6 +352,10 @@ def expand(a: QSymElement, nvars: int, degree: int | None = None) -> TruncatedPo
     """Expand an element in nvars variables; complete, never silently truncated.
 
     ``degree`` defaults to the element's degree and may not be below it.
+    The expansion is the disjoint union of c_b * M_b over the compositions b
+    with c_b != 0: every monomial lies in exactly one M_b, so each is written
+    once, with no sums.  Refused past _MONOMIAL_BUDGET monomials, counted
+    (C(nvars, len(b)) per b) before any is built.
     """
     if nvars < 0:
         raise ValueError(f"nvars must be nonnegative, got {nvars}")
@@ -359,9 +367,16 @@ def expand(a: QSymElement, nvars: int, degree: int | None = None) -> TruncatedPo
             "expanding would silently truncate"
         )
     common = math.lcm(*(coeff.denominator for coeff in a.terms.values()))
-    acc = _int_sum(a, common, _expand_term, nvars)
+    coeffs = _int_sum(a, common, _m_coefficients)
+    size = sum(math.comb(nvars, len(b)) for b in coeffs)
+    if size > _MONOMIAL_BUDGET:
+        raise ValueError(
+            f"expanding in {nvars} variables needs {size} monomials, "
+            f"over the budget of {_MONOMIAL_BUDGET}"
+        )
     if common != 1:
-        acc = {key: Fraction(v, common) for key, v in acc.items()}
+        coeffs = {b: Fraction(c, common) for b, c in coeffs.items()}
+    acc = {mono: c for b, c in coeffs.items() for mono in _m_monomials(b, nvars)}
     return _raw_poly(nvars, degree, acc)
 
 

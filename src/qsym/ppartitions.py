@@ -364,6 +364,10 @@ def enumerate_assignments(
 # ---------------------------------------------------------------------------
 # generating functions
 
+# gamma of a non-chain poset enumerates its linear extensions; past this
+# many it refuses instead of running for minutes (an antichain of n has n!).
+_EXTENSION_LIMIT = 10**5
+
 
 def gamma(
     poset: LabelledWeightedPoset,
@@ -375,7 +379,8 @@ def gamma(
     The result lives in x_1..x_nvars (default: the largest magnitude in Z)
     with degree bound equal to the total weight.  A chain returns its
     shared cached result; otherwise each distinct chain key among the
-    linear extensions is added once, times its count.
+    linear extensions is added once, times its count.  Refused when the
+    poset has more than _EXTENSION_LIMIT linear extensions.
     """
     zs = _check_alphabet(alphabet)
     nvars = _check_nvars(zs, nvars)
@@ -386,8 +391,15 @@ def gamma(
     chain = poset.chain_order()
     if chain is not None:
         return _gamma_chain(*chain_key(chain), zs, nvars)
+    words = itertools.islice(poset.linear_extensions(), _EXTENSION_LIMIT + 1)
+    keys = Counter(map(chain_key, words))
+    if keys.total() > _EXTENSION_LIMIT:
+        raise ValueError(
+            f"the poset has more than {_EXTENSION_LIMIT} linear extensions, "
+            "the limit for gamma"
+        )
     acc: dict = {}
-    for key, count in Counter(map(chain_key, poset.linear_extensions())).items():
+    for key, count in keys.items():
         for mono, c in _gamma_chain(*key, zs, nvars).terms.items():
             acc[mono] = acc.get(mono, 0) + count * c
     return _raw_poly(nvars, sum(poset.weights), acc)

@@ -338,6 +338,28 @@ def test_cli_expand_rejects_negative_nvars(capsys):
 
 
 @pytest.mark.parametrize(
+    "element, nvars, estimate",
+    [("L[30]", "30", "536870912 index tuples"), ("M[2,1,1]", "400", "10586800 monomials")],
+)
+def test_cli_expand_refuses_past_its_budget(capsys, element, nvars, estimate):
+    assert main(["expand", element, "--nvars", nvars]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and estimate in captured.err
+
+
+def test_cli_gamma_refuses_past_the_extension_limit(tmp_path, capsys):
+    # antichains over Z = {1}: 8! = 40,320 extensions compute, 9! are refused
+    for n, code in ((8, 0), (9, 1)):
+        path = tmp_path / f"antichain{n}.json"
+        path.write_text(json.dumps({"n": n, "covers": [], "weights": [1] * n}))
+        assert main(["gamma", "--poset", str(path), "--zset", "1"]) == code
+    captured = capsys.readouterr()
+    assert captured.out == "x1^8\n"
+    assert captured.err == "error: the poset has more than 100000 linear extensions, the limit for gamma\n"
+
+
+@pytest.mark.parametrize(
     "content, field",
     [
         ('{"covers": [[1, 2]]}', "'n'"),

@@ -4,12 +4,19 @@ import importlib
 import inspect
 import itertools
 import pkgutil
+import random
 from fractions import Fraction
 
 import pytest
 
 import qsym
-from qsym.combinatorics import compositions, odd_compositions
+from qsym import expansion
+from qsym.combinatorics import (
+    compositions,
+    descent_set,
+    odd_compositions,
+    peak_set_of_composition,
+)
 from qsym.core import QSymElement, convert, eta_to_M, L_to_M, multiply
 from qsym.expansion import (
     TruncatedPoly,
@@ -138,18 +145,116 @@ def test_certify_equal():
     assert certify_equal(eta(1, 3, 1), eta_to_M((1, 3, 1)))
 
 
+def _series_expansion(basis, comp, nvars):
+    """One basis element's full expansion in nvars variables, walked from its
+    defining series over every weakly increasing index tuple: the reference
+    for ``expand`` and ``_m_coefficients``, which share none of this walk.
+
+    M:   i_1 < ... < i_k, one index per part;
+    L:   one index per unit, strict ascent at every descent of comp;
+    K:   one index per unit, i_(j-1) < i_(j+1) at every peak j, weight 2^#distinct;
+    eta: one index per part, weight 2^#distinct.
+    """
+    parts = comp if basis in ("M", "eta") else (1,) * sum(comp)
+    acc = {}
+    for t in itertools.combinations_with_replacement(range(1, nvars + 1), len(parts)):
+        if basis == "M" and len(set(t)) < len(t):
+            continue
+        if basis == "L" and any(t[j - 1] == t[j] for j in descent_set(comp)):
+            continue
+        if basis == "K" and any(t[j - 2] == t[j] for j in peak_set_of_composition(comp)):
+            continue
+        exps = {}
+        for v, part in zip(t, parts):
+            exps[v] = exps.get(v, 0) + part
+        key = tuple(sorted(exps.items()))
+        acc[key] = acc.get(key, 0) + (1 << len(exps) if basis in ("K", "eta") else 1)
+    return acc
+
+
+def _reference_expand(elem, nvars):
+    """Sum of the series expansions of elem's terms: ints when every
+    coefficient of elem is an integer, Fractions otherwise."""
+    acc = {}
+    for comp, coeff in elem.terms.items():
+        for key, value in _series_expansion(elem.basis, comp, nvars).items():
+            acc[key] = acc.get(key, 0) + coeff * value
+    integral = all(c.denominator == 1 for c in elem.terms.values())
+    return {key: int(c) if integral else c for key, c in acc.items() if c}
+
+
+def _typed(terms):
+    return {key: (c, type(c)) for key, c in terms.items()}
+
+
+def _single_terms(n):
+    """Every single M, L, eta and odd K term of degree n (n = 0: the unit)."""
+    terms = [(basis, comp) for basis in ("M", "L", "eta") for comp in compositions(n)]
+    return terms + [("K", comp) for comp in odd_compositions(n)]
+
+
 @pytest.mark.parametrize("n", range(8))
 def test_m_coefficients_match_expansion(n):
-    # every single M, L, eta and odd K term of degree n (n = 0: the unit)
-    terms = [(basis, comp) for basis in ("M", "L", "eta") for comp in compositions(n)]
-    terms += [("K", comp) for comp in odd_compositions(n)]
-    for basis, comp in terms:
-        poly = expand(QSymElement.term(basis, comp), n, n)
+    for basis, comp in _single_terms(n):
+        series = _series_expansion(basis, comp, n)
         got = _m_coefficients(basis, comp)
         assert set(got) <= set(compositions(n))
         for b in compositions(n):
-            want = poly.coefficient(enumerate(b, 1))  # x1^b1 ... xk^bk
+            want = series.get(tuple(enumerate(b, 1)), 0)  # x1^b1 ... xk^bk
             assert got.get(b, 0) == want, (basis, comp, b)
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_expand_matches_the_series_on_single_terms(n):
+    for basis, comp in _single_terms(n):
+        elem = QSymElement.term(basis, comp)
+        for nvars in (max(n - 1, 0), n, n + 2):
+            poly = expand(elem, nvars)
+            assert (poly.nvars, poly.degree) == (nvars, n)
+            assert _typed(poly.terms) == _typed(_series_expansion(basis, comp, nvars)), (
+                basis, comp, nvars,
+            )
+
+
+def test_expand_matches_the_series_on_mixed_elements():
+    rng = random.Random(9)
+    shapes = [(basis, comp) for n in range(6) for basis, comp in _single_terms(n)]
+    for _ in range(200):
+        basis = rng.choice(["M", "L", "K", "eta"])
+        pool = [comp for b, comp in shapes if b == basis]
+        comps = rng.sample(pool, rng.randint(1, 4))
+        den = rng.choice([1, 2, 3, 5, 7])
+        elem = QSymElement(basis, [(c, Fraction(rng.randint(-9, 9) or 1, den)) for c in comps])
+        nvars = rng.randint(0, 6)
+        degree = elem.degree + rng.randint(0, 2)
+        poly = expand(elem, nvars, degree)
+        assert (poly.nvars, poly.degree) == (nvars, degree)
+        assert _typed(poly.terms) == _typed(_reference_expand(elem, nvars)), (elem, nvars)
+
+
+def test_expand_refuses_past_its_budgets():
+    # L[30] needs 2^29 series tuples; M[2,1,1] in 400 variables C(400, 3) monomials
+    with pytest.raises(ValueError, match="L\\[30\\] needs 536870912 index tuples"):
+        expand(QSymElement.term("L", (30,)), 30)
+    with pytest.raises(ValueError, match="needs 536870912 index tuples"):
+        certify_equal(QSymElement.term("eta", (1,) * 30), M(30))
+    with pytest.raises(ValueError, match="needs 10586800 monomials, over the budget of 1000000"):
+        expand(M(2, 1, 1), 400)
+    assert len(expand(M(30), 30).terms) == 30  # an M term walks no series
+
+
+def test_expand_budgets_are_inclusive(monkeypatch):
+    monkeypatch.setattr(expansion, "_SERIES_BUDGET", 4)
+    monkeypatch.setattr(expansion, "_MONOMIAL_BUDGET", 10)
+    _m_coefficients.cache_clear()  # L[4] is refused only before it is cached
+    assert len(expand(QSymElement.term("L", (3,)), 3).terms) == 10  # 4 tuples, C(5, 3) monomials
+    with pytest.raises(ValueError, match="L\\[4\\] needs 8 index tuples, over the budget of 4"):
+        expand(QSymElement.term("L", (4,)), 1)
+    assert len(expand(M(1, 1), 5).terms) == 10
+    with pytest.raises(ValueError, match="needs 15 monomials, over the budget of 10"):
+        expand(M(1, 1), 6)
+    with pytest.raises(ValueError, match="needs 11 monomials"):
+        expand(M(1) + QSymElement.unit("M"), 10)  # C(10, 1) + C(10, 0)
 
 
 def _dense(basis, n, den):

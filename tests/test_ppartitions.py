@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from qsym import ppartitions
 from qsym.combinatorics import (
     composition_of_subset,
     descent_set_of_permutation,
@@ -250,6 +251,17 @@ def test_gamma_degenerate_cases():
             gamma(LabelledWeightedPoset(2), (), nvars)
         with pytest.raises(ValueError, match="nonnegative"):
             universal_gamma((1,), (1,), (), nvars)
+
+
+def test_gamma_refuses_past_the_extension_limit(monkeypatch):
+    monkeypatch.setattr(ppartitions, "_EXTENSION_LIMIT", 6)
+    # antichains: 3! = 6 extensions compute, 4! are refused; chains have one
+    single = gamma(LabelledWeightedPoset(1), positive_alphabet(3))
+    want = poly_mul(poly_mul(single, single), single)
+    assert gamma(LabelledWeightedPoset(3), positive_alphabet(3)) == want
+    with pytest.raises(ValueError, match="more than 6 linear extensions"):
+        gamma(LabelledWeightedPoset(4), positive_alphabet(3))
+    assert not gamma(chain_poset(tuple(range(1, 8))), positive_alphabet(2)).is_zero
 
 
 @pytest.mark.parametrize("n", range(5))
