@@ -22,6 +22,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .core import BASES, QSymElement, TensorElement, antipode, convert, coproduct, format_rational, multiply
 from .expansion import TruncatedPoly, expand, format_poly
@@ -216,8 +217,36 @@ def _resolve_alphabet(zspec: str, nvars_arg: int | None, default_n: int):
     return parse_zset(zspec, 0), nvars_arg
 
 
+def _json_text(value, indent: str = "") -> str:
+    """``json.dumps(value, indent=2)`` for the dict, list, str and int values
+    that ``to_json_dict`` returns.
+
+    With ``indent`` set, the json module skips its C encoder; this writer
+    gives the same bytes faster, escaping strings with the C escaper.
+    """
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if type(value) is int:
+        return str(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [
+            f"{inner}{encode_basestring_ascii(k)}: {_json_text(v, inner)}"
+            for k, v in value.items()
+        ]
+        return "{\n" + ",\n".join(items) + "\n" + indent + "}"
+    if isinstance(value, list):
+        if not value:
+            return "[]"
+        items = [inner + _json_text(v, inner) for v in value]
+        return "[\n" + ",\n".join(items) + "\n" + indent + "]"
+    raise TypeError(f"cannot write {type(value).__name__} as JSON")
+
+
 def _print_json(data: dict) -> None:
-    print(json.dumps(data, indent=2))
+    print(_json_text(data))
 
 
 def _emit_element(elem: QSymElement, fmt: str) -> None:

@@ -34,6 +34,10 @@ Product, coproduct and antipode rules implemented per basis:
 The M, L and eta products share one pair walk over (parts of alpha
 consumed, parts of beta consumed) that merges equal partial products as it
 goes, so no product term is enumerated twice.
+
+Products, coproducts, conversions and antipodes all assemble their output
+in machine ints: each operand's denominators are cleared once with an lcm,
+and each output term costs one Fraction.
 """
 
 from __future__ import annotations
@@ -68,6 +72,12 @@ def _bump(acc: dict, key, value) -> None:
         acc[key] = new
     else:
         acc.pop(key, None)
+
+
+def _cleared(terms: Mapping) -> tuple[dict, int]:
+    """The coefficients as ints over one common denominator, and that denominator."""
+    common = math.lcm(*(v.denominator for v in terms.values()))
+    return {k: v.numerator * (common // v.denominator) for k, v in terms.items()}, common
 
 
 def term_sort_key(comp: Composition):
@@ -355,8 +365,9 @@ class TensorElement:
             raise ValueError("legs must share a basis to be multiplied")
         if left == "K":
             return self.map_legs(K_to_eta, K_to_eta, ("eta", "eta")).multiply_legs()
-        pairs = ((cl, cr, coeff) for (cl, cr), coeff in self._terms.items())
-        return _bilinear(left, pairs)
+        terms, common = _cleared(self._terms)
+        pairs = ((cl, cr, coeff) for (cl, cr), coeff in terms.items())
+        return _bilinear(left, pairs, common)
 
     def to_json_dict(self) -> dict:
         return {
@@ -478,8 +489,8 @@ def eta_product(alpha: Iterable[int], beta: Iterable[int]) -> QSymElement:
     ...     "eta", {(2, 1, 2): 1, (1, 2, 2): 2, (5,): -1})
     True
     """
-    pair = (check_composition(alpha), check_composition(beta), Fraction(1))
-    return _bilinear("eta", [pair])
+    pair = (check_composition(alpha), check_composition(beta), 1)
+    return _bilinear("eta", [pair], 1)
 
 
 def multiply(a: QSymElement, b: QSymElement) -> QSymElement:
@@ -492,29 +503,26 @@ def multiply(a: QSymElement, b: QSymElement) -> QSymElement:
         raise ValueError(f"basis mismatch: {a.basis} vs {b.basis}; convert first")
     if a.basis == "K":
         a, b = convert(a, "eta"), convert(b, "eta")
-    pairs = (
-        (ca, cb, va * vb) for ca, va in a._terms.items() for cb, vb in b._terms.items()
-    )
-    return _bilinear(a.basis, pairs)
+    (ta, da), (tb, db) = _cleared(a._terms), _cleared(b._terms)
+    pairs = ((ca, cb, va * vb) for ca, va in ta.items() for cb, vb in tb.items())
+    return _bilinear(a.basis, pairs, da * db)
 
 
-def _bilinear(basis: str, pairs) -> QSymElement:
-    """Sum of coeff * (term ca times term cb) over (ca, cb, coeff), in M, L or eta.
+def _bilinear(basis: str, pairs, common: int) -> QSymElement:
+    """Sum of coeff/common * (term ca times term cb) over (ca, cb, coeff), in M, L or eta.
 
-    Denominators are cleared once with an lcm, so the walk multiplicities
-    accumulate as ints and each output term costs one Fraction.
+    The coefficients are ints, so the walk multiplicities accumulate as ints
+    and each output term costs one Fraction.
     """
-    pairs = list(pairs)
-    common = math.lcm(*(coeff.denominator for _, _, coeff in pairs))
     acc: dict[tuple[int, int], int] = {}
     for ca, cb, coeff in pairs:
-        scaled = coeff.numerator * (common // coeff.denominator)
         n = sum(ca) + sum(cb)
         for mask, mult in _pair_walk(basis, ca, cb).items():
-            _bump(acc, (n, mask), scaled * mult)
+            key = (n, mask)
+            acc[key] = acc.get(key, 0) + coeff * mult
     return _raw(
         basis,
-        {_composition_of_mask(n, m): Fraction(v, common) for (n, m), v in acc.items()},
+        {_composition_of_mask(n, m): Fraction(v, common) for (n, m), v in acc.items() if v},
     )
 
 
@@ -602,29 +610,32 @@ def coproduct(a: QSymElement) -> TensorElement:
 
     In L, Delta L_alpha is the sum over k = 0..n of L on [k] tensor L on
     [n-k], with descent sets Des(alpha) cut at k.  K input returns an
-    (eta, eta)-tensor.
+    (eta, eta)-tensor.  No two deconcatenations of distinct (alpha, k)
+    coincide, so M and eta copy their coefficients; the L cuts do collide
+    and are summed as ints over one denominator, so each output term costs
+    one Fraction.
     """
     if a.basis == "K":
         return coproduct(convert(a, "eta"))
-    acc: dict[tuple[Composition, Composition], Fraction] = {}
-    for comp, coeff in a._terms.items():
-        for cut in _cuts(a.basis, comp):
-            _bump(acc, cut, coeff)
-    return _raw_tensor((a.basis, a.basis), acc)
-
-
-def _cuts(basis: str, comp: Composition) -> list[tuple[Composition, Composition]]:
-    """The (left, right) index pairs of the coproduct of one M, L or eta term."""
-    if basis != "L":
-        return [(comp[:k], comp[k:]) for k in range(len(comp) + 1)]
-    n, mask = sum(comp), _descent_mask(comp)
-    return [
-        (
-            _composition_of_mask(k, mask & ((1 << max(k - 1, 0)) - 1)),
-            _composition_of_mask(n - k, mask >> k),
-        )
-        for k in range(n + 1)
-    ]
+    if a.basis != "L":
+        acc = {
+            (comp[:k], comp[k:]): coeff
+            for comp, coeff in a._terms.items()
+            for k in range(len(comp) + 1)
+        }
+        return _raw_tensor((a.basis, a.basis), acc)
+    terms, common = _cleared(a._terms)
+    sums: dict[tuple[Composition, Composition], int] = {}
+    for comp, coeff in terms.items():
+        n, mask = sum(comp), _descent_mask(comp)
+        for k in range(n + 1):
+            key = (
+                _composition_of_mask(k, mask & ((1 << max(k - 1, 0)) - 1)),
+                _composition_of_mask(n - k, mask >> k),
+            )
+            sums[key] = sums.get(key, 0) + coeff
+    acc = {key: Fraction(v, common) for key, v in sums.items() if v}
+    return _raw_tensor(("L", "L"), acc)
 
 
 def antipode(a: QSymElement) -> QSymElement:
@@ -679,17 +690,44 @@ def _descent_mask(comp: Composition) -> int:
     return mask
 
 
+def _mask_bytes() -> tuple[bytes, list[bytes], bytes]:
+    """For each nonzero byte: the position of its first set bit, the gaps
+    between its set bits, and the position of its last set bit, counting
+    bit i as position i + 1.  Each entry extends the entry of the byte
+    without its top bit.
+
+    The entries are bytes, which the garbage collector does not track, so
+    building the table at import adds no objects for it to count or scan
+    (a table of tuples added about 500, enough to set off an extra
+    collection during ``import qsym``).
+    """
+    firsts, gaps, lasts = [0], [b""], [0]
+    for byte in range(1, 256):
+        top = byte.bit_length()
+        rest = byte ^ 1 << (top - 1)
+        firsts.append(firsts[rest] if rest else top)
+        gaps.append(gaps[rest] + bytes((top - lasts[rest],)) if rest else b"")
+        lasts.append(top)
+    return bytes(firsts), gaps, bytes(lasts)
+
+
+_FIRST_BIT, _BIT_GAPS, _LAST_BIT = _mask_bytes()
+
+
 def _composition_of_mask(n: int, mask: int) -> Composition:
+    """The composition of n with descent mask ``mask``, decoded a byte at a time."""
     if not n:
         return ()
-    parts = []
-    last = 0
+    parts: list[int] = []
+    last = base = 0
     while mask:
-        low = mask & -mask
-        pos = low.bit_length()
-        parts.append(pos - last)
-        last = pos
-        mask ^= low
+        byte = mask & 255
+        if byte:
+            parts.append(base + _FIRST_BIT[byte] - last)
+            parts += _BIT_GAPS[byte]
+            last = base + _LAST_BIT[byte]
+        mask >>= 8
+        base += 8
     parts.append(n - last)
     return tuple(parts)
 
@@ -728,8 +766,7 @@ def _lattice_transform(a: QSymElement, target: str) -> QSymElement:
         if n == 0:
             out[()] = component[0]
             continue
-        common = math.lcm(*(c.denominator for c in component.values()))
-        vec = {m: c.numerator * (common // c.denominator) for m, c in component.items()}
+        vec, common = _cleared(component)
         for i in range(n - 1):
             bit = 1 << i
             nxt: dict[int, int] = {}

@@ -24,6 +24,7 @@ the chain functions of its extensions.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -175,13 +176,18 @@ class LabelledWeightedPoset:
         """Smallest-label-first topological order."""
         return next(self.linear_extensions())
 
+    def _predecessor_masks(self) -> list[int]:
+        """Entry j has bit i set exactly when i < j; entry 0 is unused."""
+        preds = [0] * (self.n + 1)
+        for i, j in self._less:
+            preds[j] |= 1 << i
+        return preds
+
     def linear_extensions(self) -> Iterator[tuple[int, ...]]:
         """Every linear extension, in lexicographic order of the label words:
         depth first, testing each label's predecessor bitmask."""
         n = self.n
-        preds = [0] * (n + 1)
-        for i, j in self._less:
-            preds[j] |= 1 << i
+        preds = self._predecessor_masks()
 
         def rec(word: tuple, placed: int) -> Iterator[tuple[int, ...]]:
             if len(word) == n:
@@ -236,9 +242,14 @@ class LabelledWeightedPoset:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "LabelledWeightedPoset":
-        """Read ``to_json_dict``'s form; ValueError names a malformed field."""
+        """Read ``to_json_dict``'s form; ValueError names a malformed or unknown field."""
         if not isinstance(data, Mapping):
             raise ValueError(f"a poset must be a JSON object, got {type(data).__name__}")
+        for key in data:
+            if key not in ("n", "covers", "weights"):
+                raise ValueError(
+                    f"unknown poset field {key!r}; expected 'n', 'covers' and 'weights'"
+                )
         if "n" not in data:
             raise ValueError("poset field 'n' is missing")
         n = data["n"]
@@ -369,6 +380,31 @@ def enumerate_assignments(
 _EXTENSION_LIMIT = 10**5
 
 
+def _over_extension_limit(poset: LabelledWeightedPoset) -> bool:
+    """Whether the poset has more than _EXTENSION_LIMIT linear extensions,
+    sized level by level over order ideals without walking any extension.
+
+    Level k maps each order ideal I of k vertices to e(I), its number of
+    linear extensions, so the level's sum is the number of length-k
+    prefixes of linear extensions of the poset.  Each prefix extends to a
+    different linear extension, so no level sums to more than e(P), and
+    the last level sums to e(P): the first level past the limit refuses.
+    """
+    preds = poset._predecessor_masks()
+    level = {0: 1}
+    for _ in range(poset.n):
+        nxt: dict[int, int] = {}
+        for ideal, count in level.items():
+            for v in range(1, poset.n + 1):
+                if not ideal >> v & 1 and preds[v] & ideal == preds[v]:
+                    grown = ideal | 1 << v
+                    nxt[grown] = nxt.get(grown, 0) + count
+        if sum(nxt.values()) > _EXTENSION_LIMIT:
+            return True
+        level = nxt
+    return False
+
+
 def gamma(
     poset: LabelledWeightedPoset,
     alphabet: Iterable[SignedValue],
@@ -380,7 +416,8 @@ def gamma(
     with degree bound equal to the total weight.  A chain returns its
     shared cached result; otherwise each distinct chain key among the
     linear extensions is added once, times its count.  Refused when the
-    poset has more than _EXTENSION_LIMIT linear extensions.
+    poset has more than _EXTENSION_LIMIT linear extensions; a poset whose
+    n! passes that limit is sized before any extension is walked.
     """
     zs = _check_alphabet(alphabet)
     nvars = _check_nvars(zs, nvars)
@@ -391,13 +428,12 @@ def gamma(
     chain = poset.chain_order()
     if chain is not None:
         return _gamma_chain(*chain_key(chain), zs, nvars)
-    words = itertools.islice(poset.linear_extensions(), _EXTENSION_LIMIT + 1)
-    keys = Counter(map(chain_key, words))
-    if keys.total() > _EXTENSION_LIMIT:
+    if math.factorial(poset.n) > _EXTENSION_LIMIT and _over_extension_limit(poset):
         raise ValueError(
             f"the poset has more than {_EXTENSION_LIMIT} linear extensions, "
             "the limit for gamma"
         )
+    keys = Counter(map(chain_key, poset.linear_extensions()))
     acc: dict = {}
     for key, count in keys.items():
         for mono, c in _gamma_chain(*key, zs, nvars).terms.items():

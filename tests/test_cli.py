@@ -170,6 +170,40 @@ def test_cli_gamma(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "x1^2 + 2*x1*x2 + x2^2"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["convert", "1/2*eta[1,3,1] - eta[2]", "--to", "M"],
+        ["convert", "M[2] - M[2]", "--to", "L"],
+        ["multiply", "L[1,2]", "3/4*L[2]"],
+        ["coproduct", "L[2,1] + 1/3*L[3]"],
+        ["coproduct", "M[1] - M[1]"],
+        ["antipode", "K[1,3]", "--to", "M"],
+        ["expand", "M[2,1]", "--nvars", "3"],
+        ["expand", "M[2,1]", "--nvars", "1"],
+        ["gamma", "--poset", str(pathlib.Path(__file__).parent / "data" / "poset_fork.json"),
+         "--zset", "Ppm", "--nvars", "2"],
+        ["u-function", "1 3 2", "1,1,1"],
+        ["u-function", "2 1", "2,1", "--zset=-1,+1,-2"],
+    ],
+)
+def test_cli_json_output_matches_the_json_module(capsys, argv):
+    assert main(argv + ["--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+def test_json_writer_matches_the_json_module():
+    shapes = [
+        QSymElement.zero("eta").to_json_dict(),
+        TruncatedPoly(2, 3, {}).to_json_dict(),
+        coproduct(QSymElement("M", {(1, 2): Fraction(-5, 2), (): 1})).to_json_dict(),
+        {"a": [], "b": {}, "c": "\u00e9\n\"q\"", "d": [[1, -2], [3]], "e": -7},
+    ]
+    for data in shapes:
+        assert cli._json_text(data) == json.dumps(data, indent=2)
+
+
 def test_cli_error_exit(capsys):
     assert main(["convert", "K[2,1]", "--to", "M"]) == 1
     err = capsys.readouterr().err
@@ -365,6 +399,8 @@ def test_cli_gamma_refuses_past_the_extension_limit(tmp_path, capsys):
         ('{"covers": [[1, 2]]}', "'n'"),
         ("[[1, 2]]", "JSON object"),
         ('{"n": 2, "covers": [1]}', "'covers'"),
+        # relations under any key but "covers" must not load as an antichain
+        ('{"n": 2, "relations": [[1, 2]], "weights": [1, 1]}', "'relations'"),
     ],
 )
 def test_cli_gamma_malformed_poset_file(tmp_path, capsys, content, field):

@@ -33,6 +33,7 @@ from qsym.core import (
     multiply,
     signed_subset_sum,
 )
+from qsym.core import _composition_of_mask, _descent_mask
 from qsym.expansion import certify_equal
 
 
@@ -499,3 +500,17 @@ def test_hopf_antipode_axiom(n):
             ).multiply_legs()
             expected = QSymElement.unit(legs).scale(elem.counit())
             assert certify_equal(folded, expected)
+
+
+def test_composition_of_mask_inverts_descent_mask():
+    for n in range(15):
+        for comp in compositions(n):
+            assert _composition_of_mask(n, _descent_mask(comp)) == comp
+    # masks of 16 to 39 bits cross byte boundaries, with empty bytes between
+    rng = random.Random(17)
+    for _ in range(400):
+        n = rng.randint(17, 40)
+        cuts = sorted(rng.sample(range(1, n), rng.randint(0, min(n - 1, 8))))
+        bounds = [0, *cuts, n]
+        comp = tuple(b - a for a, b in zip(bounds, bounds[1:]))
+        assert _composition_of_mask(n, _descent_mask(comp)) == comp

@@ -264,6 +264,22 @@ def test_gamma_refuses_past_the_extension_limit(monkeypatch):
     assert not gamma(chain_poset(tuple(range(1, 8))), positive_alphabet(2)).is_zero
 
 
+def test_gamma_sizes_wide_posets_before_walking_any_extension(monkeypatch):
+    def walk(self):
+        raise AssertionError("a linear extension was walked")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(LabelledWeightedPoset, "linear_extensions", walk)
+        with pytest.raises(ValueError, match="more than 100000 linear extensions"):
+            gamma(LabelledWeightedPoset(9), (1,))
+    # chains of 4 and 5 side by side: 9 vertices, C(9, 4) = 126 extensions
+    two_chains = _disjoint_union(chain_poset((2, 1, 3, 4)), chain_poset((1, 3, 2, 5, 4)))
+    assert two_chains.n == 9
+    assert sum(1 for _ in two_chains.linear_extensions()) == 126
+    zs = signed_alphabet(2)
+    assert gamma(two_chains, zs) == _assignment_sum(two_chains, zs, 2)
+
+
 @pytest.mark.parametrize("n", range(5))
 def test_universal_gamma_equals_gamma_of_the_weighted_chain(n):
     rng = random.Random(n)

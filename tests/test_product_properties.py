@@ -1,10 +1,10 @@
-"""Property tests of the product in every basis: the algebra laws and the oracle."""
+"""Property tests of the product and coproduct in every basis: the Hopf laws and the oracle."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsym.core import QSymElement, convert, multiply
+from qsym.core import QSymElement, TensorElement, convert, coproduct, multiply
 from qsym.expansion import expand, poly_mul
 
 BASES = ("M", "L", "eta", "K")
@@ -36,3 +36,37 @@ def test_product_laws(basis, data):
     nvars = max(a.degree + b.degree, 1)
     lhs = expand(ab, nvars, a.degree + b.degree)
     assert lhs == poly_mul(expand(a, nvars), expand(b, nvars)), "oracle"
+
+
+def _tensor_product(x, y):
+    """(l1 (x) r1)(l2 (x) r2) = l1 l2 (x) r1 r2, extended bilinearly, from multiply."""
+    acc = {}
+    for (l1, r1), v1 in x.terms.items():
+        for (l2, r2), v2 in y.terms.items():
+            left = multiply(QSymElement.term(x.bases[0], l1), QSymElement.term(y.bases[0], l2))
+            right = multiply(QSymElement.term(x.bases[1], r1), QSymElement.term(y.bases[1], r2))
+            for cl, vl in left.terms.items():
+                for cr, vr in right.terms.items():
+                    acc[cl, cr] = acc.get((cl, cr), 0) + v1 * v2 * vl * vr
+    return TensorElement(x.bases, acc)
+
+
+def _triples(tensor, split_left):
+    """(Delta (x) id) or (id (x) Delta) of a tensor, as {(c1, c2, c3): coeff}."""
+    acc = {}
+    for (cl, cr), v in tensor.terms.items():
+        leg = cl if split_left else cr
+        for (a, b), w in coproduct(QSymElement.term(tensor.bases[0], leg)).terms.items():
+            key = (a, b, cr) if split_left else (cl, a, b)
+            acc[key] = acc.get(key, 0) + v * w
+    return {k: v for k, v in acc.items() if v}
+
+
+@pytest.mark.parametrize("basis", BASES)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_coproduct_laws(basis, data):
+    a, b = (data.draw(ELEMENTS[basis]) for _ in range(2))
+    da = coproduct(a)
+    assert _triples(da, True) == _triples(da, False), "coassociativity"
+    assert coproduct(multiply(a, b)) == _tensor_product(da, coproduct(b)), "compatibility"
