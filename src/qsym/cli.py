@@ -24,7 +24,7 @@ import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
-from .core import BASES, QSymElement, TensorElement, antipode, convert, coproduct, format_rational, multiply
+from .core import BASES, QSymElement, TensorElement, _signed_sum, antipode, convert, coproduct, multiply
 from .expansion import TruncatedPoly, expand, format_poly
 from .ppartitions import (
     LabelledWeightedPoset,
@@ -152,19 +152,6 @@ def parse_element(text: str) -> QSymElement:
     return _ElementParser(text).parse()
 
 
-def _signed_sum(items, body, zero: str) -> str:
-    """``a + 2*b - c`` from (key, coeff) items, ``body(key)`` naming each term."""
-    pieces = []
-    for key, coeff in items:
-        mag = abs(coeff)
-        text = body(key) if mag == 1 else f"{format_rational(mag)}*{body(key)}"
-        if pieces:
-            pieces.append(f" {'+' if coeff > 0 else '-'} {text}")
-        else:
-            pieces.append(text if coeff > 0 else f"-{text}")
-    return "".join(pieces) or zero
-
-
 def _basis_term(basis: str, comp) -> str:
     return f"{basis}[{','.join(str(p) for p in comp)}]"
 
@@ -201,20 +188,12 @@ def parse_composition(text: str) -> tuple[int, ...]:
     return tuple(int(x) for x in text.split(","))
 
 
-def parse_zset(zspec: str, nvars: int) -> tuple[int, ...]:
-    if zspec == "P":
-        return positive_alphabet(nvars)
-    if zspec == "Ppm":
-        return signed_alphabet(nvars)
-    return tuple(int(x) for x in zspec.split(","))
-
-
 def _resolve_alphabet(zspec: str, nvars_arg: int | None, default_n: int):
     """Alphabet plus the nvars to pass on (None lets gamma pick the magnitude)."""
     if zspec in ("P", "Ppm"):
         n = nvars_arg if nvars_arg is not None else default_n
-        return parse_zset(zspec, n), n
-    return parse_zset(zspec, 0), nvars_arg
+        return (positive_alphabet if zspec == "P" else signed_alphabet)(n), n
+    return tuple(int(x) for x in zspec.split(",")), nvars_arg
 
 
 def _json_text(value, indent: str = "") -> str:

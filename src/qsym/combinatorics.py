@@ -257,7 +257,7 @@ def shuffles(pi: Iterable[int], sigma: Iterable[int]) -> list[Permutation]:
     right = check_permutation(sigma)
     n = len(left)
     shifted = tuple(n + x for x in right)
-    return [word for word, _, _ in _interleavings(left, shifted)]
+    return [word for word, _ in _interleavings(left, shifted)]
 
 
 class CoshufflePair(NamedTuple):
@@ -292,21 +292,17 @@ def coshuffles(
     n = len(left_word)
     shifted = tuple(n + x for x in right_word)
     out = []
-    for word, positions, _ in _interleavings(left_word, shifted):
+    for word, positions in _interleavings(left_word, shifted):
         comp = _interleave_values(left_parts, right_parts, positions, n + len(shifted))
         out.append(CoshufflePair(word, comp, positions))
     return out
 
 
 def _interleavings(left: tuple, right: tuple):
-    """Yield (merged word, 1-based positions of right's letters, positions set)."""
+    """Yield (merged word, 1-based positions of right's letters)."""
     total = len(left) + len(right)
     for positions in itertools.combinations(range(1, total + 1), len(right)):
-        yield (
-            _interleave_values(left, right, positions, total),
-            positions,
-            frozenset(positions),
-        )
+        yield _interleave_values(left, right, positions, total), positions
 
 
 def _interleave_values(left: tuple, right: tuple, positions: Sequence[int], total: int):

@@ -66,7 +66,8 @@ _ZERO = Fraction(0)
 
 
 def _bump(acc: dict, key, value) -> None:
-    """Add value to acc[key], dropping the key when the sum cancels."""
+    """Add value to acc[key], dropping the key when the sum cancels.  For sums
+    built one item at a time; bulk sums add with get and drop zeros at the end."""
     new = acc.get(key, 0) + value
     if new:
         acc[key] = new
@@ -100,6 +101,23 @@ def format_rational(value: Fraction | int) -> str:
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
+
+
+def _signed_sum(items, body, zero: str) -> str:
+    """``a + 2*b - c`` from (key, coeff) items, ``body(key)`` naming each term.
+
+    A key whose body is empty prints its coefficient alone.
+    """
+    pieces = []
+    for key, coeff in items:
+        mag, text = abs(coeff), body(key)
+        if mag != 1 or not text:
+            text = format_rational(mag) + (f"*{text}" if text else "")
+        if pieces:
+            pieces.append(f" {'+' if coeff > 0 else '-'} {text}")
+        else:
+            pieces.append(text if coeff > 0 else f"-{text}")
+    return "".join(pieces) or zero
 
 
 class NotInPeakSpanError(ValueError):
@@ -597,8 +615,8 @@ def _pair_walk(basis: str, alpha: Composition, beta: Composition) -> dict[int, i
     out: dict[int, int] = {}
     for vec in states.values():
         for mask, c in vec.items():
-            _bump(out, mask, c)
-    return out
+            out[mask] = out.get(mask, 0) + c
+    return {mask: c for mask, c in out.items() if c}
 
 
 # ---------------------------------------------------------------------------

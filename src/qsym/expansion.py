@@ -32,7 +32,7 @@ from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
 from .combinatorics import descent_set, peak_set_of_composition
-from .core import QSymElement, _bump, format_rational
+from .core import QSymElement, _bump, _signed_sum, format_rational
 
 Monomial = tuple[tuple[int, int], ...]
 
@@ -131,22 +131,11 @@ def _raw_poly(nvars: int, degree: int, acc: dict, truncated: bool = False) -> Tr
 
 def format_poly(p: TruncatedPoly) -> str:
     """Human-readable form, graded-lex term order: ``x1^2*x2 + 2*x2^3``."""
-    if not p.terms:
-        return "0"
-    parts = []
-    for key, coeff in p.sorted_terms():
-        mono = "*".join(f"x{v}" if e == 1 else f"x{v}^{e}" for v, e in key)
-        if not key:
-            text = format_rational(coeff)
-        elif coeff == 1:
-            text = mono
-        elif coeff == -1:
-            text = f"-{mono}"
-        else:
-            text = f"{format_rational(coeff)}*{mono}"
-        parts.append(text)
-    out = " + ".join(parts).replace("+ -", "- ")
-    return out
+    return _signed_sum(
+        p.sorted_terms(),
+        lambda key: "*".join(f"x{v}" if e == 1 else f"x{v}^{e}" for v, e in key),
+        "0",
+    )
 
 
 # ---------------------------------------------------------------------------

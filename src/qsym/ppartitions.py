@@ -23,7 +23,6 @@ the chain functions of its extensions.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import Counter
 from functools import lru_cache
@@ -268,24 +267,11 @@ class LabelledWeightedPoset:
             raise ValueError(f"poset field 'weights' must be a list, got {weights!r}")
         return cls(n, [tuple(pair) for pair in covers], weights)
 
-    @classmethod
-    def _chain(cls, word: Permutation, weights: tuple[int, ...]) -> "LabelledWeightedPoset":
-        """The chain of a checked word, with checked weights indexed by label.
-
-        Every ordered pair along the chain is listed, so the relations are
-        already transitively closed and acyclic: no closure pass is needed.
-        """
-        poset = cls.__new__(cls)
-        object.__setattr__(poset, "n", len(word))
-        object.__setattr__(poset, "weights", weights)
-        object.__setattr__(poset, "_less", frozenset(itertools.combinations(word, 2)))
-        return poset
-
 
 def chain_poset(pi: Iterable[int]) -> LabelledWeightedPoset:
     """The total order pi_1 <_P pi_2 <_P ... <_P pi_n with unit weights."""
     word = check_permutation(pi)
-    return LabelledWeightedPoset._chain(word, (1,) * len(word))
+    return LabelledWeightedPoset(len(word), zip(word, word[1:]))
 
 
 def _check_weighted_word(
@@ -305,7 +291,7 @@ def weighted_chain(pi: Iterable[int], alpha: Iterable[int]) -> LabelledWeightedP
     weights = [0] * len(word)
     for label, w in zip(word, parts):
         weights[label - 1] = w
-    return LabelledWeightedPoset._chain(word, tuple(weights))
+    return LabelledWeightedPoset(len(word), zip(word, word[1:]), weights)
 
 
 def _respects(label_i: int, label_j: int, fi: SignedValue, fj: SignedValue) -> bool:
@@ -359,15 +345,26 @@ def _assignments(poset: LabelledWeightedPoset, zs: tuple) -> Iterator[Assignment
     return rec(0)
 
 
+_ASSIGNMENT_BUDGET = 10**6  # candidate assignments |Z|^n for enumerate_assignments
+
+
 def enumerate_assignments(
     poset: LabelledWeightedPoset, alphabet: Iterable[SignedValue]
 ) -> list[Assignment]:
     """All enriched assignments into a finite alphabet, canonically ordered.
 
     Brute force with pruning along a linear extension; the output order is
-    by signed order of the values at labels 1, 2, ....
+    by signed order of the values at labels 1, 2, ....  Refused when the
+    |Z|^n candidate assignments pass _ASSIGNMENT_BUDGET, before any is tried.
     """
-    out = list(_assignments(poset, _check_alphabet(alphabet)))
+    zs = _check_alphabet(alphabet)
+    candidates = len(zs) ** poset.n
+    if candidates > _ASSIGNMENT_BUDGET:
+        raise ValueError(
+            f"{len(zs)} values on {poset.n} vertices give {candidates} candidate "
+            f"assignments, over the budget of {_ASSIGNMENT_BUDGET}"
+        )
+    out = list(_assignments(poset, zs))
     out.sort(key=lambda t: tuple(signed_order_key(v) for v in t))
     return out
 

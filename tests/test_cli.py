@@ -170,6 +170,23 @@ def test_cli_gamma(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "x1^2 + 2*x1*x2 + x2^2"
 
 
+def test_cli_named_alphabets_default_to_the_total_weight(tmp_path, capsys):
+    path = tmp_path / "poset.json"
+    path.write_text(json.dumps({"n": 2, "covers": []}), encoding="utf-8")
+    assert main(["gamma", "--poset", str(path), "--zset", "P"]) == 0
+    assert capsys.readouterr().out.strip() == "x1^2 + 2*x1*x2 + x2^2"
+    assert main(["gamma", "--poset", str(path), "--zset", "Ppm"]) == 0
+    # each vertex takes -1, 1, -2 or 2: (2*x1 + 2*x2)^2
+    assert capsys.readouterr().out.strip() == "4*x1^2 + 8*x1*x2 + 4*x2^2"
+    # f(1) <= f(2) over {1, 2, 3}, weighted (2, 1): sum of x_a^2*x_b over a <= b
+    assert main(["u-function", "1 2", "2,1", "--zset", "P"]) == 0
+    assert capsys.readouterr().out.strip() == (
+        "x1^3 + x1^2*x2 + x1^2*x3 + x2^3 + x2^2*x3 + x3^3"
+    )
+    assert main(["u-function", "1", "2", "--zset", "Ppm"]) == 0
+    assert capsys.readouterr().out.strip() == "2*x1^2 + 2*x2^2"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -448,6 +448,16 @@ def test_format_poly_round_magnitude():
     assert format_poly(p) == "1/2*x1*x2 + 2*x1^3"
 
 
+def test_format_poly_signs_and_constants():
+    x1, x2 = ((1, 1),), ((2, 1),)
+    assert format_poly(TruncatedPoly(2, 1, {(): 1, x1: 1})) == "1 + x1"
+    assert format_poly(TruncatedPoly(2, 1, {(): -1, x1: -1})) == "-1 - x1"
+    assert format_poly(TruncatedPoly(2, 1, {x1: 2, x2: -1})) == "2*x1 - x2"
+    assert format_poly(TruncatedPoly(2, 1, {x2: Fraction(-1), x1: Fraction(1)})) == "x1 - x2"
+    assert format_poly(TruncatedPoly(2, 1, {(): Fraction(3, 2), x2: -3})) == "3/2 - 3*x2"
+    assert format_poly(TruncatedPoly(2, 1, {(): Fraction(-1, 3), x1: 1})) == "-1/3 + x1"
+
+
 @pytest.mark.parametrize("n", range(6))
 def test_certification_matches_basis_independence(n):
     # distinct M-basis elements always expand to distinct polynomials

@@ -172,6 +172,15 @@ def test_enumerate_assignments_small():
     assert enumerate_assignments(LabelledWeightedPoset(0), (1, -1)) == [()]
 
 
+def test_enumerate_assignments_refuses_past_the_budget(monkeypatch):
+    monkeypatch.setattr(ppartitions, "_ASSIGNMENT_BUDGET", 16)
+    # 4 values on 2 vertices: 4^2 = 16 candidates run; 4^3 = 64 are refused unwalked
+    assert len(enumerate_assignments(LabelledWeightedPoset(2), signed_alphabet(2))) == 16
+    monkeypatch.setattr(ppartitions, "_assignments", None)
+    with pytest.raises(ValueError, match="give 64 candidate assignments, over the budget of 16"):
+        enumerate_assignments(LabelledWeightedPoset(3), signed_alphabet(2))
+
+
 def _random_poset(rng, max_n=6, weighted=False):
     n = rng.randint(1, max_n)
     theta = list(range(1, n + 1))

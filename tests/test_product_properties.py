@@ -1,11 +1,12 @@
-"""Property tests of the product and coproduct in every basis: the Hopf laws and the oracle."""
+"""Property tests of the product, coproduct, antipode and conversions in every basis:
+the Hopf laws and the oracle."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsym.core import QSymElement, TensorElement, convert, coproduct, multiply
-from qsym.expansion import expand, poly_mul
+from qsym.core import QSymElement, TensorElement, antipode, convert, coproduct, multiply
+from qsym.expansion import certify_equal, expand, poly_mul
 
 BASES = ("M", "L", "eta", "K")
 
@@ -36,6 +37,42 @@ def test_product_laws(basis, data):
     nvars = max(a.degree + b.degree, 1)
     lhs = expand(ab, nvars, a.degree + b.degree)
     assert lhs == poly_mul(expand(a, nvars), expand(b, nvars)), "oracle"
+
+
+def _convolve_antipode(a, on_left):
+    """m . (S (x) id) . Delta applied to a, or m . (id (x) S) . Delta."""
+    da = coproduct(a)
+    legs = da.bases[0]  # K's coproduct comes back in eta
+
+    def s(comp):
+        return antipode(QSymElement.term(legs, comp))
+
+    def same(comp):
+        return QSymElement.term(legs, comp)
+
+    return da.map_legs(*((s, same) if on_left else (same, s)), (legs, legs)).multiply_legs()
+
+
+@pytest.mark.parametrize("basis", BASES)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_antipode_laws(basis, data):
+    a = data.draw(ELEMENTS[basis])
+    counit = QSymElement.unit(basis).scale(a.counit())
+    assert certify_equal(_convolve_antipode(a, True), counit), "m (S x id) Delta = e 1"
+    assert certify_equal(_convolve_antipode(a, False), counit), "m (id x S) Delta = e 1"
+
+
+@pytest.mark.parametrize("basis", BASES)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_round_trips(basis, data):
+    """convert(convert(a, X), a.basis) == a for every X; into K only from the peak span."""
+    a = data.draw(ELEMENTS[basis])
+    peak = convert(data.draw(ELEMENTS["K"]), basis)
+    for target in BASES:
+        for x in (a, peak) if target != "K" or basis == "K" else (peak,):
+            assert convert(convert(x, target), basis) == x, target
 
 
 def _tensor_product(x, y):
