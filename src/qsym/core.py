@@ -86,14 +86,17 @@ def term_sort_key(comp: Composition):
     return (sum(comp), len(comp), comp)
 
 
+def _exact(value) -> Fraction | int:
+    """value itself when it is a Fraction or an int (not a bool), else TypeError."""
+    if isinstance(value, Fraction) or isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise TypeError(f"coefficients must be exact rationals, got {value!r}")
+
+
 def _coerce_coeff(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
-    if isinstance(value, str):
-        return Fraction(value)
-    raise TypeError(f"coefficients must be exact rationals, got {value!r}")
+    return Fraction(value if isinstance(value, str) else _exact(value))
 
 
 def format_rational(value: Fraction | int) -> str:

@@ -32,7 +32,7 @@ from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
 from .combinatorics import descent_set, peak_set_of_composition
-from .core import QSymElement, _bump, _signed_sum, format_rational
+from .core import QSymElement, _bump, _exact, _signed_sum, format_rational
 
 Monomial = tuple[tuple[int, int], ...]
 
@@ -65,7 +65,7 @@ class TruncatedPoly:
                 raise ValueError(f"variables must be strictly ascending in {key!r}")
             if _mono_degree(key) > degree:
                 raise ValueError(f"monomial {key!r} exceeds the degree bound {degree}")
-            _bump(acc, key, coeff)
+            _bump(acc, key, _exact(coeff))
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "terms", MappingProxyType(acc))
@@ -142,17 +142,20 @@ def format_poly(p: TruncatedPoly) -> str:
 # arithmetic
 
 
-def poly_add(p: TruncatedPoly, q: TruncatedPoly) -> TruncatedPoly:
+def _bound(p: TruncatedPoly, q: TruncatedPoly, complete: int) -> tuple[int, bool]:
+    """The degree bound of a sum or product of p and q, and its truncated flag:
+    the complete bound, unless a truncated operand makes the result only
+    trustworthy up to the tightest truncated bound, and flags it."""
     if p.nvars != q.nvars:
         raise ValueError(f"variable count mismatch: {p.nvars} vs {q.nvars}")
     trunc_bounds = [x.degree for x in (p, q) if x.truncated]
     if trunc_bounds:
-        # sums are only trustworthy up to the tightest truncated bound
-        bound = min(trunc_bounds)
-        flagged = True
-    else:
-        bound = max(p.degree, q.degree)
-        flagged = False
+        return min(trunc_bounds), True
+    return complete, False
+
+
+def poly_add(p: TruncatedPoly, q: TruncatedPoly) -> TruncatedPoly:
+    bound, flagged = _bound(p, q, max(p.degree, q.degree))
     acc = {key: c for key, c in p.terms.items() if _mono_degree(key) <= bound}
     for key, coeff in q.terms.items():
         if _mono_degree(key) <= bound:
@@ -161,6 +164,7 @@ def poly_add(p: TruncatedPoly, q: TruncatedPoly) -> TruncatedPoly:
 
 
 def poly_scale(p: TruncatedPoly, scalar) -> TruncatedPoly:
+    scalar = _exact(scalar)
     if isinstance(scalar, Fraction) and scalar.denominator == 1:
         scalar = scalar.numerator
     if not scalar:
@@ -213,15 +217,7 @@ def poly_mul(p: TruncatedPoly, q: TruncatedPoly) -> TruncatedPoly:
     truncated bound are unknowable: they are dropped and the result stays
     flagged, so such polynomials can never certify an identity.
     """
-    if p.nvars != q.nvars:
-        raise ValueError(f"variable count mismatch: {p.nvars} vs {q.nvars}")
-    trunc_bounds = [x.degree for x in (p, q) if x.truncated]
-    if trunc_bounds:
-        bound = min(trunc_bounds)
-        flagged = True
-    else:
-        bound = p.degree + q.degree
-        flagged = False
+    bound, flagged = _bound(p, q, p.degree + q.degree)
     width = _field_width(bound)
     # q's packed terms by degree, so each p term meets only the q terms
     # whose product stays within the bound; a term above the bound (of a

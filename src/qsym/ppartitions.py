@@ -16,15 +16,17 @@ On a chain the conditions between neighbours imply all the others, and
 they read the labels only through whether each step goes up.  So a
 chain's gamma depends only on that up-down pattern, the weights along
 the chain and the alphabet, and it is cached by exactly that key.  The
-enriched P-partitions of any other poset split disjointly over its linear
+enriched P-partitions of any poset split disjointly over its linear
 extensions (Stembridge's fundamental lemma), so its gamma is the sum of
-the chain functions of its extensions.
+the chain functions of its extensions.  gamma counts their chain keys in
+one pass over order ideals, level by level: each state (ideal, last
+vertex, up-steps so far, weights so far) holds its number of extension
+prefixes, and equal states merge.  Each distinct key's chain function is
+then added once, times its count; a chain is the case with one key.
 """
 
 from __future__ import annotations
 
-import math
-from collections import Counter
 from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -372,34 +374,10 @@ def enumerate_assignments(
 # ---------------------------------------------------------------------------
 # generating functions
 
-# gamma of a non-chain poset enumerates its linear extensions; past this
-# many it refuses instead of running for minutes (an antichain of n has n!).
+# gamma counts the prefixes of linear extensions level by level; past this
+# many on one level it refuses instead of running for minutes (an antichain
+# of n has n! extensions).
 _EXTENSION_LIMIT = 10**5
-
-
-def _over_extension_limit(poset: LabelledWeightedPoset) -> bool:
-    """Whether the poset has more than _EXTENSION_LIMIT linear extensions,
-    sized level by level over order ideals without walking any extension.
-
-    Level k maps each order ideal I of k vertices to e(I), its number of
-    linear extensions, so the level's sum is the number of length-k
-    prefixes of linear extensions of the poset.  Each prefix extends to a
-    different linear extension, so no level sums to more than e(P), and
-    the last level sums to e(P): the first level past the limit refuses.
-    """
-    preds = poset._predecessor_masks()
-    level = {0: 1}
-    for _ in range(poset.n):
-        nxt: dict[int, int] = {}
-        for ideal, count in level.items():
-            for v in range(1, poset.n + 1):
-                if not ideal >> v & 1 and preds[v] & ideal == preds[v]:
-                    grown = ideal | 1 << v
-                    nxt[grown] = nxt.get(grown, 0) + count
-        if sum(nxt.values()) > _EXTENSION_LIMIT:
-            return True
-        level = nxt
-    return False
 
 
 def gamma(
@@ -410,32 +388,45 @@ def gamma(
     """Sum of prod_i x_|f(i)|^weight(i) over all enriched assignments into Z.
 
     The result lives in x_1..x_nvars (default: the largest magnitude in Z)
-    with degree bound equal to the total weight.  A chain returns its
-    shared cached result; otherwise each distinct chain key among the
-    linear extensions is added once, times its count.  Refused when the
-    poset has more than _EXTENSION_LIMIT linear extensions; a poset whose
-    n! passes that limit is sized before any extension is walked.
+    with degree bound equal to the total weight, by the one pass over order
+    ideals that the module docstring describes.  Level k of it counts the
+    extension prefixes of length k, no more than the poset's linear
+    extensions, so it refuses as soon as a level counts past
+    _EXTENSION_LIMIT: exactly when the poset has more extensions than that.
     """
     zs = _check_alphabet(alphabet)
     nvars = _check_nvars(zs, nvars)
-
-    def chain_key(word: tuple) -> tuple:
-        return _up_steps(word), tuple(poset.weights[label - 1] for label in word)
-
-    chain = poset.chain_order()
-    if chain is not None:
-        return _gamma_chain(*chain_key(chain), zs, nvars)
-    if math.factorial(poset.n) > _EXTENSION_LIMIT and _over_extension_limit(poset):
-        raise ValueError(
-            f"the poset has more than {_EXTENSION_LIMIT} linear extensions, "
-            "the limit for gamma"
-        )
-    keys = Counter(map(chain_key, poset.linear_extensions()))
+    n, weights = poset.n, poset.weights
+    preds = poset._predecessor_masks()
+    level = {(0, 0, (), ()): 1}
+    for _ in range(n):
+        nxt: dict = {}
+        total = 0
+        for (ideal, last, ups, ws), count in level.items():
+            for v in range(1, n + 1):
+                if not ideal >> v & 1 and preds[v] & ideal == preds[v]:
+                    total += count
+                    if total > _EXTENSION_LIMIT:
+                        raise ValueError(
+                            f"the poset has more than {_EXTENSION_LIMIT} linear "
+                            "extensions, the limit for gamma"
+                        )
+                    state = (
+                        ideal | 1 << v,
+                        v,
+                        ups + (last < v,) if last else ups,
+                        ws + (weights[v - 1],),
+                    )
+                    nxt[state] = nxt.get(state, 0) + count
+        level = nxt
+    keys: dict = {}
+    for (_, _, ups, ws), count in level.items():
+        keys[ups, ws] = keys.get((ups, ws), 0) + count
     acc: dict = {}
-    for key, count in keys.items():
-        for mono, c in _gamma_chain(*key, zs, nvars).terms.items():
+    for (ups, ws), count in keys.items():
+        for mono, c in _gamma_chain(ups, ws, zs, nvars).terms.items():
             acc[mono] = acc.get(mono, 0) + count * c
-    return _raw_poly(nvars, sum(poset.weights), acc)
+    return _raw_poly(nvars, sum(weights), acc)
 
 
 def _check_nvars(zs: tuple, nvars: int | None) -> int:
@@ -448,11 +439,6 @@ def _check_nvars(zs: tuple, nvars: int | None) -> int:
     if top > nvars:
         raise ValueError(f"alphabet magnitude {top} exceeds the variable count {nvars}")
     return nvars
-
-
-def _up_steps(word: tuple) -> tuple:
-    """Whether the labels rise at each step along a chain."""
-    return tuple(a < b for a, b in zip(word, word[1:]))
 
 
 @lru_cache(maxsize=4096)
@@ -517,7 +503,8 @@ def universal_gamma(
     word, parts = _check_weighted_word(pi, alpha)
     zs = _check_alphabet(alphabet)
     nvars = _check_nvars(zs, nvars)
-    return _gamma_chain(_up_steps(word), parts, zs, nvars)
+    ups = tuple(a < b for a, b in zip(word, word[1:]))
+    return _gamma_chain(ups, parts, zs, nvars)
 
 
 def universal_to_eta(pi: Iterable[int], alpha: Iterable[int]) -> QSymElement:

@@ -24,6 +24,7 @@ from .combinatorics import (
     identity_permutation,
     reversed_identity,
     shuffles,
+    subsets,
 )
 from .core import (
     K_of_permutation,
@@ -406,8 +407,6 @@ def check_signed_subset_sum(max_degree: int | None = None) -> CheckResult:
     """The inclusion-exclusion kernel, exhaustively over subsets of [5]."""
     universe = (1, 2, 3, 4, 5)
     r = _Recorder()
-    from .combinatorics import subsets
-
     for s in subsets(universe):
         for t in subsets(universe):
             got = signed_subset_sum(s, t)

@@ -327,6 +327,21 @@ def test_poly_construction_validation():
         TruncatedPoly(2, 1, {((1, 2),): 1})  # above the bound
 
 
+@pytest.mark.parametrize("coeff", (0.5, 1.0, True, "1/2", None))
+def test_poly_coefficients_must_be_exact(coeff):
+    p = TruncatedPoly(1, 1, {((1, 1),): Fraction(1, 2)})
+    builds = [lambda: TruncatedPoly(1, 1, {((1, 1),): coeff}), lambda: poly_scale(p, coeff)]
+    if not isinstance(coeff, str):  # QSymElement reads strings as rationals
+        builds.append(lambda: QSymElement.term("M", (1,), coeff))
+    for build in builds:
+        with pytest.raises(TypeError) as err:
+            build()
+        assert str(err.value) == f"coefficients must be exact rationals, got {coeff!r}"
+    for exact in (3, Fraction(1, 4)):
+        assert dict(poly_scale(p, exact).terms) == {((1, 1),): exact / 2}
+        assert TruncatedPoly(1, 1, {((1, 1),): exact}).to_json_dict()["terms"]
+
+
 def test_poly_arithmetic_bounds():
     p = TruncatedPoly(2, 2, {((1, 2),): 1})
     q = TruncatedPoly(2, 1, {((2, 1),): 2})

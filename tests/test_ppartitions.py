@@ -281,6 +281,8 @@ def test_gamma_sizes_wide_posets_before_walking_any_extension(monkeypatch):
         patch.setattr(LabelledWeightedPoset, "linear_extensions", walk)
         with pytest.raises(ValueError, match="more than 100000 linear extensions"):
             gamma(LabelledWeightedPoset(9), (1,))
+        with pytest.raises(ValueError, match="more than 100000 linear extensions"):
+            gamma(LabelledWeightedPoset(30), (1,))
     # chains of 4 and 5 side by side: 9 vertices, C(9, 4) = 126 extensions
     two_chains = _disjoint_union(chain_poset((2, 1, 3, 4)), chain_poset((1, 3, 2, 5, 4)))
     assert two_chains.n == 9
@@ -547,6 +549,44 @@ def test_gamma_of_a_disjoint_union_is_the_product():
     assert antichain == LabelledWeightedPoset(6)
     got = gamma(antichain, zs)
     assert got == product and got.degree == product.degree == 6
+
+
+def _extension_sum(poset, zs, nvars):
+    """gamma by Stembridge's lemma read literally: universal_gamma summed
+    over every linear extension, with the weights read along it."""
+    acc = {}
+    for word in poset.linear_extensions():
+        alpha = [poset.weight(label) for label in word]
+        for mono, c in universal_gamma(word, alpha, zs, nvars).terms.items():
+            acc[mono] = acc.get(mono, 0) + c
+    return TruncatedPoly(nvars, sum(poset.weights), acc)
+
+
+def test_gamma_equals_the_extension_sum_on_seeded_posets():
+    rng = random.Random(12)
+
+    def weights(n):
+        return [rng.choice((1, 2)) for _ in range(n)]
+
+    fan = LabelledWeightedPoset(8, [(1, j) for j in range(2, 9)], weights(8))
+    two_chains = _disjoint_union(
+        weighted_chain((2, 4, 1, 3), weights(4)), weighted_chain((3, 1, 2, 4), weights(4))
+    )
+    posets = [fan, two_chains]
+    for n in (7, 7, 7, 8, 8, 8):
+        theta = list(range(1, n + 1))
+        rng.shuffle(theta)
+        relations = [
+            (theta[i], theta[j]) for i, j in itertools.combinations(range(n), 2)
+            if rng.random() < 0.3
+        ]
+        posets.append(LabelledWeightedPoset(n, relations, weights(n)))
+    for poset in posets:
+        for zs in (positive_alphabet(2), signed_alphabet(2)):
+            assert gamma(poset, zs) == _extension_sum(poset, zs, 2)
+    antichain = LabelledWeightedPoset(8)
+    assert gamma(antichain, (1,)) == _extension_sum(antichain, (1,), 1)
+    assert dict(gamma(antichain, (1,)).terms) == {((1, 8),): 1}  # every vertex at 1
 
 
 @pytest.mark.parametrize("n", range(1, 6))
