@@ -189,6 +189,8 @@ def odd_composition_of_peak_set(n: int, s: Iterable[int]) -> Composition:
     >>> odd_composition_of_peak_set(3, (2,))
     (3,)
     """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     elems = sorted(s)
     if not is_peak_lacunar(elems):
         raise ValueError(f"{tuple(elems)!r} is not peak-lacunar")

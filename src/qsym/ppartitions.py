@@ -23,6 +23,10 @@ one pass over order ideals, level by level: each state (ideal, last
 vertex, up-steps so far, weights so far) holds its number of extension
 prefixes, and equal states merge.  Each distinct key's chain function is
 then added once, times its count; a chain is the case with one key.
+
+A poset stores its order once, as one closed predecessor bitmask per
+vertex: the walks above read those masks, and relations and covers are
+derived from them on demand.
 """
 
 from __future__ import annotations
@@ -80,7 +84,7 @@ def _check_alphabet(alphabet: Iterable[SignedValue]) -> tuple[SignedValue, ...]:
 def _sorted_alphabet(alphabet: Iterable[SignedValue]) -> tuple[SignedValue, ...]:
     values = set()
     for z in alphabet:
-        if not isinstance(z, int) or isinstance(z, bool) or z == 0:
+        if not _is_int(z) or z == 0:
             raise ValueError(f"alphabet entries must be nonzero ints, got {z!r}")
         values.add(z)
     return tuple(sorted(values, key=signed_order_key))
@@ -93,14 +97,23 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _bits(mask: int) -> list[int]:
+    """The positions of the set bits of mask, lowest first."""
+    return [i for i, bit in enumerate(reversed(bin(mask))) if bit == "1"]
+
+
 class LabelledWeightedPoset:
     """A strict partial order on labels 1..n with a positive weight per vertex.
 
-    Relations are stored transitively closed; construction rejects cycles.
-    Instances are immutable and hashable.
+    The order is stored closed, as predecessor bitmasks: bit i of _preds[j]
+    is set exactly when i <_P j, and _preds[0] is 0.  Warshall's algorithm
+    closes it over the vertices with predecessors only (no other vertex gains
+    or passes on any), so an antichain costs one pass over its labels and a
+    chain n^2 int operations.  Construction rejects cycles; instances are
+    immutable and hashable.
     """
 
-    __slots__ = ("n", "weights", "_less")
+    __slots__ = ("n", "weights", "_preds")
 
     def __init__(
         self,
@@ -108,8 +121,8 @@ class LabelledWeightedPoset:
         relations: Iterable[tuple[int, int]] = (),
         weights: Sequence[int] | None = None,
     ):
-        if n < 0:
-            raise ValueError("n must be nonnegative")
+        if not _is_int(n) or n < 0:
+            raise ValueError(f"n must be a nonnegative int, got {n!r}")
         if weights is None:
             weights = (1,) * n
         weights = tuple(weights)
@@ -117,37 +130,36 @@ class LabelledWeightedPoset:
             raise ValueError(f"expected {n} weights, got {len(weights)}")
         if any(not _is_int(w) or w < 1 for w in weights):
             raise ValueError("weights must be positive integers")
-        succ: dict[int, set[int]] = {v: set() for v in range(1, n + 1)}
+        preds = [0] * (n + 1)
         for i, j in relations:
-            if not (1 <= i <= n and 1 <= j <= n):
+            if not (_is_int(i) and _is_int(j) and 1 <= i <= n and 1 <= j <= n):
                 raise ValueError(f"relation ({i}, {j}) outside labels 1..{n}")
             if i == j:
                 raise ValueError(f"relation ({i}, {j}) is reflexive")
-            succ[i].add(j)
-        for k in range(1, n + 1):
-            for i in range(1, n + 1):
-                if k in succ[i]:
-                    succ[i] |= succ[k]
-        for v in range(1, n + 1):
-            if v in succ[v]:
-                raise ValueError("relations contain a cycle; not a partial order")
-        less = frozenset((i, j) for i in succ for j in succ[i])
+            preds[j] |= 1 << i
+        inner = [v for v in range(1, n + 1) if preds[v]]
+        for k in inner:
+            for j in inner:
+                if preds[j] >> k & 1:
+                    preds[j] |= preds[k]
+        if any(preds[v] >> v & 1 for v in inner):
+            raise ValueError("relations contain a cycle; not a partial order")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "_less", less)
+        object.__setattr__(self, "_preds", tuple(preds))
 
     def __setattr__(self, name, value):
         raise AttributeError("LabelledWeightedPoset is immutable")
 
     def less(self, i: int, j: int) -> bool:
-        return (i, j) in self._less
+        return 0 < i <= self.n and 0 < j <= self.n and self._preds[j] >> i & 1 == 1
 
     def comparable(self, i: int, j: int) -> bool:
-        return (i, j) in self._less or (j, i) in self._less
+        return self.less(i, j) or self.less(j, i)
 
     @property
     def relations(self) -> frozenset:
-        return self._less
+        return frozenset((i, j) for j, mask in enumerate(self._preds) for i in _bits(mask))
 
     def weight(self, i: int) -> int:
         return self.weights[i - 1]
@@ -162,33 +174,28 @@ class LabelledWeightedPoset:
 
     def covers(self) -> list[tuple[int, int]]:
         """Covering relations: i < j with no k strictly between."""
-        return sorted(
-            (i, j)
-            for i, j in self._less
-            if not any((i, k) in self._less and (k, j) in self._less for k in range(1, self.n + 1))
-        )
+        preds = self._preds
+        out = []
+        for j, mask in enumerate(preds):
+            below = 0
+            for i in _bits(mask):
+                below |= preds[i]
+            out.extend((i, j) for i in _bits(mask & ~below))
+        return sorted(out)
 
     def with_relation(self, i: int, j: int) -> "LabelledWeightedPoset":
         if self.less(j, i):
             raise ValueError(f"adding {i} < {j} would contradict {j} < {i}")
-        return LabelledWeightedPoset(self.n, list(self._less) + [(i, j)], self.weights)
+        return LabelledWeightedPoset(self.n, self.covers() + [(i, j)], self.weights)
 
     def linear_extension(self) -> tuple[int, ...]:
         """Smallest-label-first topological order."""
         return next(self.linear_extensions())
 
-    def _predecessor_masks(self) -> list[int]:
-        """Entry j has bit i set exactly when i < j; entry 0 is unused."""
-        preds = [0] * (self.n + 1)
-        for i, j in self._less:
-            preds[j] |= 1 << i
-        return preds
-
     def linear_extensions(self) -> Iterator[tuple[int, ...]]:
         """Every linear extension, in lexicographic order of the label words:
         depth first, testing each label's predecessor bitmask."""
-        n = self.n
-        preds = self._predecessor_masks()
+        n, preds = self.n, self._preds
 
         def rec(word: tuple, placed: int) -> Iterator[tuple[int, ...]]:
             if len(word) == n:
@@ -202,31 +209,21 @@ class LabelledWeightedPoset:
     def chain_order(self) -> tuple[int, ...] | None:
         """The labels along the chain when the order is total, else None.
 
-        An order is total exactly when all n(n-1)/2 pairs are related; then
-        the vertex with k successors sits k places from the top.
+        The order is total exactly when the predecessor counts are 0..n-1,
+        each once; then the vertex with k predecessors sits at place k.
         """
-        n = self.n
-        if len(self._less) != n * (n - 1) // 2:
-            return None
-        order = [0] * n
-        successors = [0] * (n + 1)
-        for i, _ in self._less:
-            successors[i] += 1
-        for v in range(1, n + 1):
-            order[n - 1 - successors[v]] = v
-        return tuple(order)
+        order = [0] * self.n
+        for v in range(1, self.n + 1):
+            order[self._preds[v].bit_count()] = v
+        return None if 0 in order else tuple(order)
 
     def __eq__(self, other):
         if not isinstance(other, LabelledWeightedPoset):
             return NotImplemented
-        return (
-            self.n == other.n
-            and self.weights == other.weights
-            and self._less == other._less
-        )
+        return (self.weights, self._preds) == (other.weights, other._preds)
 
     def __hash__(self):
-        return hash((self.n, self.weights, self._less))
+        return hash((self.weights, self._preds))
 
     def __repr__(self):
         return (
@@ -312,7 +309,8 @@ def is_enriched_partition(
     if len(values) != poset.n:
         raise ValueError(f"expected {poset.n} values, got {len(values)}")
     for v in values:
-        signed_order_key(v)  # validates nonzero
+        if not _is_int(v) or v == 0:
+            raise ValueError(f"values must be nonzero ints, got {v!r}")
     return all(
         _respects(i, j, values[i - 1], values[j - 1]) for i, j in poset.relations
     )
@@ -324,24 +322,19 @@ def _assignments(poset: LabelledWeightedPoset, zs: tuple) -> Iterator[Assignment
     Depth-first along a linear extension, pruning a value as soon as it
     breaks a relation to an already-assigned vertex.
     """
-    n = poset.n
+    n, preds = poset.n, poset._preds
     order = poset.linear_extension()
-    preds = [
-        [j for j in range(k) if poset.less(order[j], order[k])] for k in range(n)
-    ]
-    vals: list[SignedValue] = [0] * n
+    vals: list[SignedValue] = [0] * (n + 1)  # by label; entry 0 is unused
 
     def rec(k: int) -> Iterator[Assignment]:
         if k == n:
-            by_label = [0] * n
-            for pos, label in enumerate(order):
-                by_label[label - 1] = vals[pos]
-            yield tuple(by_label)
+            yield tuple(vals[1:])
             return
         label = order[k]
+        below = _bits(preds[label])
         for z in zs:
-            if all(_respects(order[j], label, vals[j], z) for j in preds[k]):
-                vals[k] = z
+            if all(_respects(i, label, vals[i], z) for i in below):
+                vals[label] = z
                 yield from rec(k + 1)
 
     return rec(0)
@@ -397,7 +390,7 @@ def gamma(
     zs = _check_alphabet(alphabet)
     nvars = _check_nvars(zs, nvars)
     n, weights = poset.n, poset.weights
-    preds = poset._predecessor_masks()
+    preds = poset._preds
     level = {(0, 0, (), ()): 1}
     for _ in range(n):
         nxt: dict = {}

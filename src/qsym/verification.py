@@ -56,6 +56,7 @@ from .ppartitions import (
 )
 
 _SEED = 20260810
+_COPRODUCT_SAMPLES = 20  # random elements whose coproduct check_eta_coproduct splits
 _MAX_REPORTED = 5
 
 
@@ -195,7 +196,7 @@ def check_eta_product_rule(max_degree: int | None = None) -> CheckResult:
     return r.result(f"eta product rule (|a|+|b| <= {top})", "products certified")
 
 
-def check_eta_coproduct(max_degree: int | None = None, samples: int = 20) -> CheckResult:
+def check_eta_coproduct(max_degree: int | None = None) -> CheckResult:
     """Deconcatenation coproduct of eta, against the M route and the oracle."""
     top = _cap(6, max_degree)
     r = _Recorder()
@@ -208,7 +209,7 @@ def check_eta_coproduct(max_degree: int | None = None, samples: int = 20) -> Che
             r.check(lhs == rhs, f"coproduct(eta_{alpha}) through M")
     rng = random.Random(_SEED)
     degree_cap = _cap(5, max_degree)
-    for _ in range(samples):
+    for _ in range(_COPRODUCT_SAMPLES):
         elem = _random_element(rng, degree_cap)
         d = max(elem.degree, 1)
         # the alphabet x1, x2 | x3, x4 split into two blocks of two
@@ -228,7 +229,7 @@ def check_eta_coproduct(max_degree: int | None = None, samples: int = 20) -> Che
         ok = lhs.terms == _sum_terms(pieces) and not any(p.truncated for p in pieces)
         r.check(ok, f"alphabet split of {elem}")
     return r.result(
-        f"eta coproduct (n <= {top}) + {samples} alphabet splits", "coproducts"
+        f"eta coproduct (n <= {top}) + {_COPRODUCT_SAMPLES} alphabet splits", "coproducts"
     )
 
 

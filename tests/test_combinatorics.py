@@ -83,6 +83,8 @@ def test_odd_composition_of_peak_set():
         odd_composition_of_peak_set(5, (2, 3))
     with pytest.raises(ValueError):
         odd_composition_of_peak_set(5, (1,))
+    with pytest.raises(ValueError, match="n must be nonnegative"):
+        odd_composition_of_peak_set(-3, ())
 
 
 def _fibonacci(k):

@@ -61,6 +61,10 @@ def test_poset_construction():
         LabelledWeightedPoset(2, [(1, 3)])
     with pytest.raises(ValueError):
         LabelledWeightedPoset(2, weights=(1, 0))
+    with pytest.raises(ValueError, match="nonnegative int, got True"):
+        LabelledWeightedPoset(True)
+    with pytest.raises(ValueError, match=r"relation \(1.0, 2\) outside labels 1..2"):
+        LabelledWeightedPoset(2, [(1.0, 2)])
 
 
 def test_poset_json_round_trip():
@@ -162,6 +166,9 @@ def test_is_enriched_partition():
     assert not is_enriched_partition(up, (-1, -1))
     with pytest.raises(ValueError):
         is_enriched_partition(up, (1,))
+    for bad in (1.5, True, 0):
+        with pytest.raises(ValueError, match="values must be nonzero ints"):
+            is_enriched_partition(LabelledWeightedPoset(1), [bad])
 
 
 def test_enumerate_assignments_small():
@@ -455,6 +462,49 @@ def _respecting_words(poset):
         for word in itertools.permutations(range(1, poset.n + 1))
         if all(word.index(i) < word.index(j) for i, j in poset.relations)
     ]
+
+
+def _closure(pairs):
+    """The transitive closure of a relation set, by adding composites until none is new."""
+    closed = set(pairs)
+    while True:
+        new = {(i, k) for i, j in closed for j2, k in closed if j == j2} - closed
+        if not new:
+            return frozenset(closed)
+        closed |= new
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_poset_queries_match_a_brute_force_closure(n):
+    labels = range(1, n + 1)
+    pairs = list(itertools.permutations(labels, 2))
+    for chosen in itertools.product((False, True), repeat=len(pairs)):
+        given = list(itertools.compress(pairs, chosen))
+        closed = _closure(given)
+        if any((v, v) in closed for v in labels):
+            with pytest.raises(ValueError, match="cycle"):
+                LabelledWeightedPoset(n, given)
+        else:
+            assert LabelledWeightedPoset(n, given).relations == closed
+    for poset in _every_poset(n):
+        closed = _closure(poset.covers())
+        assert poset.relations == closed
+        assert poset.covers() == sorted(
+            (i, j) for i, j in closed
+            if not any((i, k) in closed and (k, j) in closed for k in labels)
+        )
+        for i, j in itertools.product(range(-1, n + 2), repeat=2):
+            assert poset.less(i, j) == ((i, j) in closed)
+            assert poset.comparable(i, j) == ((i, j) in closed or (j, i) in closed)
+        assert poset.incomparable_pairs() == [
+            (i, j) for i, j in itertools.combinations(labels, 2)
+            if (i, j) not in closed and (j, i) not in closed
+        ]
+        below = {v: sum((u, v) in closed for u in labels) for v in labels}
+        total = len(closed) == n * (n - 1) // 2
+        assert poset.chain_order() == (tuple(sorted(labels, key=below.get)) if total else None)
+        rebuilt = LabelledWeightedPoset(n, poset.covers(), poset.weights)
+        assert rebuilt == poset and hash(rebuilt) == hash(poset)
 
 
 @pytest.mark.parametrize("n", range(5))
