@@ -51,8 +51,8 @@ class TruncatedPoly:
     __slots__ = ("nvars", "degree", "terms", "truncated")
 
     def __init__(self, nvars: int, degree: int, terms: Mapping | Iterable = (), truncated: bool = False):
-        if nvars < 0 or degree < 0:
-            raise ValueError("nvars and degree must be nonnegative")
+        _check_count("nvars", nvars)
+        _check_count("degree", degree)
         items = terms.items() if isinstance(terms, Mapping) else terms
         acc: dict[Monomial, Fraction | int] = {}
         for key, coeff in items:
@@ -111,6 +111,15 @@ class TruncatedPoly:
                 for key, c in self.sorted_terms()
             ],
         }
+
+
+def _check_count(name: str, value) -> None:
+    """Refuse a variable count or degree bound that is not a nonnegative int
+    (True is an int to Python, not a count)."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if value < 0:
+        raise ValueError(f"{name} must be nonnegative, got {value}")
 
 
 def _dense_negated(key: Monomial, nvars: int) -> tuple:
@@ -284,9 +293,9 @@ def _m_coefficients(basis: str, comp: tuple) -> Mapping[tuple, int]:
 
 
 @lru_cache(maxsize=1024)
-def _m_monomials(b: tuple, nvars: int) -> tuple[Monomial, ...]:
-    """The monomials x_i1^b1 ... x_ik^bk of M_b, over i1 < ... < ik <= nvars."""
-    variables = range(1, nvars + 1)
+def _m_monomials(b: tuple, variables: tuple) -> tuple[Monomial, ...]:
+    """The monomials x_i1^b1 ... x_ik^bk of M_b over the ascending variables,
+    i1 < ... < ik, in the order of itertools.combinations."""
     return tuple(tuple(zip(idx, b)) for idx in itertools.combinations(variables, len(b)))
 
 
@@ -342,10 +351,10 @@ def expand(a: QSymElement, nvars: int, degree: int | None = None) -> TruncatedPo
     once, with no sums.  Refused past _MONOMIAL_BUDGET monomials, counted
     (C(nvars, len(b)) per b) before any is built.
     """
-    if nvars < 0:
-        raise ValueError(f"nvars must be nonnegative, got {nvars}")
+    _check_count("nvars", nvars)
     if degree is None:
         degree = a.degree
+    _check_count("degree", degree)
     if degree < a.degree:
         raise ValueError(
             f"degree bound {degree} below element degree {a.degree}; "
@@ -361,7 +370,8 @@ def expand(a: QSymElement, nvars: int, degree: int | None = None) -> TruncatedPo
         )
     if common != 1:
         coeffs = {b: Fraction(c, common) for b, c in coeffs.items()}
-    acc = {mono: c for b, c in coeffs.items() for mono in _m_monomials(b, nvars)}
+    variables = tuple(range(1, nvars + 1))
+    acc = {mono: c for b, c in coeffs.items() for mono in _m_monomials(b, variables)}
     return _raw_poly(nvars, degree, acc)
 
 

@@ -15,7 +15,14 @@ enriched monomial quasisymmetric functions.
 On a chain the conditions between neighbours imply all the others, and
 they read the labels only through whether each step goes up.  So a
 chain's gamma depends only on that up-down pattern, the weights along
-the chain and the alphabet, and it is cached by exactly that key.  The
+the chain and the alphabet, and it is cached by exactly that key.  It is
+counted block by block: the magnitudes weakly increase along the chain
+and cut it into blocks of equal magnitude, whose weights give the
+monomial's exponents, so each monomial is written once.  Inside a block
+the signs run -...-+..., a tie at -m needs a down-step and a tie at +m an
+up-step, so the block takes m in 1 way (Z holds one sign of m and the
+block never steps against it), 2 ways (Z holds both and the block has no
+peak inside) or none.  The
 enriched P-partitions of any poset split disjointly over its linear
 extensions (Stembridge's fundamental lemma), so its gamma is the sum of
 the chain functions of its extensions.  gamma counts their chain keys in
@@ -31,6 +38,8 @@ derived from them on demand.
 
 from __future__ import annotations
 
+import itertools
+import operator
 from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -45,7 +54,7 @@ from .combinatorics import (
     subsets,
 )
 from .core import QSymElement
-from .expansion import TruncatedPoly, _field_width, _raw_poly, _unpack
+from .expansion import TruncatedPoly, _check_count, _m_monomials, _raw_poly
 
 SignedValue = int  # nonzero: -n is (-, n), +n is (+, n)
 
@@ -423,58 +432,108 @@ def gamma(
 
 
 def _check_nvars(zs: tuple, nvars: int | None) -> int:
-    """The variable count for a checked alphabet (default: its largest magnitude)."""
-    top = max((abs(z) for z in zs), default=0)
+    """The variable count for a checked alphabet (default: its largest
+    magnitude, the last one's, since signed order sorts by magnitude first)."""
+    top = abs(zs[-1]) if zs else 0
     if nvars is None:
         return top
-    if nvars < 0:
-        raise ValueError(f"nvars must be nonnegative, got {nvars}")
+    _check_count("nvars", nvars)
     if top > nvars:
         raise ValueError(f"alphabet magnitude {top} exceeds the variable count {nvars}")
     return nvars
 
 
+# Sign sets of one magnitude in an alphabet, as bits: only -m, only +m, both.
+_MINUS, _PLUS, _BOTH = 1, 2, 4
+
+
+def _blocks(ups: tuple, ws: tuple, start: int, kinds: int) -> Iterator[tuple[int, int, int]]:
+    """(vertex after the block, block weight, the sign sets that cannot take
+    the block) for each block of the chain that starts at vertex start, as
+    long as some sign set in kinds can take it."""
+    killed = b = 0
+    for end in range(start, len(ws)):
+        if end > start:
+            if ups[end - 1]:
+                killed |= _MINUS
+            else:  # a down-step after an up-step is a peak
+                killed |= _PLUS | (_BOTH if killed & _MINUS else 0)
+            if not kinds & ~killed:
+                return
+        b += ws[end]
+        yield end + 1, b, killed
+
+
 @lru_cache(maxsize=4096)
 def _gamma_chain(ups: tuple, ws: tuple, zs: tuple, nvars: int) -> TruncatedPoly:
-    """gamma of a chain by a transfer-matrix pass along it.
+    """gamma of a chain, one block of equal magnitudes at a time.
 
     ups[k] says whether the labels rise from chain vertex k to k+1, and
-    ws[k] is the weight of vertex k.  Conditions between neighbours imply
-    the rest (a tie across several steps is a tie at each step, of one
-    sign), and a tie between neighbours is allowed exactly when its sign
-    matches their direction, so the labels drop out: chains with one
-    pattern and one weight sequence share one cache entry.
+    ws[k] is the weight of vertex k.  Along a chain the values weakly
+    increase, and a tie between neighbours is allowed exactly when its sign
+    matches their direction: -m to -m needs the labels to go down, +m to +m
+    needs them to go up, and -m to +m is free.  So the labels drop out, and
+    chains with one pattern and one weight sequence share one cache entry.
 
-    For consecutive chain vertices the allowed previous values form a
-    prefix of the signed order (plus an equality case depending on the
-    direction), so one running prefix sum per step replaces the |Z|^2
-    transition scan.  States are keyed by packed monomials, so assigning
-    value z to a vertex of weight w adds w << shift[z].
+    The magnitudes weakly increase, so they cut the chain into consecutive
+    blocks of equal magnitude m_1 < ... < m_k, and the monomial is
+    x_m1^b1 ... x_mk^bk with b_j the weight of block j.  Weights are
+    positive, so b fixes the cut set: each (cut set, magnitudes) pair is a
+    monomial of its own.  Inside a block the signs run -...-+...+, so the
+    block takes m in
+      1 way if Z holds only +m and the block never goes down,
+      1 way if Z holds only -m and the block never goes up,
+      2 ways if Z holds both and no up-step comes before a down-step
+        (the sign changes at the valley's last down-step or just after it),
+    and none otherwise.  Each condition, once false, stays false as the
+    block grows, so the walk over cut sets stops extending a block as soon
+    as no magnitude of Z can take it, and stops cutting once the blocks use
+    up Z's magnitudes.  When every magnitude carries the same signs, a cut
+    set's coefficient, the product of its block counts, is written at once
+    on the monomials of M_b over Z's magnitudes.  Otherwise each block
+    picks its magnitude as the walk goes, and the counts multiply.
     """
     if not ws:
         return _raw_poly(nvars, 0, {(): 1})
-    degree = sum(ws)
-    width = _field_width(degree)
-    shift = {z: (abs(z) - 1) * width for z in zs}
-    states: list[dict] = [{ws[0] << shift[z]: 1} for z in zs]
-    for eq_positive, w in zip(ups, ws[1:]):
-        running: dict = {}
-        new_states: list[dict] = []
-        for z, state in zip(zs, states):
-            step = w << shift[z]
-            new = {key + step: c for key, c in running.items()}
-            if (z > 0) == eq_positive:
-                for key, c in state.items():
-                    new[key + step] = new.get(key + step, 0) + c
-            new_states.append(new)
-            for key, c in state.items():
-                running[key] = running.get(key, 0) + c
-        states = new_states
+    signs: dict[int, int] = {}
+    for z in zs:
+        signs[abs(z)] = signs.get(abs(z), 0) | (_MINUS if z < 0 else _PLUS)
+    kind = {m: _BOTH if s == _MINUS | _PLUS else s for m, s in signs.items()}
+    mags = tuple(sorted(kind))
+    kinds = sum(set(kind.values()))  # distinct bits: their sum is their union
+    n = len(ws)
     acc: dict = {}
-    for state in states:
-        for key, c in state.items():
-            acc[key] = acc.get(key, 0) + c
-    return _raw_poly(nvars, degree, {_unpack(key, width): c for key, c in acc.items()})
+    if not kinds & (kinds - 1):  # one sign set for every magnitude
+        per_block = 2 if kinds == _BOTH else 1
+        stack = [(0, ())]  # (first vertex of the next block, block weights so far)
+        while stack:
+            start, bs = stack.pop()
+            for nxt, b, _ in _blocks(ups, ws, start, kinds):
+                if nxt == n:
+                    monos = _m_monomials(bs + (b,), mags)
+                    acc.update(dict.fromkeys(monos, per_block ** (len(bs) + 1)))
+                elif len(bs) + 1 < len(mags):
+                    stack.append((nxt, bs + (b,)))
+    else:  # each block picks its magnitude as the walk goes
+        # by kill mask, then by index j: (index, magnitude, ways) for the
+        # magnitudes from mags[j] on that can take such a block
+        takers: dict = {}
+        stack = [(0, 0, 1, ())]  # (next vertex, next magnitude index, count, monomial)
+        while stack:
+            start, j, count, mono = stack.pop()
+            for nxt, b, killed in _blocks(ups, ws, start, kinds):
+                if killed not in takers:
+                    fit = [
+                        (i, m, 2 if kind[m] == _BOTH else 1)
+                        for i, m in enumerate(mags) if not killed & kind[m]
+                    ]
+                    takers[killed] = [[t for t in fit if t[0] >= lo] for lo in range(len(mags))]
+                for i, m, ways in takers[killed][j]:
+                    if nxt == n:
+                        acc[mono + ((m, b),)] = count * ways
+                    elif i + 1 < len(mags):
+                        stack.append((nxt, i + 1, count * ways, mono + ((m, b),)))
+    return _raw_poly(nvars, sum(ws), acc)
 
 
 def universal_gamma(
@@ -496,7 +555,7 @@ def universal_gamma(
     word, parts = _check_weighted_word(pi, alpha)
     zs = _check_alphabet(alphabet)
     nvars = _check_nvars(zs, nvars)
-    ups = tuple(a < b for a, b in zip(word, word[1:]))
+    ups = tuple(map(operator.lt, word, word[1:]))
     return _gamma_chain(ups, parts, zs, nvars)
 
 

@@ -325,6 +325,24 @@ def test_poly_construction_validation():
         TruncatedPoly(2, 3, {((1, 0),): 1})  # zero exponent
     with pytest.raises(ValueError):
         TruncatedPoly(2, 1, {((1, 2),): 1})  # above the bound
+    with pytest.raises(ValueError, match="nvars must be nonnegative, got -1"):
+        TruncatedPoly(-1, 1)
+    with pytest.raises(ValueError, match="degree must be nonnegative, got -2"):
+        TruncatedPoly(2, -2)
+
+
+@pytest.mark.parametrize("count", (2.0, 1.5, True, False, None, "2"))
+def test_counts_must_be_ints(count):
+    """nvars and degree bounds are ints, never floats or bools."""
+    with pytest.raises(ValueError, match=f"nvars must be an int, got {count!r}"):
+        TruncatedPoly(count, 1)
+    with pytest.raises(ValueError, match=f"degree must be an int, got {count!r}"):
+        TruncatedPoly(2, count)
+    with pytest.raises(ValueError, match=f"nvars must be an int, got {count!r}"):
+        expand(M(1, 2), count)
+    if count is not None:  # None asks for the element's degree
+        with pytest.raises(ValueError, match=f"degree must be an int, got {count!r}"):
+            expand(M(1, 2), 2, count)
 
 
 @pytest.mark.parametrize("coeff", (0.5, 1.0, True, "1/2", None))

@@ -267,6 +267,11 @@ def test_gamma_degenerate_cases():
             gamma(LabelledWeightedPoset(2), (), nvars)
         with pytest.raises(ValueError, match="nonnegative"):
             universal_gamma((1,), (1,), (), nvars)
+    for nvars in (2.0, True, "2"):
+        with pytest.raises(ValueError, match=f"nvars must be an int, got {nvars!r}"):
+            gamma(LabelledWeightedPoset(2), (1, 2), nvars=nvars)
+        with pytest.raises(ValueError, match=f"nvars must be an int, got {nvars!r}"):
+            universal_gamma((1, 2), (1, 1), (1, 2), nvars)
 
 
 def test_gamma_refuses_past_the_extension_limit(monkeypatch):
@@ -382,8 +387,8 @@ def test_gamma_chain_matches_dfs():
         word = list(range(1, n + 1))
         rng.shuffle(word)
         _chain_against_dfs(tuple(word), tuple(rng.randint(1, 3) for _ in range(n)))
-    # all the weight on one variable: an exponent equals the degree bound,
-    # at the bit-length boundaries of the packed exponent fields
+    # one block takes the whole chain at the top magnitude, so an exponent
+    # equals the degree bound, for bounds on both sides of powers of two
     for degree in (1, 2, 3, 4, 7, 8, 15, 16):
         n = min(degree, 3)
         alpha = (degree - n + 1,) + (1,) * (n - 1)
@@ -392,6 +397,44 @@ def test_gamma_chain_matches_dfs():
         assert pos.terms[top] > 0 and sgn.terms[top] > 0
         pos, sgn = _chain_against_dfs(tuple(range(n, 0, -1)), alpha)
         assert sgn.terms[top] > 0
+
+
+@pytest.mark.parametrize(
+    "zs", [(), (-1, 2), (1, -2, 2), (-3,), (2, -4, 4), (-1, 1, -3)]
+)
+def test_gamma_chain_matches_dfs_over_mixed_and_sparse_alphabets(zs):
+    """Alphabets that skip magnitudes or give them different sign sets,
+    with one variable more than the top magnitude, on every up-down pattern
+    of up to 5 vertices (the empty chain included)."""
+    rng = random.Random(len(zs))
+    nvars = (abs(zs[-1]) if zs else 0) + 1
+    for n in range(6):
+        for words in _words_by_pattern(n).values():
+            for _ in range(2):
+                ws = tuple(rng.randint(1, 3) for _ in range(n))
+                got = _gamma_chain(_ups(words[0]), ws, zs, nvars)
+                want = _assignment_sum(weighted_chain(words[0], ws), zs, nvars)
+                assert dict(got.terms) == dict(want.terms)
+                assert (got.nvars, got.degree, got.truncated) == (nvars, sum(ws), False)
+
+
+def test_gamma_chain_is_zero_when_it_needs_more_blocks_than_magnitudes():
+    # a tie at -m needs the labels to go down, and +m ... +m to go up; a
+    # peak can sit inside no block, so up-down-up-down needs three blocks,
+    # one more than the signed alphabet of 2 has magnitudes, and down-up
+    # over only -3 needs two
+    for ups, ws, zs in [
+        ((True, False, True, False), (1, 2, 1, 3, 1), signed_alphabet(2)),
+        ((False, True), (2, 1, 1), (-3,)),
+        ((True,), (1, 1), (-2,)),
+        ((False,), (3, 1), (2,)),
+        ((True,), (1,) * 2, ()),
+    ]:
+        word = _words_by_pattern(len(ws))[ups][0]
+        assert _gamma_chain(ups, ws, zs, 3).is_zero
+        assert _assignment_sum(weighted_chain(word, ws), zs, 3).is_zero
+    # one more magnitude, and the count is no longer zero
+    assert not _gamma_chain((True, False, True, False), (1,) * 5, signed_alphabet(3), 3).is_zero
 
 
 def _words_by_pattern(n):
