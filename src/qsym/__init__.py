@@ -34,12 +34,7 @@ from .combinatorics import (
 from .core import (
     BASES,
     K_of_permutation,
-    K_to_M,
-    K_to_eta,
     L_of_permutation,
-    L_to_M,
-    M_to_L,
-    M_to_eta,
     NotInPeakSpanError,
     QSymElement,
     TensorElement,
@@ -47,8 +42,6 @@ from .core import (
     convert,
     coproduct,
     eta_product,
-    eta_to_L,
-    eta_to_M,
     multiply,
     signed_subset_sum,
 )

@@ -12,12 +12,12 @@ degree-n component is a vector indexed by subsets of [n-1], and the map
 is the (n-1)-fold tensor power of one 2x2 matrix (Yates' algorithm, the
 fast zeta/Moebius transform), looked up in the ``_LATTICE`` table.  M, L
 and eta index a component by descent sets.  K and eta are related on peak
-sets instead, K_alpha being the signed sum of eta_beta over the odd beta
-with Peak(beta) <= Peak(alpha), so K converts through eta; an element
-with eta terms that have an even part lies outside the peak subalgebra.
-The antipode reverses each index and applies the basis's own entry.  The
-pairwise names (eta_to_M, K_to_eta, ...) are thin wrappers over
-``convert``.
+sets instead, K_alpha being the sum of (-1)^|S| eta_beta(S) over
+S <= Peak(alpha), where beta(S) is the odd composition with peak set S
+(the sign makes up for the one the classical monomial peak functions
+carry and eta drops), so K converts through eta; an element with eta
+terms that have an even part lies outside the peak subalgebra.
+The antipode reverses each index and applies the basis's own entry.
 
 Product, coproduct and antipode rules implemented per basis:
 
@@ -385,7 +385,11 @@ class TensorElement:
         if left != right:
             raise ValueError("legs must share a basis to be multiplied")
         if left == "K":
-            return self.map_legs(K_to_eta, K_to_eta, ("eta", "eta")).multiply_legs()
+            return self.map_legs(
+                lambda c: convert(QSymElement.term("K", c), "eta"),
+                lambda c: convert(QSymElement.term("K", c), "eta"),
+                ("eta", "eta"),
+            ).multiply_legs()
         terms, common = _cleared(self._terms)
         pairs = ((cl, cr, coeff) for (cl, cr), coeff in terms.items())
         return _bilinear(left, pairs, common)
@@ -402,61 +406,6 @@ class TensorElement:
                 for (l, r), v in self.sorted_terms()
             ],
         }
-
-
-# ---------------------------------------------------------------------------
-# single-term basis conversions
-
-
-def eta_to_M(alpha: Iterable[int]) -> QSymElement:
-    """eta_alpha as sum of 2^len(beta) M_beta over Des(beta) <= Des(alpha).
-
-    >>> eta_to_M((1, 3, 1)) == QSymElement("M", {(5,): 2, (1, 4): 4, (4, 1): 4, (1, 3, 1): 8})
-    True
-    """
-    return convert(QSymElement.term("eta", alpha), "M")
-
-
-def M_to_eta(beta: Iterable[int]) -> QSymElement:
-    """M_beta in the eta basis: signed sum over coarsenings, scaled by 2^-len.
-
-    Every coefficient is dyadic; inverting 2 is the only demand this basis
-    places on the coefficient ring.
-    """
-    return convert(QSymElement.term("M", beta), "eta")
-
-
-def L_to_M(alpha: Iterable[int]) -> QSymElement:
-    """L_alpha as the sum of M_beta over refinements Des(alpha) <= Des(beta)."""
-    return convert(QSymElement.term("L", alpha), "M")
-
-
-def M_to_L(beta: Iterable[int]) -> QSymElement:
-    """M_beta as the signed sum of L_gamma over refinements (Moebius inversion)."""
-    return convert(QSymElement.term("M", beta), "L")
-
-
-def eta_to_L(alpha: Iterable[int]) -> QSymElement:
-    """eta_alpha in the fundamental basis: coefficient +-2 on every L_gamma."""
-    return convert(QSymElement.term("eta", alpha), "L")
-
-
-def K_to_eta(alpha: Iterable[int]) -> QSymElement:
-    """K_alpha as the sum of (-1)^|S| eta_beta(S) over S <= Peak(alpha).
-
-    beta(S) is the odd composition with peak set S.  The sign (-1)^|S|
-    compensates for the sign carried by the classical odd-indexed monomial
-    peak functions, which the eta basis drops.
-
-    >>> K_to_eta((3,)) == QSymElement("eta", {(1, 1, 1): 1, (3,): -1})
-    True
-    """
-    return convert(QSymElement.term("K", alpha), "eta")
-
-
-def K_to_M(alpha: Iterable[int]) -> QSymElement:
-    """K_alpha in the monomial basis (through eta)."""
-    return convert(QSymElement.term("K", alpha), "M")
 
 
 def signed_subset_sum(s: Iterable, t: Iterable) -> int:
@@ -816,6 +765,11 @@ def convert(a: QSymElement, target: str) -> QSymElement:
     through eta.  Raises NotInPeakSpanError, carrying the eta terms that
     have an even part, when the target is K and the element does not lie
     in the peak subalgebra.
+
+    >>> convert(QSymElement.term("eta", (1, 3, 1)), "M")
+    QSymElement(2*M[5] + 4*M[1, 4] + 4*M[4, 1] + 8*M[1, 3, 1])
+    >>> convert(QSymElement.term("K", (3,)), "eta")
+    QSymElement(-1*eta[3] + 1*eta[1, 1, 1])
     """
     if target not in BASES:
         raise ValueError(f"unknown basis {target!r}; expected one of {BASES}")

@@ -56,7 +56,9 @@ class TruncatedPoly:
         items = terms.items() if isinstance(terms, Mapping) else terms
         acc: dict[Monomial, Fraction | int] = {}
         for key, coeff in items:
-            key = tuple((int(v), int(e)) for v, e in key)
+            key = tuple((v, e) for v, e in key)
+            if not all(type(x) is int for pair in key for x in pair):
+                raise ValueError(f"variables and exponents must be ints in {key!r}")
             if any(e < 1 for _, e in key):
                 raise ValueError(f"exponents must be positive in {key!r}")
             if any(not 1 <= v <= nvars for v, _ in key):
@@ -91,10 +93,15 @@ class TruncatedPoly:
         return Fraction(self.terms.get(tuple(tuple(p) for p in key), 0))
 
     def sorted_terms(self) -> list:
-        """Terms in graded lexicographic order (by degree, then x1 > x2 > ...)."""
+        """Terms in graded lexicographic order (by degree, then x1 > x2 > ...).
+
+        Within one degree no sparse key is a prefix of another, so comparing
+        the (variable, -exponent) pairs orders the keys as their dense
+        exponent vectors would, without building one per term.
+        """
         return sorted(
             self.terms.items(),
-            key=lambda kv: (_mono_degree(kv[0]), _dense_negated(kv[0], self.nvars)),
+            key=lambda kv: (_mono_degree(kv[0]), [(v, -e) for v, e in kv[0]]),
         )
 
     def __repr__(self):
@@ -120,13 +127,6 @@ def _check_count(name: str, value) -> None:
         raise ValueError(f"{name} must be an int, got {value!r}")
     if value < 0:
         raise ValueError(f"{name} must be nonnegative, got {value}")
-
-
-def _dense_negated(key: Monomial, nvars: int) -> tuple:
-    dense = [0] * nvars
-    for v, e in key:
-        dense[v - 1] = -e
-    return tuple(dense)
 
 
 def _raw_poly(nvars: int, degree: int, acc: dict, truncated: bool = False) -> TruncatedPoly:
@@ -248,7 +248,9 @@ def poly_mul(p: TruncatedPoly, q: TruncatedPoly) -> TruncatedPoly:
 
 def embed(p: TruncatedPoly, nvars: int, offset: int = 0) -> TruncatedPoly:
     """Reindex into a larger variable set, renaming x_i to x_(i+offset)."""
-    if offset < 0 or p.nvars + offset > nvars:
+    _check_count("nvars", nvars)
+    _check_count("offset", offset)
+    if p.nvars + offset > nvars:
         raise ValueError("embedded variables would fall outside the target range")
     acc = {
         tuple((v + offset, e) for v, e in key): coeff for key, coeff in p.terms.items()

@@ -28,15 +28,12 @@ from .combinatorics import (
 )
 from .core import (
     K_of_permutation,
-    K_to_M,
     L_of_permutation,
-    M_to_eta,
     QSymElement,
     antipode,
     convert,
     coproduct,
     eta_product,
-    eta_to_M,
     multiply,
     signed_subset_sum,
 )
@@ -101,9 +98,9 @@ def check_golden_examples(max_degree: int | None = None) -> CheckResult:
     """Worked examples reproduced term for term."""
     r = _Recorder()
     r.check(
-        eta_to_M((1, 3, 1))
+        convert(QSymElement.term("eta", (1, 3, 1)), "M")
         == QSymElement("M", {(5,): 2, (1, 4): 4, (4, 1): 4, (1, 3, 1): 8}),
-        "eta_to_M((1,3,1))",
+        "eta_(1,3,1) in M",
     )
     r.check(
         eta_product((1, 2), (2,))
@@ -166,15 +163,15 @@ def check_basis_round_trip(max_degree: int | None = None) -> CheckResult:
     r = _Recorder()
     for n in range(top + 1):
         for alpha in compositions(n):
-            back = convert(eta_to_M(alpha), "eta")
+            back = convert(convert(QSymElement.term("eta", alpha), "M"), "eta")
             r.check(
                 back == QSymElement.term("eta", alpha),
-                f"M_to_eta(eta_to_M({alpha})) = {back}",
+                f"eta_{alpha} to M and back = {back}",
             )
-            back = convert(M_to_eta(alpha), "M")
+            back = convert(convert(QSymElement.term("M", alpha), "eta"), "M")
             r.check(
                 back == QSymElement.term("M", alpha),
-                f"eta_to_M(M_to_eta({alpha})) = {back}",
+                f"M_{alpha} to eta and back = {back}",
             )
     return r.result(f"basis round trips (n <= {top})", "round trips")
 
@@ -188,7 +185,10 @@ def check_eta_product_rule(max_degree: int | None = None) -> CheckResult:
             for alpha in compositions(na):
                 for beta in compositions(total - na):
                     direct = eta_product(alpha, beta)
-                    via_m = multiply(eta_to_M(alpha), eta_to_M(beta))
+                    via_m = multiply(
+                        convert(QSymElement.term("eta", alpha), "M"),
+                        convert(QSymElement.term("eta", beta), "M"),
+                    )
                     r.check(
                         certify_equal(direct, via_m),
                         f"eta_{alpha} * eta_{beta}",
@@ -202,10 +202,13 @@ def check_eta_coproduct(max_degree: int | None = None) -> CheckResult:
     r = _Recorder()
     for n in range(top + 1):
         for alpha in compositions(n):
-            lhs = coproduct(QSymElement.term("eta", alpha)).map_legs(
-                eta_to_M, eta_to_M, ("M", "M")
+            elem = QSymElement.term("eta", alpha)
+            lhs = coproduct(elem).map_legs(
+                lambda c: convert(QSymElement.term("eta", c), "M"),
+                lambda c: convert(QSymElement.term("eta", c), "M"),
+                ("M", "M"),
             )
-            rhs = coproduct(eta_to_M(alpha))
+            rhs = coproduct(convert(elem, "M"))
             r.check(lhs == rhs, f"coproduct(eta_{alpha}) through M")
     rng = random.Random(_SEED)
     degree_cap = _cap(5, max_degree)
@@ -256,8 +259,9 @@ def check_antipode(max_degree: int | None = None) -> CheckResult:
                 r.check(
                     antipode(antipode(elem)) == elem, f"S(S({basis}_{alpha}))"
                 )
-            direct = convert(antipode(QSymElement.term("eta", alpha)), "M")
-            routed = antipode(eta_to_M(alpha))
+            elem = QSymElement.term("eta", alpha)
+            direct = convert(antipode(elem), "M")
+            routed = antipode(convert(elem, "M"))
             r.check(direct == routed, f"antipode routes for eta_{alpha}")
     for n in range(hopf_top + 1):
         for alpha in compositions(n):
@@ -397,8 +401,9 @@ def check_peak_conversion(max_degree: int | None = None) -> CheckResult:
     r = _Recorder()
     for n in range(top + 1):
         for alpha in odd_compositions(n):
+            term = QSymElement.term("K", alpha)
             r.check(
-                certify_equal(K_to_M(alpha), QSymElement.term("K", alpha)),
+                certify_equal(convert(term, "M"), term),
                 f"K_{alpha}",
             )
     return r.result(f"peak function conversion (odd |a| <= {top})", "conversions")

@@ -20,7 +20,7 @@ from qsym.cli import (
     parse_element,
     parse_permutation,
 )
-from qsym.core import M_to_eta, QSymElement, coproduct, eta_to_M
+from qsym.core import QSymElement, convert, coproduct
 from qsym import verification
 from qsym.expansion import TruncatedPoly
 from qsym.verification import check_eta_coproduct, check_specializations
@@ -76,8 +76,8 @@ def test_format_parse_round_trip():
     candidates = [
         QSymElement.zero("eta"),
         QSymElement.unit("L"),
-        eta_to_M((1, 3, 1)),
-        M_to_eta((2, 1)),  # fractional coefficients
+        convert(QSymElement.term("eta", (1, 3, 1)), "M"),
+        convert(QSymElement.term("M", (2, 1)), "eta"),  # fractional coefficients
         QSymElement("eta", {(5,): -1, (1, 2, 2): 2, (2, 1, 2): 1}),
         QSymElement("M", {(1,): Fraction(-3, 2)}),
         QSymElement.term("K", (3, 1)),

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+import qsym
 from qsym.combinatorics import (
     compositions,
     descent_set,
@@ -15,12 +16,7 @@ from qsym.combinatorics import (
 )
 from qsym.core import (
     K_of_permutation,
-    K_to_M,
-    K_to_eta,
     L_of_permutation,
-    L_to_M,
-    M_to_L,
-    M_to_eta,
     NotInPeakSpanError,
     QSymElement,
     TensorElement,
@@ -28,8 +24,6 @@ from qsym.core import (
     convert,
     coproduct,
     eta_product,
-    eta_to_L,
-    eta_to_M,
     multiply,
     signed_subset_sum,
 )
@@ -47,6 +41,77 @@ def eta(*parts, coeff=1):
 
 def L(*parts, coeff=1):
     return QSymElement.term("L", parts, coeff)
+
+
+def K(*parts, coeff=1):
+    return QSymElement.term("K", parts, coeff)
+
+
+# ---------------------------------------------------------------------------
+# public names
+
+
+def test_public_names():
+    """Retiring or adding a public name is a deliberate edit of this list."""
+    assert qsym.__all__ == [
+        "BASES",
+        "Composition",
+        "CoshufflePair",
+        "K_of_permutation",
+        "L_of_permutation",
+        "LabelledWeightedPoset",
+        "NotInPeakSpanError",
+        "Permutation",
+        "QSymElement",
+        "TensorElement",
+        "TruncatedPoly",
+        "antipode",
+        "certify_equal",
+        "chain_poset",
+        "combinatorics",
+        "complement",
+        "composition_of_subset",
+        "compositions",
+        "contract",
+        "contract_set",
+        "convert",
+        "coproduct",
+        "core",
+        "coshuffle_product",
+        "coshuffles",
+        "descent_set",
+        "descent_set_of_permutation",
+        "embed",
+        "enumerate_assignments",
+        "eta_product",
+        "expand",
+        "expansion",
+        "gamma",
+        "identity_permutation",
+        "is_enriched_partition",
+        "is_peak_lacunar",
+        "multiply",
+        "odd_composition_of_peak_set",
+        "odd_compositions",
+        "peak_set_of_composition",
+        "peak_set_of_permutation",
+        "poly_add",
+        "poly_mul",
+        "poly_scale",
+        "positive_alphabet",
+        "ppartitions",
+        "quasi_shuffles",
+        "reverse",
+        "reversed_identity",
+        "shuffles",
+        "signed_alphabet",
+        "signed_order_key",
+        "signed_subset_sum",
+        "split_incomparable",
+        "universal_gamma",
+        "universal_to_eta",
+        "weighted_chain",
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +149,7 @@ def test_element_arithmetic():
 
 
 def test_json_round_trip():
-    e = eta_to_M((1, 3, 1)) + M(2, coeff=Fraction(-1, 2))
+    e = convert(eta(1, 3, 1), "M") + M(2, coeff=Fraction(-1, 2))
     data = e.to_json_dict()
     assert data["basis"] == "M"
     assert QSymElement.from_json_dict(data) == e
@@ -95,56 +160,59 @@ def test_json_round_trip():
 
 
 def test_eta_to_M():
-    assert eta_to_M((1, 3, 1)) == QSymElement(
+    assert convert(eta(1, 3, 1), "M") == QSymElement(
         "M", {(5,): 2, (1, 4): 4, (4, 1): 4, (1, 3, 1): 8}
     )
-    assert eta_to_M((7,)) == M(7, coeff=2)
-    assert eta_to_M(()) == QSymElement.unit("M")
+    assert convert(eta(7), "M") == M(7, coeff=2)
+    assert convert(eta(), "M") == QSymElement.unit("M")
 
 
 def test_M_to_eta():
-    assert M_to_eta((4,)) == eta(4, coeff=Fraction(1, 2))
+    assert convert(M(4), "eta") == eta(4, coeff=Fraction(1, 2))
     quarter = Fraction(1, 4)
-    assert M_to_eta((1, 1)) == QSymElement("eta", {(1, 1): quarter, (2,): -quarter})
-    assert M_to_eta(()) == QSymElement.unit("eta")
+    assert convert(M(1, 1), "eta") == QSymElement("eta", {(1, 1): quarter, (2,): -quarter})
+    assert convert(M(), "eta") == QSymElement.unit("eta")
     # substitute back: the example is its own certificate
-    expanded = M_to_eta((1, 1)).map_terms(eta_to_M, "M")
+    expanded = convert(M(1, 1), "eta").map_terms(lambda c: convert(eta(*c), "M"), "M")
     assert expanded == M(1, 1)
 
 
 def test_M_to_eta_denominators_are_dyadic():
     for n in range(6):
         for beta in compositions(n):
-            for coeff in M_to_eta(beta).terms.values():
+            for coeff in convert(M(*beta), "eta").terms.values():
                 den = coeff.denominator
                 assert den & (den - 1) == 0
 
 
 def test_L_to_M():
-    assert L_to_M((2, 1)) == QSymElement("M", {(2, 1): 1, (1, 1, 1): 1})
-    assert L_to_M((3,)) == QSymElement("M", {c: 1 for c in compositions(3)})
-    assert L_to_M((1, 1, 1, 1)) == M(1, 1, 1, 1)
+    assert convert(L(2, 1), "M") == QSymElement("M", {(2, 1): 1, (1, 1, 1): 1})
+    assert convert(L(3), "M") == QSymElement("M", {c: 1 for c in compositions(3)})
+    assert convert(L(1, 1, 1, 1), "M") == M(1, 1, 1, 1)
 
 
 def test_M_to_L():
-    assert M_to_L((1, 1)) == L(1, 1)
-    assert M_to_L((2,)) == QSymElement("L", {(2,): 1, (1, 1): -1})
+    assert convert(M(1, 1), "L") == L(1, 1)
+    assert convert(M(2), "L") == QSymElement("L", {(2,): 1, (1, 1): -1})
     for n in range(7):
         for beta in compositions(n):
-            assert M_to_L(beta).map_terms(L_to_M, "M") == QSymElement.term("M", beta)
-            assert L_to_M(beta).map_terms(M_to_L, "L") == QSymElement.term("L", beta)
+            back = convert(M(*beta), "L").map_terms(lambda c: convert(L(*c), "M"), "M")
+            assert back == QSymElement.term("M", beta)
+            back = convert(L(*beta), "M").map_terms(lambda c: convert(M(*c), "L"), "L")
+            assert back == QSymElement.term("L", beta)
 
 
 def test_eta_to_L():
-    assert eta_to_L((1,)) == L(1, coeff=2)
-    assert eta_to_L((2,)) == QSymElement("L", {(2,): 2, (1, 1): -2})
-    assert eta_to_L(()) == QSymElement.unit("L")
+    assert convert(eta(1), "L") == L(1, coeff=2)
+    assert convert(eta(2), "L") == QSymElement("L", {(2,): 2, (1, 1): -2})
+    assert convert(eta(), "L") == QSymElement.unit("L")
 
 
 @pytest.mark.parametrize("n", range(7))
 def test_eta_to_L_consistency(n):
     for alpha in compositions(n):
-        assert eta_to_L(alpha) == eta_to_M(alpha).map_terms(M_to_L, "L")
+        via_m = convert(eta(*alpha), "M").map_terms(lambda c: convert(M(*c), "L"), "L")
+        assert convert(eta(*alpha), "L") == via_m
 
 
 def test_signed_subset_sum():
@@ -154,20 +222,20 @@ def test_signed_subset_sum():
 
 
 def test_K_to_eta():
-    assert K_to_eta((1,)) == eta(1)
-    assert K_to_eta((3,)) == QSymElement("eta", {(1, 1, 1): 1, (3,): -1})
-    assert K_to_eta((1,) * 5) == eta(1, 1, 1, 1, 1)
+    assert convert(K(1), "eta") == eta(1)
+    assert convert(K(3), "eta") == QSymElement("eta", {(1, 1, 1): 1, (3,): -1})
+    assert convert(K(1, 1, 1, 1, 1), "eta") == eta(1, 1, 1, 1, 1)
     with pytest.raises(ValueError):
-        K_to_eta((2, 1))
+        convert(K(2, 1), "eta")
 
 
 def test_K_to_M():
-    assert K_to_M((1,)) == M(1, coeff=2)
-    assert K_to_M((3,)) == (eta_to_M((1, 1, 1)) - eta_to_M((3,)))
+    assert convert(K(1), "M") == M(1, coeff=2)
+    assert convert(K(3), "M") == (convert(eta(1, 1, 1), "M") - convert(eta(3), "M"))
     # direct peak-series certification across all odd indices of weight <= 6
     for n in range(7):
         for alpha in odd_compositions(n):
-            assert certify_equal(K_to_M(alpha), QSymElement.term("K", alpha))
+            assert certify_equal(convert(K(*alpha), "M"), QSymElement.term("K", alpha))
 
 
 def test_permutation_elements():
@@ -179,14 +247,14 @@ def test_permutation_elements():
 @pytest.mark.parametrize("n", range(8))
 def test_basis_round_trip_identities(n):
     for alpha in compositions(n):
-        assert convert(eta_to_M(alpha), "eta") == QSymElement.term("eta", alpha)
-        assert convert(M_to_eta(alpha), "M") == QSymElement.term("M", alpha)
+        assert convert(convert(eta(*alpha), "M"), "eta") == QSymElement.term("eta", alpha)
+        assert convert(convert(M(*alpha), "eta"), "M") == QSymElement.term("M", alpha)
 
 
 @pytest.mark.parametrize("n", range(7))
 def test_triangularity(n):
     for alpha in compositions(n):
-        image = eta_to_M(alpha)
+        image = convert(eta(*alpha), "M")
         assert image.coefficient(alpha) == 2 ** len(alpha)
         des = set(descent_set(alpha))
         for beta in image.terms:
@@ -231,14 +299,14 @@ def test_convert_all_basis_pairs():
 
 
 def test_convert_to_K():
-    assert convert(K_to_eta((3,)), "K") == QSymElement.term("K", (3,))
+    assert convert(convert(K(3), "eta"), "K") == QSymElement.term("K", (3,))
     both = QSymElement("K", {(3,): 2, (1, 1, 1): -1})
     assert convert(convert(both, "M"), "K") == both
     with pytest.raises(NotInPeakSpanError) as info:
         convert(eta(2), "K")
     assert info.value.residual == eta(2)
     # the residual reports exactly the part outside the peak span
-    mixed = K_to_M((3,)) + eta_to_M((2,))
+    mixed = convert(K(3), "M") + convert(eta(2), "M")
     with pytest.raises(NotInPeakSpanError) as info:
         convert(mixed, "K")
     assert info.value.residual == eta(2)
@@ -295,7 +363,7 @@ def test_eta_product_matches_M_route(total):
     for na in range(total + 1):
         for alpha in compositions(na):
             for beta in compositions(total - na):
-                via_m = multiply(eta_to_M(alpha), eta_to_M(beta))
+                via_m = multiply(convert(eta(*alpha), "M"), convert(eta(*beta), "M"))
                 assert convert(eta_product(alpha, beta), "M") == via_m
 
 
@@ -315,7 +383,7 @@ def test_L_product_shuffle_rule(total):
         for alpha in compositions(na):
             for beta in compositions(total - na):
                 prod = multiply(L(*alpha), L(*beta))
-                via_m = multiply(L_to_M(alpha), L_to_M(beta))
+                via_m = multiply(convert(L(*alpha), "M"), convert(L(*beta), "M"))
                 assert convert(prod, "M") == via_m
                 assert certify_equal(prod, via_m)
 
@@ -332,7 +400,7 @@ def test_K_product_lands_in_eta():
     assert prod.basis == "eta"
     assert certify_equal(
         prod,
-        multiply(K_to_M((1,)), K_to_M((1,))),
+        multiply(convert(K(1), "M"), convert(K(1), "M")),
     )
 
 
@@ -391,8 +459,10 @@ def test_coproduct_deconcatenation():
 @pytest.mark.parametrize("n", range(7))
 def test_eta_coproduct_basis_change(n):
     for alpha in compositions(n):
-        lhs = coproduct(eta(*alpha)).map_legs(eta_to_M, eta_to_M, ("M", "M"))
-        rhs = coproduct(eta_to_M(alpha))
+        lhs = coproduct(eta(*alpha)).map_legs(
+            lambda c: convert(eta(*c), "M"), lambda c: convert(eta(*c), "M"), ("M", "M")
+        )
+        rhs = coproduct(convert(eta(*alpha), "M"))
         assert lhs == rhs
 
 
@@ -422,15 +492,17 @@ def test_coassociativity(n):
 @pytest.mark.parametrize("n", range(8))
 def test_L_coproduct_matches_M_route(n):
     for alpha in compositions(n):
-        via_m = coproduct(L_to_M(alpha)).map_legs(M_to_L, M_to_L, ("L", "L"))
+        via_m = coproduct(convert(L(*alpha), "M")).map_legs(
+            lambda c: convert(M(*c), "L"), lambda c: convert(M(*c), "L"), ("L", "L")
+        )
         assert coproduct(L(*alpha)) == via_m
 
 
 def test_coproduct_L_and_K_routes():
     t = coproduct(L(2, 1))
     assert t.bases == ("L", "L")
-    back = t.map_legs(L_to_M, L_to_M, ("M", "M"))
-    assert back == coproduct(L_to_M((2, 1)))
+    back = t.map_legs(lambda c: convert(L(*c), "M"), lambda c: convert(L(*c), "M"), ("M", "M"))
+    assert back == coproduct(convert(L(2, 1), "M"))
     t = coproduct(QSymElement.term("K", (3,)))
     assert t.bases == ("eta", "eta")
 
@@ -462,16 +534,16 @@ def test_antipode_involution_and_routes(n):
         for basis in ("M", "L", "eta"):
             elem = QSymElement.term(basis, alpha)
             assert antipode(antipode(elem)) == elem
-        assert convert(antipode(eta(*alpha)), "M") == antipode(eta_to_M(alpha))
+        assert convert(antipode(eta(*alpha)), "M") == antipode(convert(eta(*alpha), "M"))
         assert convert(antipode(QSymElement.term("L", alpha)), "M") == antipode(
-            L_to_M(alpha)
+            convert(L(*alpha), "M")
         )
 
 
 def test_antipode_K_routes_through_eta():
     s = antipode(QSymElement.term("K", (3,)))
     assert s.basis == "eta"
-    assert s == antipode(K_to_eta((3,)))
+    assert s == antipode(convert(K(3), "eta"))
 
 
 def test_antipode_is_algebra_anti_endomorphism():

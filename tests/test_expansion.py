@@ -17,7 +17,7 @@ from qsym.combinatorics import (
     odd_compositions,
     peak_set_of_composition,
 )
-from qsym.core import QSymElement, convert, eta_to_M, L_to_M, multiply
+from qsym.core import QSymElement, convert, multiply
 from qsym.expansion import (
     TruncatedPoly,
     _m_coefficients,
@@ -87,8 +87,8 @@ def test_expand_refuses_negative_nvars(elem):
 
 
 def test_expand_is_linear():
-    a = eta_to_M((2, 1))
-    b = L_to_M((1, 2))
+    a = convert(eta(2, 1), "M")
+    b = convert(QSymElement.term("L", (1, 2)), "M")
     c = Fraction(3, 2)
     lhs = expand(a + a.scale(0) + b.scale(c), 3, 3)
     rhs = poly_add(expand(a, 3, 3), poly_scale(expand(b, 3, 3), c))
@@ -132,17 +132,18 @@ def test_expansions_are_quasisymmetric(basis, comp):
 
 
 def test_certify_equal():
-    assert certify_equal(eta_to_M((1, 3, 1)), eta(1, 3, 1))
-    assert certify_equal(L_to_M((2, 1)), QSymElement.term("L", (2, 1)))
+    assert certify_equal(convert(eta(1, 3, 1), "M"), eta(1, 3, 1))
+    l21 = QSymElement.term("L", (2, 1))
+    assert certify_equal(convert(l21, "M"), l21)
     assert not certify_equal(M(1, 1), M(2))
-    a = eta_to_M((2, 1))
+    a = convert(eta(2, 1), "M")
     assert certify_equal(a, a)
     assert certify_equal(a, a + M(9).scale(0))
     # within one basis, certification agrees with term equality; symmetric
     for x, y in [(M(2, 1), M(2, 1)), (M(2, 1), M(1, 2)), (eta(3), eta(1, 1, 1))]:
         assert certify_equal(x, y) == (x == y)
         assert certify_equal(x, y) == certify_equal(y, x)
-    assert certify_equal(eta(1, 3, 1), eta_to_M((1, 3, 1)))
+    assert certify_equal(eta(1, 3, 1), convert(eta(1, 3, 1), "M"))
 
 
 def _series_expansion(basis, comp, nvars):
@@ -284,14 +285,13 @@ def test_certify_equal_reaches_no_conversion(monkeypatch):
     import qsym.core
     import qsym.expansion
 
-    cases = [(eta(1, 3, 1), eta_to_M((1, 3, 1))), (QSymElement.term("K", (3, 1)), M(4))]
-    cases += [(QSymElement.term("L", (2, 1)), L_to_M((2, 1)))]
+    cases = [(eta(1, 3, 1), convert(eta(1, 3, 1), "M")), (QSymElement.term("K", (3, 1)), M(4))]
+    cases += [(QSymElement.term("L", (2, 1)), convert(QSymElement.term("L", (2, 1)), "M"))]
 
     def refuse(*args):
         raise AssertionError("the oracle reached a basis conversion")
 
-    for name in ("convert", "_lattice_transform", "K_to_eta", "eta_to_M", "M_to_eta",
-                 "L_to_M", "M_to_L", "eta_to_L", "K_to_M"):
+    for name in ("convert", "_lattice_transform"):
         for module in (qsym.core, qsym.expansion):
             monkeypatch.setattr(module, name, refuse, raising=False)
     _m_coefficients.cache_clear()
@@ -325,6 +325,9 @@ def test_poly_construction_validation():
         TruncatedPoly(2, 3, {((1, 0),): 1})  # zero exponent
     with pytest.raises(ValueError):
         TruncatedPoly(2, 1, {((1, 2),): 1})  # above the bound
+    for key in (((1, 1.5),), ((1.0, 1),), ((True, 2),), ((1, True),), ((1, "2"),)):
+        with pytest.raises(ValueError, match="variables and exponents must be ints"):
+            TruncatedPoly(2, 2, {key: 1})
     with pytest.raises(ValueError, match="nvars must be nonnegative, got -1"):
         TruncatedPoly(-1, 1)
     with pytest.raises(ValueError, match="degree must be nonnegative, got -2"):
@@ -343,6 +346,11 @@ def test_counts_must_be_ints(count):
     if count is not None:  # None asks for the element's degree
         with pytest.raises(ValueError, match=f"degree must be an int, got {count!r}"):
             expand(M(1, 2), 2, count)
+    q = expand(M(1), 2, 1)
+    with pytest.raises(ValueError, match=f"nvars must be an int, got {count!r}"):
+        embed(q, count)
+    with pytest.raises(ValueError, match=f"offset must be an int, got {count!r}"):
+        embed(q, 3, count)
 
 
 @pytest.mark.parametrize("coeff", (0.5, 1.0, True, "1/2", None))
@@ -442,6 +450,8 @@ def test_embed():
     assert dict(shifted.terms) == {((3, 1),): 1, ((4, 1),): 1}
     with pytest.raises(ValueError):
         embed(p, 3, 2)
+    with pytest.raises(ValueError, match="offset must be nonnegative, got -1"):
+        embed(p, 4, -1)
 
 
 def test_alphabet_split_examples():
@@ -489,6 +499,37 @@ def test_format_poly_signs_and_constants():
     assert format_poly(TruncatedPoly(2, 1, {x2: Fraction(-1), x1: Fraction(1)})) == "x1 - x2"
     assert format_poly(TruncatedPoly(2, 1, {(): Fraction(3, 2), x2: -3})) == "3/2 - 3*x2"
     assert format_poly(TruncatedPoly(2, 1, {(): Fraction(-1, 3), x1: 1})) == "-1/3 + x1"
+
+
+def test_sorted_terms_is_graded_lex_on_dense_exponents():
+    """The sparse sort key orders terms as their dense exponent vectors do:
+    by degree, then by exponent of x1 descending, then of x2, and so on."""
+    rng = random.Random(3)
+    nvars, degree = 5, 4
+    for _ in range(300):
+        terms = {}
+        for _ in range(rng.randint(1, 12)):
+            chosen = sorted(rng.sample(range(1, nvars + 1), rng.randint(0, 3)))
+            key = tuple((v, rng.randint(1, 2)) for v in chosen)
+            if sum(e for _, e in key) <= degree:
+                terms[key] = 1
+        poly = TruncatedPoly(nvars, degree, terms)
+
+        def dense(key):
+            exps = [0] * nvars
+            for v, e in key:
+                exps[v - 1] = e
+            return (sum(exps), [-e for e in exps])
+
+        assert [k for k, _ in poly.sorted_terms()] == sorted(terms, key=dense)
+
+
+def test_sorted_terms_with_a_huge_variable_count():
+    """Sorting and printing cost nothing per variable that no term uses."""
+    far = 10**12
+    p = TruncatedPoly(far, 3, {((1, 1), (far, 1)): 1, ((far, 3),): -2, ((2, 1),): 1})
+    assert format_poly(p) == f"x2 + x1*x{far} - 2*x{far}^3"
+    assert p.to_json_dict()["terms"][1]["exps"] == [[1, 1], [far, 1]]
 
 
 @pytest.mark.parametrize("n", range(6))

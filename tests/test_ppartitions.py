@@ -14,7 +14,7 @@ from qsym.combinatorics import (
     peak_set_of_permutation,
     shuffles,
 )
-from qsym.core import K_to_eta, QSymElement, convert
+from qsym.core import QSymElement, convert
 from qsym.expansion import TruncatedPoly, expand, poly_add, poly_mul
 from qsym.ppartitions import (
     LabelledWeightedPoset,
@@ -760,7 +760,7 @@ def test_universal_to_eta():
     assert universal_to_eta((1, 3, 2), (1, 1, 1)) == QSymElement(
         "eta", {(1, 1, 1): 1, (3,): -1}
     )
-    assert universal_to_eta((1, 3, 2), (1, 1, 1)) == K_to_eta((3,))
+    assert universal_to_eta((1, 3, 2), (1, 1, 1)) == convert(QSymElement.term("K", (3,)), "eta")
     with pytest.raises(ValueError):
         universal_to_eta((1, 2), (1,))
 
