@@ -6,39 +6,28 @@ absolute value are the SignedValue's sign and magnitude.  An enriched
 P-partition of a labelled poset assigns such a value to every vertex so
 that along every relation i <_P j the values weakly increase, with ties
 positive when the labels increase and negative when they decrease.
+gamma sums x_|f(i)|^weight(i) over all such assignments into a finite
+alphabet Z; on weighted chains it gives, at the right specializations,
+the monomial, fundamental, peak and enriched monomial quasisymmetric
+functions.
 
-The generating function gamma sums x_|f(i)|^weight(i) over all such
-assignments into a finite alphabet; with a weighted chain this produces,
-at the right specializations, the monomial, fundamental, peak and
-enriched monomial quasisymmetric functions.
-
-On a chain the conditions between neighbours imply all the others, and
-they read the labels only through whether each step goes up.  So a
-chain's gamma depends only on that up-down pattern, the weights along
-the chain and the alphabet, and it is cached by exactly that key.  It is
-counted block by block: the magnitudes weakly increase along the chain
-and cut it into blocks of equal magnitude, whose weights give the
-monomial's exponents, so each monomial is written once.  Inside a block
-the signs run -...-+..., a tie at -m needs a down-step and a tie at +m an
-up-step, so the block takes m in 1 way (Z holds one sign of m and the
-block never steps against it), 2 ways (Z holds both and the block has no
-peak inside) or none.  The
-enriched P-partitions of any poset split disjointly over its linear
-extensions (Stembridge's fundamental lemma), so its gamma is the sum of
-the chain functions of its extensions.  gamma counts their chain keys in
-one pass over order ideals, level by level: each state (ideal, last
-vertex, up-steps so far, weights so far) holds its number of extension
-prefixes, and equal states merge.  Each distinct key's chain function is
-then added once, times its count; a chain is the case with one key.
+On a chain the conditions between neighbours imply all the others and
+read the labels only through whether each step goes up, so _gamma_chain
+caches a chain's gamma by its up-down pattern, weights and alphabet.  On
+any poset, for each value z of Z in signed order, the vertices with
+values up to z form an order ideal, and those at exactly z a set S in
+which every relation rises in labels when z > 0 and falls when z < 0
+(Stembridge, Enriched P-partitions, 1997).  So gamma walks multichains
+of order ideals, one step per value z, each adding such a set S and
+x_|z|^weight(S), with the ideal alone as its state, one connected
+component at a time.
 
 A poset stores its order once, as one closed predecessor bitmask per
-vertex: the walks above read those masks, and relations and covers are
-derived from them on demand.
+vertex; relations and covers are derived from them on demand.
 """
 
 from __future__ import annotations
 
-import itertools
 import operator
 from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -54,7 +43,8 @@ from .combinatorics import (
     subsets,
 )
 from .core import QSymElement
-from .expansion import TruncatedPoly, _check_count, _m_monomials, _raw_poly
+from .expansion import TruncatedPoly, _check_count, _field_width, _m_monomials, _pack, _raw_poly
+from .expansion import _unpack
 
 SignedValue = int  # nonzero: -n is (-, n), +n is (+, n)
 
@@ -115,11 +105,10 @@ class LabelledWeightedPoset:
     """A strict partial order on labels 1..n with a positive weight per vertex.
 
     The order is stored closed, as predecessor bitmasks: bit i of _preds[j]
-    is set exactly when i <_P j, and _preds[0] is 0.  Warshall's algorithm
-    closes it over the vertices with predecessors only (no other vertex gains
-    or passes on any), so an antichain costs one pass over its labels and a
-    chain n^2 int operations.  Construction rejects cycles; instances are
-    immutable and hashable.
+    is set exactly when i <_P j, and _preds[0] is 0.  It is closed in
+    topological order (Kahn): each vertex ORs in the closed masks of its
+    direct predecessors, and vertices never reached lie on a cycle.
+    Instances are immutable and hashable.
     """
 
     __slots__ = ("n", "weights", "_preds")
@@ -139,19 +128,24 @@ class LabelledWeightedPoset:
             raise ValueError(f"expected {n} weights, got {len(weights)}")
         if any(not _is_int(w) or w < 1 for w in weights):
             raise ValueError("weights must be positive integers")
-        preds = [0] * (n + 1)
+        after: dict[int, list[int]] = {}  # direct successors
+        waiting = [0] * (n + 1)  # direct predecessors not yet closed
         for i, j in relations:
             if not (_is_int(i) and _is_int(j) and 1 <= i <= n and 1 <= j <= n):
                 raise ValueError(f"relation ({i}, {j}) outside labels 1..{n}")
             if i == j:
                 raise ValueError(f"relation ({i}, {j}) is reflexive")
-            preds[j] |= 1 << i
-        inner = [v for v in range(1, n + 1) if preds[v]]
-        for k in inner:
-            for j in inner:
-                if preds[j] >> k & 1:
-                    preds[j] |= preds[k]
-        if any(preds[v] >> v & 1 for v in inner):
+            after.setdefault(i, []).append(j)
+            waiting[j] += 1
+        preds = [0] * (n + 1)
+        ready = [v for v in range(1, n + 1) if not waiting[v]]
+        for i in ready:
+            for j in after.get(i, ()):
+                preds[j] |= preds[i] | 1 << i
+                waiting[j] -= 1
+                if not waiting[j]:
+                    ready.append(j)
+        if len(ready) < n:
             raise ValueError("relations contain a cycle; not a partial order")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "weights", weights)
@@ -376,10 +370,19 @@ def enumerate_assignments(
 # ---------------------------------------------------------------------------
 # generating functions
 
-# gamma counts the prefixes of linear extensions level by level; past this
-# many on one level it refuses instead of running for minutes (an antichain
-# of n has n! extensions).
-_EXTENSION_LIMIT = 10**5
+# gamma's work budget in steps, over the whole call: each (order ideal, set
+# it can grow by at a sign Z has) in its tables, counted before any
+# polynomial work; then each monomial a walk carries along a step, and each
+# pair of terms a product multiplies.  A step is charged the 64-bit words of
+# the int it builds, a mask or a packed monomial.  From {1}, the fan
+# 1 < {2, ..., 40} has 2^39 sets to grow by.
+_STEP_BUDGET = 10**6
+
+
+def _spend(spent: int, steps: int) -> int:
+    if spent + steps > _STEP_BUDGET:
+        raise ValueError(f"gamma takes more than {_STEP_BUDGET} steps")
+    return spent + steps
 
 
 def gamma(
@@ -390,45 +393,150 @@ def gamma(
     """Sum of prod_i x_|f(i)|^weight(i) over all enriched assignments into Z.
 
     The result lives in x_1..x_nvars (default: the largest magnitude in Z)
-    with degree bound equal to the total weight, by the one pass over order
-    ideals that the module docstring describes.  Level k of it counts the
-    extension prefixes of length k, no more than the poset's linear
-    extensions, so it refuses as soon as a level counts past
-    _EXTENSION_LIMIT: exactly when the poset has more extensions than that.
+    with degree bound equal to the total weight.  The work runs on Z's
+    magnitudes renumbered 1..k, which keeps the signed order, and on one
+    connected component at a time, since their functions multiply: a chain
+    by _gamma_chain if every magnitude carries the same signs, any other by
+    the walk over order ideals, once _steps has sized every walk; refused
+    past _STEP_BUDGET.
     """
     zs = _check_alphabet(alphabet)
     nvars = _check_nvars(zs, nvars)
-    n, weights = poset.n, poset.weights
-    preds = poset._preds
-    level = {(0, 0, (), ()): 1}
-    for _ in range(n):
-        nxt: dict = {}
-        total = 0
-        for (ideal, last, ups, ws), count in level.items():
-            for v in range(1, n + 1):
-                if not ideal >> v & 1 and preds[v] & ideal == preds[v]:
-                    total += count
-                    if total > _EXTENSION_LIMIT:
-                        raise ValueError(
-                            f"the poset has more than {_EXTENSION_LIMIT} linear "
-                            "extensions, the limit for gamma"
-                        )
-                    state = (
-                        ideal | 1 << v,
-                        v,
-                        ups + (last < v,) if last else ups,
-                        ws + (weights[v - 1],),
-                    )
-                    nxt[state] = nxt.get(state, 0) + count
-        level = nxt
-    keys: dict = {}
-    for (_, _, ups, ws), count in level.items():
-        keys[ups, ws] = keys.get((ups, ws), 0) + count
-    acc: dict = {}
-    for (ups, ws), count in keys.items():
-        for mono, c in _gamma_chain(ups, ws, zs, nvars).terms.items():
-            acc[mono] = acc.get(mono, 0) + count * c
-    return _raw_poly(nvars, sum(weights), acc)
+    signs = _sign_sets(zs)
+    rank = {m: i for i, m in enumerate(signs, 1)}
+    ranked = tuple(rank[z] if z > 0 else -rank[-z] for z in zs)
+    degree = sum(poset.weights)
+    width = _field_width(degree)
+    words = 1 + len(rank) * width // 64  # of a packed monomial, the charge of each product
+    parts, spent = [], 0  # (component, chain order or None, walk table or None)
+    for part in _components(poset):
+        order, table = part.chain_order(), None
+        if order is None or len(set(signs.values())) > 1:
+            table, spent = _steps(part, {z > 0 for z in zs}, spent)
+        parts.append((part, order, table))
+    product = {0: 1}  # the components' functions so far, packed as in poly_mul
+    for part, order, table in parts:
+        if table is not None:
+            product, spent = _walk(part, table, ranked, width, product, spent)
+            continue
+        ups = tuple(map(operator.lt, order, order[1:]))
+        terms = _gamma_chain(ups, tuple(map(part.weight, order)), ranked, len(rank)).terms
+        if len(parts) == 1:  # a chain alone: its function as it is
+            break
+        spent = _spend(spent, len(product) * len(terms) * words)
+        acc: dict[int, int] = {}
+        for mono, c in terms.items():
+            mono = _pack(mono, width)
+            for a, ca in product.items():
+                acc[a + mono] = acc.get(a + mono, 0) + ca * c
+        product = acc
+    else:  # no break
+        terms = {_unpack(mono, width): c for mono, c in product.items()}
+    mags = list(rank)
+    if mags[-1:] != [len(mags)]:  # the ranks back to Z's magnitudes
+        terms = {tuple((mags[v - 1], e) for v, e in mono): c for mono, c in terms.items()}
+    return _raw_poly(nvars, degree, terms)
+
+
+def _components(poset: LabelledWeightedPoset) -> Iterator[LabelledWeightedPoset]:
+    """The connected components, by union-find in which each vertex meets
+    each component below it once: the poset itself if it is connected, else
+    each one relabelled 1..k in label order (all the tie rule reads), with
+    its closed masks renumbered."""
+    preds, root = poset._preds, list(range(poset.n + 1))
+    members: dict[int, int] = {}  # each merged root's component, as a mask
+
+    def find(v: int) -> int:
+        while root[v] != v:
+            root[v] = root[root[v]]
+            v = root[v]
+        return v
+
+    for v in range(1, poset.n + 1):
+        rest = preds[v]
+        while rest:
+            u, r = find((rest & -rest).bit_length() - 1), find(v)
+            rest &= ~members.get(u, 1 << u)
+            if u != r:
+                root[u] = r
+                members[r] = members.get(r, 1 << r) | members.pop(u, 1 << u)
+    comps: dict[int, list[int]] = {}
+    for v in range(1, poset.n + 1):
+        comps.setdefault(find(v), []).append(v)
+    if len(comps) < 2:
+        yield poset
+        return
+    for labels in comps.values():
+        index = {v: i for i, v in enumerate(labels, 1)}
+        masks = (sum(1 << index[u] for u in _bits(preds[v])) for v in labels)
+        part = LabelledWeightedPoset(len(labels), (), map(poset.weight, labels))
+        object.__setattr__(part, "_preds", (0, *masks))
+        yield part
+
+
+def _steps(poset: LabelledWeightedPoset, signs: set, spent: int) -> tuple[dict, int]:
+    """The walk's table, and spent plus its steps: for each order ideal, a
+    row of (ideal after, weight added) per nonempty set S it can grow by at
+    z > 0, and one at z < 0, each built only if Z has a value of that sign
+    (True or False in signs).  A relation inside S must rise in labels at
+    z > 0 and fall at z < 0, so S grows in label order, up or down, by the
+    free vertices past its last one: those outside the ideal and S whose
+    predecessors are all inside.  A vertex that joins frees only direct
+    successors, so the free set is carried along; it is the next ideal's."""
+    n, preds, weights = poset.n, poset._preds, poset.weights
+    after: list[list[int]] = [[] for _ in range(n + 1)]  # direct successors
+    for i, j in poset.covers():
+        after[i].append(j)
+    words = 1 + n // 64  # of a mask, the charge of each step
+    table: dict[int, list[list]] = {}
+    todo = {0: sum(1 << v for v in range(1, n + 1) if not preds[v])}  # ideal: its free vertices
+    while todo:
+        ideal, ready = todo.popitem()
+        table[ideal] = []
+        for up in (True, False):
+            row: list[tuple[int, int]] = []
+            stack = [(ideal, 0, 0 if up else n + 1, ready)] if up in signs else []
+            while stack:  # (ideal and S, weight of S, last to join, free vertices)
+                grown, w, last, free = stack.pop()
+                may = free >> last + 1 << last + 1 if up else free & (1 << last) - 1
+                spent = _spend(spent, may.bit_count() * words)
+                while may:
+                    bit = may & -may
+                    may ^= bit
+                    v = bit.bit_length() - 1
+                    joined, still = grown | bit, free ^ bit
+                    for u in after[v]:
+                        if preds[u] & ~joined == 0:
+                            still |= 1 << u
+                    row.append((joined, w + weights[v - 1]))
+                    stack.append((joined, w + weights[v - 1], v, still))
+                    if joined not in table:
+                        todo[joined] = still
+            table[ideal].append(row)
+    return table, spent
+
+
+def _walk(
+    poset: LabelledWeightedPoset, table: dict, zs: tuple, width: int, start: dict, spent: int
+) -> tuple[dict, int]:
+    """start times gamma, from the _steps table, and spent plus the steps it
+    took.  Each ideal holds its monomials so far, packed with width bits per
+    variable, the empty ideal those of start; at each value of Z, in signed
+    order, the ideals move largest first, so a step, which only grows an
+    ideal, adds into one that has already moved."""
+    words = 1 + max(map(abs, zs), default=0) * width // 64  # of a packed monomial
+    states = {0: start}
+    for z in zs:
+        shift, row = (abs(z) - 1) * width, int(z < 0)
+        for ideal in sorted(states, reverse=True):
+            here, steps = states[ideal], table[ideal][row]
+            spent = _spend(spent, len(here) * len(steps) * words)
+            for nxt, w in steps:
+                there = states.setdefault(nxt, {})
+                w <<= shift
+                for mono, c in here.items():
+                    there[mono + w] = there.get(mono + w, 0) + c
+    return states.get((1 << poset.n + 1) - 2, {}), spent
 
 
 def _check_nvars(zs: tuple, nvars: int | None) -> int:
@@ -447,21 +555,12 @@ def _check_nvars(zs: tuple, nvars: int | None) -> int:
 _MINUS, _PLUS, _BOTH = 1, 2, 4
 
 
-def _blocks(ups: tuple, ws: tuple, start: int, kinds: int) -> Iterator[tuple[int, int, int]]:
-    """(vertex after the block, block weight, the sign sets that cannot take
-    the block) for each block of the chain that starts at vertex start, as
-    long as some sign set in kinds can take it."""
-    killed = b = 0
-    for end in range(start, len(ws)):
-        if end > start:
-            if ups[end - 1]:
-                killed |= _MINUS
-            else:  # a down-step after an up-step is a peak
-                killed |= _PLUS | (_BOTH if killed & _MINUS else 0)
-            if not kinds & ~killed:
-                return
-        b += ws[end]
-        yield end + 1, b, killed
+def _sign_sets(zs: tuple) -> dict[int, int]:
+    """Each magnitude of a checked alphabet, ascending, with its sign set."""
+    signs: dict[int, int] = {}
+    for z in zs:
+        signs[abs(z)] = signs.get(abs(z), 0) | (_MINUS if z < 0 else _PLUS)
+    return signs
 
 
 @lru_cache(maxsize=4096)
@@ -487,52 +586,42 @@ def _gamma_chain(ups: tuple, ws: tuple, zs: tuple, nvars: int) -> TruncatedPoly:
         (the sign changes at the valley's last down-step or just after it),
     and none otherwise.  Each condition, once false, stays false as the
     block grows, so the walk over cut sets stops extending a block as soon
-    as no magnitude of Z can take it, and stops cutting once the blocks use
-    up Z's magnitudes.  When every magnitude carries the same signs, a cut
-    set's coefficient, the product of its block counts, is written at once
-    on the monomials of M_b over Z's magnitudes.  Otherwise each block
-    picks its magnitude as the walk goes, and the counts multiply.
+    as Z's sign set cannot take it, and stops cutting once the blocks use
+    up Z's magnitudes.  A cut set's coefficient, the product of its block
+    counts, is written at once on the monomials of M_b over Z's magnitudes.
+    When magnitudes carry different sign sets, gamma walks the chain
+    instead, as the identity with each run of down-steps reversed: a word
+    with this up-down pattern.
     """
+    signs = _sign_sets(zs)
+    kinds = set(signs.values())
     if not ws:
         return _raw_poly(nvars, 0, {(): 1})
-    signs: dict[int, int] = {}
-    for z in zs:
-        signs[abs(z)] = signs.get(abs(z), 0) | (_MINUS if z < 0 else _PLUS)
-    kind = {m: _BOTH if s == _MINUS | _PLUS else s for m, s in signs.items()}
-    mags = tuple(sorted(kind))
-    kinds = sum(set(kind.values()))  # distinct bits: their sum is their union
-    n = len(ws)
-    acc: dict = {}
-    if not kinds & (kinds - 1):  # one sign set for every magnitude
-        per_block = 2 if kinds == _BOTH else 1
-        stack = [(0, ())]  # (first vertex of the next block, block weights so far)
-        while stack:
-            start, bs = stack.pop()
-            for nxt, b, _ in _blocks(ups, ws, start, kinds):
-                if nxt == n:
-                    monos = _m_monomials(bs + (b,), mags)
-                    acc.update(dict.fromkeys(monos, per_block ** (len(bs) + 1)))
-                elif len(bs) + 1 < len(mags):
-                    stack.append((nxt, bs + (b,)))
-    else:  # each block picks its magnitude as the walk goes
-        # by kill mask, then by index j: (index, magnitude, ways) for the
-        # magnitudes from mags[j] on that can take such a block
-        takers: dict = {}
-        stack = [(0, 0, 1, ())]  # (next vertex, next magnitude index, count, monomial)
-        while stack:
-            start, j, count, mono = stack.pop()
-            for nxt, b, killed in _blocks(ups, ws, start, kinds):
-                if killed not in takers:
-                    fit = [
-                        (i, m, 2 if kind[m] == _BOTH else 1)
-                        for i, m in enumerate(mags) if not killed & kind[m]
-                    ]
-                    takers[killed] = [[t for t in fit if t[0] >= lo] for lo in range(len(mags))]
-                for i, m, ways in takers[killed][j]:
-                    if nxt == n:
-                        acc[mono + ((m, b),)] = count * ways
-                    elif i + 1 < len(mags):
-                        stack.append((nxt, i + 1, count * ways, mono + ((m, b),)))
+    if len(kinds) > 1:
+        cuts = [0] + [k + 1 for k, up in enumerate(ups) if up] + [len(ws)]
+        word = [v for a, b in zip(cuts, cuts[1:]) for v in range(b, a, -1)]
+        return gamma(weighted_chain(word, ws), zs, nvars)
+    kind = kinds.pop() if kinds else 0
+    kind, per_block = (_BOTH, 2) if kind == _MINUS | _PLUS else (kind, 1)
+    mags, n, acc = tuple(signs), len(ws), {}
+    stack = [(0, ())]  # (first vertex of the next block, block weights so far)
+    while stack:
+        start, bs = stack.pop()
+        killed = b = 0  # the sign sets that cannot take the block, its weight
+        for end in range(start, n):
+            if end > start:
+                if ups[end - 1]:
+                    killed |= _MINUS
+                else:  # a down-step after an up-step is a peak
+                    killed |= _PLUS | (_BOTH if killed & _MINUS else 0)
+                if killed & kind:
+                    break
+            b += ws[end]
+            if end + 1 == n:
+                monos = _m_monomials(bs + (b,), mags)
+                acc.update(dict.fromkeys(monos, per_block ** (len(bs) + 1)))
+            elif len(bs) + 1 < len(mags):
+                stack.append((end + 1, bs + (b,)))
     return _raw_poly(nvars, sum(ws), acc)
 
 

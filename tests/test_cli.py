@@ -399,15 +399,15 @@ def test_cli_expand_refuses_past_its_budget(capsys, element, nvars, estimate):
     assert captured.err.startswith("error: ") and estimate in captured.err
 
 
-def test_cli_gamma_refuses_past_the_extension_limit(tmp_path, capsys):
-    # antichains over Z = {1}: 8! = 40,320 extensions compute, 9! are refused
-    for n, code in ((8, 0), (9, 1)):
-        path = tmp_path / f"antichain{n}.json"
-        path.write_text(json.dumps({"n": n, "covers": [], "weights": [1] * n}))
-        assert main(["gamma", "--poset", str(path), "--zset", "1"]) == code
+def test_cli_gamma_prints_a_wide_antichain_and_refuses_past_the_step_budget(tmp_path, capsys):
+    antichain, fan = tmp_path / "antichain9.json", tmp_path / "fan40.json"
+    antichain.write_text(json.dumps({"n": 9, "covers": [], "weights": [1] * 9}))
+    fan.write_text(json.dumps({"n": 40, "covers": [[1, j] for j in range(2, 41)]}))
+    assert main(["gamma", "--poset", str(antichain), "--zset", "1"]) == 0
+    assert main(["gamma", "--poset", str(fan), "--zset", "1"]) == 1
     captured = capsys.readouterr()
-    assert captured.out == "x1^8\n"
-    assert captured.err == "error: the poset has more than 100000 linear extensions, the limit for gamma\n"
+    assert captured.out == "x1^9\n"
+    assert captured.err == "error: gamma takes more than 1000000 steps\n"
 
 
 @pytest.mark.parametrize(

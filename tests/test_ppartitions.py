@@ -274,33 +274,85 @@ def test_gamma_degenerate_cases():
             universal_gamma((1, 2), (1, 1), (1, 2), nvars)
 
 
-def test_gamma_refuses_past_the_extension_limit(monkeypatch):
-    monkeypatch.setattr(ppartitions, "_EXTENSION_LIMIT", 6)
-    # antichains: 3! = 6 extensions compute, 4! are refused; chains have one
-    single = gamma(LabelledWeightedPoset(1), positive_alphabet(3))
-    want = poly_mul(poly_mul(single, single), single)
-    assert gamma(LabelledWeightedPoset(3), positive_alphabet(3)) == want
-    with pytest.raises(ValueError, match="more than 6 linear extensions"):
-        gamma(LabelledWeightedPoset(4), positive_alphabet(3))
-    assert not gamma(chain_poset(tuple(range(1, 8))), positive_alphabet(2)).is_zero
+def _fan(k):
+    """The connected fan 1 < {2, ..., k}."""
+    return LabelledWeightedPoset(k, [(1, j) for j in range(2, k + 1)])
 
 
-def test_gamma_sizes_wide_posets_before_walking_any_extension(monkeypatch):
-    def walk(self):
-        raise AssertionError("a linear extension was walked")
+def test_gamma_computes_within_the_step_budget_and_refuses_past_it():
+    # the fan 1 < {2, ..., k + 1} can grow by 3^k sets at a positive value
+    # and 3^k - 2^k + 1 at a negative one; a row is built for a sign in Z
+    for k in range(1, 8):
+        for signs, steps in (({True, False}, 2 * 3**k - 2**k + 1), ({True}, 3**k)):
+            table, spent = ppartitions._steps(_fan(k + 1), signs, 0)
+            assert spent == steps == sum(len(row) for rows in table.values() for row in rows)
+    # over {-1, 1}: 352,247 steps at k = 11 and 1,058,787 at k = 12, either
+    # side of 10^6; the count runs over every component, so three fans of
+    # 12 are refused where one and two compute
+    assert ppartitions._STEP_BUDGET == 10**6
+    assert dict(gamma(_fan(12), (-1, 1)).terms) == {((1, 12),): 2}
+    assert dict(gamma(_disjoint_union(_fan(12), _fan(12)), (-1, 1)).terms) == {((1, 24),): 4}
+    for poset in (_fan(13), _disjoint_union(_disjoint_union(_fan(12), _fan(12)), _fan(12))):
+        with pytest.raises(ValueError, match="takes more than 1000000 steps"):
+            gamma(poset, (-1, 1))
+
+
+def test_gamma_refuses_before_any_polynomial_work(monkeypatch):
+    def work(*args):
+        raise AssertionError("polynomial work before the refusal")
 
     with monkeypatch.context() as patch:
-        patch.setattr(LabelledWeightedPoset, "linear_extensions", walk)
-        with pytest.raises(ValueError, match="more than 100000 linear extensions"):
-            gamma(LabelledWeightedPoset(9), (1,))
-        with pytest.raises(ValueError, match="more than 100000 linear extensions"):
-            gamma(LabelledWeightedPoset(30), (1,))
+        for name in ("_gamma_chain", "_walk"):
+            patch.setattr(ppartitions, name, work)
+        # a chain component first, then the fan 1 < {2, ..., 40}: 2^39 + 1 ideals
+        with pytest.raises(ValueError, match="takes more than 1000000 steps"):
+            gamma(_disjoint_union(chain_poset((2, 1, 3)), _fan(40)), (1,))
+        # Z's magnitudes carry different sign sets, so a chain is walked
+        # too: the chain 1 < ... < 150 has 150 * 153 / 2 steps over (-1, 2)
+        patch.setattr(ppartitions, "_STEP_BUDGET", 10**4)
+        with pytest.raises(ValueError, match="takes more than 10000 steps"):
+            gamma(_disjoint_union(_fan(3), chain_poset(range(1, 151))), (-1, 2))
+        # a step on a component of n vertices is charged its mask's 1 + n // 64
+        # words: from {1}, the fan 1 < {2, ..., 40000} has 39,999 steps of 626
+        patch.setattr(ppartitions, "_STEP_BUDGET", 10**6)
+        with pytest.raises(ValueError, match="takes more than 1000000 steps"):
+            gamma(_fan(40000), (1,))
+    # an antichain is one-vertex chains, however wide
+    assert dict(gamma(LabelledWeightedPoset(30), (1,)).terms) == {((1, 30),): 1}
     # chains of 4 and 5 side by side: 9 vertices, C(9, 4) = 126 extensions
     two_chains = _disjoint_union(chain_poset((2, 1, 3, 4)), chain_poset((1, 3, 2, 5, 4)))
     assert two_chains.n == 9
     assert sum(1 for _ in two_chains.linear_extensions()) == 126
     zs = signed_alphabet(2)
     assert gamma(two_chains, zs) == _assignment_sum(two_chains, zs, 2)
+
+
+def test_universal_gamma_walks_a_chain_over_a_mixed_alphabet_within_the_budget(monkeypatch):
+    # the chain 1 < ... < n over (-1, 2): n(n + 3)/2 steps in its table, each
+    # charged 1 + n // 64 words, and 2n in its walk, so at 10^6 it computes
+    # up to n = 498, and at 10^4 up to 97
+    monkeypatch.setattr(ppartitions, "_STEP_BUDGET", 10**4)
+    got = universal_gamma(range(1, 98), (1,) * 97, (-1, 2))
+    assert dict(got.terms) == {((1, 1), (2, 96)): 1, ((2, 97),): 1}
+    with pytest.raises(ValueError, match="takes more than 10000 steps"):
+        universal_gamma(range(1, 99), (1,) * 98, (-1, 2))
+
+
+def test_gamma_renames_magnitudes_instead_of_packing_them():
+    """Only the order of Z's magnitudes counts: over (..., 10^7) gamma is
+    its value over (..., 2) with x2 renamed, at the same cost."""
+    big = 10**7
+    chain = weighted_chain((2, 1, 3), (1, 2, 1))
+    for poset in (LabelledWeightedPoset(2), _fan(3), chain, _disjoint_union(_fan(3), chain)):
+        for small, sparse in (((1, 2), (1, big)), ((-1, 2), (-1, big)), ((-1, 1, 2), (-1, 1, big))):
+            want = gamma(poset, small).terms
+            got = gamma(poset, sparse)
+            assert got.nvars == big and dict(got.terms) == {
+                tuple((big if v == 2 else v, e) for v, e in mono): c for mono, c in want.items()
+            }
+    # a mixed alphabet sends universal_gamma's chain through gamma's walk
+    got = universal_gamma((2, 1, 3), (1, 2, 1), (-1, big))
+    assert dict(got.terms) == {((1, 3), (big, 1)): 1, ((1, 1), (big, 3)): 1}
 
 
 @pytest.mark.parametrize("n", range(5))
@@ -603,7 +655,6 @@ def test_gamma_matches_assignment_sum_on_every_small_poset(n):
 @pytest.mark.parametrize("n", (5, 6))
 def test_gamma_matches_assignment_sum_on_seeded_posets(n):
     rng = random.Random(40 + n)
-    zs = signed_alphabet(2)
     for _ in range(6):
         theta = list(range(1, n + 1))
         rng.shuffle(theta)
@@ -612,7 +663,10 @@ def test_gamma_matches_assignment_sum_on_seeded_posets(n):
             if rng.random() < 0.3
         ]
         weights = [rng.choice((1, 2)) for _ in range(n)]
-        _assert_gamma_is_assignment_sum(LabelledWeightedPoset(n, relations, weights), zs, 2)
+        poset = LabelledWeightedPoset(n, relations, weights)
+        # the signed alphabet, and two whose magnitudes carry different sign sets
+        for zs, nvars in ((signed_alphabet(2), 2), ((1, -2, 2), 2), ((-4, -2, 1, 3), 4)):
+            _assert_gamma_is_assignment_sum(poset, zs, nvars)
 
 
 def _disjoint_union(p, q):
@@ -628,9 +682,14 @@ def test_gamma_of_a_disjoint_union_is_the_product():
     for _ in range(15):
         p = _random_poset(rng, max_n=3, weighted=True)
         q = _random_poset(rng, max_n=3, weighted=True)
-        for zs in (positive_alphabet(3), signed_alphabet(3)):
-            assert gamma(_disjoint_union(p, q), zs, 3) == poly_mul(
-                gamma(p, zs, 3), gamma(q, zs, 3)
+        for zs, nvars in (
+            (positive_alphabet(3), 3),
+            (signed_alphabet(3), 3),
+            ((1, -2, 2), 3),
+            ((-4, -2, 1, 3), 4),
+        ):
+            assert gamma(_disjoint_union(p, q), zs, nvars) == poly_mul(
+                gamma(p, zs, nvars), gamma(q, zs, nvars)
             )
     # the antichain of 6 over the full signed alphabet: 12^6 assignments
     zs = signed_alphabet(6)
@@ -642,6 +701,12 @@ def test_gamma_of_a_disjoint_union_is_the_product():
     assert antichain == LabelledWeightedPoset(6)
     got = gamma(antichain, zs)
     assert got == product and got.degree == product.degree == 6
+    # a chain component beside two that are not chains
+    fan = LabelledWeightedPoset(3, [(1, 2), (1, 3)], (2, 1, 1))
+    vee = LabelledWeightedPoset(3, [(1, 3), (2, 3)], (1, 1, 2))
+    mixed = _disjoint_union(_disjoint_union(weighted_chain((2, 1), (1, 2)), fan), vee)
+    for zs, nvars in ((signed_alphabet(2), 2), ((1, -2, 2), 2), ((-4, -2, 1, 3), 4)):
+        _assert_gamma_is_assignment_sum(mixed, zs, nvars)
 
 
 def _extension_sum(poset, zs, nvars):
