@@ -287,10 +287,7 @@ class QSymElement:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "QSymElement":
-        return cls(
-            data["basis"],
-            [(tuple(t["comp"]), Fraction(t["coeff"])) for t in data["terms"]],
-        )
+        return cls(data["basis"], [(tuple(t["comp"]), t["coeff"]) for t in data["terms"]])
 
 
 def _raw(basis: str, acc: dict) -> QSymElement:

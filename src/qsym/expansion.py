@@ -1,4 +1,4 @@
-"""Exact truncated polynomial expansions in variables x_1..x_N.
+"""Exact polynomial expansions in variables x_1..x_N.
 
 This is the ground truth the symbolic layer is certified against: every
 basis element has a defining series.  A quasisymmetric function is fixed
@@ -17,9 +17,8 @@ ascending; coefficients are exact (int or Fraction, interchangeable).
 Inside the product kernels a monomial is packed into one int, a fixed-width
 field per variable (Kronecker substitution), so multiplying monomials is
 one int addition; results are decoded back to tuples.
-Products that would create monomials beyond the degree bound drop them
-and set the ``truncated`` flag; identities are only certified on
-untruncated polynomials.
+Arithmetic is complete: a sum's degree bound is the larger of its
+operands' bounds and a product's is their sum, so no term is ever dropped.
 """
 
 from __future__ import annotations
@@ -48,9 +47,9 @@ class TruncatedPoly:
     cannot be changed through a caller's reference.
     """
 
-    __slots__ = ("nvars", "degree", "terms", "truncated")
+    __slots__ = ("nvars", "degree", "terms")
 
-    def __init__(self, nvars: int, degree: int, terms: Mapping | Iterable = (), truncated: bool = False):
+    def __init__(self, nvars: int, degree: int, terms: Mapping | Iterable = ()):
         _check_count("nvars", nvars)
         _check_count("degree", degree)
         items = terms.items() if isinstance(terms, Mapping) else terms
@@ -71,7 +70,6 @@ class TruncatedPoly:
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "terms", MappingProxyType(acc))
-        object.__setattr__(self, "truncated", truncated)
 
     def __setattr__(self, name, value):
         raise AttributeError("TruncatedPoly is immutable")
@@ -129,12 +127,11 @@ def _check_count(name: str, value) -> None:
         raise ValueError(f"{name} must be nonnegative, got {value}")
 
 
-def _raw_poly(nvars: int, degree: int, acc: dict, truncated: bool = False) -> TruncatedPoly:
+def _raw_poly(nvars: int, degree: int, acc: dict) -> TruncatedPoly:
     poly = TruncatedPoly.__new__(TruncatedPoly)
     object.__setattr__(poly, "nvars", nvars)
     object.__setattr__(poly, "degree", degree)
     object.__setattr__(poly, "terms", MappingProxyType(acc))
-    object.__setattr__(poly, "truncated", truncated)
     return poly
 
 
@@ -151,25 +148,17 @@ def format_poly(p: TruncatedPoly) -> str:
 # arithmetic
 
 
-def _bound(p: TruncatedPoly, q: TruncatedPoly, complete: int) -> tuple[int, bool]:
-    """The degree bound of a sum or product of p and q, and its truncated flag:
-    the complete bound, unless a truncated operand makes the result only
-    trustworthy up to the tightest truncated bound, and flags it."""
+def _same_nvars(p: TruncatedPoly, q: TruncatedPoly) -> None:
     if p.nvars != q.nvars:
         raise ValueError(f"variable count mismatch: {p.nvars} vs {q.nvars}")
-    trunc_bounds = [x.degree for x in (p, q) if x.truncated]
-    if trunc_bounds:
-        return min(trunc_bounds), True
-    return complete, False
 
 
 def poly_add(p: TruncatedPoly, q: TruncatedPoly) -> TruncatedPoly:
-    bound, flagged = _bound(p, q, max(p.degree, q.degree))
-    acc = {key: c for key, c in p.terms.items() if _mono_degree(key) <= bound}
+    _same_nvars(p, q)
+    acc = dict(p.terms)
     for key, coeff in q.terms.items():
-        if _mono_degree(key) <= bound:
-            _bump(acc, key, coeff)
-    return _raw_poly(p.nvars, bound, acc, flagged)
+        _bump(acc, key, coeff)
+    return _raw_poly(p.nvars, max(p.degree, q.degree), acc)
 
 
 def poly_scale(p: TruncatedPoly, scalar) -> TruncatedPoly:
@@ -177,14 +166,8 @@ def poly_scale(p: TruncatedPoly, scalar) -> TruncatedPoly:
     if isinstance(scalar, Fraction) and scalar.denominator == 1:
         scalar = scalar.numerator
     if not scalar:
-        return _raw_poly(p.nvars, p.degree, {}, p.truncated)
-    return _raw_poly(
-        p.nvars, p.degree, {k: v * scalar for k, v in p.terms.items()}, p.truncated
-    )
-
-
-def poly_sub(p: TruncatedPoly, q: TruncatedPoly) -> TruncatedPoly:
-    return poly_add(p, poly_scale(q, -1))
+        return _raw_poly(p.nvars, p.degree, {})
+    return _raw_poly(p.nvars, p.degree, {k: v * scalar for k, v in p.terms.items()})
 
 
 def _pack(key: Monomial, width: int) -> int:
@@ -219,31 +202,32 @@ def _field_width(bound: int) -> int:
     return max(bound, 1).bit_length()
 
 
-def poly_mul(p: TruncatedPoly, q: TruncatedPoly) -> TruncatedPoly:
-    """Exact product of complete polynomials (bound grows to d1 + d2).
+def _packed_mul(a: dict, b: dict) -> dict:
+    """The product of two polynomials packed at one width, as {packed: coeff}.
 
-    If an operand is already truncated, cross terms above the tightest
-    truncated bound are unknowable: they are dropped and the result stays
-    flagged, so such polynomials can never certify an identity.
+    Adding packed keys multiplies monomials; terms that cancel stay, as 0.
     """
-    bound, flagged = _bound(p, q, p.degree + q.degree)
-    width = _field_width(bound)
-    # q's packed terms by degree, so each p term meets only the q terms
-    # whose product stays within the bound; a term above the bound (of a
-    # truncated operand) may pack with carries, but is never multiplied
-    by_degree: dict[int, list] = {}
-    for key, coeff in q.terms.items():
-        by_degree.setdefault(_mono_degree(key), []).append((_pack(key, width), coeff))
     acc: dict[int, Fraction | int] = {}
-    for ka, va in p.terms.items():
-        a = _pack(ka, width)
-        room = bound - _mono_degree(ka)
-        for db, group in by_degree.items():
-            if db <= room:
-                for b, vb in group:
-                    acc[a + b] = acc.get(a + b, 0) + va * vb
-    terms = {_unpack(key, width): c for key, c in acc.items() if c}
-    return _raw_poly(p.nvars, bound, terms, flagged)
+    for ka, va in a.items():
+        for kb, vb in b.items():
+            acc[ka + kb] = acc.get(ka + kb, 0) + va * vb
+    return acc
+
+
+def poly_mul(p: TruncatedPoly, q: TruncatedPoly) -> TruncatedPoly:
+    """Exact product; its degree bound is the sum of the operands' bounds.
+
+    >>> x1 = TruncatedPoly(2, 1, {((1, 1),): 1})
+    >>> p = poly_mul(x1, TruncatedPoly(2, 2, {((1, 1), (2, 1)): 3}))
+    >>> p, p.degree
+    (TruncatedPoly(3*x1^2*x2), 3)
+    """
+    _same_nvars(p, q)
+    bound = p.degree + q.degree
+    width = _field_width(bound)
+    a, b = ({_pack(key, width): c for key, c in x.terms.items()} for x in (p, q))
+    acc = _packed_mul(a, b)
+    return _raw_poly(p.nvars, bound, {_unpack(k, width): c for k, c in acc.items() if c})
 
 
 def embed(p: TruncatedPoly, nvars: int, offset: int = 0) -> TruncatedPoly:
@@ -255,7 +239,7 @@ def embed(p: TruncatedPoly, nvars: int, offset: int = 0) -> TruncatedPoly:
     acc = {
         tuple((v + offset, e) for v, e in key): coeff for key, coeff in p.terms.items()
     }
-    return _raw_poly(nvars, p.degree, acc, p.truncated)
+    return _raw_poly(nvars, p.degree, acc)
 
 
 # ---------------------------------------------------------------------------

@@ -43,8 +43,8 @@ from .combinatorics import (
     subsets,
 )
 from .core import QSymElement
-from .expansion import TruncatedPoly, _check_count, _field_width, _m_monomials, _pack, _raw_poly
-from .expansion import _unpack
+from .expansion import TruncatedPoly, _check_count, _field_width, _m_monomials, _pack
+from .expansion import _packed_mul, _raw_poly, _unpack
 
 SignedValue = int  # nonzero: -n is (-, n), +n is (+, n)
 
@@ -424,12 +424,7 @@ def gamma(
         if len(parts) == 1:  # a chain alone: its function as it is
             break
         spent = _spend(spent, len(product) * len(terms) * words)
-        acc: dict[int, int] = {}
-        for mono, c in terms.items():
-            mono = _pack(mono, width)
-            for a, ca in product.items():
-                acc[a + mono] = acc.get(a + mono, 0) + ca * c
-        product = acc
+        product = _packed_mul({_pack(mono, width): c for mono, c in terms.items()}, product)
     else:  # no break
         terms = {_unpack(mono, width): c for mono, c in product.items()}
     mags = list(rank)

@@ -22,7 +22,7 @@ from qsym.cli import (
 )
 from qsym.core import QSymElement, convert, coproduct
 from qsym import verification
-from qsym.expansion import TruncatedPoly
+from qsym.expansion import TruncatedPoly, poly_scale
 from qsym.verification import check_eta_coproduct, check_specializations
 
 
@@ -276,14 +276,13 @@ def test_verify_check_without_cases_fails():
     assert not result.passed
 
 
-def test_eta_coproduct_split_fails_on_a_truncated_piece(monkeypatch):
+def test_eta_coproduct_split_fails_on_a_wrong_piece(monkeypatch):
     real_mul = verification.poly_mul
 
-    def truncating_mul(p, q):
-        prod = real_mul(p, q)
-        return TruncatedPoly(prod.nvars, prod.degree, prod.terms, truncated=True)
+    def doubling_mul(p, q):
+        return poly_scale(real_mul(p, q), 2)
 
-    monkeypatch.setattr(verification, "poly_mul", truncating_mul)
+    monkeypatch.setattr(verification, "poly_mul", doubling_mul)
     result = check_eta_coproduct()
     assert not result.passed
     assert result.detail == "84 coproducts"

@@ -155,6 +155,20 @@ def test_json_round_trip():
     assert QSymElement.from_json_dict(data) == e
 
 
+def test_from_json_dict_refuses_inexact_coefficients():
+    # a JSON float or bool is refused as the constructor refuses it, not
+    # read as the float's binary value or as 1
+    for coeff in (0.1, True):
+        with pytest.raises(TypeError, match="exact rationals"):
+            QSymElement.from_json_dict({"basis": "M", "terms": [{"comp": [1], "coeff": coeff}]})
+    data = {"basis": "M", "terms": [{"comp": [1], "coeff": "1/2"}, {"comp": [2], "coeff": 3}]}
+    assert QSymElement.from_json_dict(data) == QSymElement("M", {(1,): Fraction(1, 2), (2,): 3})
+    assert QSymElement.from_json_dict(data).to_json_dict() == {
+        "basis": "M",
+        "terms": [{"comp": [1], "coeff": "1/2"}, {"comp": [2], "coeff": "3"}],
+    }
+
+
 # ---------------------------------------------------------------------------
 # conversions
 

@@ -7,9 +7,10 @@ import pytest
 
 import qsym.combinatorics
 import qsym.core
+import qsym.expansion
 
 
-@pytest.mark.parametrize("module", [qsym.combinatorics, qsym.core])
+@pytest.mark.parametrize("module", [qsym.combinatorics, qsym.core, qsym.expansion])
 def test_doctests(module):
     result = doctest.testmod(module)
     assert result.failed == 0

@@ -28,7 +28,6 @@ from qsym.expansion import (
     poly_add,
     poly_mul,
     poly_scale,
-    poly_sub,
 )
 
 
@@ -99,8 +98,7 @@ def test_expand_intertwines_product():
     a, b = M(1), M(2)
     lhs = expand(multiply(a, b), 3, 3)
     rhs = poly_mul(expand(a, 3, 1), expand(b, 3, 2))
-    assert lhs == rhs
-    assert not rhs.truncated
+    assert lhs == rhs and rhs.degree == 3
 
 
 def _is_quasisymmetric(poly):
@@ -372,41 +370,28 @@ def test_poly_arithmetic_bounds():
     p = TruncatedPoly(2, 2, {((1, 2),): 1})
     q = TruncatedPoly(2, 1, {((2, 1),): 2})
     s = poly_add(p, q)
-    assert s.degree == 2 and not s.truncated
+    assert s.degree == 2
     prod = poly_mul(p, q)
-    assert prod.degree == 3 and not prod.truncated
+    assert prod.degree == 3
     assert dict(prod.terms) == {((1, 2), (2, 1)): 2}
-    diff = poly_sub(p, p)
+    diff = poly_add(p, poly_scale(p, -1))
     assert diff.is_zero
 
 
-def test_truncated_inputs_stay_flagged():
-    p = TruncatedPoly(1, 1, {((1, 1),): 1}, truncated=True)
-    q = TruncatedPoly(1, 2, {((1, 1),): 1, ((1, 2),): 1})
-    prod = poly_mul(p, q)
-    assert prod.truncated
-    assert prod.degree == 1
-    assert dict(prod.terms) == {}  # x*(x + x^2) has nothing of degree <= 1
-    s = poly_add(p, q)
-    assert s.truncated and s.degree == 1
-    assert dict(s.terms) == {((1, 1),): 2}
-
-
-def _reference_mul(p, q, bound):
-    """Tuple-key product of two term dicts, monomials above bound dropped."""
+def _reference_mul(p, q):
+    """Tuple-key product of two term dicts."""
     acc = {}
     for ka, va in p.terms.items():
         for kb, vb in q.terms.items():
             exps = dict(ka)
             for v, e in kb:
                 exps[v] = exps.get(v, 0) + e
-            if sum(exps.values()) <= bound:
-                key = tuple(sorted(exps.items()))
-                acc[key] = acc.get(key, 0) + va * vb
+            key = tuple(sorted(exps.items()))
+            acc[key] = acc.get(key, 0) + va * vb
     return {key: c for key, c in acc.items() if c}
 
 
-def _poly_of_degree(d, truncated=False):
+def _poly_of_degree(d):
     """Terms up to degree d in 3 variables, top and bottom fields at full degree."""
     terms = {(): 1}
     if d >= 1:
@@ -414,7 +399,7 @@ def _poly_of_degree(d, truncated=False):
     if d >= 2:
         terms[((1, 1), (2, d - 1))] = Fraction(1, 2)
         terms[((2, 1), (3, 1))] = 3
-    return TruncatedPoly(3, d, terms, truncated)
+    return TruncatedPoly(3, d, terms)
 
 
 @pytest.mark.parametrize("bound", [1, 2, 3, 4, 7, 8, 15, 16])
@@ -423,20 +408,8 @@ def test_poly_mul_matches_reference_at_field_boundaries(bound):
     for d1 in range(bound + 1):
         p, q = _poly_of_degree(d1), _poly_of_degree(bound - d1)
         prod = poly_mul(p, q)
-        assert dict(prod.terms) == _reference_mul(p, q, bound)
-        assert ((3, bound),) in prod.terms and not prod.truncated
-
-
-def test_poly_mul_truncated_operand_above_bound():
-    # a truncated operand of degree 16 against one truncated at 3: its terms
-    # above the bound do not fit fields of the bound's width, and must drop
-    p, q = _poly_of_degree(16, truncated=True), _poly_of_degree(3, truncated=True)
-    for left, right in ((p, q), (q, p), (p, _poly_of_degree(2))):
-        bound = min(x.degree for x in (left, right) if x.truncated)
-        prod = poly_mul(left, right)
-        assert prod.truncated and prod.degree == bound
-        assert dict(prod.terms) == _reference_mul(left, right, bound)
-        assert prod.terms
+        assert dict(prod.terms) == _reference_mul(p, q)
+        assert ((3, bound),) in prod.terms and prod.degree == bound
 
 
 def test_poly_mismatched_nvars():
