@@ -357,7 +357,15 @@ def contract(alpha: Iterable[int], i: int) -> Composition:
     parts = check_composition(alpha)
     if not 2 <= i <= len(parts) - 1:
         raise ValueError(f"index {i} not in [2, {len(parts) - 1}]")
-    return parts[: i - 2] + (parts[i - 2] + parts[i - 1] + parts[i],) + parts[i + 1 :]
+    return _contracted(parts, (i,))
+
+
+def _contracted(parts: Composition, indices: Sequence[int]) -> Composition:
+    """Merge parts i-1, i, i+1 at each index, largest first, unchecked: the
+    indices must ascend, be peak-lacunar and lie in [2, len(parts) - 1]."""
+    for i in reversed(indices):
+        parts = parts[: i - 2] + (parts[i - 2] + parts[i - 1] + parts[i],) + parts[i + 1 :]
+    return parts
 
 
 def contract_set(alpha: Iterable[int], indices: Iterable[int]) -> Composition:
@@ -373,14 +381,13 @@ def contract_set(alpha: Iterable[int], indices: Iterable[int]) -> Composition:
     (2, 1, 4, 3, 2)
     """
     parts = check_composition(alpha)
-    elems = sorted(indices, reverse=True)
+    elems = sorted(indices)
     if not is_peak_lacunar(elems):
-        raise ValueError(f"{tuple(sorted(elems))!r} is not peak-lacunar")
-    if elems and elems[0] > len(parts) - 1:
-        raise ValueError(f"index {elems[0]} not in [2, {len(parts) - 1}]")
-    for i in elems:
-        parts = contract(parts, i)
-    return parts
+        raise ValueError(f"{tuple(elems)!r} is not peak-lacunar")
+    for i in reversed(elems):
+        if not 2 <= i <= len(parts) - 1:
+            raise ValueError(f"index {i} not in [2, {len(parts) - 1}]")
+    return _contracted(parts, elems)
 
 
 def reverse(alpha: Iterable[int]) -> Composition:

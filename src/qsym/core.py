@@ -44,9 +44,9 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Callable, Iterable, Mapping
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping
 
 from .combinatorics import (
     Composition,
@@ -131,6 +131,11 @@ class NotInPeakSpanError(ValueError):
         super().__init__(f"not in the span of the peak functions; residual {residual}")
 
 
+def _check_basis(basis: str) -> None:
+    if basis not in BASES:
+        raise ValueError(f"unknown basis {basis!r}; expected one of {BASES}")
+
+
 def _check_index(basis: str, comp) -> Composition:
     comp = check_composition(comp)
     if basis == "K" and any(a % 2 == 0 for a in comp):
@@ -149,8 +154,7 @@ class QSymElement:
     __slots__ = ("basis", "_terms")
 
     def __init__(self, basis: str, terms: Mapping | Iterable = ()):
-        if basis not in BASES:
-            raise ValueError(f"unknown basis {basis!r}; expected one of {BASES}")
+        _check_basis(basis)
         items = terms.items() if isinstance(terms, Mapping) else terms
         acc: dict[Composition, Fraction] = {}
         for comp, coeff in items:
@@ -165,7 +169,13 @@ class QSymElement:
 
     @classmethod
     def term(cls, basis: str, comp: Iterable[int], coeff=1) -> "QSymElement":
-        return cls(basis, [(tuple(comp), coeff)])
+        """The one-term element coeff * basis_comp, checked as the constructor
+        checks it: basis, then index, then coefficient."""
+        comp = tuple(comp)
+        _check_basis(basis)
+        comp = _check_index(basis, comp)
+        coeff = _coerce_coeff(coeff)
+        return _raw(basis, {comp: coeff} if coeff else {})
 
     @classmethod
     def unit(cls, basis: str) -> "QSymElement":
@@ -768,8 +778,7 @@ def convert(a: QSymElement, target: str) -> QSymElement:
     >>> convert(QSymElement.term("K", (3,)), "eta")
     QSymElement(-1*eta[3] + 1*eta[1, 1, 1])
     """
-    if target not in BASES:
-        raise ValueError(f"unknown basis {target!r}; expected one of {BASES}")
+    _check_basis(target)
     if a.basis == target:
         return a
     if "K" in (a.basis, target) and "eta" not in (a.basis, target):

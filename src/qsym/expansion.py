@@ -25,10 +25,10 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterable, Iterator, Mapping
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping
 
 from .combinatorics import descent_set, peak_set_of_composition
 from .core import QSymElement, _bump, _exact, _signed_sum, format_rational
@@ -170,12 +170,14 @@ def poly_scale(p: TruncatedPoly, scalar) -> TruncatedPoly:
     return _raw_poly(p.nvars, p.degree, {k: v * scalar for k, v in p.terms.items()})
 
 
+@lru_cache(maxsize=4096)
 def _pack(key: Monomial, width: int) -> int:
     """One int for a monomial: the exponent of x_v fills bits (v-1)*width on.
 
     With width at least the bit length of every exponent that can occur,
     no field carries into the next, so adding packed keys multiplies
-    monomials (Kronecker substitution).
+    monomials (Kronecker substitution).  Memoized, as ``_unpack`` is:
+    products of cached results pack the same keys again and again.
     """
     return sum(e << ((v - 1) * width) for v, e in key)
 

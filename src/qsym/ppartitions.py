@@ -29,20 +29,21 @@ vertex; relations and covers are derived from them on demand.
 from __future__ import annotations
 
 import operator
+from collections.abc import Iterable, Iterator, Mapping, Sequence
+from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping, Sequence
 
 from .combinatorics import (
     Composition,
     Permutation,
+    _contracted,
     check_composition,
     check_permutation,
-    contract_set,
     coshuffles,
     peak_set_of_permutation,
     subsets,
 )
-from .core import QSymElement
+from .core import QSymElement, _raw
 from .expansion import TruncatedPoly, _check_count, _field_width, _m_monomials, _pack
 from .expansion import _packed_mul, _raw_poly, _unpack
 
@@ -650,12 +651,13 @@ def universal_to_eta(pi: Iterable[int], alpha: Iterable[int]) -> QSymElement:
         sum over I inside Peak(pi) of (-1)^|I| eta_{alpha contracted at I}.
     """
     word, parts = _check_weighted_word(pi, alpha)
-    peaks = peak_set_of_permutation(word)
-    terms = []
-    for chosen in subsets(peaks):
-        sign = -1 if len(chosen) % 2 else 1
-        terms.append((contract_set(parts, chosen), sign))
-    return QSymElement("eta", terms)
+    # the peaks of a permutation ascend, are interior and are peak-lacunar,
+    # so every subset of them contracts unchecked
+    acc: dict = {}
+    for chosen in subsets(peak_set_of_permutation(word)):
+        comp = _contracted(parts, chosen)
+        acc[comp] = acc.get(comp, 0) + (-1 if len(chosen) % 2 else 1)
+    return _raw("eta", {comp: Fraction(c) for comp, c in acc.items() if c})
 
 
 def coshuffle_product(

@@ -180,15 +180,17 @@ def check_eta_product_rule(max_degree: int | None = None) -> CheckResult:
     """Closed eta product rule vs the M quasi-shuffle, certified by expansion."""
     top = _cap(7, max_degree)
     r = _Recorder()
+    in_m = {
+        alpha: convert(QSymElement.term("eta", alpha), "M")
+        for n in range(top + 1)
+        for alpha in compositions(n)
+    }
     for total in range(top + 1):
         for na in range(total + 1):
             for alpha in compositions(na):
                 for beta in compositions(total - na):
                     direct = eta_product(alpha, beta)
-                    via_m = multiply(
-                        convert(QSymElement.term("eta", alpha), "M"),
-                        convert(QSymElement.term("eta", beta), "M"),
-                    )
+                    via_m = multiply(in_m[alpha], in_m[beta])
                     r.check(
                         certify_equal(direct, via_m),
                         f"eta_{alpha} * eta_{beta}",
@@ -335,6 +337,7 @@ def check_shuffle_products(max_degree: int | None = None) -> CheckResult:
         for m in range(1, top - n + 1):
             for pi in itertools.permutations(range(1, n + 1)):
                 for sigma in itertools.permutations(range(1, m + 1)):
+                    words = tuple(shuffles(pi, sigma))
                     for zs in alphabets:
                         lhs = poly_mul(
                             universal_gamma(pi, (1,) * n, zs, nvars),
@@ -342,7 +345,7 @@ def check_shuffle_products(max_degree: int | None = None) -> CheckResult:
                         )
                         rhs = _sum_terms(
                             universal_gamma(word, (1,) * (n + m), zs, nvars)
-                            for word in shuffles(pi, sigma)
+                            for word in words
                         )
                         r.check(
                             lhs.terms == rhs,

@@ -251,6 +251,14 @@ def test_cli_verify_stdout_is_byte_identical(capsys):
     assert capsys.readouterr().out.encode() == golden.read_bytes()
 
 
+def test_cli_verify_max_degree_3_stdout_is_byte_identical(capsys):
+    # every check, its tables included, stays inside the --max-degree cap
+    golden = pathlib.Path(__file__).parent / "data" / "verify_max3_stdout.txt"
+    rc = main(["verify", "--max-degree", "3"])
+    assert rc == 0
+    assert capsys.readouterr().out.encode() == golden.read_bytes()
+
+
 def test_cli_verify_smallest_bound(capsys):
     # a random element that cancels to zero must compare against 0, not fail
     rc = main(["verify", "--max-degree", "1"])

@@ -187,6 +187,9 @@ def test_contract_set():
         contract_set((2, 1, 4, 3, 2), (2, 3))
     with pytest.raises(ValueError):
         contract_set((1, 2, 3), (1,))
+    for outside in ((0,), (-2, 4), (2, 5)):
+        with pytest.raises(ValueError, match="not in"):
+            contract_set((2, 1, 4, 3, 2), outside)
 
 
 @pytest.mark.parametrize("n", range(1, 8))

@@ -138,6 +138,49 @@ def test_element_validation():
         QSymElement("M", {(1,): 0.5})
 
 
+def _raised(make):
+    try:
+        make()
+    except Exception as exc:  # the type and message are compared
+        return type(exc), str(exc)
+    raise AssertionError("no exception raised")
+
+
+@pytest.mark.parametrize(
+    "basis, comp, coeff",
+    [
+        ("Q", (1,), 1),  # unknown basis
+        ("Q", (0,), True),  # unknown basis before a bad part and a bool
+        ("K", (2, 1), 1),  # even K part
+        ("K", (2, 1), 0.5),  # even K part before a float
+        ("M", (0,), 1),  # part <= 0
+        ("M", (2, -1), True),  # part <= 0 before a bool
+        ("M", (1,), True),  # bool coefficient
+        ("eta", (1,), 0.5),  # float coefficient
+    ],
+)
+def test_term_refuses_as_the_constructor_refuses(basis, comp, coeff):
+    assert _raised(lambda: QSymElement.term(basis, comp, coeff)) == _raised(
+        lambda: QSymElement(basis, [(comp, coeff)])
+    )
+
+
+def test_term_matches_the_constructor():
+    for basis, comp, coeff in [
+        ("M", (2, 1), 1),
+        ("K", (3, 1), -2),
+        ("eta", [1, 2], "1/2"),
+        ("L", (), Fraction(3, 4)),
+        ("M", (1, 1), 0),
+        ("eta", (2,), Fraction(0)),
+    ]:
+        got = QSymElement.term(basis, comp, coeff)
+        assert got == QSymElement(basis, [(tuple(comp), coeff)])
+        assert all(type(c) is Fraction for c in got.terms.values())
+    assert QSymElement.term("M", (1, 1), 0).is_zero
+    assert QSymElement.term("eta", [1, 2], "1/2").terms == {(1, 2): Fraction(1, 2)}
+
+
 def test_element_arithmetic():
     e = 2 * M(1) + M(2)
     assert e == QSymElement("M", {(1,): 2, (2,): 1})

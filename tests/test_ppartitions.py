@@ -3,16 +3,19 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from qsym import ppartitions
 from qsym.combinatorics import (
     composition_of_subset,
+    contract_set,
     descent_set_of_permutation,
     odd_composition_of_peak_set,
     peak_set_of_permutation,
     shuffles,
+    subsets,
 )
 from qsym.core import QSymElement, convert
 from qsym.expansion import TruncatedPoly, expand, poly_add, poly_mul
@@ -828,6 +831,25 @@ def test_universal_to_eta():
     assert universal_to_eta((1, 3, 2), (1, 1, 1)) == convert(QSymElement.term("K", (3,)), "eta")
     with pytest.raises(ValueError):
         universal_to_eta((1, 2), (1,))
+
+
+def _universal_to_eta_reference(word, alpha):
+    """The closed formula through the public, checked contraction."""
+    terms = [
+        (contract_set(alpha, chosen), (-1) ** len(chosen))
+        for chosen in subsets(peak_set_of_permutation(word))
+    ]
+    return QSymElement("eta", terms)
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_universal_to_eta_matches_the_checked_formula(n):
+    rng = random.Random(n)
+    for word in itertools.permutations(range(1, n + 1)):
+        for alpha in ((1,) * n, tuple(rng.randint(1, 3) for _ in range(n))):
+            got = universal_to_eta(word, alpha)
+            assert got == _universal_to_eta_reference(word, alpha)
+            assert all(type(c) is Fraction and c for c in got.terms.values())
 
 
 @pytest.mark.parametrize("n", range(1, 4))
