@@ -32,9 +32,10 @@ def check_composition(alpha: Iterable[int]) -> Composition:
 
 
 def check_permutation(pi: Iterable[int]) -> Permutation:
-    """Coerce to a tuple and verify it is a rearrangement of 1..n."""
+    """Coerce to a tuple and verify it is a rearrangement of 1..n in plain
+    ints (True and 1.0 compare equal to 1, so the sort alone passes them)."""
     word = tuple(pi)
-    if sorted(word) != list(range(1, len(word) + 1)):
+    if sorted(word) != list(range(1, len(word) + 1)) or not {int}.issuperset(map(type, word)):
         raise ValueError(f"not a permutation of 1..{len(word)}: {word!r}")
     return word
 

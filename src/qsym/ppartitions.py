@@ -420,8 +420,7 @@ def gamma(
         if table is not None:
             product, spent = _walk(part, table, ranked, width, product, spent)
             continue
-        ups = tuple(map(operator.lt, order, order[1:]))
-        terms = _gamma_chain(ups, tuple(map(part.weight, order)), ranked, len(rank)).terms
+        terms = _gamma_chain(_ups(order), tuple(map(part.weight, order)), ranked, len(rank)).terms
         if len(parts) == 1:  # a chain alone: its function as it is
             break
         spent = _spend(spent, len(product) * len(terms) * words)
@@ -561,21 +560,45 @@ def _sign_sets(zs: tuple) -> dict[int, int]:
 
 @lru_cache(maxsize=4096)
 def _gamma_chain(ups: tuple, ws: tuple, zs: tuple, nvars: int) -> TruncatedPoly:
-    """gamma of a chain, one block of equal magnitudes at a time.
+    """gamma of a chain from its up-down pattern, weights and alphabet.
 
     ups[k] says whether the labels rise from chain vertex k to k+1, and
-    ws[k] is the weight of vertex k.  Along a chain the values weakly
-    increase, and a tie between neighbours is allowed exactly when its sign
-    matches their direction: -m to -m needs the labels to go down, +m to +m
-    needs them to go up, and -m to +m is free.  So the labels drop out, and
-    chains with one pattern and one weight sequence share one cache entry.
+    ws[k] is the weight of vertex k.  When every magnitude of Z carries the
+    same signs, the chain function is _chain_m_terms' sum of c_b M_b over
+    Z's magnitudes, and each c_b is written here onto the monomials of M_b:
+    one walk serves this writer and the callers that sum chain functions by
+    M-coefficient.  When magnitudes carry different sign sets, gamma walks
+    the chain instead, as the identity with each run of down-steps
+    reversed: a word with this up-down pattern.
+    """
+    signs = _sign_sets(zs)
+    if ws and len(set(signs.values())) > 1:
+        cuts = [0] + [k + 1 for k, up in enumerate(ups) if up] + [len(ws)]
+        word = [v for a, b in zip(cuts, cuts[1:]) for v in range(b, a, -1)]
+        return gamma(weighted_chain(word, ws), zs, nvars)
+    mags, acc = tuple(signs), {}
+    for b, c in _chain_m_terms(ups, ws, zs).items():
+        acc.update(dict.fromkeys(_m_monomials(b, mags), c))
+    return _raw_poly(nvars, sum(ws), acc)
+
+
+def _chain_m_terms(ups: tuple, ws: tuple, zs: tuple) -> dict[tuple, int]:
+    """A chain's function as {b: c_b}, the sum of c_b M_b over the k
+    magnitudes of a checked alphabet zs in which each carries the same
+    signs; every b has at most k parts.  One block of equal magnitudes at
+    a time.
+
+    Along a chain the values weakly increase, and a tie between neighbours
+    is allowed exactly when its sign matches their direction: -m to -m
+    needs the labels to go down, +m to +m needs them to go up, and -m to +m
+    is free.  So the labels drop out, and chains with one pattern and one
+    weight sequence share one function.
 
     The magnitudes weakly increase, so they cut the chain into consecutive
-    blocks of equal magnitude m_1 < ... < m_k, and the monomial is
-    x_m1^b1 ... x_mk^bk with b_j the weight of block j.  Weights are
-    positive, so b fixes the cut set: each (cut set, magnitudes) pair is a
-    monomial of its own.  Inside a block the signs run -...-+...+, so the
-    block takes m in
+    blocks of equal magnitude m_1 < ... < m_j, and the monomial is
+    x_m1^b1 ... x_mj^bj with b_i the weight of block i.  Weights are
+    positive, so b fixes the cut set: each cut set is a composition b of
+    its own.  Inside a block the signs run -...-+...+, so the block takes m in
       1 way if Z holds only +m and the block never goes down,
       1 way if Z holds only -m and the block never goes up,
       2 ways if Z holds both and no up-step comes before a down-step
@@ -583,24 +606,18 @@ def _gamma_chain(ups: tuple, ws: tuple, zs: tuple, nvars: int) -> TruncatedPoly:
     and none otherwise.  Each condition, once false, stays false as the
     block grows, so the walk over cut sets stops extending a block as soon
     as Z's sign set cannot take it, and stops cutting once the blocks use
-    up Z's magnitudes.  A cut set's coefficient, the product of its block
-    counts, is written at once on the monomials of M_b over Z's magnitudes.
-    When magnitudes carry different sign sets, gamma walks the chain
-    instead, as the identity with each run of down-steps reversed: a word
-    with this up-down pattern.
+    up Z's magnitudes.  c_b is the product of b's block counts.
     """
+    if not ws:
+        return {(): 1}
     signs = _sign_sets(zs)
     kinds = set(signs.values())
-    if not ws:
-        return _raw_poly(nvars, 0, {(): 1})
     if len(kinds) > 1:
-        cuts = [0] + [k + 1 for k, up in enumerate(ups) if up] + [len(ws)]
-        word = [v for a, b in zip(cuts, cuts[1:]) for v in range(b, a, -1)]
-        return gamma(weighted_chain(word, ws), zs, nvars)
+        raise ValueError(f"the magnitudes of {zs} carry different sign sets")
     kind = kinds.pop() if kinds else 0
     kind, per_block = (_BOTH, 2) if kind == _MINUS | _PLUS else (kind, 1)
-    mags, n, acc = tuple(signs), len(ws), {}
-    stack = [(0, ())]  # (first vertex of the next block, block weights so far)
+    n, k, acc = len(ws), len(signs), {}
+    stack = [(0, ())] if k else []  # (first vertex of the next block, block weights so far)
     while stack:
         start, bs = stack.pop()
         killed = b = 0  # the sign sets that cannot take the block, its weight
@@ -614,11 +631,15 @@ def _gamma_chain(ups: tuple, ws: tuple, zs: tuple, nvars: int) -> TruncatedPoly:
                     break
             b += ws[end]
             if end + 1 == n:
-                monos = _m_monomials(bs + (b,), mags)
-                acc.update(dict.fromkeys(monos, per_block ** (len(bs) + 1)))
-            elif len(bs) + 1 < len(mags):
+                acc[bs + (b,)] = per_block ** (len(bs) + 1)
+            elif len(bs) + 1 < k:
                 stack.append((end + 1, bs + (b,)))
-    return _raw_poly(nvars, sum(ws), acc)
+    return acc
+
+
+def _ups(word: Sequence[int]) -> tuple[bool, ...]:
+    """The up-down pattern of a word: whether each neighbouring pair rises."""
+    return tuple(map(operator.lt, word, word[1:]))
 
 
 def universal_gamma(
@@ -639,9 +660,15 @@ def universal_gamma(
     """
     word, parts = _check_weighted_word(pi, alpha)
     zs = _check_alphabet(alphabet)
-    nvars = _check_nvars(zs, nvars)
-    ups = tuple(map(operator.lt, word, word[1:]))
-    return _gamma_chain(ups, parts, zs, nvars)
+    return _universal_gamma(word, parts, zs, _check_nvars(zs, nvars))
+
+
+def _universal_gamma(word: tuple, parts: tuple, zs: tuple, nvars: int) -> TruncatedPoly:
+    """universal_gamma with no checks: a checked word and its parts (as
+    tuples), an alphabet checked by _check_alphabet, and a variable count
+    that covers its magnitudes.  Callers that pass one alphabet many times
+    check it once."""
+    return _gamma_chain(_ups(word), parts, zs, nvars)
 
 
 def universal_to_eta(pi: Iterable[int], alpha: Iterable[int]) -> QSymElement:

@@ -38,6 +38,7 @@ from .core import (
     signed_subset_sum,
 )
 from .expansion import (
+    _m_monomials,
     certify_equal,
     embed,
     expand,
@@ -45,10 +46,13 @@ from .expansion import (
     poly_scale,
 )
 from .ppartitions import (
+    _chain_m_terms,
+    _check_alphabet,
+    _universal_gamma,
+    _ups,
     coshuffle_product,
     positive_alphabet,
     signed_alphabet,
-    universal_gamma,
     universal_to_eta,
 )
 
@@ -78,10 +82,13 @@ class _Recorder:
         self.count = 0
         self.failures: list[str] = []
 
-    def check(self, ok: bool, describe: str) -> None:
+    def check(self, ok: bool, describe: str, *args) -> None:
+        """Count one case; a failure is described by describe.format(*args),
+        or by describe itself when no args are given, so a passing case
+        formats nothing."""
         self.count += 1
         if not ok:
-            self.failures.append(describe)
+            self.failures.append(describe.format(*args) if args else describe)
 
     def result(self, name: str, what: str) -> CheckResult:
         """A check that ran no cases fails: it would certify nothing."""
@@ -166,12 +173,12 @@ def check_basis_round_trip(max_degree: int | None = None) -> CheckResult:
             back = convert(convert(QSymElement.term("eta", alpha), "M"), "eta")
             r.check(
                 back == QSymElement.term("eta", alpha),
-                f"eta_{alpha} to M and back = {back}",
+                "eta_{} to M and back = {}", alpha, back,
             )
             back = convert(convert(QSymElement.term("M", alpha), "eta"), "M")
             r.check(
                 back == QSymElement.term("M", alpha),
-                f"M_{alpha} to eta and back = {back}",
+                "M_{} to eta and back = {}", alpha, back,
             )
     return r.result(f"basis round trips (n <= {top})", "round trips")
 
@@ -193,7 +200,7 @@ def check_eta_product_rule(max_degree: int | None = None) -> CheckResult:
                     via_m = multiply(in_m[alpha], in_m[beta])
                     r.check(
                         certify_equal(direct, via_m),
-                        f"eta_{alpha} * eta_{beta}",
+                        "eta_{} * eta_{}", alpha, beta,
                     )
     return r.result(f"eta product rule (|a|+|b| <= {top})", "products certified")
 
@@ -211,7 +218,7 @@ def check_eta_coproduct(max_degree: int | None = None) -> CheckResult:
                 ("M", "M"),
             )
             rhs = coproduct(convert(elem, "M"))
-            r.check(lhs == rhs, f"coproduct(eta_{alpha}) through M")
+            r.check(lhs == rhs, "coproduct(eta_{}) through M", alpha)
     rng = random.Random(_SEED)
     degree_cap = _cap(5, max_degree)
     for _ in range(_COPRODUCT_SAMPLES):
@@ -231,7 +238,7 @@ def check_eta_coproduct(max_degree: int | None = None) -> CheckResult:
             )
             for (cl, cr), coeff in tens.terms.items()
         ]
-        r.check(lhs.terms == _sum_terms(pieces), f"alphabet split of {elem}")
+        r.check(lhs.terms == _sum_terms(pieces), "alphabet split of {}", elem)
     return r.result(
         f"eta coproduct (n <= {top}) + {_COPRODUCT_SAMPLES} alphabet splits", "coproducts"
     )
@@ -258,12 +265,12 @@ def check_antipode(max_degree: int | None = None) -> CheckResult:
             for basis in ("M", "eta"):
                 elem = QSymElement.term(basis, alpha)
                 r.check(
-                    antipode(antipode(elem)) == elem, f"S(S({basis}_{alpha}))"
+                    antipode(antipode(elem)) == elem, "S(S({}_{}))", basis, alpha
                 )
             elem = QSymElement.term("eta", alpha)
             direct = convert(antipode(elem), "M")
             routed = antipode(convert(elem, "M"))
-            r.check(direct == routed, f"antipode routes for eta_{alpha}")
+            r.check(direct == routed, "antipode routes for eta_{}", alpha)
     for n in range(hopf_top + 1):
         for alpha in compositions(n):
             elem = QSymElement.term("eta", alpha)
@@ -275,7 +282,7 @@ def check_antipode(max_degree: int | None = None) -> CheckResult:
             expected = QSymElement.unit("eta").scale(elem.counit())
             r.check(
                 certify_equal(folded, expected),
-                f"Hopf axiom on eta_{alpha}: {folded}",
+                "Hopf axiom on eta_{}: {}", alpha, folded,
             )
     return r.result(
         f"antipode (S^2, routes n <= {top}; Hopf axiom n <= {hopf_top})", "identities"
@@ -286,33 +293,33 @@ def check_specializations(max_degree: int | None = None) -> CheckResult:
     """Weighted-chain generating functions against the four basis series."""
     top = _cap(5, max_degree)
     nvars = 5
-    pos = positive_alphabet(nvars)
-    sgn = signed_alphabet(nvars)
+    pos = _check_alphabet(positive_alphabet(nvars))
+    sgn = _check_alphabet(signed_alphabet(nvars))
     r = _Recorder()
     for n in range(1, top + 1):
         ones = (1,) * n
         for word in itertools.permutations(range(1, n + 1)):
-            u = universal_gamma(word, ones, pos, nvars)
+            u = _universal_gamma(word, ones, pos, nvars)
             r.check(
                 u == expand(L_of_permutation(word), nvars, n),
-                f"positive alphabet, unit weights, pi={word}",
+                "positive alphabet, unit weights, pi={}", word,
             )
-            u = universal_gamma(word, ones, sgn, nvars)
+            u = _universal_gamma(word, ones, sgn, nvars)
             r.check(
                 u == expand(K_of_permutation(word), nvars, n),
-                f"signed alphabet, unit weights, pi={word}",
+                "signed alphabet, unit weights, pi={}", word,
             )
         for alpha in itertools.product((1, 2), repeat=n):
             d = sum(alpha)
-            u = universal_gamma(identity_permutation(n), alpha, sgn, nvars)
+            u = _universal_gamma(identity_permutation(n), alpha, sgn, nvars)
             r.check(
                 u == expand(QSymElement.term("eta", alpha), nvars, d),
-                f"signed alphabet, id, alpha={alpha}",
+                "signed alphabet, id, alpha={}", alpha,
             )
-            u = universal_gamma(reversed_identity(n), alpha, pos, nvars)
+            u = _universal_gamma(reversed_identity(n), alpha, pos, nvars)
             r.check(
                 u == expand(QSymElement.term("M", alpha), nvars, d),
-                f"positive alphabet, reversed id, alpha={alpha}",
+                "positive alphabet, reversed id, alpha={}", alpha,
             )
     return r.result(f"P-partition specializations (n <= {top})", "specializations")
 
@@ -328,29 +335,55 @@ def _sum_terms(polys) -> dict:
 
 
 def check_shuffle_products(max_degree: int | None = None) -> CheckResult:
-    """Chain generating functions multiply by (co)shuffling, at both alphabets."""
+    """Chain generating functions multiply by (co)shuffling, at both alphabets.
+
+    Each side is computed once per key within this call.  The left side is
+    poly_mul of the two chain functions, once per pair of chain keys (up-down
+    pattern and weights) and alphabet.  The right side sums the words'
+    M-coefficients, each word's walked once per chain key and alphabet, in
+    ints per composition b, and writes the monomials of the sum once.
+    """
     top = _cap(6, max_degree)
     nvars = 4
-    alphabets = (positive_alphabet(nvars), signed_alphabet(nvars))
+    alphabets = tuple(_check_alphabet(z(nvars)) for z in (positive_alphabet, signed_alphabet))
+    mags = positive_alphabet(nvars)  # the magnitudes of both alphabets
+    products: dict = {}  # (pattern, weights, pattern, weights, alphabet): terms
+    m_terms: dict = {}  # (pattern, weights, alphabet): {b: c_b}
     r = _Recorder()
+
+    def lhs(pi, alpha, sigma, beta, zs):
+        key = (_ups(pi), alpha, _ups(sigma), beta, zs)
+        if key not in products:
+            products[key] = poly_mul(
+                _universal_gamma(pi, alpha, zs, nvars),
+                _universal_gamma(sigma, beta, zs, nvars),
+            ).terms
+        return products[key]
+
+    def rhs(chains, zs):
+        acc: dict = {}
+        for ups, ws in chains:
+            terms = m_terms.get((ups, ws, zs))
+            if terms is None:
+                terms = m_terms[ups, ws, zs] = _chain_m_terms(ups, ws, zs)
+            for b, c in terms.items():
+                acc[b] = acc.get(b, 0) + c
+        return {mono: c for b, c in acc.items() if c for mono in _m_monomials(b, mags)}
+
+    def check(pi, alpha, sigma, beta, chains, describe, *args):
+        for zs in alphabets:
+            r.check(lhs(pi, alpha, sigma, beta, zs) == rhs(chains, zs), describe, *args, len(zs))
+
     for n in range(1, top):
         for m in range(1, top - n + 1):
+            ones = (1,) * (n + m)
             for pi in itertools.permutations(range(1, n + 1)):
                 for sigma in itertools.permutations(range(1, m + 1)):
-                    words = tuple(shuffles(pi, sigma))
-                    for zs in alphabets:
-                        lhs = poly_mul(
-                            universal_gamma(pi, (1,) * n, zs, nvars),
-                            universal_gamma(sigma, (1,) * m, zs, nvars),
-                        )
-                        rhs = _sum_terms(
-                            universal_gamma(word, (1,) * (n + m), zs, nvars)
-                            for word in words
-                        )
-                        r.check(
-                            lhs.terms == rhs,
-                            f"shuffle product pi={pi} sigma={sigma} |Z|={len(zs)}",
-                        )
+                    chains = [(_ups(word), ones) for word in shuffles(pi, sigma)]
+                    check(
+                        pi, ones[:n], sigma, ones[:m], chains,
+                        "shuffle product pi={} sigma={} |Z|={}", pi, sigma,
+                    )
     rng = random.Random(_SEED)
     weighted = [((1, 2), (2, 2), (1,), (1,))]
     for _ in range(40):
@@ -362,19 +395,11 @@ def check_shuffle_products(max_degree: int | None = None) -> CheckResult:
         beta = tuple(rng.randint(1, 2) for _ in range(m))
         weighted.append((pi, alpha, sigma, beta))
     for pi, alpha, sigma, beta in weighted:
-        for zs in alphabets:
-            lhs = poly_mul(
-                universal_gamma(pi, alpha, zs, nvars),
-                universal_gamma(sigma, beta, zs, nvars),
-            )
-            rhs = _sum_terms(
-                universal_gamma(tau, gamma_comp, zs, nvars)
-                for tau, gamma_comp in coshuffle_product(pi, alpha, sigma, beta)
-            )
-            r.check(
-                lhs.terms == rhs,
-                f"coshuffle product ({pi},{alpha}) x ({sigma},{beta}) |Z|={len(zs)}",
-            )
+        chains = [(_ups(tau), parts) for tau, parts in coshuffle_product(pi, alpha, sigma, beta)]
+        check(
+            pi, alpha, sigma, beta, chains,
+            "coshuffle product ({},{}) x ({},{}) |Z|={}", pi, alpha, sigma, beta,
+        )
     return r.result(
         f"shuffle/coshuffle products (n+m <= {top}, both alphabets)", "products"
     )
@@ -384,15 +409,15 @@ def check_u_expansion(max_degree: int | None = None) -> CheckResult:
     """Signed-alphabet chain functions as signed sums of enriched monomials."""
     n = _cap(4, max_degree)
     nvars = 4
-    sgn = signed_alphabet(nvars)
+    sgn = _check_alphabet(signed_alphabet(nvars))
     r = _Recorder()
     for word in itertools.permutations(range(1, n + 1)):
         for alpha in itertools.product((1, 2, 3), repeat=n):
             symbolic = universal_to_eta(word, alpha)
-            numeric = universal_gamma(word, alpha, sgn, nvars)
+            numeric = _universal_gamma(word, alpha, sgn, nvars)
             r.check(
                 expand(symbolic, nvars, sum(alpha)) == numeric,
-                f"pi={word} alpha={alpha}",
+                "pi={} alpha={}", word, alpha,
             )
     return r.result(f"chain-to-eta expansion (S_{n}, parts <= 3)", "expansions")
 
@@ -406,7 +431,7 @@ def check_peak_conversion(max_degree: int | None = None) -> CheckResult:
             term = QSymElement.term("K", alpha)
             r.check(
                 certify_equal(convert(term, "M"), term),
-                f"K_{alpha}",
+                "K_{}", alpha,
             )
     return r.result(f"peak function conversion (odd |a| <= {top})", "conversions")
 
@@ -419,7 +444,7 @@ def check_signed_subset_sum(max_degree: int | None = None) -> CheckResult:
         for t in subsets(universe):
             got = signed_subset_sum(s, t)
             want = 2 ** len(s) if set(s) <= set(t) else 0
-            r.check(got == want, f"S={s} T={t}: {got} != {want}")
+            r.check(got == want, "S={} T={}: {} != {}", s, t, got, want)
     return r.result("signed subset sums (S, T within [5])", "pairs")
 
 

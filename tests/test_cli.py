@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import pathlib
@@ -259,6 +260,15 @@ def test_cli_verify_max_degree_3_stdout_is_byte_identical(capsys):
     assert capsys.readouterr().out.encode() == golden.read_bytes()
 
 
+def test_cli_verify_max_degree_5_stdout_is_byte_identical(capsys):
+    # at this bound the shuffle and coshuffle checks run capped, with their
+    # own case counts
+    golden = pathlib.Path(__file__).parent / "data" / "verify_max5_stdout.txt"
+    rc = main(["verify", "--max-degree", "5"])
+    assert rc == 0
+    assert capsys.readouterr().out.encode() == golden.read_bytes()
+
+
 def test_cli_verify_smallest_bound(capsys):
     # a random element that cancels to zero must compare against 0, not fail
     rc = main(["verify", "--max-degree", "1"])
@@ -296,6 +306,103 @@ def test_eta_coproduct_split_fails_on_a_wrong_piece(monkeypatch):
     assert result.detail == "84 coproducts"
     assert len(result.failures) == 20
     assert all(f.startswith("alphabet split of ") for f in result.failures)
+
+
+def _digest(failures):
+    return len(failures), hashlib.sha256("\n".join(failures).encode()).hexdigest()
+
+
+def test_counterexample_text_is_built_only_for_a_failure():
+    class Unprintable:
+        def __format__(self, spec):
+            raise AssertionError("a passing case was formatted")
+
+    r = verification._Recorder()
+    r.check(True, "case {}", Unprintable())
+    r.check(False, "pi={} alpha={}", (2, 1), (1, 3))
+    r.check(False, "contract_set((2,1,4,3,2), {2,4})")  # braces, no arguments
+    assert r.count == 3
+    assert r.failures == ["pi=(2, 1) alpha=(1, 3)", "contract_set((2,1,4,3,2), {2,4})"]
+
+
+# Failing checks' lines and failure lists, recorded before counterexamples
+# were formatted lazily: the text must not change.
+_ROUND_TRIP_LINES = """\
+FAIL  basis round trips (n <= 7): 256 round trips
+      counterexample: eta_() to M and back = QSymElement(2*eta[])
+      counterexample: M_() to eta and back = QSymElement(2*M[])
+      counterexample: eta_(1,) to M and back = QSymElement(2*eta[1])
+      counterexample: M_(1,) to eta and back = QSymElement(2*M[1])
+      counterexample: eta_(2,) to M and back = QSymElement(2*eta[2])
+      ... and 251 more"""
+_SUBSET_SUM_LINES = """\
+FAIL  signed subset sums (S, T within [5]): 1024 pairs
+      counterexample: S=(1, 2, 3, 4, 5) T=(): 1 != 0
+      counterexample: S=(1, 2, 3, 4, 5) T=(1,): 1 != 0
+      counterexample: S=(1, 2, 3, 4, 5) T=(2,): 1 != 0
+      counterexample: S=(1, 2, 3, 4, 5) T=(3,): 1 != 0
+      counterexample: S=(1, 2, 3, 4, 5) T=(4,): 1 != 0
+      ... and 27 more"""
+
+
+def test_counterexample_lines_are_unchanged(monkeypatch):
+    real_convert = verification.convert
+
+    def doubled_to_eta(elem, basis):
+        out = real_convert(elem, basis)
+        return out.scale(2) if basis == "eta" else out
+
+    with monkeypatch.context() as patch:
+        patch.setattr(verification, "convert", doubled_to_eta)
+        result = verification.check_basis_round_trip()
+    assert "\n".join(result.lines()) == _ROUND_TRIP_LINES
+    assert _digest(result.failures) == (
+        256, "b08599ad7fa994083d81821bf8bd3fad957fb2d13f5152062a6d27e439e0d6dc"
+    )
+    real_sum = verification.signed_subset_sum
+    monkeypatch.setattr(
+        verification, "signed_subset_sum", lambda s, t: real_sum(s, t) + (len(s) == 5)
+    )
+    result = verification.check_signed_subset_sum()
+    assert "\n".join(result.lines()) == _SUBSET_SUM_LINES
+    assert _digest(result.failures) == (
+        32, "164213c4a2308509f7c4aa927343e3c6749c0d47f5ca99551b34bfd7be39fc1d"
+    )
+
+
+def _drop_first(real):
+    return lambda *args: real(*args)[1:]
+
+
+def _doubled(real):
+    return lambda p, q: poly_scale(real(p, q), 2)
+
+
+# Each broken piece of the shuffle check, with the failure list the check
+# gave before its sides were memoised: (count, sha256 of the joined lines).
+@pytest.mark.parametrize(
+    "name,broken,failures",
+    [
+        (
+            "shuffles", _drop_first,
+            (837, "564f4491286f0a3cd8477e02bf61fa9b926608dcc8036093e35c7d93b6815867"),
+        ),
+        (
+            "poly_mul", _doubled,
+            (1010, "1c0a113de1120cb23e510485e2a11b8966fa70897132a1e52b5fc7549997950a"),
+        ),
+        (
+            "coshuffle_product", _drop_first,
+            (82, "4f04a2eda8fffc98840a173626e7564ef1208894f83cde2889d86f56ce018064"),
+        ),
+    ],
+)
+def test_shuffle_check_fails_on_a_broken_piece(monkeypatch, name, broken, failures):
+    monkeypatch.setattr(verification, name, broken(getattr(verification, name)))
+    result = verification.check_shuffle_products()
+    assert not result.passed
+    assert result.detail == "1012 products"
+    assert _digest(result.failures) == failures
 
 
 # One process, one request after another: every verb in text and JSON, an

@@ -34,7 +34,8 @@ from qsym.ppartitions import (
     universal_to_eta,
     weighted_chain,
 )
-from qsym.ppartitions import _gamma_chain
+from qsym.expansion import _m_monomials
+from qsym.ppartitions import _chain_m_terms, _check_alphabet, _gamma_chain, _universal_gamma
 
 
 def test_signed_order():
@@ -144,7 +145,9 @@ def test_chain_constructors_match_the_closed_poset(n):
             _assert_same_poset(weighted_chain(word, alpha), _closed_chain(word, weights))
 
 
-@pytest.mark.parametrize("word", [(1, 1), (0, 1), (2, 3), (1, 2, 4), (2,)])
+@pytest.mark.parametrize(
+    "word", [(1, 1), (0, 1), (2, 3), (1, 2, 4), (2,), (True, 2), (2, 1.0)]
+)
 def test_chain_constructors_reject_bad_words(word):
     with pytest.raises(ValueError, match="not a permutation"):
         chain_poset(word)
@@ -374,6 +377,32 @@ def test_universal_gamma_equals_gamma_of_the_weighted_chain(n):
         universal_gamma((1, 2), (1, 1), positive_alphabet(3), 2)
 
 
+def test_unchecked_universal_gamma_equals_the_checked_one():
+    rng = random.Random(19)
+    alphabets = [positive_alphabet(3), signed_alphabet(4), (2, 5), (-1, 2), (1, -2, 2, -4)]
+    for _ in range(200):
+        n = rng.randint(0, 6)
+        word = tuple(rng.sample(range(1, n + 1), n))
+        alpha = tuple(rng.randint(1, 3) for _ in word)
+        zs = rng.choice(alphabets)
+        nvars = abs(zs[-1]) + rng.randint(0, 1)
+        got = _universal_gamma(word, alpha, _check_alphabet(zs), nvars)
+        want = universal_gamma(word, alpha, zs, nvars)
+        assert dict(got.terms) == dict(want.terms)
+        assert (got.nvars, got.degree) == (want.nvars, want.degree)
+
+
+@pytest.mark.parametrize("bad", [True, 1.0, 0])
+def test_universal_gamma_refuses_non_int_and_zero_entries(bad):
+    # True and 1.0 equal 1, so only a check of each entry's type catches them
+    with pytest.raises(ValueError, match="not a permutation"):
+        universal_gamma((bad, 2), (1, 1), positive_alphabet(2))
+    with pytest.raises(ValueError, match="positive integers"):
+        universal_gamma((1, 2), (bad, 1), positive_alphabet(2))
+    with pytest.raises(ValueError, match="nonzero ints"):
+        universal_gamma((1, 2), (1, 1), (bad, 2))
+
+
 @pytest.mark.parametrize("bad", [(0, 1, 2), (True, 2), (1, 2.0), (1.0, 2)])
 @pytest.mark.parametrize("form", [tuple, list, iter])
 def test_alphabet_memo_never_caches_a_pass(bad, form):
@@ -490,6 +519,39 @@ def test_gamma_chain_is_zero_when_it_needs_more_blocks_than_magnitudes():
         assert _assignment_sum(weighted_chain(word, ws), zs, 3).is_zero
     # one more magnitude, and the count is no longer zero
     assert not _gamma_chain((True, False, True, False), (1,) * 5, signed_alphabet(3), 3).is_zero
+
+
+def test_chain_m_terms_written_on_monomials_are_the_chain_function():
+    """_chain_m_terms' {b: c_b}, written onto the monomials of M_b over the
+    magnitudes, is _gamma_chain and gamma of the weighted chain: every
+    up-down pattern up to 6 vertices, weights from {1, 2}, over P_k and
+    Ppm_k for k = 1..4 and over sparse alphabets."""
+    alphabets = [positive_alphabet(k) for k in range(1, 5)]
+    alphabets += [signed_alphabet(k) for k in range(1, 5)]
+    alphabets += [(2, 5), (-1, 1, -3, 3)]
+    rng = random.Random(6)
+    zero = 0
+    for n in range(7):
+        for ups, words in _words_by_pattern(n).items():
+            for ws in _weightings(n, rng):
+                poset = weighted_chain(words[0], ws)
+                for zs in alphabets:
+                    mags, nvars = sorted({abs(z) for z in zs}), abs(zs[-1])
+                    coeffs = _chain_m_terms(ups, ws, zs)
+                    assert all(len(b) <= len(mags) and sum(b) == sum(ws) for b in coeffs)
+                    assert all(c > 0 for c in coeffs.values())
+                    written = {
+                        mono: c for b, c in coeffs.items() for mono in _m_monomials(b, tuple(mags))
+                    }
+                    assert dict(_gamma_chain(ups, ws, zs, nvars).terms) == written
+                    assert dict(gamma(poset, zs, nvars).terms) == written
+                    zero += not written
+    # chains that need more blocks than the alphabet has magnitudes are among them
+    assert zero > 0
+    assert _chain_m_terms((False,), (1, 1), (1,)) == {}
+    assert _chain_m_terms((), (), ()) == {(): 1}
+    with pytest.raises(ValueError, match="different sign sets"):
+        _chain_m_terms((True,), (1, 1), (-1, 2))
 
 
 def _words_by_pattern(n):
