@@ -40,6 +40,24 @@ def check_permutation(pi: Iterable[int]) -> Permutation:
     return word
 
 
+def _check_count(name: str, value) -> None:
+    """Refuse a size, variable count or degree bound that is not a
+    nonnegative int (True is an int to Python, not a count)."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if value < 0:
+        raise ValueError(f"{name} must be nonnegative, got {value}")
+
+
+def _index_set(s: Iterable[int]) -> list[int]:
+    """The elements of an index set, sorted, refused unless each is a plain
+    int (True and 2.0 compare equal to 1 and 2, so range checks pass them)."""
+    elems = tuple(s)
+    if not {int}.issuperset(map(type, elems)):
+        raise ValueError(f"index sets hold ints, got {elems!r}")
+    return sorted(elems)
+
+
 def identity_permutation(n: int) -> Permutation:
     """1 2 ... n in one-line notation."""
     return tuple(range(1, n + 1))
@@ -52,6 +70,9 @@ def reversed_identity(n: int) -> Permutation:
 
 def subsets(items: Sequence) -> Iterator[tuple]:
     """All subsets of ``items`` as tuples, by increasing size.
+
+    Generic over the items, which it never compares or checks, unlike the
+    index-set helpers below, which take ints only.
 
     >>> list(subsets((1, 2)))
     [(), (1,), (2,), (1, 2)]
@@ -108,16 +129,18 @@ def composition_of_subset(n: int, s: Iterable[int]) -> Composition:
     >>> composition_of_subset(4, ())
     (4,)
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    elems = sorted(s)
+    _check_count("n", n)
+    elems = _index_set(s)
     if any(not 1 <= x <= n - 1 for x in elems):
         raise ValueError(f"subset {tuple(elems)!r} not contained in [1, {n - 1}]")
     if any(a == b for a, b in zip(elems, elems[1:])):
         raise ValueError(f"repeated element in {tuple(elems)!r}")
-    if n == 0:
-        return ()
-    bounds = [0] + elems + [n]
+    return _composition_of_descents(n, elems) if n else ()
+
+
+def _composition_of_descents(n: int, elems: Sequence[int]) -> Composition:
+    """composition_of_subset unchecked: n >= 1 and elems ascending in [1, n-1]."""
+    bounds = [0, *elems, n]
     return tuple(b - a for a, b in zip(bounds, bounds[1:]))
 
 
@@ -127,11 +150,10 @@ def compositions(n: int) -> Iterator[Composition]:
     >>> list(compositions(3))
     [(3,), (1, 2), (2, 1), (1, 1, 1)]
     """
+    _check_count("n", n)
     if n == 0:
-        yield ()
-        return
-    for s in subsets(tuple(range(1, n))):
-        yield composition_of_subset(n, s)
+        return iter([()])
+    return (_composition_of_descents(n, s) for s in subsets(tuple(range(1, n))))
 
 
 def odd_compositions(n: int) -> Iterator[Composition]:
@@ -190,9 +212,12 @@ def odd_composition_of_peak_set(n: int, s: Iterable[int]) -> Composition:
     >>> odd_composition_of_peak_set(3, (2,))
     (3,)
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    elems = sorted(s)
+    _check_count("n", n)
+    return _odd_composition_of_peaks(n, _index_set(s))
+
+
+def _odd_composition_of_peaks(n: int, elems: list[int]) -> Composition:
+    """odd_composition_of_peak_set for ascending ints elems and n >= 0."""
     if not is_peak_lacunar(elems):
         raise ValueError(f"{tuple(elems)!r} is not peak-lacunar")
     if any(not 1 <= x <= n - 1 for x in elems):
@@ -382,7 +407,7 @@ def contract_set(alpha: Iterable[int], indices: Iterable[int]) -> Composition:
     (2, 1, 4, 3, 2)
     """
     parts = check_composition(alpha)
-    elems = sorted(indices)
+    elems = _index_set(indices)
     if not is_peak_lacunar(elems):
         raise ValueError(f"{tuple(elems)!r} is not peak-lacunar")
     for i in reversed(elems):

@@ -50,6 +50,7 @@ from types import MappingProxyType
 
 from .combinatorics import (
     Composition,
+    _odd_composition_of_peaks,
     check_composition,
     check_permutation,
     composition_of_subset,
@@ -716,7 +717,7 @@ def _peak_mask(comp: Composition) -> int:
 
 def _odd_composition_of_mask(n: int, mask: int) -> Composition:
     peaks = [p for p in range(1, n) if mask >> (p - 1) & 1]
-    return odd_composition_of_peak_set(n, peaks)
+    return _odd_composition_of_peaks(n, peaks)
 
 
 def _lattice_transform(a: QSymElement, target: str) -> QSymElement:

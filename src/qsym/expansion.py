@@ -30,7 +30,7 @@ from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 
-from .combinatorics import descent_set, peak_set_of_composition
+from .combinatorics import _check_count, descent_set, peak_set_of_composition
 from .core import QSymElement, _bump, _exact, _signed_sum, format_rational
 
 Monomial = tuple[tuple[int, int], ...]
@@ -116,15 +116,6 @@ class TruncatedPoly:
                 for key, c in self.sorted_terms()
             ],
         }
-
-
-def _check_count(name: str, value) -> None:
-    """Refuse a variable count or degree bound that is not a nonnegative int
-    (True is an int to Python, not a count)."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"{name} must be an int, got {value!r}")
-    if value < 0:
-        raise ValueError(f"{name} must be nonnegative, got {value}")
 
 
 def _raw_poly(nvars: int, degree: int, acc: dict) -> TruncatedPoly:

@@ -36,6 +36,7 @@ from functools import lru_cache
 from .combinatorics import (
     Composition,
     Permutation,
+    _check_count,
     _contracted,
     check_composition,
     check_permutation,
@@ -44,7 +45,7 @@ from .combinatorics import (
     subsets,
 )
 from .core import QSymElement, _raw
-from .expansion import TruncatedPoly, _check_count, _field_width, _m_monomials, _pack
+from .expansion import TruncatedPoly, _field_width, _m_monomials, _pack
 from .expansion import _packed_mul, _raw_poly, _unpack
 
 SignedValue = int  # nonzero: -n is (-, n), +n is (+, n)

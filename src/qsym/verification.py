@@ -9,6 +9,7 @@ quicker run.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -30,14 +31,18 @@ from .core import (
     K_of_permutation,
     L_of_permutation,
     QSymElement,
+    _cleared,
+    _composition_of_mask,
+    _pair_walk,
     antipode,
     convert,
     coproduct,
     eta_product,
-    multiply,
     signed_subset_sum,
 )
 from .expansion import (
+    _int_sum,
+    _m_coefficients,
     _m_monomials,
     certify_equal,
     embed,
@@ -184,24 +189,50 @@ def check_basis_round_trip(max_degree: int | None = None) -> CheckResult:
 
 
 def check_eta_product_rule(max_degree: int | None = None) -> CheckResult:
-    """Closed eta product rule vs the M quasi-shuffle, certified by expansion."""
+    """Closed eta product rule vs the M quasi-shuffle, compared on M-coefficients.
+
+    The closed side is eta_product(alpha, beta), whose coefficients on
+    x_1^b_1 ... x_k^b_k are read from the eta defining series.  The
+    reference side is the M quasi-shuffle of convert(eta_alpha, "M") and
+    convert(eta_beta, "M"), whose M coefficients are those same numbers:
+    each distinct pair of M terms is walked once per call, and each
+    product's multiplicities are summed in ints by descent mask, then
+    decoded once.  Both sides are compared as {b: c_b} over one common
+    denominator.
+    """
     top = _cap(7, max_degree)
     r = _Recorder()
     in_m = {
-        alpha: convert(QSymElement.term("eta", alpha), "M")
+        alpha: _cleared(convert(QSymElement.term("eta", alpha), "M").terms)
         for n in range(top + 1)
         for alpha in compositions(n)
     }
+    walks: dict = {}  # (M term, M term): {descent mask: multiplicity}
+
+    def quasi_shuffle(ta, tb, n, scale):
+        """scale times the M product of two int maps {M term: coeff} of
+        total degree n, as {b: c_b}."""
+        acc: dict = {}
+        for ca, va in ta.items():
+            for cb, vb in tb.items():
+                walk = walks.get((ca, cb))
+                if walk is None:
+                    walk = walks[ca, cb] = _pair_walk("M", ca, cb)
+                for mask, mult in walk.items():
+                    acc[mask] = acc.get(mask, 0) + va * vb * mult
+        return {_composition_of_mask(n, mask): c * scale for mask, c in acc.items() if c}
+
     for total in range(top + 1):
         for na in range(total + 1):
-            for alpha in compositions(na):
-                for beta in compositions(total - na):
-                    direct = eta_product(alpha, beta)
-                    via_m = multiply(in_m[alpha], in_m[beta])
-                    r.check(
-                        certify_equal(direct, via_m),
-                        "eta_{} * eta_{}", alpha, beta,
-                    )
+            for alpha, beta in itertools.product(compositions(na), compositions(total - na)):
+                (ta, da), (tb, db) = in_m[alpha], in_m[beta]
+                direct = eta_product(alpha, beta)
+                common = math.lcm(da * db, *(c.denominator for c in direct.terms.values()))
+                r.check(
+                    _int_sum(direct, common, _m_coefficients)
+                    == quasi_shuffle(ta, tb, total, common // (da * db)),
+                    "eta_{} * eta_{}", alpha, beta,
+                )
     return r.result(f"eta product rule (|a|+|b| <= {top})", "products certified")
 
 
@@ -406,17 +437,32 @@ def check_shuffle_products(max_degree: int | None = None) -> CheckResult:
 
 
 def check_u_expansion(max_degree: int | None = None) -> CheckResult:
-    """Signed-alphabet chain functions as signed sums of enriched monomials."""
+    """Signed-alphabet chain functions as signed sums of enriched monomials.
+
+    The symbolic side is universal_to_eta(pi, alpha), whose coefficients
+    on x_1^b_1 ... x_k^b_k are read from the eta defining series and kept
+    for the b with at most nvars parts, exactly those an expansion in nvars
+    variables keeps.  The numeric side is the chain function's
+    M-coefficients over the signed alphabet of nvars magnitudes, walked
+    once per (up-down pattern, weights) within this call.
+    """
     n = _cap(4, max_degree)
     nvars = 4
     sgn = _check_alphabet(signed_alphabet(nvars))
+    chain_terms: dict = {}  # (pattern, weights): {b: c_b}
     r = _Recorder()
     for word in itertools.permutations(range(1, n + 1)):
+        ups = _ups(word)
         for alpha in itertools.product((1, 2, 3), repeat=n):
             symbolic = universal_to_eta(word, alpha)
-            numeric = _universal_gamma(word, alpha, sgn, nvars)
+            numeric = chain_terms.get((ups, alpha))
+            if numeric is None:
+                numeric = chain_terms[ups, alpha] = _chain_m_terms(ups, alpha, sgn)
+            common = math.lcm(*(c.denominator for c in symbolic.terms.values()))
+            coeffs = _int_sum(symbolic, common, _m_coefficients)
             r.check(
-                expand(symbolic, nvars, sum(alpha)) == numeric,
+                {b: c for b, c in coeffs.items() if len(b) <= nvars}
+                == {b: c * common for b, c in numeric.items()},
                 "pi={} alpha={}", word, alpha,
             )
     return r.result(f"chain-to-eta expansion (S_{n}, parts <= 3)", "expansions")

@@ -260,6 +260,14 @@ def test_cli_verify_max_degree_3_stdout_is_byte_identical(capsys):
     assert capsys.readouterr().out.encode() == golden.read_bytes()
 
 
+def test_cli_verify_max_degree_1_stdout_is_byte_identical(capsys):
+    # the smallest bound: empty compositions and one-letter words
+    golden = pathlib.Path(__file__).parent / "data" / "verify_max1_stdout.txt"
+    rc = main(["verify", "--max-degree", "1"])
+    assert rc == 0
+    assert capsys.readouterr().out.encode() == golden.read_bytes()
+
+
 def test_cli_verify_max_degree_5_stdout_is_byte_identical(capsys):
     # at this bound the shuffle and coshuffle checks run capped, with their
     # own case counts
@@ -403,6 +411,92 @@ def test_shuffle_check_fails_on_a_broken_piece(monkeypatch, name, broken, failur
     assert not result.passed
     assert result.detail == "1012 products"
     assert _digest(result.failures) == failures
+
+
+def _m_image_scaled(real, factor, length=None):
+    """convert with its M image of an eta term scaled, every term's or
+    only those of the given length."""
+
+    def broken(elem, target):
+        out = real(elem, target)
+        hit = target == "M" and (length is None or len(next(iter(elem.terms))) == length)
+        return out.scale(factor) if hit else out
+
+    return broken
+
+
+def _terms_mapped(real, pick):
+    """real with the term list of its eta result passed through pick."""
+    return lambda *args: QSymElement("eta", pick(list(real(*args).terms.items())))
+
+
+# Each broken piece of the eta product rule and the chain-to-eta expansion,
+# with the failure list the checks gave when both certified by expansion,
+# before they compared M-coefficients: (count, sha256 of the joined lines).
+_PRODUCT_RULE = ("check_eta_product_rule", "576 products certified")
+_U_EXPANSION = ("check_u_expansion", "1944 expansions")
+
+
+@pytest.mark.parametrize(
+    "check,name,broken,failures",
+    [
+        (
+            _PRODUCT_RULE, "eta_product", lambda real: lambda a, b: real(a, b).scale(2),
+            (576, "e77c526d22a8e691256e5d8707dd1f29d957514b6bfd2a08b26d64085ac6482e"),
+        ),
+        (
+            # drops the last term of every product with more than one
+            _PRODUCT_RULE, "eta_product", lambda real: _terms_mapped(real, lambda t: t[:-1] or t),
+            (318, "4982f90ecbecd3b28b250dd5007ae82859f27b8b0d9924a894500146d8854b4e"),
+        ),
+        (
+            _PRODUCT_RULE, "convert", lambda real: _m_image_scaled(real, 2),
+            (576, "e77c526d22a8e691256e5d8707dd1f29d957514b6bfd2a08b26d64085ac6482e"),
+        ),
+        (
+            # halves only the eta terms of length 2: the reference side
+            # carries denominators
+            _PRODUCT_RULE, "convert", lambda real: _m_image_scaled(real, Fraction(1, 2), 2),
+            (205, "1eeff39e0efaa1e665276a2524cb01ccb95802686b3fa5b9bc57407f90c2a2f8"),
+        ),
+        (
+            _U_EXPANSION, "universal_to_eta", lambda real: _terms_mapped(real, lambda t: t[1:]),
+            (1944, "2b165cc2c607cdd7599a82f7412aeed2a622a56a25b9ccd55b7598f5dc62f4b8"),
+        ),
+        (
+            _U_EXPANSION, "universal_to_eta",
+            lambda real: _terms_mapped(real, lambda t: [(c, abs(v)) for c, v in t]),
+            (1296, "0c9cb5b26eea74d06d835bb83caa526a78420e04883be97380f95510b6b5800e"),
+        ),
+    ],
+)
+def test_eta_checks_fail_on_a_broken_piece(monkeypatch, check, name, broken, failures):
+    monkeypatch.setattr(verification, name, broken(getattr(verification, name)))
+    result = getattr(verification, check[0])()
+    assert not result.passed
+    assert result.detail == check[1]
+    assert _digest(result.failures) == failures
+
+
+# Each check's case count under run_all(k), recorded when the eta product
+# rule and the chain-to-eta expansion still certified by expansion; k = 1
+# reaches the empty composition and the total-0 products.
+@pytest.mark.parametrize(
+    "k,counts",
+    [
+        (1, (10, 4, 3, 22, 8, 6, 82, 3, 2, 1024)),
+        (2, (10, 8, 8, 24, 16, 18, 84, 18, 3, 1024)),
+        (3, (10, 16, 20, 28, 32, 46, 92, 162, 5, 1024)),
+        (4, (10, 32, 48, 36, 64, 126, 124, 1944, 8, 1024)),
+        (5, (10, 64, 112, 52, 128, 430, 268, 1944, 13, 1024)),
+        (6, (10, 128, 256, 84, 224, 430, 1012, 1944, 21, 1024)),
+        (7, (10, 256, 576, 84, 224, 430, 1012, 1944, 34, 1024)),
+    ],
+)
+def test_case_counts_at_every_cap(k, counts):
+    results = verification.run_all(k)
+    assert all(r.passed for r in results)
+    assert tuple(int(r.detail.split()[0]) for r in results) == counts
 
 
 # One process, one request after another: every verb in text and JSON, an

@@ -47,6 +47,51 @@ def test_composition_of_subset():
         composition_of_subset(3, (0,))
 
 
+# True and 2.0 compare equal to 1 and 2, so a range check alone passes them;
+# each index-set helper refuses them as check_composition does.
+_NOT_INTS = (True, False, 2.0)
+
+
+@pytest.mark.parametrize("bad", _NOT_INTS)
+def test_composition_of_subset_refuses_non_ints(bad):
+    with pytest.raises(ValueError, match="index sets hold ints"):
+        composition_of_subset(3, (bad,))
+    with pytest.raises(ValueError, match="n must be an int"):
+        composition_of_subset(bad, ())
+
+
+@pytest.mark.parametrize("bad", _NOT_INTS)
+def test_compositions_refuses_non_int_sizes(bad):
+    with pytest.raises(ValueError, match="n must be an int"):
+        compositions(bad)
+    with pytest.raises(ValueError, match="n must be nonnegative"):
+        compositions(-1)
+
+
+@pytest.mark.parametrize("bad", _NOT_INTS)
+def test_odd_compositions_refuses_non_int_sizes(bad):
+    with pytest.raises(ValueError, match="n must be an int"):
+        odd_compositions(bad)
+
+
+@pytest.mark.parametrize("bad", _NOT_INTS)
+def test_odd_composition_of_peak_set_refuses_non_ints(bad):
+    with pytest.raises(ValueError, match="index sets hold ints"):
+        odd_composition_of_peak_set(5, (2, bad))
+    with pytest.raises(ValueError, match="n must be an int"):
+        odd_composition_of_peak_set(bad, ())
+
+
+@pytest.mark.parametrize("bad", _NOT_INTS)
+def test_contract_set_refuses_non_ints(bad):
+    with pytest.raises(ValueError, match="index sets hold ints"):
+        contract_set((2, 1, 4, 3, 2), (bad,))
+
+
+def test_subsets_is_generic_over_its_items():
+    assert list(subsets((True, "b"))) == [(), (True,), ("b",), (True, "b")]
+
+
 @pytest.mark.parametrize("n", range(9))
 def test_descent_round_trip(n):
     seen = set()
