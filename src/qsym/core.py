@@ -97,7 +97,10 @@ def _exact(value) -> Fraction | int:
 def _coerce_coeff(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
-    return Fraction(value if isinstance(value, str) else _exact(value))
+    try:
+        return Fraction(value if isinstance(value, str) else _exact(value))
+    except ZeroDivisionError:
+        raise ValueError(f"coefficient {value!r} has a zero denominator") from None
 
 
 def format_rational(value: Fraction | int) -> str:
@@ -297,8 +300,21 @@ class QSymElement:
         }
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "QSymElement":
-        return cls(data["basis"], [(tuple(t["comp"]), t["coeff"]) for t in data["terms"]])
+    def from_json_dict(cls, data: Mapping) -> "QSymElement":
+        """Read ``to_json_dict``'s form; ValueError names a malformed or unknown field."""
+        if not isinstance(data, Mapping):
+            raise ValueError(f"an element must be a JSON object, got {type(data).__name__}")
+        wrong = sorted({"basis", "terms"} ^ set(data), key=str)
+        if wrong:
+            key = wrong[0]
+            raise ValueError(f"element field {key!r} is {'unknown' if key in data else 'missing'}")
+        terms = data["terms"]
+        if not isinstance(terms, list) or not all(
+            isinstance(t, Mapping) and set(t) == {"comp", "coeff"} and isinstance(t["comp"], list)
+            for t in terms
+        ):
+            raise ValueError(f"element field 'terms' must list comp/coeff objects, got {terms!r}")
+        return cls(data["basis"], [(tuple(t["comp"]), t["coeff"]) for t in terms])
 
 
 def _raw(basis: str, acc: dict) -> QSymElement:

@@ -309,14 +309,13 @@ def _onto_tuples(length: int) -> Iterator[tuple]:
     return (tuple(itertools.accumulate(s, initial=1)) for s in steps)
 
 
-def _int_sum(a: QSymElement, common: int, table) -> dict:
-    """Sum of the tables of a's terms, each scaled by its coefficient times
-    common (a multiple of every denominator), so the sum runs on ints; the
-    keys that cancel are dropped once, at the end."""
+def _int_sum(a: QSymElement, common: int) -> dict:
+    """a's coefficients on x_1^b_1 ... x_k^b_k by b, times common (a multiple of every
+    denominator), summed in ints from its terms' _m_coefficients; zeros drop at the end."""
     acc: dict = {}
     for comp, coeff in a.terms.items():
         scaled = coeff.numerator * (common // coeff.denominator)
-        for key, value in table(a.basis, comp).items():
+        for key, value in _m_coefficients(a.basis, comp).items():
             acc[key] = acc.get(key, 0) + scaled * value
     return {key: value for key, value in acc.items() if value}
 
@@ -340,7 +339,7 @@ def expand(a: QSymElement, nvars: int, degree: int | None = None) -> TruncatedPo
             "expanding would silently truncate"
         )
     common = math.lcm(*(coeff.denominator for coeff in a.terms.values()))
-    coeffs = _int_sum(a, common, _m_coefficients)
+    coeffs = _int_sum(a, common)
     size = sum(math.comb(nvars, len(b)) for b in coeffs)
     if size > _MONOMIAL_BUDGET:
         raise ValueError(
@@ -364,4 +363,4 @@ def certify_equal(a: QSymElement, b: QSymElement) -> bool:
     and summed in ints.
     """
     common = math.lcm(*(c.denominator for x in (a, b) for c in x.terms.values()))
-    return _int_sum(a, common, _m_coefficients) == _int_sum(b, common, _m_coefficients)
+    return _int_sum(a, common) == _int_sum(b, common)

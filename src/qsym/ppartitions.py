@@ -74,24 +74,13 @@ def signed_alphabet(n: int) -> tuple[SignedValue, ...]:
 
 
 def _check_alphabet(alphabet: Iterable[SignedValue]) -> tuple[SignedValue, ...]:
-    """The alphabet's distinct values in signed order.  Only tuples of plain
-    ints are memoized: the memo compares keys by equality, under which True
-    and 1.0 equal 1, so anything else is checked in full on every call."""
-    if type(alphabet) is tuple and all(type(z) is int for z in alphabet):
-        return _check_int_tuple(alphabet)
-    return _sorted_alphabet(alphabet)
-
-
-def _sorted_alphabet(alphabet: Iterable[SignedValue]) -> tuple[SignedValue, ...]:
+    """The alphabet's distinct values in signed order."""
     values = set()
     for z in alphabet:
         if not _is_int(z) or z == 0:
             raise ValueError(f"alphabet entries must be nonzero ints, got {z!r}")
         values.add(z)
     return tuple(sorted(values, key=signed_order_key))
-
-
-_check_int_tuple = lru_cache(maxsize=256)(_sorted_alphabet)
 
 
 def _is_int(x) -> bool:
@@ -564,20 +553,14 @@ def _gamma_chain(ups: tuple, ws: tuple, zs: tuple, nvars: int) -> TruncatedPoly:
     """gamma of a chain from its up-down pattern, weights and alphabet.
 
     ups[k] says whether the labels rise from chain vertex k to k+1, and
-    ws[k] is the weight of vertex k.  When every magnitude of Z carries the
-    same signs, the chain function is _chain_m_terms' sum of c_b M_b over
-    Z's magnitudes, and each c_b is written here onto the monomials of M_b:
-    one walk serves this writer and the callers that sum chain functions by
-    M-coefficient.  When magnitudes carry different sign sets, gamma walks
-    the chain instead, as the identity with each run of down-steps
-    reversed: a word with this up-down pattern.
+    ws[k] is the weight of vertex k.  Every magnitude of the checked
+    alphabet zs carries the same signs, or _chain_m_terms refuses it;
+    universal_gamma sends a chain over a mixed alphabet to gamma.  Each of
+    _chain_m_terms' c_b is written onto the monomials of M_b over Z's
+    magnitudes: one walk serves this writer and the callers that sum chain
+    functions by M-coefficient.
     """
-    signs = _sign_sets(zs)
-    if ws and len(set(signs.values())) > 1:
-        cuts = [0] + [k + 1 for k, up in enumerate(ups) if up] + [len(ws)]
-        word = [v for a, b in zip(cuts, cuts[1:]) for v in range(b, a, -1)]
-        return gamma(weighted_chain(word, ws), zs, nvars)
-    mags, acc = tuple(signs), {}
+    mags, acc = tuple(_sign_sets(zs)), {}
     for b, c in _chain_m_terms(ups, ws, zs).items():
         acc.update(dict.fromkeys(_m_monomials(b, mags), c))
     return _raw_poly(nvars, sum(ws), acc)
@@ -656,19 +639,14 @@ def universal_gamma(
     its peak function; the identity permutation over the signed alphabet
     gives the enriched monomial of alpha; the reversed identity over the
     positive alphabet gives the monomial function of alpha.  Equal to
-    ``gamma(weighted_chain(pi, alpha), alphabet, nvars)``, but read straight
-    from the chain key without building the poset.
+    ``gamma(weighted_chain(pi, alpha), alphabet, nvars)``: read from the chain
+    key, or walked by gamma when Z's magnitudes carry different sign sets.
     """
     word, parts = _check_weighted_word(pi, alpha)
     zs = _check_alphabet(alphabet)
-    return _universal_gamma(word, parts, zs, _check_nvars(zs, nvars))
-
-
-def _universal_gamma(word: tuple, parts: tuple, zs: tuple, nvars: int) -> TruncatedPoly:
-    """universal_gamma with no checks: a checked word and its parts (as
-    tuples), an alphabet checked by _check_alphabet, and a variable count
-    that covers its magnitudes.  Callers that pass one alphabet many times
-    check it once."""
+    nvars = _check_nvars(zs, nvars)
+    if len(set(_sign_sets(zs).values())) > 1:
+        return gamma(weighted_chain(word, parts), zs, nvars)
     return _gamma_chain(_ups(word), parts, zs, nvars)
 
 

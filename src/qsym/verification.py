@@ -3,11 +3,13 @@
 Every check runs exact arithmetic at desk scale and reports pass/fail with
 counterexamples.  The acceptance tests call the same functions at their
 full sweep bounds; the CLI can cap the bounds with --max-degree for a
-quicker run.
+quicker run.  A sub-result that a check repeats is computed once per run,
+through a functools.cache made inside the check: nothing outlives the call.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -42,7 +44,6 @@ from .core import (
 )
 from .expansion import (
     _int_sum,
-    _m_coefficients,
     _m_monomials,
     certify_equal,
     embed,
@@ -53,7 +54,7 @@ from .expansion import (
 from .ppartitions import (
     _chain_m_terms,
     _check_alphabet,
-    _universal_gamma,
+    _gamma_chain,
     _ups,
     coshuffle_product,
     positive_alphabet,
@@ -195,19 +196,15 @@ def check_eta_product_rule(max_degree: int | None = None) -> CheckResult:
     x_1^b_1 ... x_k^b_k are read from the eta defining series.  The
     reference side is the M quasi-shuffle of convert(eta_alpha, "M") and
     convert(eta_beta, "M"), whose M coefficients are those same numbers:
-    each distinct pair of M terms is walked once per call, and each
-    product's multiplicities are summed in ints by descent mask, then
-    decoded once.  Both sides are compared as {b: c_b} over one common
-    denominator.
+    each eta term is converted and each pair of M terms walked once per
+    call, and each product's multiplicities are summed in ints by descent
+    mask, then decoded once.  Both sides are compared as {b: c_b} over one
+    common denominator.
     """
     top = _cap(7, max_degree)
     r = _Recorder()
-    in_m = {
-        alpha: _cleared(convert(QSymElement.term("eta", alpha), "M").terms)
-        for n in range(top + 1)
-        for alpha in compositions(n)
-    }
-    walks: dict = {}  # (M term, M term): {descent mask: multiplicity}
+    in_m = functools.cache(lambda c: _cleared(convert(QSymElement.term("eta", c), "M").terms))
+    walk = functools.cache(functools.partial(_pair_walk, "M"))
 
     def quasi_shuffle(ta, tb, n, scale):
         """scale times the M product of two int maps {M term: coeff} of
@@ -215,21 +212,18 @@ def check_eta_product_rule(max_degree: int | None = None) -> CheckResult:
         acc: dict = {}
         for ca, va in ta.items():
             for cb, vb in tb.items():
-                walk = walks.get((ca, cb))
-                if walk is None:
-                    walk = walks[ca, cb] = _pair_walk("M", ca, cb)
-                for mask, mult in walk.items():
+                for mask, mult in walk(ca, cb).items():
                     acc[mask] = acc.get(mask, 0) + va * vb * mult
         return {_composition_of_mask(n, mask): c * scale for mask, c in acc.items() if c}
 
     for total in range(top + 1):
         for na in range(total + 1):
             for alpha, beta in itertools.product(compositions(na), compositions(total - na)):
-                (ta, da), (tb, db) = in_m[alpha], in_m[beta]
+                (ta, da), (tb, db) = in_m(alpha), in_m(beta)
                 direct = eta_product(alpha, beta)
                 common = math.lcm(da * db, *(c.denominator for c in direct.terms.values()))
                 r.check(
-                    _int_sum(direct, common, _m_coefficients)
+                    _int_sum(direct, common)
                     == quasi_shuffle(ta, tb, total, common // (da * db)),
                     "eta_{} * eta_{}", alpha, beta,
                 )
@@ -237,19 +231,15 @@ def check_eta_product_rule(max_degree: int | None = None) -> CheckResult:
 
 
 def check_eta_coproduct(max_degree: int | None = None) -> CheckResult:
-    """Deconcatenation coproduct of eta, against the M route and the oracle."""
+    """Deconcatenation coproduct of eta, against the M route and the oracle;
+    the M image of eta_alpha serves its M route and every leg alpha."""
     top = _cap(6, max_degree)
     r = _Recorder()
+    in_m = functools.cache(lambda c: convert(QSymElement.term("eta", c), "M"))
     for n in range(top + 1):
         for alpha in compositions(n):
-            elem = QSymElement.term("eta", alpha)
-            lhs = coproduct(elem).map_legs(
-                lambda c: convert(QSymElement.term("eta", c), "M"),
-                lambda c: convert(QSymElement.term("eta", c), "M"),
-                ("M", "M"),
-            )
-            rhs = coproduct(convert(elem, "M"))
-            r.check(lhs == rhs, "coproduct(eta_{}) through M", alpha)
+            lhs = coproduct(QSymElement.term("eta", alpha)).map_legs(in_m, in_m, ("M", "M"))
+            r.check(lhs == coproduct(in_m(alpha)), "coproduct(eta_{}) through M", alpha)
     rng = random.Random(_SEED)
     degree_cap = _cap(5, max_degree)
     for _ in range(_COPRODUCT_SAMPLES):
@@ -291,22 +281,20 @@ def check_antipode(max_degree: int | None = None) -> CheckResult:
     top = _cap(6, max_degree)
     hopf_top = _cap(5, max_degree)
     r = _Recorder()
+    s = functools.cache(lambda basis, c: antipode(QSymElement.term(basis, c)))
     for n in range(top + 1):
         for alpha in compositions(n):
             for basis in ("M", "eta"):
                 elem = QSymElement.term(basis, alpha)
-                r.check(
-                    antipode(antipode(elem)) == elem, "S(S({}_{}))", basis, alpha
-                )
-            elem = QSymElement.term("eta", alpha)
-            direct = convert(antipode(elem), "M")
-            routed = antipode(convert(elem, "M"))
+                r.check(antipode(s(basis, alpha)) == elem, "S(S({}_{}))", basis, alpha)
+            direct = convert(s("eta", alpha), "M")
+            routed = antipode(convert(QSymElement.term("eta", alpha), "M"))
             r.check(direct == routed, "antipode routes for eta_{}", alpha)
     for n in range(hopf_top + 1):
         for alpha in compositions(n):
             elem = QSymElement.term("eta", alpha)
             folded = coproduct(elem).map_legs(
-                lambda c: antipode(QSymElement.term("eta", c)),
+                functools.partial(s, "eta"),
                 lambda c: QSymElement.term("eta", c),
                 ("eta", "eta"),
             ).multiply_legs()
@@ -330,26 +318,25 @@ def check_specializations(max_degree: int | None = None) -> CheckResult:
     for n in range(1, top + 1):
         ones = (1,) * n
         for word in itertools.permutations(range(1, n + 1)):
-            u = _universal_gamma(word, ones, pos, nvars)
+            u = _gamma_chain(_ups(word), ones, pos, nvars)
             r.check(
-                u == expand(L_of_permutation(word), nvars, n),
+                u == expand(L_of_permutation(word), nvars),
                 "positive alphabet, unit weights, pi={}", word,
             )
-            u = _universal_gamma(word, ones, sgn, nvars)
+            u = _gamma_chain(_ups(word), ones, sgn, nvars)
             r.check(
-                u == expand(K_of_permutation(word), nvars, n),
+                u == expand(K_of_permutation(word), nvars),
                 "signed alphabet, unit weights, pi={}", word,
             )
         for alpha in itertools.product((1, 2), repeat=n):
-            d = sum(alpha)
-            u = _universal_gamma(identity_permutation(n), alpha, sgn, nvars)
+            u = _gamma_chain(_ups(identity_permutation(n)), alpha, sgn, nvars)
             r.check(
-                u == expand(QSymElement.term("eta", alpha), nvars, d),
+                u == expand(QSymElement.term("eta", alpha), nvars),
                 "signed alphabet, id, alpha={}", alpha,
             )
-            u = _universal_gamma(reversed_identity(n), alpha, pos, nvars)
+            u = _gamma_chain(_ups(reversed_identity(n)), alpha, pos, nvars)
             r.check(
-                u == expand(QSymElement.term("M", alpha), nvars, d),
+                u == expand(QSymElement.term("M", alpha), nvars),
                 "positive alphabet, reversed id, alpha={}", alpha,
             )
     return r.result(f"P-partition specializations (n <= {top})", "specializations")
@@ -378,32 +365,25 @@ def check_shuffle_products(max_degree: int | None = None) -> CheckResult:
     nvars = 4
     alphabets = tuple(_check_alphabet(z(nvars)) for z in (positive_alphabet, signed_alphabet))
     mags = positive_alphabet(nvars)  # the magnitudes of both alphabets
-    products: dict = {}  # (pattern, weights, pattern, weights, alphabet): terms
-    m_terms: dict = {}  # (pattern, weights, alphabet): {b: c_b}
+    m_terms = functools.cache(_chain_m_terms)
     r = _Recorder()
 
-    def lhs(pi, alpha, sigma, beta, zs):
-        key = (_ups(pi), alpha, _ups(sigma), beta, zs)
-        if key not in products:
-            products[key] = poly_mul(
-                _universal_gamma(pi, alpha, zs, nvars),
-                _universal_gamma(sigma, beta, zs, nvars),
-            ).terms
-        return products[key]
+    @functools.cache
+    def lhs(ups_pi, alpha, ups_sigma, beta, zs):
+        return poly_mul(
+            _gamma_chain(ups_pi, alpha, zs, nvars), _gamma_chain(ups_sigma, beta, zs, nvars)
+        ).terms
 
     def rhs(chains, zs):
         acc: dict = {}
         for ups, ws in chains:
-            terms = m_terms.get((ups, ws, zs))
-            if terms is None:
-                terms = m_terms[ups, ws, zs] = _chain_m_terms(ups, ws, zs)
-            for b, c in terms.items():
+            for b, c in m_terms(ups, ws, zs).items():
                 acc[b] = acc.get(b, 0) + c
         return {mono: c for b, c in acc.items() if c for mono in _m_monomials(b, mags)}
 
-    def check(pi, alpha, sigma, beta, chains, describe, *args):
+    def check(keys, chains, describe, *args):
         for zs in alphabets:
-            r.check(lhs(pi, alpha, sigma, beta, zs) == rhs(chains, zs), describe, *args, len(zs))
+            r.check(lhs(*keys, zs) == rhs(chains, zs), describe, *args, len(zs))
 
     for n in range(1, top):
         for m in range(1, top - n + 1):
@@ -412,7 +392,7 @@ def check_shuffle_products(max_degree: int | None = None) -> CheckResult:
                 for sigma in itertools.permutations(range(1, m + 1)):
                     chains = [(_ups(word), ones) for word in shuffles(pi, sigma)]
                     check(
-                        pi, ones[:n], sigma, ones[:m], chains,
+                        (_ups(pi), ones[:n], _ups(sigma), ones[:m]), chains,
                         "shuffle product pi={} sigma={} |Z|={}", pi, sigma,
                     )
     rng = random.Random(_SEED)
@@ -428,7 +408,7 @@ def check_shuffle_products(max_degree: int | None = None) -> CheckResult:
     for pi, alpha, sigma, beta in weighted:
         chains = [(_ups(tau), parts) for tau, parts in coshuffle_product(pi, alpha, sigma, beta)]
         check(
-            pi, alpha, sigma, beta, chains,
+            (_ups(pi), alpha, _ups(sigma), beta), chains,
             "coshuffle product ({},{}) x ({},{}) |Z|={}", pi, alpha, sigma, beta,
         )
     return r.result(
@@ -449,17 +429,14 @@ def check_u_expansion(max_degree: int | None = None) -> CheckResult:
     n = _cap(4, max_degree)
     nvars = 4
     sgn = _check_alphabet(signed_alphabet(nvars))
-    chain_terms: dict = {}  # (pattern, weights): {b: c_b}
+    m_terms = functools.cache(_chain_m_terms)
     r = _Recorder()
     for word in itertools.permutations(range(1, n + 1)):
-        ups = _ups(word)
         for alpha in itertools.product((1, 2, 3), repeat=n):
             symbolic = universal_to_eta(word, alpha)
-            numeric = chain_terms.get((ups, alpha))
-            if numeric is None:
-                numeric = chain_terms[ups, alpha] = _chain_m_terms(ups, alpha, sgn)
+            numeric = m_terms(_ups(word), alpha, sgn)
             common = math.lcm(*(c.denominator for c in symbolic.terms.values()))
-            coeffs = _int_sum(symbolic, common, _m_coefficients)
+            coeffs = _int_sum(symbolic, common)
             r.check(
                 {b: c for b, c in coeffs.items() if len(b) <= nvars}
                 == {b: c * common for b, c in numeric.items()},

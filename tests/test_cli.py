@@ -1,6 +1,7 @@
 """Element grammar, command dispatch, output determinism."""
 
 import argparse
+import collections
 import contextlib
 import hashlib
 import io
@@ -21,6 +22,7 @@ from qsym.cli import (
     parse_element,
     parse_permutation,
 )
+from qsym.combinatorics import compositions
 from qsym.core import QSymElement, convert, coproduct
 from qsym import verification
 from qsym.expansion import TruncatedPoly, poly_scale
@@ -476,6 +478,47 @@ def test_eta_checks_fail_on_a_broken_piece(monkeypatch, check, name, broken, fai
     assert not result.passed
     assert result.detail == check[1]
     assert _digest(result.failures) == failures
+
+
+def _recording(real, seen):
+    """real, counting each call by its input element and other arguments."""
+
+    def wrapper(elem, *args):
+        seen[(elem.basis, *sorted(elem.terms.items()), *args)] += 1
+        return real(elem, *args)
+
+    return wrapper
+
+
+def test_leg_maps_take_each_distinct_leg_once_per_call(monkeypatch):
+    """check_eta_coproduct converts each eta term of degree <= 6 to M once
+    per call, for its M route and every deconcatenation with it as a leg.
+    check_antipode takes 5 antipodes per composition alpha of degree <= 6:
+    S and S(S) of M_alpha, S and S(S) of eta_alpha, and S of eta_alpha's M
+    image; the Hopf axiom's legs reuse S(eta_alpha)."""
+    converted, antipodes = collections.Counter(), collections.Counter()
+    monkeypatch.setattr(verification, "convert", _recording(verification.convert, converted))
+    monkeypatch.setattr(verification, "antipode", _recording(verification.antipode, antipodes))
+    etas = [("eta", (c, 1), "M") for n in range(7) for c in compositions(n)]
+    for calls in (1, 2):
+        assert verification.check_eta_coproduct().passed
+        assert converted == collections.Counter(dict.fromkeys(etas, calls))
+    converted.clear()
+    for calls in (1, 2):
+        assert verification.check_antipode().passed
+        assert sum(antipodes.values()) == 5 * len(etas) * calls
+
+
+def test_run_all_keeps_nothing_between_runs():
+    """The checks' memos live inside each call: a second run prints the
+    same lines, and the module itself holds no cache."""
+    first = [r.lines() for r in verification.run_all()]
+    assert [r.lines() for r in verification.run_all()] == first
+    assert not [
+        name
+        for name, value in vars(verification).items()
+        if hasattr(value, "cache_info") and value.__module__ == verification.__name__
+    ]
 
 
 # Each check's case count under run_all(k), recorded when the eta product

@@ -198,6 +198,33 @@ def test_json_round_trip():
     assert QSymElement.from_json_dict(data) == e
 
 
+@pytest.mark.parametrize(
+    "data,message",
+    [
+        ([{"basis": "M", "terms": []}], "must be a JSON object, got list"),
+        ({"basis": "M"}, "field 'terms' is missing"),
+        ({"terms": []}, "field 'basis' is missing"),
+        ({"basis": "M", "terms": [], "degree": 1}, "field 'degree' is unknown"),
+        ({"basis": "M", "terms": {"comp": [1], "coeff": 1}}, "field 'terms' must list"),
+        ({"basis": "M", "terms": [[[1], 1]]}, "field 'terms' must list"),
+        ({"basis": "M", "terms": [{"comp": 1, "coeff": 1}]}, "field 'terms' must list"),
+        ({"basis": "M", "terms": [{"comp": [1]}]}, "field 'terms' must list"),
+        ({"basis": "M", "terms": [{"comp": [1], "coeff": 1, "x": 0}]}, "field 'terms' must list"),
+        ({"basis": "M", "terms": [{"comp": [1], "coeff": "1/0"}]}, "zero denominator"),
+    ],
+)
+def test_from_json_dict_refuses_malformed_input(data, message):
+    with pytest.raises(ValueError, match=message):
+        QSymElement.from_json_dict(data)
+
+
+def test_a_zero_denominator_is_a_value_error():
+    with pytest.raises(ValueError, match="zero denominator"):
+        QSymElement("M", {(1,): "1/0"})
+    with pytest.raises(ValueError, match="zero denominator"):
+        QSymElement.term("M", (1,), "1/0")
+
+
 def test_from_json_dict_refuses_inexact_coefficients():
     # a JSON float or bool is refused as the constructor refuses it, not
     # read as the float's binary value or as 1

@@ -35,7 +35,7 @@ from qsym.ppartitions import (
     weighted_chain,
 )
 from qsym.expansion import _m_monomials
-from qsym.ppartitions import _chain_m_terms, _check_alphabet, _gamma_chain, _universal_gamma
+from qsym.ppartitions import _chain_m_terms, _gamma_chain
 
 
 def test_signed_order():
@@ -377,21 +377,6 @@ def test_universal_gamma_equals_gamma_of_the_weighted_chain(n):
         universal_gamma((1, 2), (1, 1), positive_alphabet(3), 2)
 
 
-def test_unchecked_universal_gamma_equals_the_checked_one():
-    rng = random.Random(19)
-    alphabets = [positive_alphabet(3), signed_alphabet(4), (2, 5), (-1, 2), (1, -2, 2, -4)]
-    for _ in range(200):
-        n = rng.randint(0, 6)
-        word = tuple(rng.sample(range(1, n + 1), n))
-        alpha = tuple(rng.randint(1, 3) for _ in word)
-        zs = rng.choice(alphabets)
-        nvars = abs(zs[-1]) + rng.randint(0, 1)
-        got = _universal_gamma(word, alpha, _check_alphabet(zs), nvars)
-        want = universal_gamma(word, alpha, zs, nvars)
-        assert dict(got.terms) == dict(want.terms)
-        assert (got.nvars, got.degree) == (want.nvars, want.degree)
-
-
 @pytest.mark.parametrize("bad", [True, 1.0, 0])
 def test_universal_gamma_refuses_non_int_and_zero_entries(bad):
     # True and 1.0 equal 1, so only a check of each entry's type catches them
@@ -496,10 +481,22 @@ def test_gamma_chain_matches_dfs_over_mixed_and_sparse_alphabets(zs):
         for words in _words_by_pattern(n).values():
             for _ in range(2):
                 ws = tuple(rng.randint(1, 3) for _ in range(n))
-                got = _gamma_chain(_ups(words[0]), ws, zs, nvars)
+                got = universal_gamma(words[0], ws, zs, nvars)
                 want = _assignment_sum(weighted_chain(words[0], ws), zs, nvars)
                 assert dict(got.terms) == dict(want.terms)
                 assert (got.nvars, got.degree) == (nvars, sum(ws))
+
+
+def test_gamma_chain_takes_one_sign_set_alphabets_only(monkeypatch):
+    """A chain over a mixed alphabet is refused, not handed on to gamma;
+    universal_gamma sends it to gamma itself."""
+    calls = []
+    monkeypatch.setattr(ppartitions, "gamma", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match="different sign sets"):
+        _gamma_chain((True,), (1, 1), (-1, 2), 2)
+    assert not calls
+    universal_gamma((1, 2), (1, 1), (-1, 2), 2)
+    assert len(calls) == 1
 
 
 def test_gamma_chain_is_zero_when_it_needs_more_blocks_than_magnitudes():
