@@ -100,6 +100,17 @@ def is_peak_lacunar(s: Iterable[int]) -> bool:
 
 # ---------------------------------------------------------------------------
 # compositions <-> subsets of [n-1]
+#
+# A subset S of [n-1] is also an int, its mask, with bit i-1 set exactly
+# when i is in S.  A composition is stored as the mask of its descent set
+# and decoded from it a byte at a time by _composition_of_mask, the one
+# decoder: compositions, composition_of_subset and the symbolic core's
+# subset-lattice transforms all read compositions through it.
+#
+# An odd composition is also fixed by its peak set.  A part a that starts
+# after position s has its peaks at s+2, s+4, ..., s+a-1, and q is a
+# descent exactly when neither q nor q+1 is a peak, so the descent mask of
+# an odd composition with peak mask m is ~(m | m >> 1) over [n-1].
 
 
 def descent_set(alpha: Iterable[int]) -> Subset:
@@ -110,13 +121,65 @@ def descent_set(alpha: Iterable[int]) -> Subset:
     >>> descent_set((5,))
     ()
     """
-    parts = check_composition(alpha)
-    out = []
-    total = 0
-    for a in parts[:-1]:
-        total += a
-        out.append(total)
-    return tuple(out)
+    return tuple(itertools.accumulate(check_composition(alpha)[:-1]))
+
+
+def _descent_mask(comp: Composition) -> int:
+    """Bit i-1 is set exactly when i is a descent of comp."""
+    mask = total = 0
+    for part in comp[:-1]:
+        total += part
+        mask |= 1 << (total - 1)
+    return mask
+
+
+def _mask_bytes() -> tuple[bytes, list[bytes], bytes]:
+    """For each nonzero byte: the position of its first set bit, the gaps
+    between its set bits, and the position of its last set bit, counting
+    bit i as position i + 1.  Each entry extends the entry of the byte
+    without its top bit.
+
+    The entries are bytes, which the garbage collector does not track, so
+    building the table at import adds no objects for it to count or scan
+    (a table of tuples added about 500, enough to set off an extra
+    collection during ``import qsym``).
+    """
+    firsts, gaps, lasts = [0], [b""], [0]
+    for byte in range(1, 256):
+        top = byte.bit_length()
+        rest = byte ^ 1 << (top - 1)
+        firsts.append(firsts[rest] if rest else top)
+        gaps.append(gaps[rest] + bytes((top - lasts[rest],)) if rest else b"")
+        lasts.append(top)
+    return bytes(firsts), gaps, bytes(lasts)
+
+
+_FIRST_BIT, _BIT_GAPS, _LAST_BIT = _mask_bytes()
+
+
+def _composition_of_mask(n: int, mask: int) -> Composition:
+    """The composition of n with descent mask ``mask``, decoded a byte at a time."""
+    if not n:
+        return ()
+    parts: list[int] = []
+    last = base = 0
+    while mask:
+        byte = mask & 255
+        if byte:
+            parts.append(base + _FIRST_BIT[byte] - last)
+            parts += _BIT_GAPS[byte]
+            last = base + _LAST_BIT[byte]
+        mask >>= 8
+        base += 8
+    parts.append(n - last)
+    return tuple(parts)
+
+
+def _subset_mask(n: int, elems: Sequence[int]) -> int:
+    """The mask of distinct ints elems, refused unless each lies in [1, n-1]."""
+    if any(not 1 <= x <= n - 1 for x in elems):
+        raise ValueError(f"subset {tuple(elems)!r} not contained in [1, {n - 1}]")
+    return sum(1 << (x - 1) for x in elems)
 
 
 def composition_of_subset(n: int, s: Iterable[int]) -> Composition:
@@ -131,17 +194,10 @@ def composition_of_subset(n: int, s: Iterable[int]) -> Composition:
     """
     _check_count("n", n)
     elems = _index_set(s)
-    if any(not 1 <= x <= n - 1 for x in elems):
-        raise ValueError(f"subset {tuple(elems)!r} not contained in [1, {n - 1}]")
+    mask = _subset_mask(n, elems)
     if any(a == b for a, b in zip(elems, elems[1:])):
         raise ValueError(f"repeated element in {tuple(elems)!r}")
-    return _composition_of_descents(n, elems) if n else ()
-
-
-def _composition_of_descents(n: int, elems: Sequence[int]) -> Composition:
-    """composition_of_subset unchecked: n >= 1 and elems ascending in [1, n-1]."""
-    bounds = [0, *elems, n]
-    return tuple(b - a for a, b in zip(bounds, bounds[1:]))
+    return _composition_of_mask(n, mask)
 
 
 def compositions(n: int) -> Iterator[Composition]:
@@ -151,9 +207,8 @@ def compositions(n: int) -> Iterator[Composition]:
     [(3,), (1, 2), (2, 1), (1, 1, 1)]
     """
     _check_count("n", n)
-    if n == 0:
-        return iter([()])
-    return (_composition_of_descents(n, s) for s in subsets(tuple(range(1, n))))
+    bits = tuple(1 << i for i in range(n - 1))
+    return (_composition_of_mask(n, sum(s)) for s in subsets(bits))
 
 
 def odd_compositions(n: int) -> Iterator[Composition]:
@@ -193,13 +248,22 @@ def peak_set_of_composition(alpha: Iterable[int]) -> Subset:
     (2,)
     """
     refined = odd_part_refinement(alpha)
-    peaks = []
-    total = 0
-    for part in refined:
-        total += part
-        if part == 2:
-            peaks.append(total)
-    return tuple(peaks)
+    return tuple(t for part, t in zip(refined, itertools.accumulate(refined)) if part == 2)
+
+
+def _peak_mask(comp: Composition) -> int:
+    """Bit p-1 is set exactly when p is a peak of the odd composition comp."""
+    mask = start = 0
+    for a in comp:
+        for p in range(start + 2, start + a, 2):
+            mask |= 1 << (p - 1)
+        start += a
+    return mask
+
+
+def _odd_composition_of_mask(n: int, mask: int) -> Composition:
+    """The odd composition of n with peak mask ``mask``, unchecked."""
+    return _composition_of_mask(n, ~(mask | mask >> 1) & ((1 << n - 1) - 1)) if n else ()
 
 
 def odd_composition_of_peak_set(n: int, s: Iterable[int]) -> Composition:
@@ -213,31 +277,10 @@ def odd_composition_of_peak_set(n: int, s: Iterable[int]) -> Composition:
     (3,)
     """
     _check_count("n", n)
-    return _odd_composition_of_peaks(n, _index_set(s))
-
-
-def _odd_composition_of_peaks(n: int, elems: list[int]) -> Composition:
-    """odd_composition_of_peak_set for ascending ints elems and n >= 0."""
+    elems = _index_set(s)
     if not is_peak_lacunar(elems):
         raise ValueError(f"{tuple(elems)!r} is not peak-lacunar")
-    if any(not 1 <= x <= n - 1 for x in elems):
-        raise ValueError(f"subset {tuple(elems)!r} not contained in [1, {n - 1}]")
-    refined: list[int] = []
-    prev = 0
-    for x in elems:
-        refined.extend([1] * (x - prev - 2))
-        refined.append(2)
-        prev = x
-    refined.extend([1] * (n - prev))
-    parts = []
-    twos = 0
-    for part in refined:
-        if part == 2:
-            twos += 1
-        else:
-            parts.append(2 * twos + 1)
-            twos = 0
-    return tuple(parts)
+    return _odd_composition_of_mask(n, _subset_mask(n, elems))
 
 
 # ---------------------------------------------------------------------------
@@ -436,5 +479,4 @@ def complement(alpha: Iterable[int]) -> Composition:
     if not parts:
         raise ValueError("the empty composition has no complement")
     n = sum(parts)
-    rev_descents = set(descent_set(reverse(parts)))
-    return composition_of_subset(n, [i for i in range(1, n) if i not in rev_descents])
+    return _composition_of_mask(n, ~_descent_mask(parts[::-1]) & ((1 << n - 1) - 1))

@@ -17,7 +17,9 @@ S <= Peak(alpha), where beta(S) is the odd composition with peak set S
 (the sign makes up for the one the classical monomial peak functions
 carry and eta drops), so K converts through eta; an element with eta
 terms that have an even part lies outside the peak subalgebra.
-The antipode reverses each index and applies the basis's own entry.
+The antipode reverses each index and applies the basis's own entry.  The
+subset codec, from a composition to its descent or peak mask and back,
+lives in ``combinatorics``.
 
 Product, coproduct and antipode rules implemented per basis:
 
@@ -50,13 +52,15 @@ from types import MappingProxyType
 
 from .combinatorics import (
     Composition,
-    _odd_composition_of_peaks,
+    _composition_of_mask,
+    _descent_mask,
+    _odd_composition_of_mask,
+    _peak_mask,
     check_composition,
     check_permutation,
     composition_of_subset,
     descent_set_of_permutation,
     odd_composition_of_peak_set,
-    peak_set_of_composition,
     peak_set_of_permutation,
     subsets,
 )
@@ -673,67 +677,6 @@ _LATTICE = {
     ("eta", "eta"): (((1, 0), (0, -1)), -1),
     ("L", "L"): (((0, -1), (-1, 0)), -1),
 }
-
-
-def _descent_mask(comp: Composition) -> int:
-    """Bit i-1 is set exactly when i is a descent of comp."""
-    mask = total = 0
-    for part in comp[:-1]:
-        total += part
-        mask |= 1 << (total - 1)
-    return mask
-
-
-def _mask_bytes() -> tuple[bytes, list[bytes], bytes]:
-    """For each nonzero byte: the position of its first set bit, the gaps
-    between its set bits, and the position of its last set bit, counting
-    bit i as position i + 1.  Each entry extends the entry of the byte
-    without its top bit.
-
-    The entries are bytes, which the garbage collector does not track, so
-    building the table at import adds no objects for it to count or scan
-    (a table of tuples added about 500, enough to set off an extra
-    collection during ``import qsym``).
-    """
-    firsts, gaps, lasts = [0], [b""], [0]
-    for byte in range(1, 256):
-        top = byte.bit_length()
-        rest = byte ^ 1 << (top - 1)
-        firsts.append(firsts[rest] if rest else top)
-        gaps.append(gaps[rest] + bytes((top - lasts[rest],)) if rest else b"")
-        lasts.append(top)
-    return bytes(firsts), gaps, bytes(lasts)
-
-
-_FIRST_BIT, _BIT_GAPS, _LAST_BIT = _mask_bytes()
-
-
-def _composition_of_mask(n: int, mask: int) -> Composition:
-    """The composition of n with descent mask ``mask``, decoded a byte at a time."""
-    if not n:
-        return ()
-    parts: list[int] = []
-    last = base = 0
-    while mask:
-        byte = mask & 255
-        if byte:
-            parts.append(base + _FIRST_BIT[byte] - last)
-            parts += _BIT_GAPS[byte]
-            last = base + _LAST_BIT[byte]
-        mask >>= 8
-        base += 8
-    parts.append(n - last)
-    return tuple(parts)
-
-
-def _peak_mask(comp: Composition) -> int:
-    """Bit p-1 is set exactly when p is a peak of the odd composition comp."""
-    return sum(1 << (p - 1) for p in peak_set_of_composition(comp))
-
-
-def _odd_composition_of_mask(n: int, mask: int) -> Composition:
-    peaks = [p for p in range(1, n) if mask >> (p - 1) & 1]
-    return _odd_composition_of_peaks(n, peaks)
 
 
 def _lattice_transform(a: QSymElement, target: str) -> QSymElement:

@@ -92,6 +92,11 @@ def _bits(mask: int) -> list[int]:
     return [i for i, bit in enumerate(reversed(bin(mask))) if bit == "1"]
 
 
+# The most vertices a poset file may declare: gamma charges an antichain at
+# least one step per vertex, so past _STEP_BUDGET it would refuse anyway.
+_FILE_VERTEX_LIMIT = 10**6
+
+
 class LabelledWeightedPoset:
     """A strict partial order on labels 1..n with a positive weight per vertex.
 
@@ -247,6 +252,8 @@ class LabelledWeightedPoset:
         n = data["n"]
         if not _is_int(n):
             raise ValueError(f"poset field 'n' must be an integer, got {n!r}")
+        if n > _FILE_VERTEX_LIMIT:
+            raise ValueError(f"poset field 'n' must be at most {_FILE_VERTEX_LIMIT}, got {n}")
         covers = data.get("covers", [])
         if not isinstance(covers, (list, tuple)) or not all(
             isinstance(pair, (list, tuple)) and len(pair) == 2 and all(map(_is_int, pair))

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .combinatorics import (
+    _composition_of_mask,
     compositions,
     contract,
     contract_set,
@@ -34,7 +35,6 @@ from .core import (
     L_of_permutation,
     QSymElement,
     _cleared,
-    _composition_of_mask,
     _pair_walk,
     antipode,
     convert,
@@ -53,7 +53,6 @@ from .expansion import (
 )
 from .ppartitions import (
     _chain_m_terms,
-    _check_alphabet,
     _gamma_chain,
     _ups,
     coshuffle_product,
@@ -232,10 +231,12 @@ def check_eta_product_rule(max_degree: int | None = None) -> CheckResult:
 
 def check_eta_coproduct(max_degree: int | None = None) -> CheckResult:
     """Deconcatenation coproduct of eta, against the M route and the oracle;
-    the M image of eta_alpha serves its M route and every leg alpha."""
+    the M image of eta_alpha serves its M route and every leg alpha, and
+    each split leg is expanded once."""
     top = _cap(6, max_degree)
     r = _Recorder()
     in_m = functools.cache(lambda c: convert(QSymElement.term("eta", c), "M"))
+    leg = functools.cache(lambda basis, c, d: expand(QSymElement.term(basis, c), 2, d))
     for n in range(top + 1):
         for alpha in compositions(n):
             lhs = coproduct(QSymElement.term("eta", alpha)).map_legs(in_m, in_m, ("M", "M"))
@@ -252,8 +253,8 @@ def check_eta_coproduct(max_degree: int | None = None) -> CheckResult:
         pieces = [
             poly_scale(
                 poly_mul(
-                    embed(expand(QSymElement.term(lb, cl), 2, d), 4, 0),
-                    embed(expand(QSymElement.term(rb, cr), 2, d), 4, 2),
+                    embed(leg(lb, cl, d), 4, 0),
+                    embed(leg(rb, cr, d), 4, 2),
                 ),
                 coeff,
             )
@@ -308,35 +309,47 @@ def check_antipode(max_degree: int | None = None) -> CheckResult:
     )
 
 
+def _chain_agrees(chain: dict, elem: QSymElement, nvars: int) -> bool:
+    """Whether a chain function's M-coefficients {b: c_b} over nvars
+    magnitudes are elem's, read from its defining series and kept for the b
+    with at most nvars parts: exactly those an expansion in nvars variables
+    keeps."""
+    common = math.lcm(*(c.denominator for c in elem.terms.values()))
+    coeffs = _int_sum(elem, common)
+    return {b: c for b, c in coeffs.items() if len(b) <= nvars} == {
+        b: c * common for b, c in chain.items()
+    }
+
+
 def check_specializations(max_degree: int | None = None) -> CheckResult:
-    """Weighted-chain generating functions against the four basis series."""
+    """Weighted-chain generating functions against the four basis series,
+    compared on M-coefficients by _chain_agrees."""
     top = _cap(5, max_degree)
     nvars = 5
-    pos = _check_alphabet(positive_alphabet(nvars))
-    sgn = _check_alphabet(signed_alphabet(nvars))
+    pos, sgn = positive_alphabet(nvars), signed_alphabet(nvars)
     r = _Recorder()
+
+    def agrees(ups, ws, zs, elem):
+        return _chain_agrees(_chain_m_terms(ups, ws, zs), elem, nvars)
+
     for n in range(1, top + 1):
         ones = (1,) * n
         for word in itertools.permutations(range(1, n + 1)):
-            u = _gamma_chain(_ups(word), ones, pos, nvars)
             r.check(
-                u == expand(L_of_permutation(word), nvars),
+                agrees(_ups(word), ones, pos, L_of_permutation(word)),
                 "positive alphabet, unit weights, pi={}", word,
             )
-            u = _gamma_chain(_ups(word), ones, sgn, nvars)
             r.check(
-                u == expand(K_of_permutation(word), nvars),
+                agrees(_ups(word), ones, sgn, K_of_permutation(word)),
                 "signed alphabet, unit weights, pi={}", word,
             )
         for alpha in itertools.product((1, 2), repeat=n):
-            u = _gamma_chain(_ups(identity_permutation(n)), alpha, sgn, nvars)
             r.check(
-                u == expand(QSymElement.term("eta", alpha), nvars),
+                agrees(_ups(identity_permutation(n)), alpha, sgn, QSymElement.term("eta", alpha)),
                 "signed alphabet, id, alpha={}", alpha,
             )
-            u = _gamma_chain(_ups(reversed_identity(n)), alpha, pos, nvars)
             r.check(
-                u == expand(QSymElement.term("M", alpha), nvars),
+                agrees(_ups(reversed_identity(n)), alpha, pos, QSymElement.term("M", alpha)),
                 "positive alphabet, reversed id, alpha={}", alpha,
             )
     return r.result(f"P-partition specializations (n <= {top})", "specializations")
@@ -363,7 +376,7 @@ def check_shuffle_products(max_degree: int | None = None) -> CheckResult:
     """
     top = _cap(6, max_degree)
     nvars = 4
-    alphabets = tuple(_check_alphabet(z(nvars)) for z in (positive_alphabet, signed_alphabet))
+    alphabets = (positive_alphabet(nvars), signed_alphabet(nvars))
     mags = positive_alphabet(nvars)  # the magnitudes of both alphabets
     m_terms = functools.cache(_chain_m_terms)
     r = _Recorder()
@@ -419,27 +432,21 @@ def check_shuffle_products(max_degree: int | None = None) -> CheckResult:
 def check_u_expansion(max_degree: int | None = None) -> CheckResult:
     """Signed-alphabet chain functions as signed sums of enriched monomials.
 
-    The symbolic side is universal_to_eta(pi, alpha), whose coefficients
-    on x_1^b_1 ... x_k^b_k are read from the eta defining series and kept
-    for the b with at most nvars parts, exactly those an expansion in nvars
-    variables keeps.  The numeric side is the chain function's
-    M-coefficients over the signed alphabet of nvars magnitudes, walked
-    once per (up-down pattern, weights) within this call.
+    The symbolic side is universal_to_eta(pi, alpha); the numeric side is
+    the chain function's M-coefficients over the signed alphabet of nvars
+    magnitudes, walked once per (up-down pattern, weights) within this
+    call.  _chain_agrees compares them.
     """
     n = _cap(4, max_degree)
     nvars = 4
-    sgn = _check_alphabet(signed_alphabet(nvars))
+    sgn = signed_alphabet(nvars)
     m_terms = functools.cache(_chain_m_terms)
     r = _Recorder()
     for word in itertools.permutations(range(1, n + 1)):
         for alpha in itertools.product((1, 2, 3), repeat=n):
-            symbolic = universal_to_eta(word, alpha)
             numeric = m_terms(_ups(word), alpha, sgn)
-            common = math.lcm(*(c.denominator for c in symbolic.terms.values()))
-            coeffs = _int_sum(symbolic, common)
             r.check(
-                {b: c for b, c in coeffs.items() if len(b) <= nvars}
-                == {b: c * common for b, c in numeric.items()},
+                _chain_agrees(numeric, universal_to_eta(word, alpha), nvars),
                 "pi={} alpha={}", word, alpha,
             )
     return r.result(f"chain-to-eta expansion (S_{n}, parts <= 3)", "expansions")

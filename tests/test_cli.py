@@ -322,6 +322,57 @@ def _digest(failures):
     return len(failures), hashlib.sha256("\n".join(failures).encode()).hexdigest()
 
 
+# Each broken L_of_permutation, with the failure list check_specializations
+# gave when it compared expansions: (count, sha256 of the joined lines).
+@pytest.mark.parametrize(
+    "broken,failures",
+    [
+        (
+            lambda real: lambda word: real(word).scale(2),
+            (153, "b968e656b24de2d62a5f8d1a71e5dac907a2b2a82c2f6c5cce9208830558ddd4"),
+        ),
+        (
+            lambda real: lambda word: real(word[::-1]),
+            (104, "fabebda286153a3734422bb0409136176684a938f10fa66d41af00b9b36db8a3"),
+        ),
+    ],
+)
+def test_specializations_fail_on_a_broken_piece(monkeypatch, broken, failures):
+    monkeypatch.setattr(
+        verification, "L_of_permutation", broken(verification.L_of_permutation)
+    )
+    result = check_specializations()
+    assert not result.passed
+    assert result.detail == "430 specializations"
+    assert _digest(result.failures) == failures
+
+
+def test_specializations_expand_nothing(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("check_specializations expanded or built a polynomial")
+
+    monkeypatch.setattr(verification, "expand", refuse)
+    monkeypatch.setattr(verification, "_gamma_chain", refuse)
+    assert check_specializations().passed
+
+
+def test_eta_coproduct_expands_each_split_leg_once_per_call(monkeypatch):
+    """The 20 alphabet splits take 204 leg expansions in two variables, of
+    56 distinct (basis, composition, degree) inputs."""
+    legs = collections.Counter()
+    real = verification.expand
+
+    def counting(elem, nvars, *args):
+        if nvars == 2:
+            legs[(elem.basis, *elem.terms, *args)] += 1
+        return real(elem, nvars, *args)
+
+    monkeypatch.setattr(verification, "expand", counting)
+    for calls in (1, 2):
+        assert check_eta_coproduct().passed
+        assert len(legs) == 56 and set(legs.values()) == {calls}
+
+
 def test_counterexample_text_is_built_only_for_a_failure():
     class Unprintable:
         def __format__(self, spec):
@@ -669,6 +720,8 @@ def test_cli_gamma_prints_a_wide_antichain_and_refuses_past_the_step_budget(tmp_
         ('{"n": 2, "covers": [1]}', "'covers'"),
         # relations under any key but "covers" must not load as an antichain
         ('{"n": 2, "relations": [[1, 2]], "weights": [1, 1]}', "'relations'"),
+        # refused before any vertex is built
+        ('{"n": 100000000}', "'n' must be at most 1000000"),
     ],
 )
 def test_cli_gamma_malformed_poset_file(tmp_path, capsys, content, field):

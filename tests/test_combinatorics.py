@@ -1,11 +1,14 @@
 """Compositions, statistics, bijections, shuffles, contraction."""
 
+import hashlib
 import itertools
 import math
 
 import pytest
 
 from qsym.combinatorics import (
+    _odd_composition_of_mask,
+    _peak_mask,
     complement,
     composition_of_subset,
     compositions,
@@ -151,6 +154,43 @@ def test_peak_round_trip_and_count(n):
         assert len(odd) == _fibonacci(n - 1)
     for s in lacunar:
         assert peak_set_of_composition(odd_composition_of_peak_set(n, s)) == s
+
+
+def test_peak_mask_decodes_through_the_descent_identity():
+    """The peaks of a part a after position s are s+2, ..., s+a-1, and q is
+    a descent exactly when neither q nor q+1 is a peak."""
+    for n in range(16):
+        for alpha in odd_compositions(n):
+            mask = _peak_mask(alpha)
+            assert _odd_composition_of_mask(n, mask) == alpha
+            bits = tuple(p for p in range(1, n) if mask >> (p - 1) & 1)
+            assert bits == peak_set_of_composition(alpha)
+
+
+def test_compositions_keep_their_order():
+    # sha256 of the lists for n = 0..10, one repr per line, as the tuple
+    # decoder listed them before compositions decoded descent masks
+    listed = "\n".join(repr(list(compositions(n))) for n in range(11))
+    assert hashlib.sha256(listed.encode()).hexdigest() == (
+        "b5fcdd89534e6ba9638da9e7b1086f781463e5d4ae30ecfd0fd138b81d309695"
+    )
+
+
+@pytest.mark.parametrize(
+    "n, s, message",
+    [
+        (5, (2, 3), "(2, 3) is not peak-lacunar"),
+        (5, (1,), "(1,) is not peak-lacunar"),
+        (6, (4, 3, 6), "(3, 4, 6) is not peak-lacunar"),
+        (5, (2, 5), "subset (2, 5) not contained in [1, 4]"),
+        (3, (0,), "subset (0,) not contained in [1, 2]"),
+        (0, (2,), "subset (2,) not contained in [1, -1]"),
+    ],
+)
+def test_odd_composition_of_peak_set_refusals(n, s, message):
+    with pytest.raises(ValueError) as info:
+        odd_composition_of_peak_set(n, s)
+    assert str(info.value) == message
 
 
 def test_permutation_statistics():

@@ -88,11 +88,19 @@ def test_poset_json_round_trip():
         ({"n": 3, "covers": [[1, 2, 3]]}, "'covers'"),
         ({"n": 2, "covers": [["1", 2]]}, "'covers'"),
         ({"n": 2, "weights": 5}, "'weights'"),
+        ({"n": 10**8}, "'n' must be at most 1000000"),
     ],
 )
 def test_poset_json_rejects_malformed_fields(data, field):
     with pytest.raises(ValueError, match=field):
         LabelledWeightedPoset.from_json_dict(data)
+
+
+def test_poset_json_vertex_limit_is_inclusive(monkeypatch):
+    monkeypatch.setattr(ppartitions, "_FILE_VERTEX_LIMIT", 5)
+    assert LabelledWeightedPoset.from_json_dict({"n": 5}) == LabelledWeightedPoset(5)
+    with pytest.raises(ValueError, match="poset field 'n' must be at most 5, got 6"):
+        LabelledWeightedPoset.from_json_dict({"n": 6})
 
 
 def test_chain_poset():
