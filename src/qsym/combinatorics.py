@@ -212,8 +212,26 @@ def compositions(n: int) -> Iterator[Composition]:
 
 
 def odd_compositions(n: int) -> Iterator[Composition]:
-    """All compositions of n with every part odd."""
-    return (alpha for alpha in compositions(n) if all(a % 2 == 1 for a in alpha))
+    """All compositions of n with every part odd, in the order of ``compositions``.
+
+    That order is by number of parts, then lexicographic.  The odd parts
+    2b_1+1, ..., 2b_k+1 of n correspond to the k-part weak compositions b
+    of (n-k)/2, and placing k-1 bars among (n-k)/2 + k-1 slots yields those
+    in lexicographic order, so only the results are built.
+
+    >>> list(odd_compositions(5))
+    [(5,), (1, 1, 3), (1, 3, 1), (3, 1, 1), (1, 1, 1, 1, 1)]
+    """
+    _check_count("n", n)
+    if not n:
+        return iter([()])
+
+    def with_parts(k: int) -> Iterator[Composition]:
+        slots = (n - k) // 2 + k - 1
+        for bars in itertools.combinations(range(slots), k - 1):
+            yield tuple(2 * (b - a) - 1 for a, b in zip((-1, *bars), (*bars, slots)))
+
+    return itertools.chain.from_iterable(map(with_parts, range(2 - n % 2, n + 1, 2)))
 
 
 # ---------------------------------------------------------------------------

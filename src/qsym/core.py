@@ -35,11 +35,16 @@ Product, coproduct and antipode rules implemented per basis:
 
 The M, L and eta products share one pair walk over (parts of alpha
 consumed, parts of beta consumed) that merges equal partial products as it
-goes, so no product term is enumerated twice.
+goes, so no product term is enumerated twice.  A step that starts a new
+part sets a new top bit of the descent mask, so the maps of two states
+merge by ``dict.update`` unless both cut at the same size, and only then
+are they summed mask by mask.  The multiplicities of all pairs of terms
+are summed in ints, one accumulator per degree.
 
 Products, coproducts, conversions and antipodes all assemble their output
 in machine ints: each operand's denominators are cleared once with an lcm,
-and each output term costs one Fraction.
+and each distinct output coefficient costs one Fraction, which the terms
+that carry it share.
 """
 
 from __future__ import annotations
@@ -510,92 +515,134 @@ def _bilinear(basis: str, pairs, common: int) -> QSymElement:
     """Sum of coeff/common * (term ca times term cb) over (ca, cb, coeff), in M, L or eta.
 
     The coefficients are ints, so the walk multiplicities accumulate as ints
-    and each output term costs one Fraction.
+    in one accumulator per degree, and each distinct output coefficient
+    costs one Fraction.
     """
-    acc: dict[tuple[int, int], int] = {}
+    by_degree: dict[int, dict[int, int]] = {}
     for ca, cb, coeff in pairs:
-        n = sum(ca) + sum(cb)
+        acc = by_degree.setdefault(sum(ca) + sum(cb), {})
         for mask, mult in _pair_walk(basis, ca, cb).items():
-            key = (n, mask)
-            acc[key] = acc.get(key, 0) + coeff * mult
-    return _raw(
-        basis,
-        {_composition_of_mask(n, m): Fraction(v, common) for (n, m), v in acc.items() if v},
-    )
+            acc[mask] = acc.get(mask, 0) + coeff * mult
+    out: dict[Composition, Fraction] = {}
+    shared: dict[int, Fraction] = {}
+    for n, acc in by_degree.items():
+        for v in set(acc.values()) - shared.keys():
+            shared[v] = Fraction(v, common)
+        out.update({_composition_of_mask(n, m): shared[v] for m, v in acc.items() if v})
+    return _raw(basis, out)
+
+
+def _add_into(acc: dict[int, int], vec: dict[int, int]) -> None:
+    """acc += vec, for maps that may share masks; zero counts stay."""
+    for mask, c in vec.items():
+        acc[mask] = acc.get(mask, 0) + c
 
 
 def _pair_walk(basis: str, alpha: Composition, beta: Composition) -> dict[int, int]:
     """The product of two basis terms as {descent mask: multiplicity}.
 
-    A walk over states (i, j, last): i parts of alpha and j parts of beta
-    consumed, and which of the two the last step took from.  Each state
-    holds the partial products that reach it, merged by descent mask, so
-    no product term is ever enumerated twice.  The size output so far is
-    fixed by (i, j), so a step that starts a new part sets the descent bit
-    at that size.  Steps per basis:
+    A walk over the grid of states (i, j): i parts of alpha and j parts of
+    beta consumed.  Each state holds the partial products that reach it,
+    merged by descent mask, so no product term is ever enumerated twice.
+    The size output so far is fixed by (i, j), and every mask at (i, j) has
+    its bits below that size minus 1, so a step that starts a new part sets
+    a new top bit: the cut.  Each state's map is copied once with its cut
+    applied, and a state's sources are merged by ``dict.update`` wherever
+    their top bits differ, since such maps share no mask.  Only two sources
+    at the same size need a summing loop.  The walk keeps one grid row at a
+    time, and ``_bilinear`` sums its multiplicities in ints, one
+    accumulator per degree.  Steps per basis:
 
     - M: alpha_i, beta_j, or the quasi-shuffle merge alpha_i + beta_j,
-      each as a new part.
+      each as a new part.  The two single steps into (i, j) cut at the same
+      size exactly when alpha_i = beta_j; the merge cuts lower.
     - eta: alpha_i or beta_j as a new part, or beta_j followed by alpha_i
       added to the previous part with sign -1 (the contraction; needs a
-      previous part).
+      previous part).  The contraction source is the map of (i-1, j-1),
+      negated and not cut, so its top bit lies below both others.
     - L: the shuffle rule, one letter per step, with alpha and beta read
       as words of |alpha| and |beta| letters whose descent sets are
       Des(alpha) and Des(beta), every letter of the second word larger
       than every letter of the first.  A first-word letter starts a new
       part after a second-word letter, or after a first-word letter at a
       descent of alpha; a second-word letter starts one only after a
-      second-word letter at a descent of beta.
+      second-word letter at a descent of beta.  So each state has two maps,
+      by which word the last letter came from, and the two merge by
+      ``dict.update`` unless both cut or neither does.
     """
     if not alpha or not beta:
         return {_descent_mask(alpha or beta): 1}
-    lasts = ("",)
     if basis == "L":
-        des_a, des_b = _descent_mask(alpha), _descent_mask(beta)
-        alpha, beta = (1,) * sum(alpha), (1,) * sum(beta)
-        lasts = ("", "a", "b")
-    l, m = len(alpha), len(beta)
+        return _shuffle_walk(alpha, beta)
     size_a = list(itertools.accumulate(alpha, initial=0))
     size_b = list(itertools.accumulate(beta, initial=0))
-    states: dict[tuple[int, int, str], dict[int, int]] = {(0, 0, ""): {0: 1}}
+    l, m = len(alpha), len(beta)
+    eta = basis == "eta"
+    # row[j] = (map at (i, j), that map with its cut), for the current i.
+    above: list[tuple[dict[int, int], dict[int, int]]] = []
     for i in range(l + 1):
+        row: list[tuple[dict[int, int], dict[int, int]]] = []
         for j in range(m + 1):
-            if (i, j) == (l, m):
-                break
-            size = size_a[i] + size_b[j]
-            cut = 1 << (size - 1) if size else 0
-            for last in lasts:
-                vec = states.pop((i, j, last), None)
-                if vec is None:
-                    continue
-                steps = []
-                if basis == "L":
-                    if i < l:
-                        new = last == "b" or (last == "a" and des_a >> (i - 1) & 1)
-                        steps.append((i + 1, j, "a", cut if new else 0, 1))
-                    if j < m:
-                        new = last == "b" and des_b >> (j - 1) & 1
-                        steps.append((i, j + 1, "b", cut if new else 0, 1))
+            if i and j:
+                vec = dict(above[j][1])
+                if alpha[i - 1] == beta[j - 1]:
+                    _add_into(vec, row[j - 1][1])
                 else:
-                    if i < l:
-                        steps.append((i + 1, j, "", cut, 1))
-                    if j < m:
-                        steps.append((i, j + 1, "", cut, 1))
-                    if i < l and j < m:
-                        if basis == "M":
-                            steps.append((i + 1, j + 1, "", cut, 1))
-                        elif size:
-                            steps.append((i + 1, j + 1, "", 0, -1))
-                # Hot loop: plain get/add; zero counts are dropped at the end.
-                for ni, nj, nlast, bit, sign in steps:
-                    target = states.setdefault((ni, nj, nlast), {})
-                    for mask, c in vec.items():
-                        key = mask | bit
-                        target[key] = target.get(key, 0) + sign * c
-    out: dict[int, int] = {}
-    for vec in states.values():
-        for mask, c in vec.items():
-            out[mask] = out.get(mask, 0) + c
+                    vec.update(row[j - 1][1])
+                if not eta:
+                    vec.update(above[j - 1][1])
+                elif i + j > 2:
+                    vec.update({mask: -c for mask, c in above[j - 1][0].items()})
+            elif i or j:
+                vec = above[j][1] if i else row[j - 1][1]
+            else:
+                row.append(({0: 1}, {0: 1}))
+                continue
+            if i == l and j == m:
+                break
+            cut = 1 << (size_a[i] + size_b[j] - 1)
+            row.append((vec, {mask | cut: c for mask, c in vec.items()}))
+        above = row
+    return {mask: c for mask, c in vec.items() if c}
+
+
+def _shuffle_walk(alpha: Composition, beta: Composition) -> dict[int, int]:
+    """``_pair_walk`` in L: the shuffle product of two nonempty compositions."""
+    des_a, des_b = _descent_mask(alpha), _descent_mask(beta)
+    l, m = sum(alpha), sum(beta)
+    # row[j] = (the maps that step into (i+1, j) with a first-word letter,
+    # and into (i, j+1) with a second-word letter), for the current i.
+    above: list[tuple[dict[int, int], dict[int, int]]] = []
+    for i in range(l + 1):
+        row: list[tuple[dict[int, int], dict[int, int]]] = []
+        for j in range(m + 1):
+            if not i and not j:
+                row.append(({0: 1}, {0: 1}))
+                continue
+            last_a = above[j][0] if i else {}
+            last_b = row[j - 1][1] if j else {}
+            if i == l and j == m:
+                break
+            cut = 1 << (i + j - 1)
+            b_cut = {mask | cut: c for mask, c in last_b.items()}
+            to_a = to_b = None
+            if i < l:
+                if i and des_a >> (i - 1) & 1:
+                    to_a = {mask | cut: c for mask, c in last_a.items()}
+                    _add_into(to_a, b_cut)
+                else:
+                    to_a = dict(last_a)
+                    to_a.update(b_cut)
+            if j < m:
+                to_b = dict(last_a)
+                if j and des_b >> (j - 1) & 1:
+                    to_b.update(b_cut)
+                else:
+                    _add_into(to_b, last_b)
+            row.append((to_a, to_b))
+        above = row
+    out = dict(last_a)
+    _add_into(out, last_b)
     return {mask: c for mask, c in out.items() if c}
 
 
@@ -610,8 +657,8 @@ def coproduct(a: QSymElement) -> TensorElement:
     [n-k], with descent sets Des(alpha) cut at k.  K input returns an
     (eta, eta)-tensor.  No two deconcatenations of distinct (alpha, k)
     coincide, so M and eta copy their coefficients; the L cuts do collide
-    and are summed as ints over one denominator, so each output term costs
-    one Fraction.
+    and are summed as ints over one denominator, so each distinct output
+    coefficient costs one Fraction.
     """
     if a.basis == "K":
         return coproduct(convert(a, "eta"))
@@ -632,8 +679,8 @@ def coproduct(a: QSymElement) -> TensorElement:
                 _composition_of_mask(n - k, mask >> k),
             )
             sums[key] = sums.get(key, 0) + coeff
-    acc = {key: Fraction(v, common) for key, v in sums.items() if v}
-    return _raw_tensor(("L", "L"), acc)
+    shared = {v: Fraction(v, common) for v in set(sums.values())}
+    return _raw_tensor(("L", "L"), {key: shared[v] for key, v in sums.items() if v})
 
 
 def antipode(a: QSymElement) -> QSymElement:
@@ -687,7 +734,8 @@ def _lattice_transform(a: QSymElement, target: str) -> QSymElement:
     descent sets otherwise), and the map is the (n-1)-fold tensor power of
     one 2x2 matrix, applied one bit at a time to the current support
     (Yates' algorithm).  Denominators are cleared per degree first, so the
-    butterflies run on ints and each output term costs one Fraction.
+    butterflies run on ints and each distinct output coefficient of a
+    degree costs one Fraction.
     """
     matrix, scale = _LATTICE[a.basis, target]
     mask_of, comp_of = _descent_mask, _composition_of_mask
@@ -719,9 +767,9 @@ def _lattice_transform(a: QSymElement, target: str) -> QSymElement:
                     nxt[high] = nxt.get(high, 0) + to_high * v
             vec = nxt
         factor = Fraction(scale, common * den ** (n - 1))
-        for m, v in vec.items():
-            if v:
-                out[comp_of(n, m)] = Fraction(v * factor.numerator, factor.denominator)
+        num, denom = factor.numerator, factor.denominator
+        shared = {v: Fraction(v * num, denom) for v in set(vec.values())}
+        out.update({comp_of(n, m): shared[v] for m, v in vec.items() if v})
     return _raw(target, out)
 
 

@@ -279,6 +279,24 @@ def test_cli_verify_max_degree_5_stdout_is_byte_identical(capsys):
     assert capsys.readouterr().out.encode() == golden.read_bytes()
 
 
+# Products whose operands repeat equal parts, so the pair walk sums two
+# sources at one size, each recorded as `qsym multiply ... --format json`.
+MULTIPLY_GOLDEN = [
+    ("multiply_M.json", "M[2,1,2] + 1/2*M[1,1]", "M[2,2,1] - 3*M[1,2,1]"),
+    ("multiply_L.json", "L[1,2,1] - 2/3*L[2]", "L[2,1,1] + L[1,1]"),
+    ("multiply_eta.json", "eta[1,1,2] + 3/4*eta[2,2]", "eta[1,2,1] - 5*eta[1]"),
+    ("multiply_K.json", "K[1,3] + 1/2*K[3]", "K[3,1,1] - 2*K[1]"),
+]
+
+
+@pytest.mark.parametrize("name, left, right", MULTIPLY_GOLDEN)
+def test_cli_multiply_json_is_byte_identical(capsys, name, left, right):
+    golden = pathlib.Path(__file__).parent / "data" / name
+    rc = main(["multiply", left, right, "--format", "json"])
+    assert rc == 0
+    assert capsys.readouterr().out.encode() == golden.read_bytes()
+
+
 def test_cli_verify_smallest_bound(capsys):
     # a random element that cancels to zero must compare against 0, not fail
     rc = main(["verify", "--max-degree", "1"])

@@ -176,6 +176,18 @@ def test_compositions_keep_their_order():
     )
 
 
+def test_odd_compositions_keep_their_order():
+    # sha256 of the lists for n = 0..14, one repr per line, as they were
+    # listed when odd_compositions filtered compositions(n)
+    listed = "\n".join(repr(list(odd_compositions(n))) for n in range(15))
+    assert hashlib.sha256(listed.encode()).hexdigest() == (
+        "edc5d0a3bb2a04bc39185abe1656157844e819648e53877d6d2dfdaa14a3d070"
+    )
+    for n in range(11):
+        odd = [alpha for alpha in compositions(n) if all(a % 2 for a in alpha)]
+        assert list(odd_compositions(n)) == odd
+
+
 @pytest.mark.parametrize(
     "n, s, message",
     [

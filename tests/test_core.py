@@ -472,6 +472,102 @@ def test_L_product_shuffle_rule(total):
                 assert certify_equal(prod, via_m)
 
 
+def _equal_part_pairs():
+    """Seeded operand pairs with parts from {1, 2}, so alpha_i = beta_j at
+    many steps of the pair walk, of total degree 9 to 12; and (1^k, 1^k)."""
+    rng = random.Random(23)
+    pairs = [((1,) * k, (1,) * k) for k in range(1, 7)]
+    for total in range(9, 13):
+        for _ in range(3):
+            sizes = rng.randint(2, total - 2)
+            pair = []
+            for n in (sizes, total - sizes):
+                parts = []
+                while sum(parts) < n:
+                    parts.append(min(rng.choice((1, 1, 2)), n - sum(parts)))
+                pair.append(tuple(parts))
+            pairs.append(tuple(pair))
+    return pairs
+
+
+@pytest.mark.parametrize("alpha, beta", _equal_part_pairs())
+def test_products_sum_equal_sized_steps(alpha, beta):
+    assert dict(multiply(M(*alpha), M(*beta)).terms) == Counter(quasi_shuffles(alpha, beta))
+    via_m = multiply(convert(eta(*alpha), "M"), convert(eta(*beta), "M"))
+    assert convert(eta_product(alpha, beta), "M") == via_m
+    via_m = multiply(convert(L(*alpha), "M"), convert(L(*beta), "M"))
+    assert convert(multiply(L(*alpha), L(*beta)), "M") == via_m
+
+
+def _inhomogeneous(basis, rng):
+    """Five seeded terms of degrees 0 to 5 with rational coefficients."""
+    pool = [
+        comp
+        for n in range(6)
+        for comp in (odd_compositions(n) if basis == "K" else compositions(n))
+    ]
+    return QSymElement(
+        basis,
+        {
+            comp: Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.choice((1, 2, 3, 4, 6)))
+            for comp in rng.sample(pool, 5)
+        },
+    )
+
+
+def _one_fraction_per_value(coeffs):
+    """Every coefficient is a nonzero Fraction, and equal ones are one object."""
+    coeffs = list(coeffs)
+    assert all(type(v) is Fraction and v for v in coeffs)
+    assert len({id(v) for v in coeffs}) == len(set(coeffs))
+
+
+@pytest.mark.parametrize("basis", ["M", "L", "eta", "K"])
+def test_inhomogeneous_rational_products_are_sums_of_term_products(basis):
+    rng = random.Random(f"inhomogeneous/{basis}")
+    for _ in range(4):
+        a, b = _inhomogeneous(basis, rng), _inhomogeneous(basis, rng)
+        prod = multiply(a, b)
+        out = "eta" if basis == "K" else basis
+        total = QSymElement.zero(out)
+        for ca, va in a.terms.items():
+            for cb, vb in b.terms.items():
+                total += multiply(
+                    QSymElement.term(basis, ca, va), QSymElement.term(basis, cb, vb)
+                )
+        assert prod == total
+        _one_fraction_per_value(prod.terms.values())
+
+
+@pytest.mark.parametrize("basis", ["M", "L", "eta", "K"])
+def test_inhomogeneous_conversions_and_L_coproducts_are_sums_over_terms(basis):
+    rng = random.Random(f"inhomogeneous/{basis}/convert")
+    for _ in range(4):
+        a = _inhomogeneous(basis, rng)
+        pieces = [QSymElement.term(basis, c, v) for c, v in a.terms.items()]
+        for target in ("M", "L", "eta", "K"):
+            if target == "K" and basis != "K":
+                continue
+            image = convert(a, target)
+            total = QSymElement.zero(target)
+            for piece in pieces:
+                total += convert(piece, target)
+            assert image == total
+            if target == basis:
+                continue  # the identity conversion builds no coefficients
+            # conversions build their Fractions degree by degree
+            for n in {sum(c) for c in image.terms}:
+                _one_fraction_per_value(v for c, v in image.terms.items() if sum(c) == n)
+        if basis == "L":
+            sums = {}
+            for piece in pieces:
+                for key, v in coproduct(piece).terms.items():
+                    sums[key] = sums.get(key, 0) + v
+            cop = coproduct(a)
+            assert cop == TensorElement(("L", "L"), sums)
+            _one_fraction_per_value(cop.terms.values())
+
+
 def test_L_product_through_M():
     prod = multiply(L(1), L(1))
     assert prod == QSymElement("L", {(1, 1): 1, (2,): 1})
