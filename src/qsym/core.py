@@ -38,13 +38,17 @@ consumed, parts of beta consumed) that merges equal partial products as it
 goes, so no product term is enumerated twice.  A step that starts a new
 part sets a new top bit of the descent mask, so the maps of two states
 merge by ``dict.update`` unless both cut at the same size, and only then
-are they summed mask by mask.  The multiplicities of all pairs of terms
-are summed in ints, one accumulator per degree.
+are they summed.  The multiplicities of all pairs of terms are summed in
+ints, one accumulator per degree.
 
-Products, coproducts, conversions and antipodes all assemble their output
-in machine ints: each operand's denominators are cleared once with an lcm,
-and each distinct output coefficient costs one Fraction, which the terms
-that carry it share.
+Every sum adds with ``dict.get``, a whole map at a time by ``_add_into``
+or inline where keys are computed per item, and drops the entries that
+cancel once, at the end.  Products, coproducts, conversions and antipodes
+sum in machine ints: each operand's denominators are cleared once with an
+lcm, and each distinct output coefficient costs one Fraction, which the
+terms that carry it share.
+Conversions and antipodes are sized before they run, and refused past
+``_MASK_BUDGET`` output masks in one degree; products are not sized.
 """
 
 from __future__ import annotations
@@ -75,14 +79,21 @@ BASES = ("M", "L", "K", "eta")
 _ZERO = Fraction(0)
 
 
-def _bump(acc: dict, key, value) -> None:
-    """Add value to acc[key], dropping the key when the sum cancels.  For sums
-    built one item at a time; bulk sums add with get and drop zeros at the end."""
-    new = acc.get(key, 0) + value
-    if new:
-        acc[key] = new
+def _add_into(acc: dict, vec: Mapping, scale=1) -> None:
+    """acc += scale * vec.  Entries that cancel stay, as 0, until the sum is
+    finished by ``_nonzero`` or by a transform that skips them.  A scale of 1
+    skips the multiply, which costs more than the add on a Fraction."""
+    if scale == 1:
+        for key, c in vec.items():
+            acc[key] = acc.get(key, 0) + c
     else:
-        acc.pop(key, None)
+        for key, c in vec.items():
+            acc[key] = acc.get(key, 0) + c * scale
+
+
+def _nonzero(acc: dict) -> dict:
+    """A finished sum: acc without the entries that cancelled."""
+    return {key: c for key, c in acc.items() if c}
 
 
 def _cleared(terms: Mapping) -> tuple[dict, int]:
@@ -171,9 +182,10 @@ class QSymElement:
         items = terms.items() if isinstance(terms, Mapping) else terms
         acc: dict[Composition, Fraction] = {}
         for comp, coeff in items:
-            _bump(acc, _check_index(basis, comp), _coerce_coeff(coeff))
+            comp = _check_index(basis, comp)
+            acc[comp] = acc.get(comp, 0) + _coerce_coeff(coeff)
         object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "_terms", acc)
+        object.__setattr__(self, "_terms", _nonzero(acc))
 
     def __setattr__(self, name, value):
         raise AttributeError("QSymElement is immutable")
@@ -236,9 +248,8 @@ class QSymElement:
             return NotImplemented
         self._require_same_basis(other)
         acc = dict(self._terms)
-        for comp, coeff in other._terms.items():
-            _bump(acc, comp, coeff)
-        return _raw(self.basis, acc)
+        _add_into(acc, other._terms)
+        return _raw(self.basis, _nonzero(acc))
 
     def __sub__(self, other):
         if not isinstance(other, QSymElement):
@@ -293,9 +304,8 @@ class QSymElement:
             image = fn(comp)
             if image.basis != basis:
                 raise ValueError(f"term map returned basis {image.basis}, expected {basis}")
-            for comp2, coeff2 in image._terms.items():
-                _bump(acc, comp2, coeff * coeff2)
-        return _raw(basis, acc)
+            _add_into(acc, image._terms, coeff)
+        return _raw(basis, _nonzero(acc))
 
     # -- serialization -------------------------------------------------------
 
@@ -355,9 +365,9 @@ class TensorElement:
         acc: dict[tuple[Composition, Composition], Fraction] = {}
         for (cl, cr), coeff in items:
             key = (_check_index(left, cl), _check_index(right, cr))
-            _bump(acc, key, _coerce_coeff(coeff))
+            acc[key] = acc.get(key, 0) + _coerce_coeff(coeff)
         object.__setattr__(self, "bases", (left, right))
-        object.__setattr__(self, "_terms", acc)
+        object.__setattr__(self, "_terms", _nonzero(acc))
 
     def __setattr__(self, name, value):
         raise AttributeError("TensorElement is immutable")
@@ -409,8 +419,8 @@ class TensorElement:
                 raise ValueError("leg maps returned unexpected bases")
             for l2, vl in left.terms.items():
                 for r2, vr in right.terms.items():
-                    _bump(acc, (l2, r2), coeff * vl * vr)
-        return _raw_tensor(tuple(bases), acc)
+                    acc[l2, r2] = acc.get((l2, r2), 0) + coeff * vl * vr
+        return _raw_tensor(tuple(bases), _nonzero(acc))
 
     def multiply_legs(self) -> QSymElement:
         """Multiply the two legs of every tensor and sum the results."""
@@ -521,8 +531,7 @@ def _bilinear(basis: str, pairs, common: int) -> QSymElement:
     by_degree: dict[int, dict[int, int]] = {}
     for ca, cb, coeff in pairs:
         acc = by_degree.setdefault(sum(ca) + sum(cb), {})
-        for mask, mult in _pair_walk(basis, ca, cb).items():
-            acc[mask] = acc.get(mask, 0) + coeff * mult
+        _add_into(acc, _pair_walk(basis, ca, cb), coeff)
     out: dict[Composition, Fraction] = {}
     shared: dict[int, Fraction] = {}
     for n, acc in by_degree.items():
@@ -530,12 +539,6 @@ def _bilinear(basis: str, pairs, common: int) -> QSymElement:
             shared[v] = Fraction(v, common)
         out.update({_composition_of_mask(n, m): shared[v] for m, v in acc.items() if v})
     return _raw(basis, out)
-
-
-def _add_into(acc: dict[int, int], vec: dict[int, int]) -> None:
-    """acc += vec, for maps that may share masks; zero counts stay."""
-    for mask, c in vec.items():
-        acc[mask] = acc.get(mask, 0) + c
 
 
 def _pair_walk(basis: str, alpha: Composition, beta: Composition) -> dict[int, int]:
@@ -603,7 +606,7 @@ def _pair_walk(basis: str, alpha: Composition, beta: Composition) -> dict[int, i
             cut = 1 << (size_a[i] + size_b[j] - 1)
             row.append((vec, {mask | cut: c for mask, c in vec.items()}))
         above = row
-    return {mask: c for mask, c in vec.items() if c}
+    return _nonzero(vec)
 
 
 def _shuffle_walk(alpha: Composition, beta: Composition) -> dict[int, int]:
@@ -643,7 +646,7 @@ def _shuffle_walk(alpha: Composition, beta: Composition) -> dict[int, int]:
         above = row
     out = dict(last_a)
     _add_into(out, last_b)
-    return {mask: c for mask, c in out.items() if c}
+    return _nonzero(out)
 
 
 # ---------------------------------------------------------------------------
@@ -704,6 +707,7 @@ def antipode(a: QSymElement) -> QSymElement:
 
 
 _H = Fraction(1, 2)
+_MASK_BUDGET = 1 << 21  # subset masks in one degree of a transform's output
 
 # (source, target): (matrix, scale).  Entry [a][b] of the matrix is the
 # factor from source bit a to target bit b of a subset bitmask; every
@@ -735,7 +739,10 @@ def _lattice_transform(a: QSymElement, target: str) -> QSymElement:
     one 2x2 matrix, applied one bit at a time to the current support
     (Yates' algorithm).  Denominators are cleared per degree first, so the
     butterflies run on ints and each distinct output coefficient of a
-    degree costs one Fraction.
+    degree costs one Fraction.  A degree with more than _MASK_BUDGET masks
+    is sized before any pass: a bit whose matrix row has two nonzero
+    entries at most doubles a mask's image, and the transform is refused
+    when the images' sizes sum past the budget.
     """
     matrix, scale = _LATTICE[a.basis, target]
     mask_of, comp_of = _descent_mask, _composition_of_mask
@@ -746,6 +753,18 @@ def _lattice_transform(a: QSymElement, target: str) -> QSymElement:
     by_degree: dict[int, dict[int, Fraction]] = {}
     for comp, coeff in a._terms.items():
         by_degree.setdefault(sum(comp), {})[mask_of(comp)] = coeff
+    for n, component in by_degree.items():
+        if n and 1 << n - 1 > _MASK_BUDGET:
+            split_low, split_high = (all(row) for row in rows)
+            highs = (m.bit_count() for m in component)
+            images = (1 << split_high * k + split_low * (n - 1 - k) for k in highs)
+            bound = min(sum(images), 1 << n - 1)
+            if bound > _MASK_BUDGET:
+                what = "the antipode" if a.basis == target else f"{a.basis} to {target}"
+                raise ValueError(
+                    f"{what} in degree {n} needs up to {bound} subset masks, "
+                    f"over the budget of {_MASK_BUDGET}"
+                )
     out: dict[Composition, Fraction] = {}
     for n, component in by_degree.items():
         if n == 0:

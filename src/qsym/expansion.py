@@ -31,7 +31,7 @@ from functools import lru_cache
 from types import MappingProxyType
 
 from .combinatorics import _check_count, descent_set, peak_set_of_composition
-from .core import QSymElement, _bump, _exact, _signed_sum, format_rational
+from .core import QSymElement, _add_into, _exact, _nonzero, _signed_sum, format_rational
 
 Monomial = tuple[tuple[int, int], ...]
 
@@ -66,10 +66,10 @@ class TruncatedPoly:
                 raise ValueError(f"variables must be strictly ascending in {key!r}")
             if _mono_degree(key) > degree:
                 raise ValueError(f"monomial {key!r} exceeds the degree bound {degree}")
-            _bump(acc, key, _exact(coeff))
+            acc[key] = acc.get(key, 0) + _exact(coeff)
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "terms", MappingProxyType(acc))
+        object.__setattr__(self, "terms", MappingProxyType(_nonzero(acc)))
 
     def __setattr__(self, name, value):
         raise AttributeError("TruncatedPoly is immutable")
@@ -147,9 +147,8 @@ def _same_nvars(p: TruncatedPoly, q: TruncatedPoly) -> None:
 def poly_add(p: TruncatedPoly, q: TruncatedPoly) -> TruncatedPoly:
     _same_nvars(p, q)
     acc = dict(p.terms)
-    for key, coeff in q.terms.items():
-        _bump(acc, key, coeff)
-    return _raw_poly(p.nvars, max(p.degree, q.degree), acc)
+    _add_into(acc, q.terms)
+    return _raw_poly(p.nvars, max(p.degree, q.degree), _nonzero(acc))
 
 
 def poly_scale(p: TruncatedPoly, scalar) -> TruncatedPoly:
@@ -267,8 +266,9 @@ def _m_coefficients(basis: str, comp: tuple) -> Mapping[tuple, int]:
         b = [0] * (t[-1] if t else 0)
         for v, part in zip(t, parts):
             b[v - 1] += part
-        _bump(acc, tuple(b), weight)
-    return MappingProxyType(acc)
+        key = tuple(b)
+        acc[key] = acc.get(key, 0) + weight
+    return MappingProxyType(_nonzero(acc))
 
 
 @lru_cache(maxsize=1024)
@@ -311,13 +311,12 @@ def _onto_tuples(length: int) -> Iterator[tuple]:
 
 def _int_sum(a: QSymElement, common: int) -> dict:
     """a's coefficients on x_1^b_1 ... x_k^b_k by b, times common (a multiple of every
-    denominator), summed in ints from its terms' _m_coefficients; zeros drop at the end."""
+    denominator), summed in ints from its terms' _m_coefficients."""
     acc: dict = {}
     for comp, coeff in a.terms.items():
         scaled = coeff.numerator * (common // coeff.denominator)
-        for key, value in _m_coefficients(a.basis, comp).items():
-            acc[key] = acc.get(key, 0) + scaled * value
-    return {key: value for key, value in acc.items() if value}
+        _add_into(acc, _m_coefficients(a.basis, comp), scaled)
+    return _nonzero(acc)
 
 
 def expand(a: QSymElement, nvars: int, degree: int | None = None) -> TruncatedPoly:

@@ -491,6 +491,10 @@ def _steps(poset: LabelledWeightedPoset, signs: set, spent: int) -> tuple[dict, 
             while stack:  # (ideal and S, weight of S, last to join, free vertices)
                 grown, w, last, free = stack.pop()
                 may = free >> last + 1 << last + 1 if up else free & (1 << last) - 1
+                # may is an antichain, so every nonempty subset of it, joined
+                # in order, is a row still to come: a check that charges
+                # nothing, its exponent capped so no big int is built
+                _spend(spent, ((1 << min(may.bit_count(), 64)) - 1) * words)
                 spent = _spend(spent, may.bit_count() * words)
                 while may:
                     bit = may & -may

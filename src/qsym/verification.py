@@ -34,7 +34,9 @@ from .core import (
     K_of_permutation,
     L_of_permutation,
     QSymElement,
+    _add_into,
     _cleared,
+    _nonzero,
     _pair_walk,
     antipode,
     convert,
@@ -49,7 +51,6 @@ from .expansion import (
     embed,
     expand,
     poly_mul,
-    poly_scale,
 )
 from .ppartitions import (
     _chain_m_terms,
@@ -211,8 +212,7 @@ def check_eta_product_rule(max_degree: int | None = None) -> CheckResult:
         acc: dict = {}
         for ca, va in ta.items():
             for cb, vb in tb.items():
-                for mask, mult in walk(ca, cb).items():
-                    acc[mask] = acc.get(mask, 0) + va * vb * mult
+                _add_into(acc, walk(ca, cb), va * vb)
         return {_composition_of_mask(n, mask): c * scale for mask, c in acc.items() if c}
 
     for total in range(top + 1):
@@ -250,17 +250,11 @@ def check_eta_coproduct(max_degree: int | None = None) -> CheckResult:
         lhs = expand(elem, 4, d)
         tens = coproduct(elem)
         lb, rb = tens.bases
-        pieces = [
-            poly_scale(
-                poly_mul(
-                    embed(leg(lb, cl, d), 4, 0),
-                    embed(leg(rb, cr, d), 4, 2),
-                ),
-                coeff,
-            )
-            for (cl, cr), coeff in tens.terms.items()
-        ]
-        r.check(lhs.terms == _sum_terms(pieces), "alphabet split of {}", elem)
+        rhs: dict = {}
+        for (cl, cr), coeff in tens.terms.items():
+            piece = poly_mul(embed(leg(lb, cl, d), 4, 0), embed(leg(rb, cr, d), 4, 2))
+            _add_into(rhs, piece.terms, coeff)
+        r.check(lhs.terms == _nonzero(rhs), "alphabet split of {}", elem)
     return r.result(
         f"eta coproduct (n <= {top}) + {_COPRODUCT_SAMPLES} alphabet splits", "coproducts"
     )
@@ -355,16 +349,6 @@ def check_specializations(max_degree: int | None = None) -> CheckResult:
     return r.result(f"P-partition specializations (n <= {top})", "specializations")
 
 
-def _sum_terms(polys) -> dict:
-    """The terms of a sum of polynomials, accumulated in one dict; the
-    terms that cancel are dropped once, at the end."""
-    acc: dict = {}
-    for p in polys:
-        for key, coeff in p.terms.items():
-            acc[key] = acc.get(key, 0) + coeff
-    return {key: coeff for key, coeff in acc.items() if coeff}
-
-
 def check_shuffle_products(max_degree: int | None = None) -> CheckResult:
     """Chain generating functions multiply by (co)shuffling, at both alphabets.
 
@@ -390,8 +374,7 @@ def check_shuffle_products(max_degree: int | None = None) -> CheckResult:
     def rhs(chains, zs):
         acc: dict = {}
         for ups, ws in chains:
-            for b, c in m_terms(ups, ws, zs).items():
-                acc[b] = acc.get(b, 0) + c
+            _add_into(acc, m_terms(ups, ws, zs))
         return {mono: c for b, c in acc.items() if c for mono in _m_monomials(b, mags)}
 
     def check(keys, chains, describe, *args):

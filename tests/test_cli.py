@@ -146,6 +146,19 @@ def test_cli_coproduct_and_antipode(capsys):
     assert capsys.readouterr().out.strip() == "eta[5,2]"
 
 
+def test_cli_refuses_oversized_conversions_and_antipodes(capsys):
+    ones = ",".join(["1"] * 40)
+    for args in (["convert", "L[40]", "--to", "M"], ["convert", "eta[30]", "--to", "L"],
+                 ["antipode", f"M[{ones}]"]):
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "subset masks, over the budget of 2097152" in captured.err
+    assert main(["convert", "eta[40]", "--to", "M"]) == 0
+    assert capsys.readouterr().out == "2*M[40]\n"
+
+
 def test_cli_expand(capsys):
     assert main(["expand", "M[2,1]", "--nvars", "3"]) == 0
     assert capsys.readouterr().out.strip() == "x1^2*x2 + x1^2*x3 + x2^2*x3"

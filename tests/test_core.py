@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 import qsym
+from qsym import core
 from qsym.combinatorics import (
     compositions,
     descent_set,
@@ -28,7 +29,7 @@ from qsym.core import (
     signed_subset_sum,
 )
 from qsym.core import _composition_of_mask, _descent_mask
-from qsym.expansion import certify_equal
+from qsym.expansion import TruncatedPoly, certify_equal, poly_add
 
 
 def M(*parts, coeff=1):
@@ -189,6 +190,96 @@ def test_element_arithmetic():
     assert e.scale(Fraction(1, 2)).coefficient((1,)) == 1
     with pytest.raises(ValueError):
         M(1) + eta(1)
+
+
+def _cancelling_sums():
+    """One sum per accumulation site, each with a key that cancels, and the
+    terms it must leave."""
+    e = QSymElement("M", {(2,): 1, (1, 1): Fraction(1, 2)})
+    f = QSymElement("M", {(2,): -1, (3,): 2})
+    # (2,) -> M[3] + M[2] and (1, 1) -> -2*M[3] + M[1, 1]: the M[3]s cancel
+    image = lambda c: QSymElement("M", {(3,): 1 if c == (2,) else -2, c: 1})
+    t = TensorElement(("M", "M"), {((1,), (2,)): 1, ((2,), (1,)): 1})
+    left = lambda c: QSymElement("M", {(3,): 1, c: 1})
+    right = lambda c: QSymElement("M", {(3,): 1 if c == (2,) else -1})
+    p = TruncatedPoly(2, 2, {((1, 1),): 1, ((2, 2),): 2})
+    q = TruncatedPoly(2, 3, {((1, 1),): -1, ((1, 1), (2, 2)): Fraction(1, 3)})
+    sums = {
+        "QSymElement": (QSymElement("M", [((2,), 1), ((1, 1), 2), ((2,), -1)]), {(1, 1): 2}),
+        "+": (e + f, {(1, 1): Fraction(1, 2), (3,): 2}),
+        "-": (e - QSymElement("M", {(2,): 1}), {(1, 1): Fraction(1, 2)}),
+        "map_terms": (e.map_terms(image, "M"), {(2,): 1, (1, 1): Fraction(1, 2)}),
+        "TensorElement": (
+            TensorElement(("M", "L"), [(((1,), (1,)), 1), (((2,), ()), 3), (((1,), (1,)), -1)]),
+            {((2,), ()): 3},
+        ),
+        "map_legs": (
+            t.map_legs(left, right, ("M", "M")),
+            {((1,), (3,)): 1, ((2,), (3,)): -1},
+        ),
+        "TruncatedPoly": (
+            TruncatedPoly(2, 2, [(((1, 1),), 1), (((2, 1),), 2), (((1, 1),), -1)]),
+            {((2, 1),): 2},
+        ),
+        "poly_add": (poly_add(p, q), {((2, 2),): 2, ((1, 1), (2, 2)): Fraction(1, 3)}),
+    }
+    return [pytest.param(got, want, id=name) for name, (got, want) in sums.items()]
+
+
+@pytest.mark.parametrize("got, want", _cancelling_sums())
+def test_sums_that_cancel_drop_their_keys(got, want):
+    assert dict(got.terms) == want
+    assert all(got.terms.values())
+
+
+def test_element_products_by_elements_and_scalars():
+    a = QSymElement("M", {(1,): 2, (2,): Fraction(1, 2)})
+    b = QSymElement("M", {(1,): -1, (1, 1): 3})
+    assert a * b == multiply(a, b) == b * a
+    assert a * 3 == 3 * a == a.scale(3) == a + a + a
+    assert a * Fraction(-1, 2) == a.scale(Fraction(-1, 2))
+    assert (a * 0).is_zero and (a * 0).basis == "M"
+    for other in (True, 1.5, "2"):
+        assert a.__mul__(other) is NotImplemented
+        with pytest.raises(TypeError):
+            a * other
+
+
+def test_multiply_legs_on_K_legs_lands_in_eta():
+    t = TensorElement(("K", "K"), {((1,), (3,)): 2, ((1,), (1,)): Fraction(-1, 2)})
+    got = t.multiply_legs()
+    assert got.basis == "eta"
+    assert got == 2 * multiply(K(1), K(3)) - multiply(K(1), K(1)).scale(Fraction(1, 2))
+    m1, m3 = convert(K(1), "M"), convert(K(3), "M")
+    assert certify_equal(got, 2 * m1 * m3 - (m1 * m1).scale(Fraction(1, 2)))
+
+
+def test_hash_agrees_with_equality():
+    # equal values built in another order, or with int for Fraction
+    # coefficients, or (for polynomials) with another degree bound
+    pairs = [
+        (
+            QSymElement("M", {(1,): 2, (2,): Fraction(1, 2)}),
+            QSymElement("M", [((2,), Fraction(1, 2)), ((1,), Fraction(2))]),
+        ),
+        (
+            TensorElement(("M", "L"), {((1,), ()): 1, ((), (2,)): -3}),
+            TensorElement(("M", "L"), [(((), (2,)), Fraction(-3)), (((1,), ()), 1)]),
+        ),
+        (
+            TruncatedPoly(2, 2, {((1, 1),): 1, ((2, 2),): Fraction(1, 2)}),
+            TruncatedPoly(2, 4, {((2, 2),): Fraction(1, 2), ((1, 1),): Fraction(1)}),
+        ),
+    ]
+    for x, y in pairs:
+        assert x == y and hash(x) == hash(y)
+        assert len({x, y}) == 1
+    assert len({x for pair in pairs for x in pair}) == 3
+
+
+def test_repr_of_zero_values():
+    assert repr(TensorElement(("M", "L"))) == "TensorElement(('M', 'L'), 0)"
+    assert repr(QSymElement("eta")) == "QSymElement('eta', 0)"
 
 
 def test_json_round_trip():
@@ -380,6 +471,31 @@ def test_convert_all_basis_pairs():
             assert image.basis == target
             assert convert(image, elem.basis) == elem
             assert certify_equal(image, elem)
+
+
+def test_transforms_past_the_mask_budget_are_refused():
+    assert core._MASK_BUDGET == 1 << 21
+    budget = "over the budget of 2097152"
+    with pytest.raises(ValueError, match=f"L to M in degree 40 needs up to {2**39} .*{budget}"):
+        convert(L(40), "M")
+    with pytest.raises(ValueError, match=f"eta to L in degree 30 needs up to {2**29} .*{budget}"):
+        convert(eta(30), "L")
+    with pytest.raises(ValueError, match=f"the antipode in degree 40 needs up to {2**39} "):
+        antipode(M(*[1] * 40))
+    # sparse images pass, however large the degree
+    assert convert(eta(40), "M") == M(40, coeff=2)
+    assert antipode(eta(*[1] * 40)) == eta(*[1] * 40)
+
+
+def test_the_mask_bound_is_exact_for_L_to_M(monkeypatch):
+    # L_alpha is the sum of M_beta over the 2^(n-1-|Des(alpha)|) refinements
+    # beta of alpha, so the bound is the image's size, summed over the terms
+    monkeypatch.setattr(core, "_MASK_BUDGET", 8)
+    for elem, size in ((L(2, 3), 8), (L(4, 1, 1, 1, 1), 8), (L(1, 1, 1, 1, 3), 4)):
+        assert len(convert(elem, "M").terms) == size
+    for elem, bound in ((L(5), 16), (L(2, 3) + L(1, 4), 16), (L(3, 3), 16)):
+        with pytest.raises(ValueError, match=f"needs up to {bound} subset masks"):
+            convert(elem, "M")
 
 
 def test_convert_to_K():

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -339,6 +340,29 @@ def test_gamma_refuses_before_any_polynomial_work(monkeypatch):
     assert sum(1 for _ in two_chains.linear_extensions()) == 126
     zs = signed_alphabet(2)
     assert gamma(two_chains, zs) == _assignment_sum(two_chains, zs, 2)
+
+
+def test_a_refusal_is_sized_from_the_free_vertices_in_constant_memory(monkeypatch):
+    # from the ideal {1}, the fan 1 < {2, ..., 40} can grow by each of the
+    # 2^39 - 1 nonempty subsets of its 39 free vertices: refused at that pop,
+    # with no table built
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="takes more than 1000000 steps"):
+            gamma(_fan(40), (1,))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # the sizing only refuses what the count would: a budget of exactly the
+    # steps still computes, one step less refuses
+    for k in range(1, 8):
+        for signs, steps in (({True, False}, 2 * 3**k - 2**k + 1), ({True}, 3**k)):
+            monkeypatch.setattr(ppartitions, "_STEP_BUDGET", steps)
+            assert ppartitions._steps(_fan(k + 1), signs, 0)[1] == steps
+            monkeypatch.setattr(ppartitions, "_STEP_BUDGET", steps - 1)
+            with pytest.raises(ValueError, match=f"takes more than {steps - 1} steps"):
+                ppartitions._steps(_fan(k + 1), signs, 0)
 
 
 def test_universal_gamma_walks_a_chain_over_a_mixed_alphabet_within_the_budget(monkeypatch):
