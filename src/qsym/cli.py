@@ -43,21 +43,19 @@ class ElementParseError(ValueError):
         super().__init__(f"{message} (at position {position})")
 
 
-_TOKEN_RE = re.compile(r"(\d+|[A-Za-z]+|[\[\],*+/-])")
+# One pass over the text: a token, a run of whitespace, or any other
+# character, which is the first one the grammar cannot read.
+_TOKEN_RE = re.compile(r"(\d+|[A-Za-z]+|[\[\],*+/-])|\s+|(\S)")
 
 
 def _tokenize(text: str) -> list[tuple[str, int]]:
     tokens = []
-    pos = 0
-    while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
-            continue
-        match = _TOKEN_RE.match(text, pos)
-        if not match:
-            raise ElementParseError(f"unexpected character {text[pos]!r}", pos)
-        tokens.append((match.group(0), pos))
-        pos = match.end()
+    for match in _TOKEN_RE.finditer(text):
+        kind = match.lastindex
+        if kind == 1:
+            tokens.append((match[1], match.start()))
+        elif kind:
+            raise ElementParseError(f"unexpected character {match[2]!r}", match.start())
     return tokens
 
 
@@ -201,27 +199,33 @@ def _json_text(value, indent: str = "") -> str:
     that ``to_json_dict`` returns.
 
     With ``indent`` set, the json module skips its C encoder; this writer
-    gives the same bytes faster, escaping strings with the C escaper.
+    gives the same bytes faster.  It dispatches on the exact type, escapes
+    strings with the C escaper, and writes a list of ints (a composition,
+    an exponent pair) with one ``str.join`` instead of one call per int.
     """
-    if isinstance(value, str):
+    kind = type(value)
+    if kind is str:
         return encode_basestring_ascii(value)
-    if type(value) is int:
+    if kind is int:
         return str(value)
+    if kind is not dict and kind is not list:
+        raise TypeError(f"cannot write {kind.__name__} as JSON")
+    if not value:
+        return "{}" if kind is dict else "[]"
     inner = indent + "  "
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = [
-            f"{inner}{encode_basestring_ascii(k)}: {_json_text(v, inner)}"
-            for k, v in value.items()
-        ]
-        return "{\n" + ",\n".join(items) + "\n" + indent + "}"
-    if isinstance(value, list):
-        if not value:
-            return "[]"
-        items = [inner + _json_text(v, inner) for v in value]
-        return "[\n" + ",\n".join(items) + "\n" + indent + "]"
-    raise TypeError(f"cannot write {type(value).__name__} as JSON")
+    sep = ",\n" + inner
+    if kind is dict:
+        body = sep.join(
+            [f"{encode_basestring_ascii(k)}: {_json_text(v, inner)}" for k, v in value.items()]
+        )
+        return f"{{\n{inner}{body}\n{indent}}}"
+    for item in value:
+        if type(item) is not int:
+            body = sep.join([_json_text(v, inner) for v in value])
+            break
+    else:
+        body = sep.join(map(str, value))
+    return f"[\n{inner}{body}\n{indent}]"
 
 
 def _print_json(data: dict) -> None:
@@ -403,15 +407,129 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _defaults(parser: argparse.ArgumentParser) -> dict:
+    """The Namespace entries ``parser`` sets before it reads an argument."""
+    return {
+        **parser._defaults,
+        **{
+            action.dest: action.default
+            for action in parser._actions
+            if action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS
+        },
+    }
+
+
+def _argv_table(parser: argparse.ArgumentParser) -> dict:
+    """Per verb: option string -> (dest, type, choices), the positionals'
+    (dest, type, choices) in order, the dests of the required options, and
+    the Namespace before any argument is read.
+
+    Read from each subparser's own actions, so the grammar is written once,
+    in ``build_parser``.  A verb with an action other than a one-value
+    store (``-h`` aside), a typed string default or an exclusive group is
+    left out, and argparse parses all of its argvs.
+    """
+    (verbs,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    table = {}
+    for verb, sub in verbs.choices.items():
+        if sub._mutually_exclusive_groups:
+            continue
+        options, positionals, required = {}, [], set()
+        for action in sub._actions:
+            if isinstance(action, argparse._HelpAction):
+                continue
+            if (
+                type(action) is not argparse._StoreAction
+                or action.nargs is not None
+                or (action.type is not None and isinstance(action.default, str))
+            ):
+                break
+            spec = (action.dest, action.type, action.choices)
+            if not action.option_strings:
+                positionals.append(spec)
+                continue
+            options.update(dict.fromkeys(action.option_strings, spec))
+            if action.required:
+                required.add(action.dest)
+        else:
+            start = {**_defaults(parser), verbs.dest: verb, **_defaults(sub)}
+            table[verb] = (options, positionals, required, start)
+    return table
+
+
+def _plain(arg: str) -> bool:
+    """Whether argparse reads ``arg`` as a value: it does not start with
+    "-", or it starts with "- " (no option string here does, and argparse
+    reads a string with a space that names no option as a value)."""
+    return arg[:1] != "-" or arg[:2] == "- "
+
+
+def _typed(spec, text: str):
+    _, kind, choices = spec
+    value = text if kind is None else kind(text)
+    if choices is not None and value not in choices:
+        raise ValueError(text)
+    return value
+
+
+def _table_args(argv: list, table: dict) -> argparse.Namespace | None:
+    """``parse_args(argv)`` of the parser ``table`` was read from, for a
+    plain argv: a verb in the table, then values and ``--option value`` or
+    ``--option=value`` pairs with exact option names, every value typed and
+    in its choices, every positional filled once and every required option
+    given.  None for any other argv (help, ``--``, abbreviations, unknown
+    options, values that start with "-" but not "- ", usage errors): those
+    are argparse's to decide, so its texts and exit codes stay its own.
+    """
+    entry = table.get(argv[0]) if argv else None
+    if entry is None:
+        return None
+    options, positionals, required, start = entry
+    pairs, given = [], []
+    args = iter(argv[1:])
+    for arg in args:
+        if _plain(arg):
+            given.append(arg)
+            continue
+        name, eq, text = arg.partition("=")
+        spec = options.get(name)
+        if spec is None:
+            return None
+        if not eq:
+            text = next(args, "-")  # "-" when argv ends: argparse reports it
+            if not _plain(text):
+                return None
+        pairs.append((spec, text))
+    if len(given) != len(positionals):
+        return None
+    pairs += zip(positionals, given)
+    try:
+        values = {spec[0]: _typed(spec, text) for spec, text in pairs}
+    except (TypeError, ValueError, argparse.ArgumentTypeError):
+        return None
+    if not required <= values.keys():
+        return None
+    return argparse.Namespace(**{**start, **values})
+
+
 _PARSER: argparse.ArgumentParser | None = None
+_VERBS: dict | None = None  # _argv_table(_PARSER), built with it
 
 
 def main(argv=None) -> int:
-    """Run one command; every call in a process parses with one private parser."""
-    global _PARSER
+    """Run one command; every call in a process parses with one private parser.
+
+    A plain argv is read from ``_VERBS``, the table of each verb's options
+    and positionals that is built once from ``_PARSER``; every other argv
+    goes to ``_PARSER.parse_args``.  Both give the same Namespace, and help
+    and usage errors are argparse's own.
+    """
+    global _PARSER, _VERBS
     if _PARSER is None:
         _PARSER = build_parser()
-    args = _PARSER.parse_args(argv)
+        _VERBS = _argv_table(_PARSER)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _table_args(argv, _VERBS) or _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

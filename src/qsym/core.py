@@ -730,7 +730,19 @@ _LATTICE = {
 }
 
 
-def _lattice_transform(a: QSymElement, target: str) -> QSymElement:
+def _over_budget(what: str, n: int, bound: int) -> ValueError:
+    """The refusal of a transform whose degree-n image may reach ``bound``
+    masks.  A bound of more than 20 digits is written as the power of two
+    at or above it, which keeps the line short and within Python's limit
+    on int-to-str conversion."""
+    shown = bound if bound < 10**20 else f"2^{(bound - 1).bit_length()}"
+    return ValueError(
+        f"{what} in degree {n} needs up to {shown} subset masks, "
+        f"over the budget of {_MASK_BUDGET}"
+    )
+
+
+def _lattice_transform(a: QSymElement, target: str, then: str | None = None) -> QSymElement:
     """Apply the ``_LATTICE`` entry (a.basis, target) to an element.
 
     Each homogeneous component of degree n is a sparse vector indexed by
@@ -743,6 +755,14 @@ def _lattice_transform(a: QSymElement, target: str) -> QSymElement:
     is sized before any pass: a bit whose matrix row has two nonzero
     entries at most doubles a mask's image, and the transform is refused
     when the images' sizes sum past the budget.
+
+    ``then`` names the basis, M or L, that a K to eta transform's result
+    goes to next.  Every degree-n K term's eta image holds eta[1^n] (peak
+    set empty) with the term's coefficient, and the M and L images of
+    eta[1^n] have all 2^(n-1) masks; every eta term's L image has them
+    too.  So the second stage's refusal is raised here, word for word,
+    before the first stage runs: in the first degree it would size, to L
+    always, and to M unless that degree's coefficients sum to zero.
     """
     matrix, scale = _LATTICE[a.basis, target]
     mask_of, comp_of = _descent_mask, _composition_of_mask
@@ -761,10 +781,12 @@ def _lattice_transform(a: QSymElement, target: str) -> QSymElement:
             bound = min(sum(images), 1 << n - 1)
             if bound > _MASK_BUDGET:
                 what = "the antipode" if a.basis == target else f"{a.basis} to {target}"
-                raise ValueError(
-                    f"{what} in degree {n} needs up to {bound} subset masks, "
-                    f"over the budget of {_MASK_BUDGET}"
-                )
+                raise _over_budget(what, n, bound)
+    for n, component in by_degree.items() if then else ():
+        if n and 1 << n - 1 > _MASK_BUDGET:
+            if then == "L" or sum(component.values()):
+                raise _over_budget(f"eta to {then}", n, 1 << n - 1)
+            break
     out: dict[Composition, Fraction] = {}
     for n, component in by_degree.items():
         if n == 0:
@@ -796,9 +818,10 @@ def convert(a: QSymElement, target: str) -> QSymElement:
     """Rewrite an element in another basis, exactly.
 
     K converts to and from eta only, so every other pair with K goes
-    through eta.  Raises NotInPeakSpanError, carrying the eta terms that
-    have an even part, when the target is K and the element does not lie
-    in the peak subalgebra.
+    through eta; K to M or L is sized for both stages before the first
+    runs (see ``_lattice_transform``).  Raises NotInPeakSpanError,
+    carrying the eta terms that have an even part, when the target is K
+    and the element does not lie in the peak subalgebra.
 
     >>> convert(QSymElement.term("eta", (1, 3, 1)), "M")
     QSymElement(2*M[5] + 4*M[1, 4] + 4*M[4, 1] + 8*M[1, 3, 1])
@@ -808,7 +831,9 @@ def convert(a: QSymElement, target: str) -> QSymElement:
     _check_basis(target)
     if a.basis == target:
         return a
-    if "K" in (a.basis, target) and "eta" not in (a.basis, target):
+    if a.basis == "K" and target != "eta":
+        return convert(_lattice_transform(a, "eta", then=target), target)
+    if target == "K" and a.basis != "eta":
         return convert(convert(a, "eta"), target)
     if target == "K":
         residual = {c: v for c, v in a._terms.items() if any(p % 2 == 0 for p in c)}

@@ -7,6 +7,7 @@ import hashlib
 import io
 import json
 import pathlib
+import sys
 from fractions import Fraction
 
 import pytest
@@ -27,6 +28,8 @@ from qsym.core import QSymElement, convert, coproduct
 from qsym import verification
 from qsym.expansion import TruncatedPoly, poly_scale
 from qsym.verification import check_eta_coproduct, check_specializations
+
+from cli_session import CLI_SESSION
 
 
 def test_parse_element_golden():
@@ -624,38 +627,6 @@ def test_case_counts_at_every_cap(k, counts):
     assert tuple(int(r.detail.split()[0]) for r in results) == counts
 
 
-# One process, one request after another: every verb in text and JSON, an
-# element parse error and an argparse usage error in the middle, so the
-# later requests run after failed ones.  Exit code 2 is argparse's SystemExit.
-_POSET = str(pathlib.Path(__file__).parent / "data" / "poset_fork.json")
-CLI_SESSION = [
-    (["convert", "eta[1,3,1]", "--to", "M"], 0),
-    (["convert", "2*M[5] + 4*M[1,4]", "--to", "eta", "--format", "json"], 0),
-    (["multiply", "eta[1,2]", "eta[2]", "--basis", "eta"], 0),
-    (["multiply", "1/2*M[1]", "L[2,1]", "--basis", "M", "--to", "L", "--format", "json"], 0),
-    (["coproduct", "eta[1,2]"], 0),
-    (["coproduct", "M[2,1] - 3*M[3]", "--format", "json"], 0),
-    (["antipode", "L[2,1] + 2*L[1,1,1]"], 0),
-    (["antipode", "eta[2,5]", "--to", "M", "--format", "json"], 0),
-    (["expand", "M[2,1]", "--nvars", "3"], 0),
-    (["expand", "1/3*L[1,2]", "--format", "json"], 0),
-    (["gamma", "--poset", _POSET, "--zset", "P", "--nvars", "3"], 0),
-    (["convert", "M[1] + L[2]", "--to", "eta"], 1),
-    (["gamma", "--poset", _POSET, "--zset", "Ppm", "--nvars", "2", "--format", "json"], 0),
-    (["u-function", "1 3 2", "1,1,1"], 0),
-    (["convert", "M[1]"], 2),
-    (["u-function", "1 3 2", "1,2,1", "--format", "json"], 0),
-    (["u-function", "12", "2,1", "--zset", "P", "--nvars", "2"], 0),
-    (["u-function", "231", "1,1,1", "--zset=-1,+1,-2", "--format", "json"], 0),
-    (["convert", "K[3,1]", "--to", "L"], 0),
-    (["convert", "eta[1,1] - 2*eta[3]", "--to", "K", "--format", "json"], 0),
-    (["multiply", "K[1]", "K[3]", "--format", "json"], 0),
-    (["gamma", "--poset", _POSET, "--zset=1,-1,2"], 0),
-    (["antipode", "K[1,3]"], 0),
-    (["verify", "--max-degree", "2"], 0),
-]
-
-
 def run_cli_session() -> tuple[str, list[int]]:
     """Concatenated stdout and the exit codes of CLI_SESSION, run in order."""
     out, codes = io.StringIO(), []
@@ -673,6 +644,47 @@ def test_cli_session_stdout_is_byte_identical():
     out, codes = run_cli_session()
     assert codes == [code for _, code in CLI_SESSION]
     assert out.encode() == golden.read_bytes()
+
+
+_DATA = pathlib.Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize(
+    "argv, stream, code, name",
+    [
+        pytest.param(
+            ["--help"], "out", 0, "help_stdout.txt",
+            marks=pytest.mark.skipif(
+                sys.version_info >= (3, 13), reason="argparse 3.13 wraps this usage line"
+            ),
+        ),
+        (["gamma", "--help"], "out", 0, "gamma_help_stdout.txt"),
+        (["convert", "M[1]"], "err", 2, "convert_usage_error_stderr.txt"),
+        (["multiply", "M[1]"], "err", 2, "multiply_usage_error_stderr.txt"),
+    ],
+)
+def test_help_and_usage_errors_are_byte_identical(monkeypatch, capsys, argv, stream, code, name):
+    monkeypatch.setenv("COLUMNS", "80")
+    texts = []
+    for parse in (main, build_parser().parse_args):
+        with pytest.raises(SystemExit) as info:
+            parse(argv)
+        assert info.value.code == code
+        texts.append(getattr(capsys.readouterr(), stream))
+    assert texts[0] == texts[1]
+    assert texts[0].encode() == (_DATA / name).read_bytes()
+
+
+def test_cli_refuses_routed_K_conversions_and_huge_bounds_at_once(capsys):
+    budget = "subset masks, over the budget of 2097152"
+    for target in ("L", "M"):
+        assert main(["convert", "K[41]", "--to", target]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: eta to {target} in degree 41 needs up to {2**40} {budget}\n"
+    assert main(["convert", "M[15000]", "--to", "L"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: M to L in degree 15000 needs up to 2^14999 {budget}\n"
 
 
 def test_main_builds_its_parser_once(monkeypatch):

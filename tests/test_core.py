@@ -498,6 +498,41 @@ def test_the_mask_bound_is_exact_for_L_to_M(monkeypatch):
             convert(elem, "M")
 
 
+def test_a_bound_past_20_digits_is_written_as_a_power_of_two():
+    budget = "subset masks, over the budget of 2097152"
+    with pytest.raises(ValueError, match=f"L to M in degree 67 needs up to {2**66} {budget}"):
+        convert(L(67), "M")
+    with pytest.raises(ValueError, match=rf"L to M in degree 68 needs up to 2\^67 {budget}"):
+        convert(L(68), "M")
+    # past 4,300 digits str(bound) itself would raise
+    with pytest.raises(ValueError, match=rf"M to L in degree 15000 needs up to 2\^14999 {budget}"):
+        convert(M(15000), "L")
+
+
+def test_routed_K_conversions_are_refused_before_their_first_stage(monkeypatch):
+    def first_stage(n, mask):
+        raise AssertionError("the K to eta stage ran")
+
+    monkeypatch.setattr(core, "_odd_composition_of_mask", first_stage)
+    for target in ("L", "M"):
+        message = f"eta to {target} in degree 41 needs up to {2**40} subset masks, "
+        with pytest.raises(ValueError, match=f"^{message}over the budget of 2097152$"):
+            convert(K(41), target)
+
+
+def test_a_routed_K_to_M_conversion_runs_when_eta_1n_cancels(monkeypatch):
+    monkeypatch.setattr(core, "_MASK_BUDGET", 8)
+    # the eta images of both terms hold eta[1,1,1,1,1], which cancels, and
+    # what is left has an M image of 4 masks; in L every eta term has 16
+    both = K(1, 3, 1) - K(1, 1, 1, 1, 1)
+    assert convert(both, "eta") == eta(1, 3, 1, coeff=-1)
+    assert convert(both, "M") == convert(eta(1, 3, 1, coeff=-1), "M")
+    with pytest.raises(ValueError, match="^eta to L in degree 5 needs up to 16 "):
+        convert(both, "L")
+    with pytest.raises(ValueError, match="^eta to M in degree 5 needs up to 16 "):
+        convert(K(1, 3, 1), "M")
+
+
 def test_convert_to_K():
     assert convert(convert(K(3), "eta"), "K") == QSymElement.term("K", (3,))
     both = QSymElement("K", {(3,): 2, (1, 1, 1): -1})
