@@ -102,15 +102,22 @@ def is_peak_lacunar(s: Iterable[int]) -> bool:
 # compositions <-> subsets of [n-1]
 #
 # A subset S of [n-1] is also an int, its mask, with bit i-1 set exactly
-# when i is in S.  A composition is stored as the mask of its descent set
-# and decoded from it a byte at a time by _composition_of_mask, the one
-# decoder: compositions, composition_of_subset and the symbolic core's
-# subset-lattice transforms all read compositions through it.
+# when i is in S.  A composition is stored as its code, the mask of all its
+# partial sums n included: the descent mask with bit n-1 set, and 0 for
+# (), so n is code.bit_length() and distinct compositions have distinct
+# codes.  _code encodes, _composition_of_code decodes a byte at a time, and
+# every other form goes through these two: the descent mask of alpha is the
+# code of alpha[:-1], and compositions, composition_of_subset and
+# complement decode masks with the top bit added.
 #
 # An odd composition is also fixed by its peak set.  A part a that starts
 # after position s has its peaks at s+2, s+4, ..., s+a-1, and q is a
-# descent exactly when neither q nor q+1 is a peak, so the descent mask of
-# an odd composition with peak mask m is ~(m | m >> 1) over [n-1].
+# descent exactly when neither q nor q+1 is a peak, so its non-descents in
+# [n-1] are P | P >> 1 for its peak mask P.  No peak is 1 and no two peaks
+# are adjacent, so that union is the sum P + P/2: the non-descents are
+# 3 * (P >> 1), the one identity by which _peaks_of_code and _code_of_peaks
+# go between a code and a peak mask, and by which _is_odd_code recognises
+# the codes of odd compositions.
 
 
 def descent_set(alpha: Iterable[int]) -> Subset:
@@ -124,55 +131,80 @@ def descent_set(alpha: Iterable[int]) -> Subset:
     return tuple(itertools.accumulate(check_composition(alpha)[:-1]))
 
 
+def _code(parts: tuple) -> int:
+    """The code of parts, bit s-1 for each partial sum s, refused as
+    ``check_composition`` refuses them."""
+    code = total = 0
+    for a in parts:
+        if not isinstance(a, int) or isinstance(a, bool) or a < 1:
+            raise ValueError(f"composition parts must be positive integers, got {parts!r}")
+        total += a
+        code |= 1 << total - 1
+    return code
+
+
 def _descent_mask(comp: Composition) -> int:
     """Bit i-1 is set exactly when i is a descent of comp."""
-    mask = total = 0
-    for part in comp[:-1]:
-        total += part
-        mask |= 1 << (total - 1)
-    return mask
+    return _code(comp[:-1])
 
 
-def _mask_bytes() -> tuple[bytes, list[bytes], bytes]:
-    """For each nonzero byte: the position of its first set bit, the gaps
-    between its set bits, and the position of its last set bit, counting
-    bit i as position i + 1.  Each entry extends the entry of the byte
-    without its top bit.
+def _mask_bytes() -> tuple[bytes, list[bytes], bytes, bytes]:
+    """For each byte: the position of its first set bit, the gaps between
+    its set bits, the position of its last set bit (counting bit i as
+    position i + 1; 0 for the zero byte), and the byte with its bits
+    reversed.  Each entry extends the entry of the byte without its top bit.
 
     The entries are bytes, which the garbage collector does not track, so
     building the table at import adds no objects for it to count or scan
     (a table of tuples added about 500, enough to set off an extra
     collection during ``import qsym``).
     """
-    firsts, gaps, lasts = [0], [b""], [0]
+    firsts, gaps, lasts, flips = [0], [b""], [0], [0]
     for byte in range(1, 256):
         top = byte.bit_length()
         rest = byte ^ 1 << (top - 1)
         firsts.append(firsts[rest] if rest else top)
         gaps.append(gaps[rest] + bytes((top - lasts[rest],)) if rest else b"")
         lasts.append(top)
-    return bytes(firsts), gaps, bytes(lasts)
+        flips.append(flips[rest] | 1 << (8 - top))
+    return bytes(firsts), gaps, bytes(lasts), bytes(flips)
 
 
-_FIRST_BIT, _BIT_GAPS, _LAST_BIT = _mask_bytes()
+_FIRST_BIT, _BIT_GAPS, _LAST_BIT, _FLIPPED = _mask_bytes()
 
 
-def _composition_of_mask(n: int, mask: int) -> Composition:
-    """The composition of n with descent mask ``mask``, decoded a byte at a time."""
-    if not n:
-        return ()
+def _composition_of_code(code: int) -> Composition:
+    """The composition with this code, decoded a byte at a time."""
+    if code < 256:
+        return (_FIRST_BIT[code], *_BIT_GAPS[code]) if code else ()
     parts: list[int] = []
     last = base = 0
-    while mask:
-        byte = mask & 255
+    while code:
+        byte = code & 255
         if byte:
             parts.append(base + _FIRST_BIT[byte] - last)
             parts += _BIT_GAPS[byte]
             last = base + _LAST_BIT[byte]
-        mask >>= 8
+        code >>= 8
         base += 8
-    parts.append(n - last)
     return tuple(parts)
+
+
+def _composition_of_mask(n: int, mask: int) -> Composition:
+    """The composition of n with descent mask ``mask``."""
+    return _composition_of_code(mask | 1 << n >> 1)
+
+
+def _reversed_code(code: int) -> int:
+    """The code of the reversed composition: its descent mask, n-1 bits,
+    read backwards a byte at a time."""
+    n = code.bit_length()
+    if n < 3:
+        return code
+    width = (n + 6) // 8  # bytes that hold n-1 bits
+    top = 1 << n - 1
+    flipped = (code ^ top).to_bytes(width, "little").translate(_FLIPPED)
+    return int.from_bytes(flipped, "big") >> 8 * width - n + 1 | top
 
 
 def _subset_mask(n: int, elems: Sequence[int]) -> int:
@@ -269,19 +301,26 @@ def peak_set_of_composition(alpha: Iterable[int]) -> Subset:
     return tuple(t for part, t in zip(refined, itertools.accumulate(refined)) if part == 2)
 
 
-def _peak_mask(comp: Composition) -> int:
-    """Bit p-1 is set exactly when p is a peak of the odd composition comp."""
-    mask = start = 0
-    for a in comp:
-        for p in range(start + 2, start + a, 2):
-            mask |= 1 << (p - 1)
-        start += a
-    return mask
+def _peaks_of_code(code: int) -> int:
+    """The peak mask of the odd composition with this code."""
+    return (code ^ (1 << code.bit_length()) - 1) // 3 << 1
+
+
+def _code_of_peaks(n: int, peaks: int) -> int:
+    """The code of the odd composition of n with this peak mask, unchecked."""
+    return (1 << n) - 1 ^ (peaks >> 1) * 3
+
+
+def _is_odd_code(code: int) -> bool:
+    """True iff every part of the composition with this code is odd: its
+    non-descents are three times a mask with no two adjacent bits."""
+    half, rest = divmod(code ^ (1 << code.bit_length()) - 1, 3)
+    return not rest and not half & half >> 1
 
 
 def _odd_composition_of_mask(n: int, mask: int) -> Composition:
     """The odd composition of n with peak mask ``mask``, unchecked."""
-    return _composition_of_mask(n, ~(mask | mask >> 1) & ((1 << n - 1) - 1)) if n else ()
+    return _composition_of_code(_code_of_peaks(n, mask))
 
 
 def odd_composition_of_peak_set(n: int, s: Iterable[int]) -> Composition:

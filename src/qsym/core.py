@@ -1,11 +1,23 @@
 """Sparse exact linear combinations in the bases M, L, K and eta.
 
 Elements are immutable basis-tagged dictionaries mapping compositions to
-nonzero rational coefficients.  The eta basis (enriched monomials) is
-defined by eta_alpha = sum of 2^len(beta) * M_beta over all beta whose
-descent set is contained in that of alpha; it is a basis of QSym over any
-ring in which 2 is invertible, so coefficients here are Fractions whose
-denominators are powers of 2 under all conversions.
+nonzero rational coefficients.  Inside this module a composition of n is
+its int code, mask | 1 << (n-1) for its descent mask (0 for ()), so n is
+``code.bit_length()``; a tensor term is a pair of codes.  Codes are made
+and read back only at the boundary: the constructors, ``term``,
+``coefficient``, ``eta_product``'s arguments and the functions handed to
+``map_terms`` and ``map_legs`` encode or decode, and ``terms``,
+``sorted_terms``, ``repr`` and ``to_json_dict`` decode.  ``terms`` is a
+read-only mapping from compositions to Fractions whose size is read
+without decoding.  The kernels read and write codes; the one decode left
+in them is the pair walk's, which reads each M or eta operand's parts.
+The subset codec lives in ``combinatorics``.
+
+The eta basis (enriched monomials) is defined by eta_alpha = sum of
+2^len(beta) * M_beta over all beta whose descent set is contained in that
+of alpha; it is a basis of QSym over any ring in which 2 is invertible, so
+coefficients here are Fractions whose denominators are powers of 2 under
+all conversions.
 
 Every conversion and every antipode is one Boolean-lattice transform: a
 degree-n component is a vector indexed by subsets of [n-1], and the map
@@ -17,9 +29,16 @@ S <= Peak(alpha), where beta(S) is the odd composition with peak set S
 (the sign makes up for the one the classical monomial peak functions
 carry and eta drops), so K converts through eta; an element with eta
 terms that have an even part lies outside the peak subalgebra.
-The antipode reverses each index and applies the basis's own entry.  The
-subset codec, from a composition to its descent or peak mask and back,
-lives in ``combinatorics``.
+The antipode reverses each index (a bit reversal of the descent mask, a
+byte at a time) and applies the basis's own entry.  A transform takes a
+term's mask as code ^ top (K and its eta image: the peak mask, from the
+code by the identity in ``combinatorics``) and writes mask | top back.
+A degree whose support holds at least 1/_DENSE_SHARE of its 2^(n-1)
+masks runs Yates' algorithm on a list indexed by mask, sparser ones on a
+dict; the share is where the list began to win, measured over the
+_LATTICE matrices (about n >= 5 at a quarter; a one-term degree, whose
+image can fill the lattice, costs about the same either way).  The M/eta
+deconcatenations and the L cuts are shifts and masks of the code.
 
 Product, coproduct and antipode rules implemented per basis:
 
@@ -39,7 +58,7 @@ goes, so no product term is enumerated twice.  A step that starts a new
 part sets a new top bit of the descent mask, so the maps of two states
 merge by ``dict.update`` unless both cut at the same size, and only then
 are they summed.  The multiplicities of all pairs of terms are summed in
-ints, one accumulator per degree.
+ints, in one accumulator keyed by code.
 
 Every sum adds with ``dict.get``, a whole map at a time by ``_add_into``
 or inline where keys are computed per item, and drops the entries that
@@ -55,17 +74,18 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections.abc import Callable, Iterable, Mapping
 from fractions import Fraction
-from types import MappingProxyType
 
 from .combinatorics import (
     Composition,
-    _composition_of_mask,
-    _descent_mask,
-    _odd_composition_of_mask,
-    _peak_mask,
-    check_composition,
+    _code,
+    _code_of_peaks,
+    _composition_of_code,
+    _is_odd_code,
+    _peaks_of_code,
+    _reversed_code,
     check_permutation,
     composition_of_subset,
     descent_set_of_permutation,
@@ -160,11 +180,69 @@ def _check_basis(basis: str) -> None:
         raise ValueError(f"unknown basis {basis!r}; expected one of {BASES}")
 
 
-def _check_index(basis: str, comp) -> Composition:
-    comp = check_composition(comp)
-    if basis == "K" and any(a % 2 == 0 for a in comp):
+def _index_code(basis: str, comp) -> int:
+    """The code of a basis index, checked and encoded in one pass."""
+    comp = tuple(comp)
+    code = _code(comp)
+    if basis == "K" and not _is_odd_code(code):
         raise ValueError(f"K is indexed by odd compositions only, got {comp!r}")
-    return comp
+    return code
+
+
+def _lookup_code(comp) -> int | None:
+    """The code of the composition that comp equals, as a lookup by tuple
+    would find it ((1.0,) finds (1,)), or None when it equals none."""
+    try:
+        parts = tuple(comp)
+        ints = tuple(map(int, parts))
+        return _code(ints) if ints == parts else None
+    except (TypeError, ValueError, OverflowError):
+        return None
+
+
+def _pair_of_codes(pair) -> tuple[int, int] | None:
+    try:
+        left, right = pair
+    except (TypeError, ValueError):
+        return None
+    codes = _lookup_code(left), _lookup_code(right)
+    return None if None in codes else codes
+
+
+def _pair_of_compositions(codes: tuple[int, int]) -> tuple[Composition, Composition]:
+    return _composition_of_code(codes[0]), _composition_of_code(codes[1])
+
+
+class _Terms(Mapping):
+    """A read-only view of a code-keyed term dict by compositions (pairs of
+    them for a tensor).  Its size is the dict's; iterating decodes each
+    key, and a lookup encodes its key."""
+
+    __slots__ = ("_codes", "_decode", "_encode")
+
+    def __init__(self, codes: dict, decode, encode):
+        self._codes, self._decode, self._encode = codes, decode, encode
+
+    def __len__(self):
+        return len(self._codes)
+
+    def __iter__(self):
+        return map(self._decode, self._codes)
+
+    def __getitem__(self, key):
+        value = self._codes.get(self._encode(key))
+        if value is None:
+            raise KeyError(key)
+        return value
+
+    def items(self):
+        return dict(zip(self, self._codes.values())).items()
+
+    def values(self):
+        return self._codes.values()
+
+    def __repr__(self):
+        return f"{type(self).__name__}({dict(self.items())!r})"
 
 
 class QSymElement:
@@ -172,7 +250,8 @@ class QSymElement:
 
     Values are immutable; all arithmetic returns new elements.  Equality is
     per-basis dictionary equality; use expansion.certify_equal to compare
-    elements expressed in different bases.
+    elements expressed in different bases.  ``_terms`` is keyed by the codes
+    of the compositions (see ``combinatorics``).
     """
 
     __slots__ = ("basis", "_terms")
@@ -180,10 +259,10 @@ class QSymElement:
     def __init__(self, basis: str, terms: Mapping | Iterable = ()):
         _check_basis(basis)
         items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[Composition, Fraction] = {}
+        acc: dict[int, Fraction] = {}
         for comp, coeff in items:
-            comp = _check_index(basis, comp)
-            acc[comp] = acc.get(comp, 0) + _coerce_coeff(coeff)
+            code = _index_code(basis, comp)
+            acc[code] = acc.get(code, 0) + _coerce_coeff(coeff)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "_terms", _nonzero(acc))
 
@@ -198,9 +277,9 @@ class QSymElement:
         checks it: basis, then index, then coefficient."""
         comp = tuple(comp)
         _check_basis(basis)
-        comp = _check_index(basis, comp)
+        code = _index_code(basis, comp)
         coeff = _coerce_coeff(coeff)
-        return _raw(basis, {comp: coeff} if coeff else {})
+        return _raw(basis, {code: coeff} if coeff else {})
 
     @classmethod
     def unit(cls, basis: str) -> "QSymElement":
@@ -214,14 +293,15 @@ class QSymElement:
 
     @property
     def terms(self) -> Mapping[Composition, Fraction]:
-        return MappingProxyType(self._terms)
+        return _Terms(self._terms, _composition_of_code, _lookup_code)
 
     def coefficient(self, comp: Iterable[int]) -> Fraction:
-        return self._terms.get(tuple(comp), _ZERO)
+        """The coefficient of comp; 0 when comp is no composition."""
+        return self._terms.get(_lookup_code(tuple(comp)), _ZERO)
 
     def counit(self) -> Fraction:
         """Coefficient of the empty composition."""
-        return self.coefficient(())
+        return self._terms.get(0, _ZERO)
 
     @property
     def is_zero(self) -> bool:
@@ -230,10 +310,10 @@ class QSymElement:
     @property
     def degree(self) -> int:
         """Max size of an indexing composition; 0 for the zero element."""
-        return max((sum(c) for c in self._terms), default=0)
+        return max(self._terms, default=0).bit_length()
 
     def sorted_terms(self) -> list[tuple[Composition, Fraction]]:
-        return sorted(self._terms.items(), key=lambda kv: term_sort_key(kv[0]))
+        return sorted(self.terms.items(), key=lambda kv: term_sort_key(kv[0]))
 
     # -- arithmetic --------------------------------------------------------
 
@@ -299,8 +379,8 @@ class QSymElement:
         self, fn: Callable[[Composition], "QSymElement"], basis: str
     ) -> "QSymElement":
         """Apply a basis-term map linearly; ``basis`` tags the (possibly zero) result."""
-        acc: dict[Composition, Fraction] = {}
-        for comp, coeff in self._terms.items():
+        acc: dict[int, Fraction] = {}
+        for comp, coeff in self.terms.items():
             image = fn(comp)
             if image.basis != basis:
                 raise ValueError(f"term map returned basis {image.basis}, expected {basis}")
@@ -362,9 +442,9 @@ class TensorElement:
         if left not in BASES or right not in BASES:
             raise ValueError(f"unknown basis pair {bases!r}")
         items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[tuple[Composition, Composition], Fraction] = {}
+        acc: dict[tuple[int, int], Fraction] = {}
         for (cl, cr), coeff in items:
-            key = (_check_index(left, cl), _check_index(right, cr))
+            key = (_index_code(left, cl), _index_code(right, cr))
             acc[key] = acc.get(key, 0) + _coerce_coeff(coeff)
         object.__setattr__(self, "bases", (left, right))
         object.__setattr__(self, "_terms", _nonzero(acc))
@@ -374,7 +454,7 @@ class TensorElement:
 
     @property
     def terms(self) -> Mapping:
-        return MappingProxyType(self._terms)
+        return _Terms(self._terms, _pair_of_compositions, _pair_of_codes)
 
     @property
     def is_zero(self) -> bool:
@@ -382,7 +462,7 @@ class TensorElement:
 
     def sorted_terms(self):
         return sorted(
-            self._terms.items(),
+            self.terms.items(),
             key=lambda kv: (term_sort_key(kv[0][0]), term_sort_key(kv[0][1])),
         )
 
@@ -411,14 +491,14 @@ class TensorElement:
         bases: tuple[str, str],
     ) -> "TensorElement":
         """Apply basis-term maps to both legs, linearly extended."""
-        acc: dict[tuple[Composition, Composition], Fraction] = {}
-        for (cl, cr), coeff in self._terms.items():
+        acc: dict[tuple[int, int], Fraction] = {}
+        for (cl, cr), coeff in self.terms.items():
             left = left_fn(cl)
             right = right_fn(cr)
             if (left.basis, right.basis) != tuple(bases):
                 raise ValueError("leg maps returned unexpected bases")
-            for l2, vl in left.terms.items():
-                for r2, vr in right.terms.items():
+            for l2, vl in left._terms.items():
+                for r2, vr in right._terms.items():
                     acc[l2, r2] = acc.get((l2, r2), 0) + coeff * vl * vr
         return _raw_tensor(tuple(bases), _nonzero(acc))
 
@@ -502,7 +582,7 @@ def eta_product(alpha: Iterable[int], beta: Iterable[int]) -> QSymElement:
     ...     "eta", {(2, 1, 2): 1, (1, 2, 2): 2, (5,): -1})
     True
     """
-    pair = (check_composition(alpha), check_composition(beta), 1)
+    pair = (_code(tuple(alpha)), _code(tuple(beta)), 1)
     return _bilinear("eta", [pair], 1)
 
 
@@ -525,24 +605,18 @@ def _bilinear(basis: str, pairs, common: int) -> QSymElement:
     """Sum of coeff/common * (term ca times term cb) over (ca, cb, coeff), in M, L or eta.
 
     The coefficients are ints, so the walk multiplicities accumulate as ints
-    in one accumulator per degree, and each distinct output coefficient
-    costs one Fraction.
+    in one accumulator (codes of distinct degrees never meet), and each
+    distinct output coefficient costs one Fraction.
     """
-    by_degree: dict[int, dict[int, int]] = {}
+    acc: dict[int, int] = {}
     for ca, cb, coeff in pairs:
-        acc = by_degree.setdefault(sum(ca) + sum(cb), {})
         _add_into(acc, _pair_walk(basis, ca, cb), coeff)
-    out: dict[Composition, Fraction] = {}
-    shared: dict[int, Fraction] = {}
-    for n, acc in by_degree.items():
-        for v in set(acc.values()) - shared.keys():
-            shared[v] = Fraction(v, common)
-        out.update({_composition_of_mask(n, m): shared[v] for m, v in acc.items() if v})
-    return _raw(basis, out)
+    shared = {v: Fraction(v, common) for v in set(acc.values())}
+    return _raw(basis, {code: shared[v] for code, v in acc.items() if v})
 
 
-def _pair_walk(basis: str, alpha: Composition, beta: Composition) -> dict[int, int]:
-    """The product of two basis terms as {descent mask: multiplicity}.
+def _pair_walk(basis: str, ca: int, cb: int) -> dict[int, int]:
+    """The product of the basis terms with codes ca and cb, as {code: multiplicity}.
 
     A walk over the grid of states (i, j): i parts of alpha and j parts of
     beta consumed.  Each state holds the partial products that reach it,
@@ -553,8 +627,10 @@ def _pair_walk(basis: str, alpha: Composition, beta: Composition) -> dict[int, i
     applied, and a state's sources are merged by ``dict.update`` wherever
     their top bits differ, since such maps share no mask.  Only two sources
     at the same size need a summing loop.  The walk keeps one grid row at a
-    time, and ``_bilinear`` sums its multiplicities in ints, one
-    accumulator per degree.  Steps per basis:
+    time, and ``_bilinear`` sums its multiplicities in ints.  Each operand
+    is decoded once, to read its parts (L needs only the descent masks), and
+    the last state's masks get the top bit of the product's size.  Steps
+    per basis:
 
     - M: alpha_i, beta_j, or the quasi-shuffle merge alpha_i + beta_j,
       each as a new part.  The two single steps into (i, j) cut at the same
@@ -573,10 +649,11 @@ def _pair_walk(basis: str, alpha: Composition, beta: Composition) -> dict[int, i
       by which word the last letter came from, and the two merge by
       ``dict.update`` unless both cut or neither does.
     """
-    if not alpha or not beta:
-        return {_descent_mask(alpha or beta): 1}
+    if not ca or not cb:
+        return {ca | cb: 1}
     if basis == "L":
-        return _shuffle_walk(alpha, beta)
+        return _shuffle_walk(ca, cb)
+    alpha, beta = _composition_of_code(ca), _composition_of_code(cb)
     size_a = list(itertools.accumulate(alpha, initial=0))
     size_b = list(itertools.accumulate(beta, initial=0))
     l, m = len(alpha), len(beta)
@@ -606,13 +683,14 @@ def _pair_walk(basis: str, alpha: Composition, beta: Composition) -> dict[int, i
             cut = 1 << (size_a[i] + size_b[j] - 1)
             row.append((vec, {mask | cut: c for mask, c in vec.items()}))
         above = row
-    return _nonzero(vec)
+    top = 1 << size_a[l] + size_b[m] - 1
+    return {mask | top: c for mask, c in vec.items() if c}
 
 
-def _shuffle_walk(alpha: Composition, beta: Composition) -> dict[int, int]:
+def _shuffle_walk(ca: int, cb: int) -> dict[int, int]:
     """``_pair_walk`` in L: the shuffle product of two nonempty compositions."""
-    des_a, des_b = _descent_mask(alpha), _descent_mask(beta)
-    l, m = sum(alpha), sum(beta)
+    l, m = ca.bit_length(), cb.bit_length()
+    des_a, des_b = ca ^ 1 << l - 1, cb ^ 1 << m - 1
     # row[j] = (the maps that step into (i+1, j) with a first-word letter,
     # and into (i, j+1) with a second-word letter), for the current i.
     above: list[tuple[dict[int, int], dict[int, int]]] = []
@@ -646,7 +724,8 @@ def _shuffle_walk(alpha: Composition, beta: Composition) -> dict[int, int]:
         above = row
     out = dict(last_a)
     _add_into(out, last_b)
-    return _nonzero(out)
+    top = 1 << l + m - 1
+    return {mask | top: c for mask, c in out.items() if c}
 
 
 # ---------------------------------------------------------------------------
@@ -661,26 +740,28 @@ def coproduct(a: QSymElement) -> TensorElement:
     (eta, eta)-tensor.  No two deconcatenations of distinct (alpha, k)
     coincide, so M and eta copy their coefficients; the L cuts do collide
     and are summed as ints over one denominator, so each distinct output
-    coefficient costs one Fraction.
+    coefficient costs one Fraction.  On codes both are shifts and masks:
+    cutting the code c at size k leaves c >> k on the right, and on the left
+    the bits of c below k, with bit k-1 set (deconcatenation cuts only
+    where it is already set).
     """
     if a.basis == "K":
         return coproduct(convert(a, "eta"))
     if a.basis != "L":
-        acc = {
-            (comp[:k], comp[k:]): coeff
-            for comp, coeff in a._terms.items()
-            for k in range(len(comp) + 1)
-        }
+        acc = {}
+        for code, coeff in a._terms.items():
+            acc[0, code] = coeff
+            rest = code
+            while rest:
+                low = rest & -rest
+                acc[code & (low << 1) - 1, code >> low.bit_length()] = coeff
+                rest ^= low
         return _raw_tensor((a.basis, a.basis), acc)
     terms, common = _cleared(a._terms)
-    sums: dict[tuple[Composition, Composition], int] = {}
-    for comp, coeff in terms.items():
-        n, mask = sum(comp), _descent_mask(comp)
-        for k in range(n + 1):
-            key = (
-                _composition_of_mask(k, mask & ((1 << max(k - 1, 0)) - 1)),
-                _composition_of_mask(n - k, mask >> k),
-            )
+    sums: dict[tuple[int, int], int] = {}
+    for code, coeff in terms.items():
+        for k in range(code.bit_length() + 1):
+            key = (code & (1 << k) - 1 | 1 << k >> 1, code >> k)
             sums[key] = sums.get(key, 0) + coeff
     shared = {v: Fraction(v, common) for v in set(sums.values())}
     return _raw_tensor(("L", "L"), {key: shared[v] for key, v in sums.items() if v})
@@ -698,7 +779,7 @@ def antipode(a: QSymElement) -> QSymElement:
     """
     if a.basis == "K":
         return antipode(convert(a, "eta"))
-    flipped = _raw(a.basis, {comp[::-1]: coeff for comp, coeff in a._terms.items()})
+    flipped = _raw(a.basis, {_reversed_code(code): coeff for code, coeff in a._terms.items()})
     return _lattice_transform(flipped, a.basis)
 
 
@@ -708,6 +789,7 @@ def antipode(a: QSymElement) -> QSymElement:
 
 _H = Fraction(1, 2)
 _MASK_BUDGET = 1 << 21  # subset masks in one degree of a transform's output
+_DENSE_SHARE = 4  # a degree with support >= 1/_DENSE_SHARE of its masks runs on a list
 
 # (source, target): (matrix, scale).  Entry [a][b] of the matrix is the
 # factor from source bit a to target bit b of a subset bitmask; every
@@ -748,10 +830,12 @@ def _lattice_transform(a: QSymElement, target: str, then: str | None = None) -> 
     Each homogeneous component of degree n is a sparse vector indexed by
     subset bitmasks over [n-1] (peak sets when K is one of the two bases,
     descent sets otherwise), and the map is the (n-1)-fold tensor power of
-    one 2x2 matrix, applied one bit at a time to the current support
-    (Yates' algorithm).  Denominators are cleared per degree first, so the
-    butterflies run on ints and each distinct output coefficient of a
-    degree costs one Fraction.  A degree with more than _MASK_BUDGET masks
+    one 2x2 matrix, applied one bit at a time (Yates' algorithm): to the
+    current support of a dict, or, when the support holds at least
+    1/_DENSE_SHARE of the masks, to a list indexed by mask, whose output
+    keys are its indices with the top bit set.  Denominators are cleared
+    per degree first, so the butterflies run on ints and each distinct
+    output coefficient of a degree costs one Fraction.  A degree with more than _MASK_BUDGET masks
     is sized before any pass: a bit whose matrix row has two nonzero
     entries at most doubles a mask's image, and the transform is refused
     when the images' sizes sum past the budget.
@@ -765,14 +849,14 @@ def _lattice_transform(a: QSymElement, target: str, then: str | None = None) -> 
     always, and to M unless that degree's coefficients sum to zero.
     """
     matrix, scale = _LATTICE[a.basis, target]
-    mask_of, comp_of = _descent_mask, _composition_of_mask
-    if "K" in (a.basis, target):
-        mask_of, comp_of = _peak_mask, _odd_composition_of_mask
+    peaks = "K" in (a.basis, target)
     den = math.lcm(*(x.denominator for row in matrix for x in row))
     rows = [[int(x * den) for x in row] for row in matrix]
     by_degree: dict[int, dict[int, Fraction]] = {}
-    for comp, coeff in a._terms.items():
-        by_degree.setdefault(sum(comp), {})[mask_of(comp)] = coeff
+    for code, coeff in a._terms.items():
+        n = code.bit_length()
+        mask = _peaks_of_code(code) if peaks else code ^ 1 << n >> 1
+        by_degree.setdefault(n, {})[mask] = coeff
     for n, component in by_degree.items():
         if n and 1 << n - 1 > _MASK_BUDGET:
             split_low, split_high = (all(row) for row in rows)
@@ -787,31 +871,77 @@ def _lattice_transform(a: QSymElement, target: str, then: str | None = None) -> 
             if then == "L" or sum(component.values()):
                 raise _over_budget(f"eta to {then}", n, 1 << n - 1)
             break
-    out: dict[Composition, Fraction] = {}
+    out: dict[int, Fraction] = {}
     for n, component in by_degree.items():
         if n == 0:
-            out[()] = component[0]
+            out[0] = component[0]
             continue
         vec, common = _cleared(component)
-        for i in range(n - 1):
-            bit = 1 << i
-            nxt: dict[int, int] = {}
-            for m, v in vec.items():
-                if not v:
-                    continue
-                to_low, to_high = rows[1] if m & bit else rows[0]
-                if to_low:
-                    low = m & ~bit
-                    nxt[low] = nxt.get(low, 0) + to_low * v
-                if to_high:
-                    high = m | bit
-                    nxt[high] = nxt.get(high, 0) + to_high * v
-            vec = nxt
+        if len(vec) * _DENSE_SHARE >= 1 << n - 1:
+            values = _yates_list(vec, n - 1, rows)
+            items = enumerate(values)
+        else:
+            vec = _yates_dict(vec, n - 1, rows)
+            values, items = vec.values(), vec.items()
         factor = Fraction(scale, common * den ** (n - 1))
         num, denom = factor.numerator, factor.denominator
-        shared = {v: Fraction(v * num, denom) for v in set(vec.values())}
-        out.update({comp_of(n, m): shared[v] for m, v in vec.items() if v})
+        shared = {v: Fraction(v * num, denom) for v in set(values)}
+        if peaks:
+            out.update({_code_of_peaks(n, m): shared[v] for m, v in items if v})
+        else:
+            top = 1 << n - 1
+            out.update({m | top: shared[v] for m, v in items if v})
     return _raw(target, out)
+
+
+def _yates_dict(vec: dict[int, int], bits: int, rows) -> dict[int, int]:
+    """Yates' algorithm on a sparse vector {mask: value}: one pass per bit
+    over the current support."""
+    for i in range(bits):
+        bit = 1 << i
+        nxt: dict[int, int] = {}
+        for m, v in vec.items():
+            if not v:
+                continue
+            to_low, to_high = rows[1] if m & bit else rows[0]
+            if to_low:
+                low = m & ~bit
+                nxt[low] = nxt.get(low, 0) + to_low * v
+            if to_high:
+                high = m | bit
+                nxt[high] = nxt.get(high, 0) + to_high * v
+        vec = nxt
+    return vec
+
+
+def _yates_list(vec: dict[int, int], bits: int, rows) -> list[int]:
+    """Yates' algorithm on the full list indexed by mask.  Each pass reads
+    bit 0 as the halves v[0::2] and v[1::2] and writes the new bit as the
+    top one, low half first, so after ``bits`` passes every bit is back in
+    place."""
+    values = [0] * (1 << bits)
+    for m, v in vec.items():
+        values[m] = v
+    (low_from_low, high_from_low), (low_from_high, high_from_high) = rows
+    for _ in range(bits):
+        lo, hi = values[0::2], values[1::2]
+        values = _combined(low_from_low, lo, low_from_high, hi)
+        values += _combined(high_from_low, lo, high_from_high, hi)
+    return values
+
+
+def _combined(p: int, xs: list[int], q: int, ys: list[int]) -> list[int]:
+    """p*xs + q*ys entrywise: xs or ys itself when that is the sum, else a
+    new list."""
+    if not p:
+        p, xs, q, ys = q, ys, p, xs
+    if not q:
+        return xs if p == 1 else list(map(operator.neg, xs)) if p == -1 else [p * x for x in xs]
+    if p == 1 and q in (1, -1):
+        return list(map(operator.add if q == 1 else operator.sub, xs, ys))
+    if p == -1 and q == 1:
+        return list(map(operator.sub, ys, xs))
+    return [p * x + q * y for x, y in zip(xs, ys)]
 
 
 def convert(a: QSymElement, target: str) -> QSymElement:
@@ -836,7 +966,7 @@ def convert(a: QSymElement, target: str) -> QSymElement:
     if target == "K" and a.basis != "eta":
         return convert(convert(a, "eta"), target)
     if target == "K":
-        residual = {c: v for c, v in a._terms.items() if any(p % 2 == 0 for p in c)}
+        residual = {c: v for c, v in a._terms.items() if not _is_odd_code(c)}
         if residual:
             raise NotInPeakSpanError(_raw("eta", residual))
     return _lattice_transform(a, target)

@@ -28,6 +28,7 @@ vertex; relations and covers are derived from them on demand.
 
 from __future__ import annotations
 
+import itertools
 import operator
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from fractions import Fraction
@@ -37,7 +38,6 @@ from .combinatorics import (
     Composition,
     Permutation,
     _check_count,
-    _contracted,
     check_composition,
     check_permutation,
     coshuffles,
@@ -661,6 +661,9 @@ def universal_gamma(
     return _gamma_chain(_ups(word), parts, zs, nvars)
 
 
+_SIGNS = (Fraction(1), Fraction(-1))
+
+
 def universal_to_eta(pi: Iterable[int], alpha: Iterable[int]) -> QSymElement:
     """Exact expansion of the weighted-chain generating function over the
     full signed alphabet into enriched monomials:
@@ -668,13 +671,15 @@ def universal_to_eta(pi: Iterable[int], alpha: Iterable[int]) -> QSymElement:
         sum over I inside Peak(pi) of (-1)^|I| eta_{alpha contracted at I}.
     """
     word, parts = _check_weighted_word(pi, alpha)
-    # the peaks of a permutation ascend, are interior and are peak-lacunar,
-    # so every subset of them contracts unchecked
-    acc: dict = {}
-    for chosen in subsets(peak_set_of_permutation(word)):
-        comp = _contracted(parts, chosen)
-        acc[comp] = acc.get(comp, 0) + (-1 if len(chosen) % 2 else 1)
-    return _raw("eta", {comp: Fraction(c) for comp, c in acc.items() if c})
+    # The code of alpha has one bit per partial sum.  Contracting at peak i
+    # merges parts i-1, i and i+1, so it clears the bits that end parts i-1
+    # and i.  The peaks of a permutation are interior and no two are
+    # adjacent, so every subset of them contracts, and distinct subsets
+    # clear distinct bits: each index comes from one subset, with its sign.
+    ends = [1 << s - 1 for s in itertools.accumulate(parts)]
+    cuts = [ends[i - 2] | ends[i - 1] for i in peak_set_of_permutation(word)]
+    code = sum(ends)
+    return _raw("eta", {code ^ sum(chosen): _SIGNS[len(chosen) % 2] for chosen in subsets(cuts)})
 
 
 def coshuffle_product(

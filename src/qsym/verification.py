@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .combinatorics import (
-    _composition_of_mask,
+    _composition_of_code,
     compositions,
     contract,
     contract_set,
@@ -197,23 +197,23 @@ def check_eta_product_rule(max_degree: int | None = None) -> CheckResult:
     reference side is the M quasi-shuffle of convert(eta_alpha, "M") and
     convert(eta_beta, "M"), whose M coefficients are those same numbers:
     each eta term is converted and each pair of M terms walked once per
-    call, and each product's multiplicities are summed in ints by descent
-    mask, then decoded once.  Both sides are compared as {b: c_b} over one
-    common denominator.
+    call, and each product's multiplicities are summed in ints by code,
+    then decoded once.  Both sides are compared as {b: c_b} over one common
+    denominator.
     """
     top = _cap(7, max_degree)
     r = _Recorder()
-    in_m = functools.cache(lambda c: _cleared(convert(QSymElement.term("eta", c), "M").terms))
+    in_m = functools.cache(lambda c: _cleared(convert(QSymElement.term("eta", c), "M")._terms))
     walk = functools.cache(functools.partial(_pair_walk, "M"))
 
-    def quasi_shuffle(ta, tb, n, scale):
-        """scale times the M product of two int maps {M term: coeff} of
-        total degree n, as {b: c_b}."""
+    def quasi_shuffle(ta, tb, scale):
+        """scale times the M product of two int maps {M term code: coeff},
+        as {b: c_b}."""
         acc: dict = {}
         for ca, va in ta.items():
             for cb, vb in tb.items():
                 _add_into(acc, walk(ca, cb), va * vb)
-        return {_composition_of_mask(n, mask): c * scale for mask, c in acc.items() if c}
+        return {_composition_of_code(code): c * scale for code, c in acc.items() if c}
 
     for total in range(top + 1):
         for na in range(total + 1):
@@ -223,7 +223,7 @@ def check_eta_product_rule(max_degree: int | None = None) -> CheckResult:
                 common = math.lcm(da * db, *(c.denominator for c in direct.terms.values()))
                 r.check(
                     _int_sum(direct, common)
-                    == quasi_shuffle(ta, tb, total, common // (da * db)),
+                    == quasi_shuffle(ta, tb, common // (da * db)),
                     "eta_{} * eta_{}", alpha, beta,
                 )
     return r.result(f"eta product rule (|a|+|b| <= {top})", "products certified")

@@ -313,6 +313,36 @@ def test_cli_multiply_json_is_byte_identical(capsys, name, left, right):
     assert capsys.readouterr().out.encode() == golden.read_bytes()
 
 
+# Every composition of 5, the i-th of ``compositions(5)`` with coefficient
+# (-1)^i (i+1)/(i%3+2), in the basis B.
+DENSE_5 = (
+    "1/2*B[5] - 2/3*B[1,4] + 3/4*B[2,3] - 2*B[3,2] + 5/3*B[4,1] - 3/2*B[1,1,3]"
+    " + 7/2*B[1,2,2] - 8/3*B[1,3,1] + 9/4*B[2,1,2] - 5*B[2,2,1] + 11/3*B[3,1,1]"
+    " - 3*B[1,1,1,2] + 13/2*B[1,1,2,1] - 14/3*B[1,2,1,1] + 15/4*B[2,1,1,1]"
+    " - 8*B[1,1,1,1,1]"
+)
+
+# A dense conversion and antipode, each recorded as `qsym ... --format json`.
+TRANSFORM_GOLDEN = [
+    ("convert_eta_L.json", ["convert", DENSE_5.replace("B", "eta"), "--to", "L"]),
+    ("antipode_M.json", ["antipode", DENSE_5.replace("B", "M")]),
+]
+
+
+def test_the_dense_element_lists_every_composition_once():
+    elem = parse_element(DENSE_5.replace("B", "M"))
+    assert list(elem.terms) == list(compositions(5))
+    assert len(set(elem.terms.values())) == 16
+
+
+@pytest.mark.parametrize("name, argv", TRANSFORM_GOLDEN)
+def test_cli_transform_json_is_byte_identical(capsys, name, argv):
+    golden = pathlib.Path(__file__).parent / "data" / name
+    rc = main([*argv, "--format", "json"])
+    assert rc == 0
+    assert capsys.readouterr().out.encode() == golden.read_bytes()
+
+
 def test_cli_verify_smallest_bound(capsys):
     # a random element that cancels to zero must compare against 0, not fail
     rc = main(["verify", "--max-degree", "1"])

@@ -7,8 +7,13 @@ import math
 import pytest
 
 from qsym.combinatorics import (
+    _code,
+    _code_of_peaks,
+    _composition_of_code,
+    _is_odd_code,
     _odd_composition_of_mask,
-    _peak_mask,
+    _peaks_of_code,
+    _reversed_code,
     complement,
     composition_of_subset,
     compositions,
@@ -161,10 +166,50 @@ def test_peak_mask_decodes_through_the_descent_identity():
     a descent exactly when neither q nor q+1 is a peak."""
     for n in range(16):
         for alpha in odd_compositions(n):
-            mask = _peak_mask(alpha)
+            mask = _peaks_of_code(_code(alpha))
             assert _odd_composition_of_mask(n, mask) == alpha
             bits = tuple(p for p in range(1, n) if mask >> (p - 1) & 1)
             assert bits == peak_set_of_composition(alpha)
+
+
+def test_every_composition_round_trips_through_its_code():
+    seen = set()
+    for n in range(13):
+        comps = list(compositions(n))
+        for alpha in comps:
+            code = _code(alpha)
+            assert _composition_of_code(code) == alpha
+            assert code.bit_length() == n
+        codes = {_code(alpha) for alpha in comps}
+        # distinct compositions, distinct codes: those of n fill [2^(n-1), 2^n)
+        assert len(codes) == len(comps)
+        assert codes == set(range(1 << n >> 1, 1 << n)) if n else codes == {0}
+        seen |= codes
+    assert _code(()) == 0 and _composition_of_code(0) == ()
+    assert len(seen) == sum(1 << n >> 1 for n in range(13)) + 1
+
+
+def test_every_odd_composition_round_trips_through_its_peak_mask():
+    """The non-descents of an odd composition are 3 * (P >> 1) for its peak mask P."""
+    for n in range(14):
+        odd = set(odd_compositions(n))
+        for alpha in compositions(n):
+            code = _code(alpha)
+            assert _is_odd_code(code) == (alpha in odd)
+            if alpha in odd:
+                peaks = _peaks_of_code(code)
+                assert _code_of_peaks(n, peaks) == code
+                assert peaks == sum(1 << p - 1 for p in peak_set_of_composition(alpha))
+
+
+def test_reversed_code_reverses_the_composition():
+    for n in range(13):
+        for alpha in compositions(n):
+            assert _reversed_code(_code(alpha)) == _code(alpha[::-1])
+    # codes of 17 to 40 bits cross byte boundaries
+    for n in range(17, 41):
+        for alpha in ((1,) * n, (n,), (1, n - 2, 1), (3, 1, n - 7, 2, 1), (n - 9, 9)):
+            assert _reversed_code(_code(alpha)) == _code(alpha[::-1])
 
 
 def test_compositions_keep_their_order():

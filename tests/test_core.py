@@ -3,6 +3,7 @@
 import itertools
 import random
 from collections import Counter
+from collections.abc import Mapping
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,8 @@ import pytest
 import qsym
 from qsym import core
 from qsym.combinatorics import (
+    _composition_of_mask,
+    _descent_mask,
     compositions,
     descent_set,
     odd_compositions,
@@ -28,7 +31,6 @@ from qsym.core import (
     multiply,
     signed_subset_sum,
 )
-from qsym.core import _composition_of_mask, _descent_mask
 from qsym.expansion import TruncatedPoly, certify_equal, poly_add
 
 
@@ -277,6 +279,41 @@ def test_hash_agrees_with_equality():
     assert len({x for pair in pairs for x in pair}) == 3
 
 
+def test_coefficient_of_a_non_composition_is_zero():
+    x = QSymElement("M", {(1, 2): 5, (3,): 7, (1,): 2, (): 4})
+    for bad in ((0,), (1, 0, 2), (-1, 2), ("a",), (1.5, 1.5), (None,)):
+        assert x.coefficient(bad) == 0
+        assert bad not in x.terms
+    # a tuple equal to a composition finds it, as a lookup by tuple would
+    assert x.coefficient((1.0,)) == x.coefficient((True,)) == 2
+    assert x.coefficient([1, 2]) == 5 and x.counit() == 4
+
+
+def test_terms_is_a_read_only_mapping_of_compositions(monkeypatch):
+    x = QSymElement("L", {(2, 1): Fraction(1, 3), (1, 1, 1): -2, (4,): 1})
+    terms = x.terms
+    assert isinstance(terms, Mapping)
+    assert dict(terms) == {(2, 1): Fraction(1, 3), (1, 1, 1): -2, (4,): 1}
+    assert all(type(c) is tuple and type(v) is Fraction for c, v in terms.items())
+    assert terms == dict(terms.items()) and sorted(terms.values()) == [-2, Fraction(1, 3), 1]
+    with pytest.raises(TypeError):
+        terms[(3,)] = 1
+    with pytest.raises(KeyError):
+        terms[(3,)]
+    tensor = coproduct(x)
+    assert tensor.terms[(2,), (1,)] == Fraction(1, 3)
+    assert ((5,), ()) not in tensor.terms and ("no", "pair") not in tensor.terms
+    with pytest.raises(TypeError):
+        tensor.terms[(), ()] = 1
+
+    # the size is read without decoding a single term
+    def refuse(code):
+        raise AssertionError("a term was decoded")
+
+    monkeypatch.setattr(core, "_composition_of_code", refuse)
+    assert len(x.terms) == 3 and len(tensor.terms) == len(tensor._terms)
+
+
 def test_repr_of_zero_values():
     assert repr(TensorElement(("M", "L"))) == "TensorElement(('M', 'L'), 0)"
     assert repr(QSymElement("eta")) == "QSymElement('eta', 0)"
@@ -487,6 +524,32 @@ def test_transforms_past_the_mask_budget_are_refused():
     assert antipode(eta(*[1] * 40)) == eta(*[1] * 40)
 
 
+def test_the_list_and_dict_transforms_agree(monkeypatch):
+    """Each degree runs Yates' algorithm on a dict or, when dense, on a
+    list; both give the same element for every _LATTICE entry.  A share of
+    0 sends every degree to the dict, a huge one every degree to the list."""
+    rng = random.Random(26)
+
+    def element(basis, comps):
+        return QSymElement(basis, {c: Fraction(rng.randint(-99, 99) or 1, rng.randint(1, 9)) for c in comps})
+
+    for source, target in core._LATTICE:
+        peak = "K" in (source, target)
+        family = odd_compositions if peak else compositions
+        cases = []
+        for n in range(10):
+            comps = list(family(n))
+            cases += [element(source, comps), element(source, comps[-1:])]
+        cases.append(element(source, [rng.choice(list(family(16))) for _ in range(5)]))
+        for x in cases:
+            images = []
+            for share in (0, 1 << 40):
+                monkeypatch.setattr(core, "_DENSE_SHARE", share)
+                images.append(core._lattice_transform(x, target))
+            monkeypatch.undo()
+            assert images[0] == images[1] == core._lattice_transform(x, target)
+
+
 def test_the_mask_bound_is_exact_for_L_to_M(monkeypatch):
     # L_alpha is the sum of M_beta over the 2^(n-1-|Des(alpha)|) refinements
     # beta of alpha, so the bound is the image's size, summed over the terms
@@ -510,10 +573,13 @@ def test_a_bound_past_20_digits_is_written_as_a_power_of_two():
 
 
 def test_routed_K_conversions_are_refused_before_their_first_stage(monkeypatch):
-    def first_stage(n, mask):
+    # the K to eta stage writes each eta term's code from its peak mask
+    def first_stage(n, peaks):
         raise AssertionError("the K to eta stage ran")
 
-    monkeypatch.setattr(core, "_odd_composition_of_mask", first_stage)
+    monkeypatch.setattr(core, "_code_of_peaks", first_stage)
+    with pytest.raises(AssertionError, match="the K to eta stage ran"):
+        convert(K(3), "M")
     for target in ("L", "M"):
         message = f"eta to {target} in degree 41 needs up to {2**40} subset masks, "
         with pytest.raises(ValueError, match=f"^{message}over the budget of 2097152$"):
