@@ -13,6 +13,10 @@ Permutations are one-line words (``1 4 2 5 3``, or ``142`` when single
 digits suffice); compositions are comma-separated parts (``1,3,1``, empty
 for the empty composition).  Output is deterministic: canonical term
 order and canonical rational formatting.
+
+Elements are read a whole term per regex match; the token parser reads the
+rest and reports every error.  ``--format json`` is written per shape
+straight from the sorted terms, in the bytes ``json.dumps(indent=2)`` gives.
 """
 
 from __future__ import annotations
@@ -22,9 +26,9 @@ import json
 import re
 import sys
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii
 
-from .core import BASES, QSymElement, TensorElement, _signed_sum, antipode, convert, coproduct, multiply
+from .core import BASES, QSymElement, TensorElement, _signed_sum, format_rational
+from .core import antipode, convert, coproduct, multiply
 from .expansion import TruncatedPoly, expand, format_poly
 from .ppartitions import (
     LabelledWeightedPoset,
@@ -44,13 +48,14 @@ class ElementParseError(ValueError):
 
 
 # One pass over the text: a token, a run of whitespace, or any other
-# character, which is the first one the grammar cannot read.
-_TOKEN_RE = re.compile(r"(\d+|[A-Za-z]+|[\[\],*+/-])|\s+|(\S)")
+# character, which is the first one the grammar cannot read.  Only texts
+# _TERM_RE cannot read get here, so re compiles it on first use, not at import.
+_TOKEN_PATTERN = r"(\d+|[A-Za-z]+|[\[\],*+/-])|\s+|(\S)"
 
 
 def _tokenize(text: str) -> list[tuple[str, int]]:
     tokens = []
-    for match in _TOKEN_RE.finditer(text):
+    for match in re.finditer(_TOKEN_PATTERN, text):
         kind = match.lastindex
         if kind == 1:
             tokens.append((match[1], match.start()))
@@ -145,9 +150,41 @@ class _ElementParser:
         return basis, tuple(parts), coeff
 
 
+# One whole term (sign, numerator, denominator, basis, parts), \s between tokens.
+_TERM_RE = re.compile(
+    r"\s*([+-]?)\s*(?:(\d+)\s*(?:/\s*(\d+)\s*)?\*\s*)?(M|L|K|eta)\s*"
+    r"\[\s*((?:\d+\s*(?:,\s*\d+\s*)*)?)\]\s*"
+)
+
+
+def _read_element(text: str) -> QSymElement | None:
+    """``text`` read a whole term per match; None for a term the pattern does not
+    match, a later term with no sign, mixed bases, a zero denominator, or a number
+    ``int`` refuses (past its digit limit, or next to \\x1c-\\x1f, which ``\\s`` matches)."""
+    basis, terms, pos = None, [], 0
+    while pos < len(text) or not terms:
+        match = _TERM_RE.match(text, pos)
+        if match is None or terms and (not match[1] or match[4] != basis):
+            return None
+        sign, num, den, basis, parts = match.groups()
+        try:
+            coeff = int(num) if num else 1
+            if den:
+                coeff = Fraction(coeff, int(den))
+            comp = tuple(map(int, parts.split(","))) if parts else ()
+        except (ValueError, ZeroDivisionError):
+            return None
+        terms.append((comp, -coeff if sign == "-" else coeff))
+        pos = match.end()
+    return QSymElement(basis, terms)
+
+
 def parse_element(text: str) -> QSymElement:
-    """Parse the element grammar; raises ElementParseError with a position."""
-    return _ElementParser(text).parse()
+    """Parse the element grammar; raises ElementParseError with a position.
+    ``_read_element`` reads most texts, and ``_ElementParser`` every other
+    one the grammar allows; it reports every error."""
+    elem = _read_element(text)
+    return _ElementParser(text).parse() if elem is None else elem
 
 
 def _basis_term(basis: str, comp) -> str:
@@ -170,20 +207,24 @@ def format_tensor(tensor: TensorElement) -> str:
     )
 
 
+def _int(what: str, text: str, piece: str) -> int:
+    """A piece of an argument as an int; the ValueError names both."""
+    try:
+        return int(piece)
+    except ValueError:
+        raise ValueError(f"{what} {text!r}: cannot read {piece!r} as an integer") from None
+
+
 def parse_permutation(text: str) -> tuple[int, ...]:
-    text = text.strip()
-    if not text:
-        return ()
-    if " " in text or "," in text:
-        return tuple(int(x) for x in text.replace(",", " ").split())
-    return tuple(int(ch) for ch in text)
+    word = text.strip()
+    if " " in word or "," in word:
+        word = word.replace(",", " ").split()
+    return tuple(_int("permutation", text, letter) for letter in word)
 
 
 def parse_composition(text: str) -> tuple[int, ...]:
-    text = text.strip()
-    if not text:
-        return ()
-    return tuple(int(x) for x in text.split(","))
+    parts = text.strip()
+    return tuple(_int("composition", text, p) for p in parts.split(",")) if parts else ()
 
 
 def _resolve_alphabet(zspec: str, nvars_arg: int | None, default_n: int):
@@ -191,57 +232,62 @@ def _resolve_alphabet(zspec: str, nvars_arg: int | None, default_n: int):
     if zspec in ("P", "Ppm"):
         n = nvars_arg if nvars_arg is not None else default_n
         return (positive_alphabet if zspec == "P" else signed_alphabet)(n), n
-    return tuple(int(x) for x in zspec.split(",")), nvars_arg
+    return tuple(_int("--zset", zspec, z) for z in zspec.split(",")), nvars_arg
 
 
-def _json_text(value, indent: str = "") -> str:
-    """``json.dumps(value, indent=2)`` for the dict, list, str and int values
-    that ``to_json_dict`` returns.
+def _json_list(items: list, indent: str) -> str:
+    """A list whose items are already written, at ``indent``."""
+    inner = "\n" + indent + "  "
+    return f"[{inner}{(',' + inner).join(items)}\n{indent}]" if items else "[]"
 
-    With ``indent`` set, the json module skips its C encoder; this writer
-    gives the same bytes faster.  It dispatches on the exact type, escapes
-    strings with the C escaper, and writes a list of ints (a composition,
-    an exponent pair) with one ``str.join`` instead of one call per int.
-    """
-    kind = type(value)
-    if kind is str:
-        return encode_basestring_ascii(value)
-    if kind is int:
-        return str(value)
-    if kind is not dict and kind is not list:
-        raise TypeError(f"cannot write {kind.__name__} as JSON")
-    if not value:
-        return "{}" if kind is dict else "[]"
-    inner = indent + "  "
-    sep = ",\n" + inner
-    if kind is dict:
-        body = sep.join(
-            [f"{encode_basestring_ascii(k)}: {_json_text(v, inner)}" for k, v in value.items()]
-        )
-        return f"{{\n{inner}{body}\n{indent}}}"
-    for item in value:
-        if type(item) is not int:
-            body = sep.join([_json_text(v, inner) for v in value])
-            break
+
+def _json_comp(comp) -> str:
+    return _json_list([str(part) for part in comp], "      ")
+
+
+def _json_exps(key) -> str:
+    return _json_list([f"[\n          {v},\n          {e}\n        ]" for v, e in key], "      ")
+
+
+def _print_json(value) -> None:
+    """Print an element, a tensor or a polynomial as ``--format json``: the
+    bytes of ``json.dumps(value.to_json_dict(), indent=2)``, one f-string
+    per sorted term (basis names and coefficients need no escaping)."""
+    if isinstance(value, QSymElement):
+        head = f'"basis": "{value.basis}"'
+        terms = [
+            f'{{\n      "comp": {_json_comp(comp)},\n'
+            f'      "coeff": "{format_rational(coeff)}"\n    }}'
+            for comp, coeff in value.sorted_terms()
+        ]
+    elif isinstance(value, TensorElement):
+        head = '"basis": ' + _json_list([f'"{b}"' for b in value.bases], "  ")
+        terms = [
+            f'{{\n      "comp_left": {_json_comp(left)},\n'
+            f'      "comp_right": {_json_comp(right)},\n'
+            f'      "coeff": "{format_rational(coeff)}"\n    }}'
+            for (left, right), coeff in value.sorted_terms()
+        ]
     else:
-        body = sep.join(map(str, value))
-    return f"[\n{inner}{body}\n{indent}]"
-
-
-def _print_json(data: dict) -> None:
-    print(_json_text(data))
+        head = f'"nvars": {value.nvars},\n  "degree": {value.degree}'
+        terms = [
+            f'{{\n      "exps": {_json_exps(key)},\n'
+            f'      "coeff": "{format_rational(coeff)}"\n    }}'
+            for key, coeff in value.sorted_terms()
+        ]
+    print(f'{{\n  {head},\n  "terms": {_json_list(terms, "  ")}\n}}')
 
 
 def _emit_element(elem: QSymElement, fmt: str) -> None:
     if fmt == "json":
-        _print_json(elem.to_json_dict())
+        _print_json(elem)
     else:
         print(format_element(elem))
 
 
 def _emit_poly(poly: TruncatedPoly, fmt: str) -> None:
     if fmt == "json":
-        _print_json(poly.to_json_dict())
+        _print_json(poly)
     else:
         print(format_poly(poly))
 
@@ -272,7 +318,7 @@ def _cmd_multiply(args) -> int:
 def _cmd_coproduct(args) -> int:
     tensor = coproduct(parse_element(args.element))
     if args.format == "json":
-        _print_json(tensor.to_json_dict())
+        _print_json(tensor)
     else:
         print(format_tensor(tensor))
     return 0

@@ -75,7 +75,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Callable, ItemsView, Iterable, Mapping
 from fractions import Fraction
 
 from .combinatorics import (
@@ -157,13 +157,15 @@ def _signed_sum(items, body, zero: str) -> str:
     """
     pieces = []
     for key, coeff in items:
-        mag, text = abs(coeff), body(key)
-        if mag != 1 or not text:
-            text = format_rational(mag) + (f"*{text}" if text else "")
+        num, den, text = coeff.numerator, coeff.denominator, body(key)
+        mag = -num if num < 0 else num
+        if den != 1 or mag != 1 or not text:
+            mag = f"{mag}/{den}" if den != 1 else str(mag)
+            text = f"{mag}*{text}" if text else mag
         if pieces:
-            pieces.append(f" {'+' if coeff > 0 else '-'} {text}")
+            pieces.append(f" - {text}" if num < 0 else f" + {text}")
         else:
-            pieces.append(text if coeff > 0 else f"-{text}")
+            pieces.append(f"-{text}" if num < 0 else text)
     return "".join(pieces) or zero
 
 
@@ -236,13 +238,24 @@ class _Terms(Mapping):
         return value
 
     def items(self):
-        return dict(zip(self, self._codes.values())).items()
+        return _TermItems(self)
 
     def values(self):
         return self._codes.values()
 
     def __repr__(self):
         return f"{type(self).__name__}({dict(self.items())!r})"
+
+
+class _TermItems(ItemsView):
+    """``_Terms.items()``: pairs each decoded key with its value as it
+    iterates, so listing a large result builds no second dict."""
+
+    __slots__ = ()
+
+    def __iter__(self):
+        codes = self._mapping._codes
+        return zip(map(self._mapping._decode, codes), codes.values())
 
 
 class QSymElement:

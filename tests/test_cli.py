@@ -113,6 +113,28 @@ def test_parse_permutation_and_composition():
     assert parse_composition("") == ()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["u-function", "12", "1,,2"], "composition '1,,2': cannot read '' as an integer"),
+        (["u-function", "1x2", "1,2,1"], "permutation '1x2': cannot read 'x' as an integer"),
+        (["u-function", "1 2 y", "1,2,1"], "permutation '1 2 y': cannot read 'y' as an integer"),
+        (
+            ["gamma", "--poset", str(pathlib.Path(__file__).parent / "data" / "poset_fork.json"),
+             "--zset", "1,x"],
+            "--zset '1,x': cannot read 'x' as an integer",
+        ),
+    ],
+)
+def test_a_malformed_word_composition_or_zset_names_the_argument_and_the_piece(
+    capsys, argv, message
+):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_cli_multiply(capsys):
     rc = main(["multiply", "eta[1,2]", "eta[2]", "--basis", "eta"])
     assert rc == 0
@@ -229,15 +251,16 @@ def test_cli_json_output_matches_the_json_module(capsys, argv):
     assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
-def test_json_writer_matches_the_json_module():
-    shapes = [
-        QSymElement.zero("eta").to_json_dict(),
-        TruncatedPoly(2, 3, {}).to_json_dict(),
-        coproduct(QSymElement("M", {(1, 2): Fraction(-5, 2), (): 1})).to_json_dict(),
-        {"a": [], "b": {}, "c": "\u00e9\n\"q\"", "d": [[1, -2], [3]], "e": -7},
+def test_json_writer_matches_the_json_module(capsys):
+    values = [
+        QSymElement.zero("eta"),
+        TruncatedPoly(2, 3, {}),
+        TruncatedPoly(2, 3, {((1, 1), (2, 2)): Fraction(-5, 2), (): 7}),
+        coproduct(QSymElement("M", {(1, 2): Fraction(-5, 2), (): 1})),
     ]
-    for data in shapes:
-        assert cli._json_text(data) == json.dumps(data, indent=2)
+    for value in values:
+        cli._print_json(value)
+        assert capsys.readouterr().out == json.dumps(value.to_json_dict(), indent=2) + "\n"
 
 
 def test_cli_error_exit(capsys):
@@ -339,6 +362,38 @@ def test_the_dense_element_lists_every_composition_once():
 def test_cli_transform_json_is_byte_identical(capsys, name, argv):
     golden = pathlib.Path(__file__).parent / "data" / name
     rc = main([*argv, "--format", "json"])
+    assert rc == 0
+    assert capsys.readouterr().out.encode() == golden.read_bytes()
+
+
+# Each of the three JSON shapes, and a text expansion, recorded as stdout.
+OUTPUT_GOLDEN = [
+    (
+        "expand_L.json",
+        ["expand", "1/2*L[2,1] - 3*L[1,1,1] + 2/3*L[3] - 5/4*L[1,2]", "--nvars", "3",
+         "--format", "json"],
+    ),
+    (
+        "expand_L.txt",
+        ["expand", "1/2*L[2,1] - 3*L[1,1,1] + 2/3*L[3] - 5/4*L[1,2]", "--nvars", "3"],
+    ),
+    (
+        "coproduct_eta.json",
+        ["coproduct", "eta[1,2,1] - 3/4*eta[2,1] - 5/2*eta[3] + 1/3*eta[]", "--format", "json"],
+    ),
+    (
+        "gamma_fork_Ppm.json",
+        ["gamma", "--poset", str(pathlib.Path(__file__).parent / "data" / "poset_fork.json"),
+         "--zset", "Ppm", "--nvars", "3", "--format", "json"],
+    ),
+    ("u_function_eta.json", ["u-function", "2 4 1 3", "1,2,1,1", "--format", "json"]),
+]
+
+
+@pytest.mark.parametrize("name, argv", OUTPUT_GOLDEN)
+def test_cli_output_is_byte_identical(capsys, name, argv):
+    golden = pathlib.Path(__file__).parent / "data" / name
+    rc = main(argv)
     assert rc == 0
     assert capsys.readouterr().out.encode() == golden.read_bytes()
 

@@ -314,6 +314,27 @@ def test_terms_is_a_read_only_mapping_of_compositions(monkeypatch):
     assert len(x.terms) == 3 and len(tensor.terms) == len(tensor._terms)
 
 
+def test_terms_items_is_a_view_that_pairs_keys_and_values_as_it_iterates(monkeypatch):
+    x = QSymElement("M", {(2, 1): Fraction(1, 3), (): -2, (1, 1, 1): 5})
+    plain = {(2, 1): Fraction(1, 3), (): -2, (1, 1, 1): 5}
+    for terms, want in ((x.terms, plain), (coproduct(x).terms, dict(coproduct(x).terms))):
+        items = terms.items()
+        assert len(items) == len(want)
+        assert list(items) == list(items) == list(zip(terms, terms.values()))
+        assert items == want.items() and want.items() == items
+        assert all(pair in items for pair in want.items())
+        assert (next(iter(want)), 99) not in items and ("no", 1) not in items
+    items = x.terms.items()
+    assert items & {((2, 1), Fraction(1, 3)), ((4,), 1)} == {((2, 1), Fraction(1, 3))}
+    assert items | {((4,), 1)} == set(plain.items()) | {((4,), 1)}
+    assert items - {((), -2)} == {((2, 1), Fraction(1, 3)), ((1, 1, 1), 5)}
+    assert items.isdisjoint({((4,), 1)}) and not items.isdisjoint({((), -2)})
+
+    # neither making the view nor iterating it builds a dict keyed by compositions
+    monkeypatch.setattr(core, "dict", lambda *args: pytest.fail("a dict was built"), raising=False)
+    assert dict(x.terms.items()) == plain
+
+
 def test_repr_of_zero_values():
     assert repr(TensorElement(("M", "L"))) == "TensorElement(('M', 'L'), 0)"
     assert repr(QSymElement("eta")) == "QSymElement('eta', 0)"
