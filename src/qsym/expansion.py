@@ -30,7 +30,12 @@ from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 
-from .combinatorics import _check_count, descent_set, peak_set_of_composition
+from .combinatorics import (
+    _check_count,
+    _composition_of_code,
+    descent_set,
+    peak_set_of_composition,
+)
 from .core import QSymElement, _add_into, _exact, _nonzero, _signed_sum, format_rational
 
 Monomial = tuple[tuple[int, int], ...]
@@ -311,11 +316,12 @@ def _onto_tuples(length: int) -> Iterator[tuple]:
 
 def _int_sum(a: QSymElement, common: int) -> dict:
     """a's coefficients on x_1^b_1 ... x_k^b_k by b, times common (a multiple of every
-    denominator), summed in ints from its terms' _m_coefficients."""
+    denominator), summed in ints from its terms' _m_coefficients.  Reads the
+    code-keyed terms, so no ``terms`` view is built."""
     acc: dict = {}
-    for comp, coeff in a.terms.items():
+    for code, coeff in a._terms.items():
         scaled = coeff.numerator * (common // coeff.denominator)
-        _add_into(acc, _m_coefficients(a.basis, comp), scaled)
+        _add_into(acc, _m_coefficients(a.basis, _composition_of_code(code)), scaled)
     return _nonzero(acc)
 
 
@@ -337,7 +343,7 @@ def expand(a: QSymElement, nvars: int, degree: int | None = None) -> TruncatedPo
             f"degree bound {degree} below element degree {a.degree}; "
             "expanding would silently truncate"
         )
-    common = math.lcm(*(coeff.denominator for coeff in a.terms.values()))
+    common = math.lcm(*(coeff.denominator for coeff in a._terms.values()))
     coeffs = _int_sum(a, common)
     size = sum(math.comb(nvars, len(b)) for b in coeffs)
     if size > _MONOMIAL_BUDGET:
@@ -361,5 +367,5 @@ def certify_equal(a: QSymElement, b: QSymElement) -> bool:
     a basis conversion; both sides are scaled by one common denominator
     and summed in ints.
     """
-    common = math.lcm(*(c.denominator for x in (a, b) for c in x.terms.values()))
+    common = math.lcm(*(c.denominator for x in (a, b) for c in x._terms.values()))
     return _int_sum(a, common) == _int_sum(b, common)

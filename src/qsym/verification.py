@@ -5,6 +5,9 @@ counterexamples.  The acceptance tests call the same functions at their
 full sweep bounds; the CLI can cap the bounds with --max-degree for a
 quicker run.  A sub-result that a check repeats is computed once per run,
 through a functools.cache made inside the check: nothing outlives the call.
+The chain checks memoise their comparison too, keyed by the element each
+case computed, so a case passes only on its own element's verdict; the
+shuffle check compares M-coefficients packed into one int per side.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ import functools
 import itertools
 import math
 import random
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -303,38 +307,48 @@ def check_antipode(max_degree: int | None = None) -> CheckResult:
     )
 
 
-def _chain_agrees(chain: dict, elem: QSymElement, nvars: int) -> bool:
-    """Whether a chain function's M-coefficients {b: c_b} over nvars
-    magnitudes are elem's, read from its defining series and kept for the b
-    with at most nvars parts: exactly those an expansion in nvars variables
-    keeps."""
-    common = math.lcm(*(c.denominator for c in elem.terms.values()))
+def _chain_agrees(nvars: int, ups: tuple, ws: tuple, zs: tuple, elem: QSymElement) -> bool:
+    """Whether the function of the chain (ups, ws) over the alphabet zs of
+    nvars magnitudes has elem's M-coefficients {b: c_b}, read from elem's
+    defining series and kept for the b with at most nvars parts: exactly
+    those an expansion in nvars variables keeps.
+
+    A pure function of its arguments, elem by value, so a check memoises it
+    per (up-down pattern, weights, alphabet, element): every case still
+    computes its own element, and a word whose element differs from its
+    pattern's other words is compared on its own.
+    """
+    common = math.lcm(*(c.denominator for c in elem._terms.values()))
     coeffs = _int_sum(elem, common)
     return {b: c for b, c in coeffs.items() if len(b) <= nvars} == {
-        b: c * common for b, c in chain.items()
+        b: c * common for b, c in _chain_m_terms(ups, ws, zs).items()
     }
 
 
 def check_specializations(max_degree: int | None = None) -> CheckResult:
     """Weighted-chain generating functions against the four basis series,
-    compared on M-coefficients by _chain_agrees."""
+    compared on M-coefficients by _chain_agrees.
+
+    Each case computes its element (L or K of its word, M or eta of its
+    weights); the comparison runs once per distinct (up-down pattern,
+    weights, alphabet, element) within this call: 186 comparisons for the
+    430 cases at n <= 5, since words with one pattern share L and K.
+    """
     top = _cap(5, max_degree)
     nvars = 5
     pos, sgn = positive_alphabet(nvars), signed_alphabet(nvars)
     r = _Recorder()
-
-    def agrees(ups, ws, zs, elem):
-        return _chain_agrees(_chain_m_terms(ups, ws, zs), elem, nvars)
-
+    agrees = functools.cache(functools.partial(_chain_agrees, nvars))
     for n in range(1, top + 1):
         ones = (1,) * n
         for word in itertools.permutations(range(1, n + 1)):
+            ups = _ups(word)
             r.check(
-                agrees(_ups(word), ones, pos, L_of_permutation(word)),
+                agrees(ups, ones, pos, L_of_permutation(word)),
                 "positive alphabet, unit weights, pi={}", word,
             )
             r.check(
-                agrees(_ups(word), ones, sgn, K_of_permutation(word)),
+                agrees(ups, ones, sgn, K_of_permutation(word)),
                 "signed alphabet, unit weights, pi={}", word,
             )
         for alpha in itertools.product((1, 2), repeat=n):
@@ -349,33 +363,73 @@ def check_specializations(max_degree: int | None = None) -> CheckResult:
     return r.result(f"P-partition specializations (n <= {top})", "specializations")
 
 
+_FIELD = 16  # bits per composition b in a packed sum of M-coefficients
+
+
+def _packed(coeffs: dict, slots: dict) -> int:
+    """{b: c_b} as one int: c_b in the _FIELD-bit field of b's slot, each new
+    b taking the next slot.  Sums of packed ints add field by field while
+    every field stays in 0 .. 2^_FIELD - 1."""
+    return sum(c << _FIELD * slots.setdefault(b, len(slots)) for b, c in coeffs.items())
+
+
+def _packed_product(terms: Mapping, mags: tuple, slots: dict) -> int | None:
+    """A polynomial {monomial: coeff} over the variables mags = (1, ..., k),
+    packed as its M-coefficients; None when it is not sum c_b M_b with
+    every c_b an int in 1 .. 2^_FIELD - 1.
+
+    c_b is read from the leading monomial x_1^b_1 ... x_j^b_j; a coefficient
+    outside its field is refused before it could borrow from or carry into
+    a neighbour, and the c_b are packed only if writing each back onto
+    every monomial of M_b gives terms exactly.
+    """
+    coeffs = {}
+    for mono, c in terms.items():
+        if not mono or mono[-1][0] == len(mono):
+            if c.denominator != 1 or not 0 < c < 1 << _FIELD:
+                return None
+            coeffs[tuple(e for _, e in mono)] = c.numerator
+    written = {mono: c for b, c in coeffs.items() for mono in _m_monomials(b, mags)}
+    return _packed(coeffs, slots) if written == terms else None
+
+
 def check_shuffle_products(max_degree: int | None = None) -> CheckResult:
     """Chain generating functions multiply by (co)shuffling, at both alphabets.
 
-    Each side is computed once per key within this call.  The left side is
-    poly_mul of the two chain functions, once per pair of chain keys (up-down
-    pattern and weights) and alphabet.  The right side sums the words'
-    M-coefficients, each word's walked once per chain key and alphabet, in
-    ints per composition b, and writes the monomials of the sum once.
+    Both sides are compared as M-coefficients packed into one int (slots
+    assigned within this call), which is the same as comparing the
+    polynomials.  The left side is poly_mul of the two chain functions, once
+    per pair of chain keys (up-down pattern and weights) and alphabet,
+    through _packed_product.  The right side adds one packed int per word,
+    each chain key's packed once; every c_b of a chain is at most 2^nvars,
+    so a list of chains that could overflow a field is refused with a
+    ValueError.
     """
     top = _cap(6, max_degree)
     nvars = 4
     alphabets = (positive_alphabet(nvars), signed_alphabet(nvars))
     mags = positive_alphabet(nvars)  # the magnitudes of both alphabets
-    m_terms = functools.cache(_chain_m_terms)
+    slots: dict = {}
     r = _Recorder()
 
     @functools.cache
     def lhs(ups_pi, alpha, ups_sigma, beta, zs):
-        return poly_mul(
+        product = poly_mul(
             _gamma_chain(ups_pi, alpha, zs, nvars), _gamma_chain(ups_sigma, beta, zs, nvars)
-        ).terms
+        )
+        return _packed_product(product.terms, mags, slots)
+
+    @functools.cache
+    def chain(ups, ws, zs):
+        return _packed(_chain_m_terms(ups, ws, zs), slots)
 
     def rhs(chains, zs):
-        acc: dict = {}
-        for ups, ws in chains:
-            _add_into(acc, m_terms(ups, ws, zs))
-        return {mono: c for b, c in acc.items() if c for mono in _m_monomials(b, mags)}
+        if len(chains) << nvars >= 1 << _FIELD:
+            raise ValueError(
+                f"{len(chains)} chain functions in {nvars} variables "
+                f"can overflow a {_FIELD}-bit field"
+            )
+        return sum(chain(ups, ws, zs) for ups, ws in chains)
 
     def check(keys, chains, describe, *args):
         for zs in alphabets:
@@ -415,21 +469,23 @@ def check_shuffle_products(max_degree: int | None = None) -> CheckResult:
 def check_u_expansion(max_degree: int | None = None) -> CheckResult:
     """Signed-alphabet chain functions as signed sums of enriched monomials.
 
-    The symbolic side is universal_to_eta(pi, alpha); the numeric side is
-    the chain function's M-coefficients over the signed alphabet of nvars
-    magnitudes, walked once per (up-down pattern, weights) within this
-    call.  _chain_agrees compares them.
+    The symbolic side is universal_to_eta(pi, alpha), computed for every
+    case; the numeric side is the chain function's M-coefficients over the
+    signed alphabet of nvars magnitudes.  _chain_agrees compares them once
+    per distinct (up-down pattern, weights, element) within this call: 648
+    comparisons for the 1944 cases of S_4, since words with one pattern
+    share their peaks.
     """
     n = _cap(4, max_degree)
     nvars = 4
     sgn = signed_alphabet(nvars)
-    m_terms = functools.cache(_chain_m_terms)
+    agrees = functools.cache(functools.partial(_chain_agrees, nvars))
     r = _Recorder()
     for word in itertools.permutations(range(1, n + 1)):
+        ups = _ups(word)
         for alpha in itertools.product((1, 2, 3), repeat=n):
-            numeric = m_terms(_ups(word), alpha, sgn)
             r.check(
-                _chain_agrees(numeric, universal_to_eta(word, alpha), nvars),
+                agrees(ups, alpha, sgn, universal_to_eta(word, alpha)),
                 "pi={} alpha={}", word, alpha,
             )
     return r.result(f"chain-to-eta expansion (S_{n}, parts <= 3)", "expansions")

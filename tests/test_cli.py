@@ -5,6 +5,7 @@ import collections
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import pathlib
 import sys
@@ -26,7 +27,8 @@ from qsym.cli import (
 from qsym.combinatorics import compositions
 from qsym.core import QSymElement, convert, coproduct
 from qsym import verification
-from qsym.expansion import TruncatedPoly, poly_scale
+from qsym.expansion import TruncatedPoly, _m_monomials, poly_scale
+from qsym.ppartitions import _gamma_chain, _ups, positive_alphabet
 from qsym.verification import check_eta_coproduct, check_specializations
 
 from cli_session import CLI_SESSION
@@ -318,6 +320,15 @@ def test_cli_verify_max_degree_5_stdout_is_byte_identical(capsys):
     assert capsys.readouterr().out.encode() == golden.read_bytes()
 
 
+@pytest.mark.parametrize("k", [2, 4, 6])
+def test_cli_verify_even_max_degree_stdout_is_byte_identical(capsys, k):
+    # each cap sets its own chain-list sizes in the shuffle check
+    golden = pathlib.Path(__file__).parent / "data" / f"verify_max{k}_stdout.txt"
+    rc = main(["verify", "--max-degree", str(k)])
+    assert rc == 0
+    assert capsys.readouterr().out.encode() == golden.read_bytes()
+
+
 # Products whose operands repeat equal parts, so the pair walk sums two
 # sources at one size, each recorded as `qsym multiply ... --format json`.
 MULTIPLY_GOLDEN = [
@@ -585,6 +596,84 @@ def test_shuffle_check_fails_on_a_broken_piece(monkeypatch, name, broken, failur
     assert _digest(result.failures) == failures
 
 
+def test_shuffle_check_fails_only_the_pair_that_lost_a_word(monkeypatch):
+    """(1,3,2) shares its up-down pattern, and so its left side, with (2,3,1)."""
+    real = verification.shuffles
+
+    def broken(pi, sigma):
+        words = real(pi, sigma)
+        return words[1:] if (pi, sigma) == ((1, 3, 2), (1,)) else words
+
+    monkeypatch.setattr(verification, "shuffles", broken)
+    result = verification.check_shuffle_products()
+    assert result.detail == "1012 products"
+    assert result.failures == [
+        f"shuffle product pi=(1, 3, 2) sigma=(1,) |Z|={z}" for z in (4, 8)
+    ]
+
+
+@pytest.mark.parametrize("bad", [lambda c: -c, lambda c: c + (1 << 16)])
+def test_shuffle_check_fails_a_product_coefficient_outside_its_field(monkeypatch, bad):
+    """poly_mul rewrites c_(3,1,1) of one product on every monomial of
+    M_(3,1,1), so the product stays quasisymmetric; the coefficient no
+    longer fits its field, and only that case fails."""
+    real = verification.poly_mul
+    pos = positive_alphabet(4)
+    target = (
+        _gamma_chain(_ups((1, 2, 3)), (1, 1, 1), pos, 4),
+        _gamma_chain(_ups((2, 1)), (1, 1), pos, 4),
+    )
+
+    def patched(p, q):
+        out = real(p, q)
+        if (p, q) != target:
+            return out
+        terms = dict(out.terms)
+        for mono in _m_monomials((3, 1, 1), pos):
+            terms[mono] = bad(terms[mono])
+        return TruncatedPoly(out.nvars, out.degree, terms)
+
+    monkeypatch.setattr(verification, "poly_mul", patched)
+    result = verification.check_shuffle_products()
+    assert result.detail == "1012 products"
+    assert result.failures == ["shuffle product pi=(1, 2, 3) sigma=(2, 1) |Z|=4"]
+
+
+def test_packed_product_refuses_what_would_alias():
+    """c_(1) = 1, c_(2) = 2 packs to 1 + 2 * 2^16, and so do the field
+    overflows (1 + 2^16, 1) and (1 - 2^16, 3): those are refused, as are a
+    zero, a fraction and a product that is not sum c_b M_b."""
+    mags = (1, 2, 3)
+    slots = {(1,): 0, (2,): 1}
+
+    def poly(c1, c2):
+        return {
+            **dict.fromkeys(_m_monomials((1,), mags), c1),
+            **dict.fromkeys(_m_monomials((2,), mags), c2),
+        }
+
+    packed = verification._packed_product
+    assert packed(poly(1, 2), mags, slots) == 1 + (2 << 16)
+    for c1, c2 in [(1 + (1 << 16), 1), (1 - (1 << 16), 3)]:
+        assert verification._packed({(1,): c1, (2,): c2}, slots) == 1 + (2 << 16)
+        assert packed(poly(c1, c2), mags, slots) is None
+    assert packed(poly(0, 2), mags, slots) is None
+    assert packed(poly(Fraction(1, 2), 2), mags, slots) is None
+    assert packed(poly(Fraction(4, 4), 2), mags, slots) == 1 + (2 << 16)
+    assert packed({**poly(1, 2), ((2, 1),): 2}, mags, slots) is None
+    assert packed({**poly(1, 2), ((3, 5),): 1}, mags, slots) is None
+    assert slots == {(1,): 0, (2,): 1}
+
+
+def test_a_chain_list_too_long_for_its_fields_is_refused(monkeypatch):
+    """c_b <= 2^4 per chain in 4 variables, so 4096 chains could fill a
+    16-bit field."""
+    real = verification.shuffles
+    monkeypatch.setattr(verification, "shuffles", lambda pi, sigma: real(pi, sigma) * 2048)
+    with pytest.raises(ValueError, match="4096 chain functions .* overflow a 16-bit field"):
+        verification.check_shuffle_products()
+
+
 def _m_image_scaled(real, factor, length=None):
     """convert with its M image of an eta term scaled, every term's or
     only those of the given length."""
@@ -648,6 +737,57 @@ def test_eta_checks_fail_on_a_broken_piece(monkeypatch, check, name, broken, fai
     assert not result.passed
     assert result.detail == check[1]
     assert _digest(result.failures) == failures
+
+
+def test_u_expansion_fails_only_the_broken_word(monkeypatch):
+    """(2,1,4,3) is the first of five words with its up-down pattern: the
+    four after it still pass on their own elements."""
+    real = verification.universal_to_eta
+
+    def broken(word, alpha):
+        out = real(word, alpha)
+        return out.scale(2) if word == (2, 1, 4, 3) else out
+
+    monkeypatch.setattr(verification, "universal_to_eta", broken)
+    result = verification.check_u_expansion()
+    assert result.detail == "1944 expansions"
+    assert result.failures == [
+        f"pi=(2, 1, 4, 3) alpha={alpha}"
+        for alpha in itertools.product((1, 2, 3), repeat=4)
+    ]
+
+
+def test_specializations_fail_only_the_broken_word(monkeypatch):
+    """(3,1,4,2,5) shares its up-down pattern with words before and after it."""
+    real = verification.L_of_permutation
+
+    def broken(word):
+        out = real(word)
+        return out.scale(2) if word == (3, 1, 4, 2, 5) else out
+
+    monkeypatch.setattr(verification, "L_of_permutation", broken)
+    result = check_specializations()
+    assert result.detail == "430 specializations"
+    assert result.failures == ["positive alphabet, unit weights, pi=(3, 1, 4, 2, 5)"]
+
+
+def test_chain_comparisons_run_once_per_distinct_key_and_element(monkeypatch):
+    """check_specializations compares 186 distinct (pattern, weights,
+    alphabet, element) for its 430 cases, check_u_expansion 648 for its
+    1944, on every call."""
+    calls = collections.Counter()
+    real = verification._chain_agrees
+
+    def counting(*args):
+        calls[args] += 1
+        return real(*args)
+
+    monkeypatch.setattr(verification, "_chain_agrees", counting)
+    for check, distinct in [(check_specializations, 186), (verification.check_u_expansion, 648)]:
+        for runs in (1, 2):
+            assert check().passed
+            assert len(calls) == distinct and set(calls.values()) == {runs}
+        calls.clear()
 
 
 def _recording(real, seen):
