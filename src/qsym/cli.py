@@ -168,13 +168,12 @@ def _read_element(text: str) -> QSymElement | None:
             return None
         sign, num, den, basis, parts = match.groups()
         try:
-            coeff = int(num) if num else 1
-            if den:
-                coeff = Fraction(coeff, int(den))
+            value = -int(num or 1) if sign == "-" else int(num or 1)
+            coeff = Fraction(value, int(den)) if den else Fraction(value)
             comp = tuple(map(int, parts.split(","))) if parts else ()
         except (ValueError, ZeroDivisionError):
             return None
-        terms.append((comp, -coeff if sign == "-" else coeff))
+        terms.append((comp, coeff))
         pos = match.end()
     return QSymElement(basis, terms)
 

@@ -62,12 +62,16 @@ ints, in one accumulator keyed by code.
 
 Every sum adds with ``dict.get``, a whole map at a time by ``_add_into``
 or inline where keys are computed per item, and drops the entries that
-cancel once, at the end.  Products, coproducts, conversions and antipodes
-sum in machine ints: each operand's denominators are cleared once with an
-lcm, and each distinct output coefficient costs one Fraction, which the
-terms that carry it share.
+cancel once, at the end.  Products, coproducts, conversions, antipodes
+and the linear extensions ``map_terms`` and ``map_legs`` sum in machine
+ints: each operand's denominators are cleared once with an lcm, and each
+distinct output coefficient costs one Fraction, which the terms that
+carry it share.
 Conversions and antipodes are sized before they run, and refused past
-``_MASK_BUDGET`` output masks in one degree; products are not sized.
+``_MASK_BUDGET`` output masks in one degree.  Products are sized while they
+run: a pair walk that could hold more than ``_WALK_BUDGET`` map entries
+counts the entries of its two live grid rows once per row, and is refused
+past the budget.
 """
 
 from __future__ import annotations
@@ -77,6 +81,7 @@ import math
 import operator
 from collections.abc import Callable, ItemsView, Iterable, Mapping
 from fractions import Fraction
+from functools import lru_cache
 
 from .combinatorics import (
     Composition,
@@ -95,8 +100,10 @@ from .combinatorics import (
 )
 
 BASES = ("M", "L", "K", "eta")
+_WALK_BUDGET = 1 << 24  # map entries a product walk holds in two grid rows
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)  # the coefficient every unit term shares
 
 
 def _add_into(acc: dict, vec: Mapping, scale=1) -> None:
@@ -120,6 +127,24 @@ def _cleared(terms: Mapping) -> tuple[dict, int]:
     """The coefficients as ints over one common denominator, and that denominator."""
     common = math.lcm(*(v.denominator for v in terms.values()))
     return {k: v.numerator * (common // v.denominator) for k, v in terms.items()}, common
+
+
+def _fractions(acc: dict, common: int) -> dict:
+    """A finished int sum divided by common: the nonzero entries, with one
+    Fraction per distinct value, shared by the keys that carry it."""
+    shared = {v: Fraction(v, common) for v in set(acc.values()) if v}
+    return {key: shared[v] for key, v in acc.items() if v}
+
+
+def _linear_sum(images: list) -> dict:
+    """The finished sum of coeff * vec / den over the (coeff, vec, den) in
+    images, each vec an int map over its int den: summed in ints over one
+    common denominator, as ``_bilinear`` sums."""
+    common = math.lcm(*(coeff.denominator * den for coeff, _, den in images))
+    acc: dict = {}
+    for coeff, vec, den in images:
+        _add_into(acc, vec, coeff.numerator * (common // (coeff.denominator * den)))
+    return _fractions(acc, common)
 
 
 def term_sort_key(comp: Composition):
@@ -275,7 +300,9 @@ class QSymElement:
         acc: dict[int, Fraction] = {}
         for comp, coeff in items:
             code = _index_code(basis, comp)
-            acc[code] = acc.get(code, 0) + _coerce_coeff(coeff)
+            coeff = _coerce_coeff(coeff)
+            old = acc.get(code)
+            acc[code] = coeff if old is None else old + coeff
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "_terms", _nonzero(acc))
 
@@ -285,7 +312,7 @@ class QSymElement:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def term(cls, basis: str, comp: Iterable[int], coeff=1) -> "QSymElement":
+    def term(cls, basis: str, comp: Iterable[int], coeff=_ONE) -> "QSymElement":
         """The one-term element coeff * basis_comp, checked as the constructor
         checks it: basis, then index, then coefficient."""
         comp = tuple(comp)
@@ -296,7 +323,7 @@ class QSymElement:
 
     @classmethod
     def unit(cls, basis: str) -> "QSymElement":
-        return cls(basis, [((), 1)])
+        return cls.term(basis, ())
 
     @classmethod
     def zero(cls, basis: str) -> "QSymElement":
@@ -391,14 +418,15 @@ class QSymElement:
     def map_terms(
         self, fn: Callable[[Composition], "QSymElement"], basis: str
     ) -> "QSymElement":
-        """Apply a basis-term map linearly; ``basis`` tags the (possibly zero) result."""
-        acc: dict[int, Fraction] = {}
-        for comp, coeff in self.terms.items():
-            image = fn(comp)
+        """Apply a basis-term map linearly; ``basis`` tags the (possibly zero) result.
+        The images are summed in ints by ``_linear_sum``."""
+        images = []
+        for code, coeff in self._terms.items():
+            image = fn(_composition_of_code(code))
             if image.basis != basis:
                 raise ValueError(f"term map returned basis {image.basis}, expected {basis}")
-            _add_into(acc, image._terms, coeff)
-        return _raw(basis, _nonzero(acc))
+            images.append((coeff, *_cleared(image._terms)))
+        return _raw(basis, _linear_sum(images))
 
     # -- serialization -------------------------------------------------------
 
@@ -458,7 +486,9 @@ class TensorElement:
         acc: dict[tuple[int, int], Fraction] = {}
         for (cl, cr), coeff in items:
             key = (_index_code(left, cl), _index_code(right, cr))
-            acc[key] = acc.get(key, 0) + _coerce_coeff(coeff)
+            coeff = _coerce_coeff(coeff)
+            old = acc.get(key)
+            acc[key] = coeff if old is None else old + coeff
         object.__setattr__(self, "bases", (left, right))
         object.__setattr__(self, "_terms", _nonzero(acc))
 
@@ -503,17 +533,19 @@ class TensorElement:
         right_fn: Callable[[Composition], QSymElement],
         bases: tuple[str, str],
     ) -> "TensorElement":
-        """Apply basis-term maps to both legs, linearly extended."""
-        acc: dict[tuple[int, int], Fraction] = {}
-        for (cl, cr), coeff in self.terms.items():
-            left = left_fn(cl)
-            right = right_fn(cr)
-            if (left.basis, right.basis) != tuple(bases):
+        """Apply basis-term maps to both legs, linearly extended; each leg
+        pair's tensor product is taken in ints and summed by ``_linear_sum``."""
+        bases = tuple(bases)
+        images = []
+        for (cl, cr), coeff in self._terms.items():
+            left = left_fn(_composition_of_code(cl))
+            right = right_fn(_composition_of_code(cr))
+            if (left.basis, right.basis) != bases:
                 raise ValueError("leg maps returned unexpected bases")
-            for l2, vl in left._terms.items():
-                for r2, vr in right._terms.items():
-                    acc[l2, r2] = acc.get((l2, r2), 0) + coeff * vl * vr
-        return _raw_tensor(tuple(bases), _nonzero(acc))
+            (tl, dl), (tr, dr) = _cleared(left._terms), _cleared(right._terms)
+            vec = {(l2, r2): vl * vr for l2, vl in tl.items() for r2, vr in tr.items()}
+            images.append((coeff, vec, dl * dr))
+        return _raw_tensor(bases, _linear_sum(images))
 
     def multiply_legs(self) -> QSymElement:
         """Multiply the two legs of every tensor and sum the results."""
@@ -624,8 +656,7 @@ def _bilinear(basis: str, pairs, common: int) -> QSymElement:
     acc: dict[int, int] = {}
     for ca, cb, coeff in pairs:
         _add_into(acc, _pair_walk(basis, ca, cb), coeff)
-    shared = {v: Fraction(v, common) for v in set(acc.values())}
-    return _raw(basis, {code: shared[v] for code, v in acc.items() if v})
+    return _raw(basis, _fractions(acc, common))
 
 
 def _pair_walk(basis: str, ca: int, cb: int) -> dict[int, int]:
@@ -640,10 +671,11 @@ def _pair_walk(basis: str, ca: int, cb: int) -> dict[int, int]:
     applied, and a state's sources are merged by ``dict.update`` wherever
     their top bits differ, since such maps share no mask.  Only two sources
     at the same size need a summing loop.  The walk keeps one grid row at a
-    time, and ``_bilinear`` sums its multiplicities in ints.  Each operand
-    is decoded once, to read its parts (L needs only the descent masks), and
-    the last state's masks get the top bit of the product's size.  Steps
-    per basis:
+    time besides the one it builds, and is refused when the two hold more
+    than ``_WALK_BUDGET`` entries (see ``_live_counter``); ``_bilinear``
+    sums its multiplicities in ints.  Each operand is decoded once, to read
+    its parts (L needs only the descent masks), and the last state's masks
+    get the top bit of the product's size.  Steps per basis:
 
     - M: alpha_i, beta_j, or the quasi-shuffle merge alpha_i + beta_j,
       each as a new part.  The two single steps into (i, j) cut at the same
@@ -671,6 +703,7 @@ def _pair_walk(basis: str, ca: int, cb: int) -> dict[int, int]:
     size_b = list(itertools.accumulate(beta, initial=0))
     l, m = len(alpha), len(beta)
     eta = basis == "eta"
+    live = _live_counter(basis, m, size_a[l] + size_b[m])
     # row[j] = (map at (i, j), that map with its cut), for the current i.
     above: list[tuple[dict[int, int], dict[int, int]]] = []
     for i in range(l + 1):
@@ -695,15 +728,41 @@ def _pair_walk(basis: str, ca: int, cb: int) -> dict[int, int]:
                 break
             cut = 1 << (size_a[i] + size_b[j] - 1)
             row.append((vec, {mask | cut: c for mask, c in vec.items()}))
+        if live:
+            live(row)
         above = row
     top = 1 << size_a[l] + size_b[m] - 1
     return {mask | top: c for mask, c in vec.items() if c}
+
+
+def _live_counter(basis: str, m: int, n: int):
+    """None when a walk with m + 1 states a row, to a product of size n,
+    cannot hold _WALK_BUDGET map entries: two rows of two maps a state, each
+    map with at most 2^(n-1) masks.  Otherwise a function to call with each
+    finished row (a list of pairs of maps, or of None), which counts the
+    entries of that row and the one before and refuses past the budget."""
+    if (m + 1) << n + 1 <= _WALK_BUDGET:
+        return None
+    before = 0
+
+    def count(row):
+        nonlocal before
+        now = sum(map(len, filter(None, itertools.chain.from_iterable(row))))
+        if before + now > _WALK_BUDGET:
+            raise ValueError(
+                f"the {basis} product in degree {n} holds {before + now} partial "
+                f"products at once, over the budget of {_WALK_BUDGET}"
+            )
+        before = now
+
+    return count
 
 
 def _shuffle_walk(ca: int, cb: int) -> dict[int, int]:
     """``_pair_walk`` in L: the shuffle product of two nonempty compositions."""
     l, m = ca.bit_length(), cb.bit_length()
     des_a, des_b = ca ^ 1 << l - 1, cb ^ 1 << m - 1
+    live = _live_counter("L", m, l + m)
     # row[j] = (the maps that step into (i+1, j) with a first-word letter,
     # and into (i, j+1) with a second-word letter), for the current i.
     above: list[tuple[dict[int, int], dict[int, int]]] = []
@@ -734,6 +793,8 @@ def _shuffle_walk(ca: int, cb: int) -> dict[int, int]:
                 else:
                     _add_into(to_b, last_b)
             row.append((to_a, to_b))
+        if live:
+            live(row)
         above = row
     out = dict(last_a)
     _add_into(out, last_b)
@@ -776,8 +837,7 @@ def coproduct(a: QSymElement) -> TensorElement:
         for k in range(code.bit_length() + 1):
             key = (code & (1 << k) - 1 | 1 << k >> 1, code >> k)
             sums[key] = sums.get(key, 0) + coeff
-    shared = {v: Fraction(v, common) for v in set(sums.values())}
-    return _raw_tensor(("L", "L"), {key: shared[v] for key, v in sums.items() if v})
+    return _raw_tensor(("L", "L"), _fractions(sums, common))
 
 
 def antipode(a: QSymElement) -> QSymElement:
@@ -825,6 +885,17 @@ _LATTICE = {
 }
 
 
+@lru_cache(maxsize=len(_LATTICE))
+def _int_lattice(source: str, target: str) -> tuple[tuple, int, int, int]:
+    """The ``_LATTICE`` entry (source, target) in ints: the matrix rows over
+    one common denominator, that denominator, and the scale's numerator and
+    denominator.  Built on first use, so the import builds no table."""
+    matrix, scale = _LATTICE[source, target]
+    den = math.lcm(*(x.denominator for row in matrix for x in row))
+    rows = tuple(tuple(int(x * den) for x in row) for row in matrix)
+    return rows, den, scale.numerator, scale.denominator
+
+
 def _over_budget(what: str, n: int, bound: int) -> ValueError:
     """The refusal of a transform whose degree-n image may reach ``bound``
     masks.  A bound of more than 20 digits is written as the power of two
@@ -861,10 +932,8 @@ def _lattice_transform(a: QSymElement, target: str, then: str | None = None) -> 
     before the first stage runs: in the first degree it would size, to L
     always, and to M unless that degree's coefficients sum to zero.
     """
-    matrix, scale = _LATTICE[a.basis, target]
+    rows, den, scale_num, scale_den = _int_lattice(a.basis, target)
     peaks = "K" in (a.basis, target)
-    den = math.lcm(*(x.denominator for row in matrix for x in row))
-    rows = [[int(x * den) for x in row] for row in matrix]
     by_degree: dict[int, dict[int, Fraction]] = {}
     for code, coeff in a._terms.items():
         n = code.bit_length()
@@ -896,9 +965,8 @@ def _lattice_transform(a: QSymElement, target: str, then: str | None = None) -> 
         else:
             vec = _yates_dict(vec, n - 1, rows)
             values, items = vec.values(), vec.items()
-        factor = Fraction(scale, common * den ** (n - 1))
-        num, denom = factor.numerator, factor.denominator
-        shared = {v: Fraction(v * num, denom) for v in set(values)}
+        denom = scale_den * common * den ** (n - 1)
+        shared = {v: Fraction(v * scale_num, denom) for v in set(values) if v}
         if peaks:
             out.update({_code_of_peaks(n, m): shared[v] for m, v in items if v})
         else:

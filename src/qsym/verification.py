@@ -6,8 +6,11 @@ full sweep bounds; the CLI can cap the bounds with --max-degree for a
 quicker run.  A sub-result that a check repeats is computed once per run,
 through a functools.cache made inside the check: nothing outlives the call.
 The chain checks memoise their comparison too, keyed by the element each
-case computed, so a case passes only on its own element's verdict; the
-shuffle check compares M-coefficients packed into one int per side.
+case computed, so a case passes only on its own element's verdict.  The
+shuffle and eta product checks compare M-coefficients packed into one int
+per side, each side a sum of int multiples of packed ints that the check
+computes once per call, with a field size bound that raises ValueError
+rather than let one field alias another.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .combinatorics import (
+    _code,
     _composition_of_code,
     compositions,
     contract,
@@ -50,6 +54,7 @@ from .core import (
 )
 from .expansion import (
     _int_sum,
+    _m_coefficients,
     _m_monomials,
     certify_equal,
     embed,
@@ -193,43 +198,83 @@ def check_basis_round_trip(max_degree: int | None = None) -> CheckResult:
     return r.result(f"basis round trips (n <= {top})", "round trips")
 
 
+_FIELD = 32  # bits per composition b in a packed sum of M-coefficients
+
+
+def _packed(coeffs: Mapping, slots: dict) -> int:
+    """{b: c_b} as one int: c_b in the signed _FIELD-bit field of b's slot,
+    each new b taking the next slot.  Two sums of int multiples of ints
+    packed with one slots dict are equal exactly when their fields are,
+    while every field stays below 2^(_FIELD - 1) in magnitude."""
+    return sum(c << _FIELD * slots.setdefault(b, len(slots)) for b, c in coeffs.items())
+
+
+def _packed_side(items, alpha: tuple, beta: tuple) -> int:
+    """One side of the case eta_alpha * eta_beta: the sum of k * packed over
+    the (k, (packed, largest |c_b|)) items, whose fields stay within the sum
+    of |k| * largest |c_b|.  A ValueError names the field when that bound
+    reaches 2^(_FIELD - 1), where a field could alias its neighbours."""
+    total = bound = 0
+    for k, (packed, mag) in items:
+        total += k * packed
+        bound += abs(k) * mag
+    if bound >> _FIELD - 1:
+        raise ValueError(
+            f"eta_{alpha} * eta_{beta}: M-coefficients up to {bound} "
+            f"can overflow a {_FIELD}-bit field"
+        )
+    return total
+
+
+def _packed_with_bound(coeffs: Mapping, slots: dict) -> tuple[int, int]:
+    """_packed(coeffs, slots) and the largest |c_b|, an item of _packed_side."""
+    return _packed(coeffs, slots), max(map(abs, coeffs.values()), default=0)
+
+
 def check_eta_product_rule(max_degree: int | None = None) -> CheckResult:
-    """Closed eta product rule vs the M quasi-shuffle, compared on M-coefficients.
+    """Closed eta product rule vs the M quasi-shuffle, compared on packed
+    M-coefficients.
 
     The closed side is eta_product(alpha, beta), whose coefficients on
-    x_1^b_1 ... x_k^b_k are read from the eta defining series.  The
-    reference side is the M quasi-shuffle of convert(eta_alpha, "M") and
-    convert(eta_beta, "M"), whose M coefficients are those same numbers:
-    each eta term is converted and each pair of M terms walked once per
-    call, and each product's multiplicities are summed in ints by code,
-    then decoded once.  Both sides are compared as {b: c_b} over one common
-    denominator.
+    x_1^b_1 ... x_k^b_k are read from the eta defining series of its terms.
+    The reference side is the M quasi-shuffle of convert(eta_alpha, "M") and
+    convert(eta_beta, "M"), whose M coefficients are those same numbers.
+    Within one call each eta term is converted to M, each eta term's series
+    packed and each pair of M terms walked and packed once, with one slot
+    per code(b) (see _packed).  Each side is then a sum of int multiples of
+    packed ints over one common denominator, so
+    equal packed sides are equal {b: c_b}; a case whose fields could reach
+    2^(_FIELD - 1) in magnitude raises ValueError (see _packed_side).
     """
     top = _cap(7, max_degree)
     r = _Recorder()
     in_m = functools.cache(lambda c: _cleared(convert(QSymElement.term("eta", c), "M")._terms))
-    walk = functools.cache(functools.partial(_pair_walk, "M"))
+    slots: dict = {}  # keyed by the code of b
+    walk = functools.cache(lambda ca, cb: _packed_with_bound(_pair_walk("M", ca, cb), slots))
 
-    def quasi_shuffle(ta, tb, scale):
-        """scale times the M product of two int maps {M term code: coeff},
-        as {b: c_b}."""
-        acc: dict = {}
-        for ca, va in ta.items():
-            for cb, vb in tb.items():
-                _add_into(acc, walk(ca, cb), va * vb)
-        return {_composition_of_code(code): c * scale for code, c in acc.items() if c}
+    @functools.cache
+    def series(code):
+        coeffs = _m_coefficients("eta", _composition_of_code(code))
+        return _packed_with_bound({_code(b): c for b, c in coeffs.items()}, slots)
 
     for total in range(top + 1):
         for na in range(total + 1):
             for alpha, beta in itertools.product(compositions(na), compositions(total - na)):
                 (ta, da), (tb, db) = in_m(alpha), in_m(beta)
-                direct = eta_product(alpha, beta)
-                common = math.lcm(da * db, *(c.denominator for c in direct.terms.values()))
-                r.check(
-                    _int_sum(direct, common)
-                    == quasi_shuffle(ta, tb, common // (da * db)),
-                    "eta_{} * eta_{}", alpha, beta,
+                direct = eta_product(alpha, beta)._terms
+                common = math.lcm(da * db, *(c.denominator for c in direct.values()))
+                scale = common // (da * db)
+                closed = _packed_side(
+                    ((c.numerator * (common // c.denominator), series(code))
+                     for code, c in direct.items()),
+                    alpha, beta,
                 )
+                reference = _packed_side(
+                    ((va * vb * scale, walk(ca, cb))
+                     for ca, va in ta.items() for cb, vb in tb.items()),
+                    alpha, beta,
+                )
+                r.check(closed == reference, "eta_{} * eta_{}", alpha, beta)
     return r.result(f"eta product rule (|a|+|b| <= {top})", "products certified")
 
 
@@ -363,20 +408,10 @@ def check_specializations(max_degree: int | None = None) -> CheckResult:
     return r.result(f"P-partition specializations (n <= {top})", "specializations")
 
 
-_FIELD = 16  # bits per composition b in a packed sum of M-coefficients
-
-
-def _packed(coeffs: dict, slots: dict) -> int:
-    """{b: c_b} as one int: c_b in the _FIELD-bit field of b's slot, each new
-    b taking the next slot.  Sums of packed ints add field by field while
-    every field stays in 0 .. 2^_FIELD - 1."""
-    return sum(c << _FIELD * slots.setdefault(b, len(slots)) for b, c in coeffs.items())
-
-
 def _packed_product(terms: Mapping, mags: tuple, slots: dict) -> int | None:
     """A polynomial {monomial: coeff} over the variables mags = (1, ..., k),
     packed as its M-coefficients; None when it is not sum c_b M_b with
-    every c_b an int in 1 .. 2^_FIELD - 1.
+    every c_b an int in 1 .. 2^(_FIELD - 1) - 1.
 
     c_b is read from the leading monomial x_1^b_1 ... x_j^b_j; a coefficient
     outside its field is refused before it could borrow from or carry into
@@ -386,7 +421,7 @@ def _packed_product(terms: Mapping, mags: tuple, slots: dict) -> int | None:
     coeffs = {}
     for mono, c in terms.items():
         if not mono or mono[-1][0] == len(mono):
-            if c.denominator != 1 or not 0 < c < 1 << _FIELD:
+            if c.denominator != 1 or not 0 < c < 1 << _FIELD - 1:
                 return None
             coeffs[tuple(e for _, e in mono)] = c.numerator
     written = {mono: c for b, c in coeffs.items() for mono in _m_monomials(b, mags)}
@@ -396,11 +431,11 @@ def _packed_product(terms: Mapping, mags: tuple, slots: dict) -> int | None:
 def check_shuffle_products(max_degree: int | None = None) -> CheckResult:
     """Chain generating functions multiply by (co)shuffling, at both alphabets.
 
-    Both sides are compared as M-coefficients packed into one int (slots
-    assigned within this call), which is the same as comparing the
-    polynomials.  The left side is poly_mul of the two chain functions, once
-    per pair of chain keys (up-down pattern and weights) and alphabet,
-    through _packed_product.  The right side adds one packed int per word,
+    Both sides are compared as M-coefficients packed into one int (see
+    _packed; slots assigned within this call), which is the same as
+    comparing the polynomials.  The left side is poly_mul of the two chain
+    functions, once per pair of chain keys (up-down pattern and weights)
+    and alphabet, through _packed_product.  The right side adds one packed int per word,
     each chain key's packed once; every c_b of a chain is at most 2^nvars,
     so a list of chains that could overflow a field is refused with a
     ValueError.
@@ -424,7 +459,7 @@ def check_shuffle_products(max_degree: int | None = None) -> CheckResult:
         return _packed(_chain_m_terms(ups, ws, zs), slots)
 
     def rhs(chains, zs):
-        if len(chains) << nvars >= 1 << _FIELD:
+        if len(chains) << nvars >= 1 << _FIELD - 1:
             raise ValueError(
                 f"{len(chains)} chain functions in {nvars} variables "
                 f"can overflow a {_FIELD}-bit field"

@@ -8,12 +8,13 @@ import io
 import itertools
 import json
 import pathlib
+import re
 import sys
 from fractions import Fraction
 
 import pytest
 
-from qsym import cli
+from qsym import cli, core
 from qsym.cli import (
     ElementParseError,
     build_parser,
@@ -640,9 +641,10 @@ def test_shuffle_check_fails_a_product_coefficient_outside_its_field(monkeypatch
 
 
 def test_packed_product_refuses_what_would_alias():
-    """c_(1) = 1, c_(2) = 2 packs to 1 + 2 * 2^16, and so do the field
-    overflows (1 + 2^16, 1) and (1 - 2^16, 3): those are refused, as are a
-    zero, a fraction and a product that is not sum c_b M_b."""
+    """c_(1) = 1, c_(2) = 2 packs to 1 + 2 * 2^32, and so do the field
+    overflows (1 + 2^32, 1) and (1 - 2^32, 3): those are refused, as are a
+    coefficient of 2^31, past the signed field, a zero, a fraction and a
+    product that is not sum c_b M_b."""
     mags = (1, 2, 3)
     slots = {(1,): 0, (2,): 1}
 
@@ -653,25 +655,58 @@ def test_packed_product_refuses_what_would_alias():
         }
 
     packed = verification._packed_product
-    assert packed(poly(1, 2), mags, slots) == 1 + (2 << 16)
-    for c1, c2 in [(1 + (1 << 16), 1), (1 - (1 << 16), 3)]:
-        assert verification._packed({(1,): c1, (2,): c2}, slots) == 1 + (2 << 16)
+    assert packed(poly(1, 2), mags, slots) == 1 + (2 << 32)
+    for c1, c2 in [(1 + (1 << 32), 1), (1 - (1 << 32), 3)]:
+        assert verification._packed({(1,): c1, (2,): c2}, slots) == 1 + (2 << 32)
         assert packed(poly(c1, c2), mags, slots) is None
+    assert packed(poly((1 << 31) - 1, 2), mags, slots) == (1 << 31) - 1 + (2 << 32)
+    assert packed(poly(1 << 31, 2), mags, slots) is None
     assert packed(poly(0, 2), mags, slots) is None
     assert packed(poly(Fraction(1, 2), 2), mags, slots) is None
-    assert packed(poly(Fraction(4, 4), 2), mags, slots) == 1 + (2 << 16)
+    assert packed(poly(Fraction(4, 4), 2), mags, slots) == 1 + (2 << 32)
     assert packed({**poly(1, 2), ((2, 1),): 2}, mags, slots) is None
     assert packed({**poly(1, 2), ((3, 5),): 1}, mags, slots) is None
     assert slots == {(1,): 0, (2,): 1}
 
 
 def test_a_chain_list_too_long_for_its_fields_is_refused(monkeypatch):
-    """c_b <= 2^4 per chain in 4 variables, so 4096 chains could fill a
-    16-bit field."""
+    """c_b <= 2^4 per chain in 4 variables, so 2^27 chains could fill a
+    signed 32-bit field, too many to build here; at a field of 16 bits,
+    2^11 could, and 4096 are refused."""
+    monkeypatch.setattr(verification, "_FIELD", 16)
     real = verification.shuffles
     monkeypatch.setattr(verification, "shuffles", lambda pi, sigma: real(pi, sigma) * 2048)
     with pytest.raises(ValueError, match="4096 chain functions .* overflow a 16-bit field"):
         verification.check_shuffle_products()
+
+
+def test_eta_product_sides_too_large_for_their_fields_are_refused(monkeypatch):
+    """A side's fields are bounded by the sum of |multiple| times the largest
+    |c_b| of what it multiplies, which must stay below 2^31 in a signed
+    32-bit field: eta_() * eta_() scaled by 2^31 reaches it on the closed
+    side, and both M images of eta_() scaled by 2^16 on the reference side.
+    Past the bound, fields alias: (1 + 2^32, 1) packs as (1, 2)."""
+    assert verification._FIELD == 32
+    slots = {0: 0, 1: 1, 2: 2}
+    packed = lambda coeffs: verification._packed_with_bound(coeffs, slots)
+    assert packed({0: 1 + (1 << 32), 1: 1})[0] == packed({0: 1, 1: 2})[0]
+    assert packed({1: 3, 2: -5}) == ((3 << 32) - (5 << 64), 5)
+    side = verification._packed_side
+    assert side([(1, packed({0: (1 << 31) - 1}))], (), ()) == (1 << 31) - 1
+    assert side([(3, (7, 2)), (-2, (5, 1))], (), ()) == 11
+    message = r"eta_\(\) \* eta_\(\): M-coefficients up to 2147483648 can overflow a 32-bit field"
+    with pytest.raises(ValueError, match=message):
+        side([(1, (0, 1 << 30)), (-1, (0, 1 << 30))], (), ())
+    real_product, real_convert = verification.eta_product, verification.convert
+    monkeypatch.setattr(
+        verification, "eta_product", lambda a, b: real_product(a, b).scale(1 << 31)
+    )
+    with pytest.raises(ValueError, match=message):
+        verification.check_eta_product_rule()
+    monkeypatch.setattr(verification, "eta_product", real_product)
+    monkeypatch.setattr(verification, "convert", _m_image_scaled(real_convert, 1 << 16))
+    with pytest.raises(ValueError, match=message.replace("2147483648", "4294967296")):
+        verification.check_eta_product_rule()
 
 
 def _m_image_scaled(real, factor, length=None):
@@ -898,6 +933,21 @@ def test_help_and_usage_errors_are_byte_identical(monkeypatch, capsys, argv, str
         texts.append(getattr(capsys.readouterr(), stream))
     assert texts[0] == texts[1]
     assert texts[0].encode() == (_DATA / name).read_bytes()
+
+
+def test_cli_refuses_a_product_past_the_walk_budget(monkeypatch, capsys):
+    """(1^16)(1^16) in M is refused at the real budget (a CI step runs it);
+    here a budget of 100 refuses (1^6)(1^6) with the same error: line."""
+    monkeypatch.setattr(core, "_WALK_BUDGET", 100)
+    ones = ",".join(["1"] * 6)
+    assert main(["multiply", f"M[{ones}]", f"M[{ones}]"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(
+        "error: the M product in degree 12 holds [0-9]+ partial products at once, "
+        "over the budget of 100\n",
+        captured.err,
+    )
 
 
 def test_cli_refuses_routed_K_conversions_and_huge_bounds_at_once(capsys):

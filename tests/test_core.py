@@ -806,6 +806,132 @@ def test_inhomogeneous_conversions_and_L_coproducts_are_sums_over_terms(basis):
             _one_fraction_per_value(cop.terms.values())
 
 
+def _by_fractions(elem, fn):
+    """map_terms taken entry by entry in Fractions."""
+    acc = {}
+    for comp, coeff in elem.terms.items():
+        for image_comp, v in fn(comp).terms.items():
+            acc[image_comp] = acc.get(image_comp, 0) + coeff * v
+    return {c: v for c, v in acc.items() if v}
+
+
+def _legs_by_fractions(tensor, left_fn, right_fn):
+    """map_legs taken entry by entry in Fractions."""
+    acc = {}
+    for (cl, cr), coeff in tensor.terms.items():
+        for l2, vl in left_fn(cl).terms.items():
+            for r2, vr in right_fn(cr).terms.items():
+                acc[l2, r2] = acc.get((l2, r2), 0) + coeff * vl * vr
+    return {key: v for key, v in acc.items() if v}
+
+
+def _seeded_map(rng, basis):
+    """A term map with seeded images: rational coefficients of both signs
+    and mixed denominators, some images zero, and one image negated so that
+    two terms can cancel.  Each composition's image is drawn once."""
+    images = {}
+
+    def fn(comp):
+        if comp not in images:
+            pick = rng.randrange(5)
+            if pick == 0:
+                images[comp] = QSymElement.zero(basis)
+            elif pick == 1 and images:
+                images[comp] = -images[rng.choice(sorted(images))]
+            else:
+                images[comp] = _inhomogeneous(basis, rng)
+        return images[comp]
+
+    return fn
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_linear_extensions_sum_as_fractions_do(seed):
+    """map_terms and map_legs sum in ints over one denominator: the same
+    terms as the entry-by-entry Fraction sums, every coefficient a nonzero
+    Fraction, equal ones one object."""
+    rng = random.Random(f"linear/{seed}")
+    for basis in ("M", "L", "eta"):
+        elem = _inhomogeneous(basis, rng)
+        fn = _seeded_map(rng, "M")
+        got = elem.map_terms(fn, "M")
+        assert got.basis == "M" and dict(got.terms) == _by_fractions(elem, fn)
+        _one_fraction_per_value(got.terms.values())
+        tensor = coproduct(elem)
+        left, right = _seeded_map(rng, "eta"), _seeded_map(rng, "L")
+        legs = tensor.map_legs(left, right, ["eta", "L"])
+        assert legs.bases == ("eta", "L")
+        assert dict(legs.terms) == _legs_by_fractions(tensor, left, right)
+        _one_fraction_per_value(legs.terms.values())
+
+
+def test_linear_extensions_of_cancelling_and_empty_inputs():
+    """Sums that cancel entirely, zero images and empty inputs give the zero
+    element with the asked basis; a wrong image basis is still refused."""
+    half, third = Fraction(1, 2), Fraction(-1, 3)
+    image = QSymElement("M", {(1, 1): third, (2,): half})
+    same = lambda c: image
+    elem = QSymElement("L", {(1,): half, (2,): -half})
+    assert elem.map_terms(same, "M") == QSymElement.zero("M")
+    tensor = TensorElement(("L", "L"), {((1,), ()): 3, ((), (1,)): -3})
+    assert tensor.map_legs(same, same, ("M", "M")) == TensorElement(("M", "M"))
+    assert elem.map_terms(lambda c: QSymElement.zero("K"), "K") == QSymElement.zero("K")
+    assert QSymElement.zero("eta").map_terms(same, "M") == QSymElement.zero("M")
+    assert TensorElement(("L", "M")).map_legs(same, same, ("M", "M")).is_zero
+    with pytest.raises(ValueError, match="term map returned basis M, expected L"):
+        elem.map_terms(same, "L")
+    with pytest.raises(ValueError, match="leg maps returned unexpected bases"):
+        tensor.map_legs(same, same, ("M", "L"))
+
+
+def test_linear_extensions_build_one_fraction_per_distinct_value(monkeypatch):
+    """With the images built beforehand, map_terms and map_legs construct
+    exactly one Fraction per distinct coefficient of their result."""
+    rng = random.Random(29)
+    elem = _inhomogeneous("M", rng)
+    tensor = coproduct(elem)
+    comps = set(elem.terms) | {comp for pair in tensor.terms for comp in pair}
+    images = {comp: _inhomogeneous("eta", rng) for comp in comps}
+    built = []
+    real = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return real(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    got = elem.map_terms(images.__getitem__, "eta")
+    mapped = len(built)
+    legs = tensor.map_legs(images.__getitem__, images.__getitem__, ("eta", "eta"))
+    monkeypatch.undo()
+    assert mapped == len(set(got.terms.values())) > 1
+    assert len(built) - mapped == len(set(legs.terms.values())) > 1
+
+
+def test_product_walks_are_refused_past_the_walk_budget(monkeypatch):
+    """A walk that could hold more than _WALK_BUDGET map entries counts its
+    two live grid rows after each row.  At a budget of 100, (1^3)(1^3) is
+    counted and holds at most 60, so it runs; (1^6)(1^6) holds over 800 in
+    every basis and is refused; (1)(1,1) can hold at most 48 and is not
+    counted."""
+    assert core._WALK_BUDGET == 1 << 24
+    ones = {k: (1,) * k for k in (1, 2, 3, 6)}
+    want = {
+        basis: [multiply(QSymElement.term(basis, ones[a]), QSymElement.term(basis, ones[b]))
+                for a, b in ((3, 3), (1, 2))]
+        for basis in ("M", "L", "eta")
+    }
+    monkeypatch.setattr(core, "_WALK_BUDGET", 100)
+    assert core._live_counter("M", 2, 3) is None
+    assert core._live_counter("M", 3, 6) is not None
+    for basis, products in want.items():
+        term = lambda k: QSymElement.term(basis, ones[k])
+        assert [multiply(term(3), term(3)), multiply(term(1), term(2))] == products
+        message = f"the {basis} product in degree 12 holds [0-9]+ partial products at once, "
+        with pytest.raises(ValueError, match=message + "over the budget of 100$"):
+            multiply(term(6), term(6))
+
+
 def test_L_product_through_M():
     prod = multiply(L(1), L(1))
     assert prod == QSymElement("L", {(1, 1): 1, (2,): 1})
