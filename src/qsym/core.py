@@ -70,8 +70,8 @@ carry it share.
 Conversions and antipodes are sized before they run, and refused past
 ``_MASK_BUDGET`` output masks in one degree.  Products are sized while they
 run: a pair walk that could hold more than ``_WALK_BUDGET`` map entries
-counts the entries of its two live grid rows once per row, and is refused
-past the budget.
+keeps a running count of the entries of its two live grid rows, state by
+state, and is refused as soon as it passes the budget.
 """
 
 from __future__ import annotations
@@ -81,7 +81,7 @@ import math
 import operator
 from collections.abc import Callable, ItemsView, Iterable, Mapping
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 
 from .combinatorics import (
     Composition,
@@ -127,6 +127,17 @@ def _cleared(terms: Mapping) -> tuple[dict, int]:
     """The coefficients as ints over one common denominator, and that denominator."""
     common = math.lcm(*(v.denominator for v in terms.values()))
     return {k: v.numerator * (common // v.denominator) for k, v in terms.items()}, common
+
+
+def _int_terms(elem: "QSymElement") -> tuple[dict, int]:
+    """``_cleared(elem._terms)``, computed once per element and kept on it:
+    the element is immutable, so an image that a term map returns from its
+    own cache is cleared once however often it is mapped."""
+    try:
+        return elem._ints
+    except AttributeError:
+        object.__setattr__(elem, "_ints", _cleared(elem._terms))
+        return elem._ints
 
 
 def _fractions(acc: dict, common: int) -> dict:
@@ -289,10 +300,11 @@ class QSymElement:
     Values are immutable; all arithmetic returns new elements.  Equality is
     per-basis dictionary equality; use expansion.certify_equal to compare
     elements expressed in different bases.  ``_terms`` is keyed by the codes
-    of the compositions (see ``combinatorics``).
+    of the compositions (see ``combinatorics``); ``_ints`` holds them cleared
+    to ints once ``_int_terms`` has been asked.
     """
 
-    __slots__ = ("basis", "_terms")
+    __slots__ = ("basis", "_terms", "_ints")
 
     def __init__(self, basis: str, terms: Mapping | Iterable = ()):
         _check_basis(basis)
@@ -534,15 +546,25 @@ class TensorElement:
         bases: tuple[str, str],
     ) -> "TensorElement":
         """Apply basis-term maps to both legs, linearly extended; each leg
-        pair's tensor product is taken in ints and summed by ``_linear_sum``."""
+        pair's tensor product is taken in ints and summed by ``_linear_sum``.
+        Each distinct leg code is decoded and mapped once per call, and each
+        image is cleared once (see ``_int_terms``)."""
         bases = tuple(bases)
+
+        def leg(fn, basis):
+            @cache
+            def image(code):
+                out = fn(_composition_of_code(code))
+                if out.basis != basis:
+                    raise ValueError("leg maps returned unexpected bases")
+                return _int_terms(out)
+
+            return image
+
+        left, right = (leg(fn, basis) for fn, basis in zip((left_fn, right_fn), bases))
         images = []
         for (cl, cr), coeff in self._terms.items():
-            left = left_fn(_composition_of_code(cl))
-            right = right_fn(_composition_of_code(cr))
-            if (left.basis, right.basis) != bases:
-                raise ValueError("leg maps returned unexpected bases")
-            (tl, dl), (tr, dr) = _cleared(left._terms), _cleared(right._terms)
+            (tl, dl), (tr, dr) = left(cl), right(cr)
             vec = {(l2, r2): vl * vr for l2, vl in tl.items() for r2, vr in tr.items()}
             images.append((coeff, vec, dl * dr))
         return _raw_tensor(bases, _linear_sum(images))
@@ -728,8 +750,10 @@ def _pair_walk(basis: str, ca: int, cb: int) -> dict[int, int]:
                 break
             cut = 1 << (size_a[i] + size_b[j] - 1)
             row.append((vec, {mask | cut: c for mask, c in vec.items()}))
+            if live:
+                live(*row[-1])
         if live:
-            live(row)
+            live()
         above = row
     top = 1 << size_a[l] + size_b[m] - 1
     return {mask | top: c for mask, c in vec.items() if c}
@@ -738,22 +762,27 @@ def _pair_walk(basis: str, ca: int, cb: int) -> dict[int, int]:
 def _live_counter(basis: str, m: int, n: int):
     """None when a walk with m + 1 states a row, to a product of size n,
     cannot hold _WALK_BUDGET map entries: two rows of two maps a state, each
-    map with at most 2^(n-1) masks.  Otherwise a function to call with each
-    finished row (a list of pairs of maps, or of None), which counts the
-    entries of that row and the one before and refuses past the budget."""
+    map with at most 2^(n-1) masks.  Otherwise a function to call with the
+    two maps (or None) of each state the walk stores after its start, and
+    with no maps when a row is finished.  It keeps a running count of the
+    row before and the current row so far, and refuses as soon as that
+    passes the budget, so within one state's maps of it.  A finished row's
+    count is the two rows' total, as a count taken once per row was."""
     if (m + 1) << n + 1 <= _WALK_BUDGET:
         return None
-    before = 0
+    before = now = 0
 
-    def count(row):
-        nonlocal before
-        now = sum(map(len, filter(None, itertools.chain.from_iterable(row))))
+    def count(*maps):
+        nonlocal before, now
+        if not maps:
+            before, now = now, 0
+            return
+        now += sum(map(len, filter(None, maps)))
         if before + now > _WALK_BUDGET:
             raise ValueError(
                 f"the {basis} product in degree {n} holds {before + now} partial "
                 f"products at once, over the budget of {_WALK_BUDGET}"
             )
-        before = now
 
     return count
 
@@ -793,8 +822,10 @@ def _shuffle_walk(ca: int, cb: int) -> dict[int, int]:
                 else:
                     _add_into(to_b, last_b)
             row.append((to_a, to_b))
+            if live:
+                live(to_a, to_b)
         if live:
-            live(row)
+            live()
         above = row
     out = dict(last_a)
     _add_into(out, last_b)

@@ -96,16 +96,10 @@ class TruncatedPoly:
         return Fraction(self.terms.get(tuple(tuple(p) for p in key), 0))
 
     def sorted_terms(self) -> list:
-        """Terms in graded lexicographic order (by degree, then x1 > x2 > ...).
-
-        Within one degree no sparse key is a prefix of another, so comparing
-        the (variable, -exponent) pairs orders the keys as their dense
-        exponent vectors would, without building one per term.
-        """
-        return sorted(
-            self.terms.items(),
-            key=lambda kv: (_mono_degree(kv[0]), [(v, -e) for v, e in kv[0]]),
-        )
+        """Terms in graded lexicographic order (by degree, then x1 > x2 > ...),
+        each monomial keyed once by ``_grlex_key``."""
+        terms = self.terms
+        return [(key, terms[key]) for key in sorted(terms, key=_grlex_key)]
 
     def __repr__(self):
         if not self.terms:
@@ -121,6 +115,17 @@ class TruncatedPoly:
                 for key, c in self.sorted_terms()
             ],
         }
+
+
+@lru_cache(maxsize=4096)
+def _grlex_key(key: Monomial) -> tuple:
+    """The graded lexicographic sort key of a monomial: its degree, then its
+    (variable, -exponent) pairs.  Within one degree no sparse key is a
+    prefix of another, so comparing the pairs orders the keys as their
+    dense exponent vectors would, without building one per term.  Memoized,
+    as ``_pack`` is: the polynomials a session writes share their monomials.
+    """
+    return _mono_degree(key), tuple((v, -e) for v, e in key)
 
 
 def _raw_poly(nvars: int, degree: int, acc: dict) -> TruncatedPoly:

@@ -41,7 +41,6 @@ from .combinatorics import (
     check_composition,
     check_permutation,
     coshuffles,
-    peak_set_of_permutation,
     subsets,
 )
 from .core import QSymElement, _raw
@@ -676,8 +675,10 @@ def universal_to_eta(pi: Iterable[int], alpha: Iterable[int]) -> QSymElement:
     # and i.  The peaks of a permutation are interior and no two are
     # adjacent, so every subset of them contracts, and distinct subsets
     # clear distinct bits: each index comes from one subset, with its sign.
+    # The peaks are read from the checked word, not checked again.
     ends = [1 << s - 1 for s in itertools.accumulate(parts)]
-    cuts = [ends[i - 2] | ends[i - 1] for i in peak_set_of_permutation(word)]
+    peaks = (i for i in range(2, len(word)) if word[i - 2] < word[i - 1] > word[i])
+    cuts = [ends[i - 2] | ends[i - 1] for i in peaks]
     code = sum(ends)
     return _raw("eta", {code ^ sum(chosen): _SIGNS[len(chosen) % 2] for chosen in subsets(cuts)})
 

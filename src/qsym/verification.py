@@ -4,13 +4,16 @@ Every check runs exact arithmetic at desk scale and reports pass/fail with
 counterexamples.  The acceptance tests call the same functions at their
 full sweep bounds; the CLI can cap the bounds with --max-degree for a
 quicker run.  A sub-result that a check repeats is computed once per run,
-through a functools.cache made inside the check: nothing outlives the call.
+through a functools.cache made inside the check (or a dict, where the
+first case that needs a packed side names it): nothing outlives the call.
 The chain checks memoise their comparison too, keyed by the element each
 case computed, so a case passes only on its own element's verdict.  The
 shuffle and eta product checks compare M-coefficients packed into one int
 per side, each side a sum of int multiples of packed ints that the check
 computes once per call, with a field size bound that raises ValueError
-rather than let one field alias another.
+rather than let one field alias another.  Both take their reference side
+from the M quasi-shuffle of the factors' M-coefficients, one _pair_walk
+per pair of codes.
 """
 
 from __future__ import annotations
@@ -55,7 +58,6 @@ from .core import (
 from .expansion import (
     _int_sum,
     _m_coefficients,
-    _m_monomials,
     certify_equal,
     embed,
     expand,
@@ -63,7 +65,6 @@ from .expansion import (
 )
 from .ppartitions import (
     _chain_m_terms,
-    _gamma_chain,
     _ups,
     coshuffle_product,
     positive_alphabet,
@@ -209,18 +210,18 @@ def _packed(coeffs: Mapping, slots: dict) -> int:
     return sum(c << _FIELD * slots.setdefault(b, len(slots)) for b, c in coeffs.items())
 
 
-def _packed_side(items, alpha: tuple, beta: tuple) -> int:
-    """One side of the case eta_alpha * eta_beta: the sum of k * packed over
-    the (k, (packed, largest |c_b|)) items, whose fields stay within the sum
-    of |k| * largest |c_b|.  A ValueError names the field when that bound
-    reaches 2^(_FIELD - 1), where a field could alias its neighbours."""
+def _packed_side(items, describe: str, *args) -> int:
+    """One side of a case: the sum of k * packed over the (k, (packed,
+    largest |c_b|)) items, whose fields stay within the sum of |k| * largest
+    |c_b|.  A ValueError names the case, describe.format(*args), when that
+    bound reaches 2^(_FIELD - 1), where a field could alias its neighbours."""
     total = bound = 0
     for k, (packed, mag) in items:
         total += k * packed
         bound += abs(k) * mag
     if bound >> _FIELD - 1:
         raise ValueError(
-            f"eta_{alpha} * eta_{beta}: M-coefficients up to {bound} "
+            f"{describe.format(*args)}: M-coefficients up to {bound} "
             f"can overflow a {_FIELD}-bit field"
         )
     return total
@@ -267,12 +268,12 @@ def check_eta_product_rule(max_degree: int | None = None) -> CheckResult:
                 closed = _packed_side(
                     ((c.numerator * (common // c.denominator), series(code))
                      for code, c in direct.items()),
-                    alpha, beta,
+                    "eta_{} * eta_{}", alpha, beta,
                 )
                 reference = _packed_side(
                     ((va * vb * scale, walk(ca, cb))
                      for ca, va in ta.items() for cb, vb in tb.items()),
-                    alpha, beta,
+                    "eta_{} * eta_{}", alpha, beta,
                 )
                 r.check(closed == reference, "eta_{} * eta_{}", alpha, beta)
     return r.result(f"eta product rule (|a|+|b| <= {top})", "products certified")
@@ -408,55 +409,39 @@ def check_specializations(max_degree: int | None = None) -> CheckResult:
     return r.result(f"P-partition specializations (n <= {top})", "specializations")
 
 
-def _packed_product(terms: Mapping, mags: tuple, slots: dict) -> int | None:
-    """A polynomial {monomial: coeff} over the variables mags = (1, ..., k),
-    packed as its M-coefficients; None when it is not sum c_b M_b with
-    every c_b an int in 1 .. 2^(_FIELD - 1) - 1.
-
-    c_b is read from the leading monomial x_1^b_1 ... x_j^b_j; a coefficient
-    outside its field is refused before it could borrow from or carry into
-    a neighbour, and the c_b are packed only if writing each back onto
-    every monomial of M_b gives terms exactly.
-    """
-    coeffs = {}
-    for mono, c in terms.items():
-        if not mono or mono[-1][0] == len(mono):
-            if c.denominator != 1 or not 0 < c < 1 << _FIELD - 1:
-                return None
-            coeffs[tuple(e for _, e in mono)] = c.numerator
-    written = {mono: c for b, c in coeffs.items() for mono in _m_monomials(b, mags)}
-    return _packed(coeffs, slots) if written == terms else None
-
-
 def check_shuffle_products(max_degree: int | None = None) -> CheckResult:
     """Chain generating functions multiply by (co)shuffling, at both alphabets.
 
-    Both sides are compared as M-coefficients packed into one int (see
-    _packed; slots assigned within this call), which is the same as
-    comparing the polynomials.  The left side is poly_mul of the two chain
-    functions, once per pair of chain keys (up-down pattern and weights)
-    and alphabet, through _packed_product.  The right side adds one packed int per word,
-    each chain key's packed once; every c_b of a chain is at most 2^nvars,
-    so a list of chains that could overflow a field is refused with a
-    ValueError.
+    Both sides are compared as M-coefficients {code(b): c_b} packed into one
+    int (see _packed; slots assigned within this call), which is the same as
+    comparing the chain functions in nvars variables.  Each chain key
+    (up-down pattern, weights, alphabet) is read from _chain_m_terms once.
+    The left side multiplies the two chain functions by the M quasi-shuffle,
+    the eta product rule's reference: the sum of c_a * c_b * _pair_walk("M",
+    a, b) over their terms, each walk cut down to the b with at most nvars
+    parts (the M_b that survive in nvars variables) and packed once per
+    call.  Each left side is summed by _packed_side once per pair of chain
+    keys and kept in a dict, so that the first case that needs it names an
+    overflow.  The right side, the rule under test, adds one packed int per
+    word, each chain key's packed once; every c_b of a chain is at most
+    2^nvars, so a list of chains that could overflow a field is refused
+    with a ValueError.
     """
     top = _cap(6, max_degree)
     nvars = 4
     alphabets = (positive_alphabet(nvars), signed_alphabet(nvars))
-    mags = positive_alphabet(nvars)  # the magnitudes of both alphabets
-    slots: dict = {}
+    slots: dict = {}  # keyed by the code of b
+    left: dict = {}  # (chain keys, alphabet) -> packed left side
     r = _Recorder()
+    terms = functools.cache(
+        lambda ups, ws, zs: {_code(b): c for b, c in _chain_m_terms(ups, ws, zs).items()}
+    )
+    chain = functools.cache(lambda ups, ws, zs: _packed(terms(ups, ws, zs), slots))
 
     @functools.cache
-    def lhs(ups_pi, alpha, ups_sigma, beta, zs):
-        product = poly_mul(
-            _gamma_chain(ups_pi, alpha, zs, nvars), _gamma_chain(ups_sigma, beta, zs, nvars)
-        )
-        return _packed_product(product.terms, mags, slots)
-
-    @functools.cache
-    def chain(ups, ws, zs):
-        return _packed(_chain_m_terms(ups, ws, zs), slots)
+    def walk(ca, cb):
+        out = _pair_walk("M", ca, cb)
+        return _packed_with_bound({c: v for c, v in out.items() if c.bit_count() <= nvars}, slots)
 
     def rhs(chains, zs):
         if len(chains) << nvars >= 1 << _FIELD - 1:
@@ -468,7 +453,14 @@ def check_shuffle_products(max_degree: int | None = None) -> CheckResult:
 
     def check(keys, chains, describe, *args):
         for zs in alphabets:
-            r.check(lhs(*keys, zs) == rhs(chains, zs), describe, *args, len(zs))
+            case = (*args, len(zs))
+            if (keys, zs) not in left:
+                ta, tb = terms(*keys[:2], zs), terms(*keys[2:], zs)
+                left[keys, zs] = _packed_side(
+                    ((va * vb, walk(ca, cb)) for ca, va in ta.items() for cb, vb in tb.items()),
+                    describe, *case,
+                )
+            r.check(left[keys, zs] == rhs(chains, zs), describe, *case)
 
     for n in range(1, top):
         for m in range(1, top - n + 1):

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from qsym import cli, core
+from qsym import cli, core, ppartitions
 from qsym.cli import (
     ElementParseError,
     build_parser,
@@ -25,11 +25,17 @@ from qsym.cli import (
     parse_element,
     parse_permutation,
 )
-from qsym.combinatorics import compositions
+from qsym.combinatorics import _code, compositions
 from qsym.core import QSymElement, convert, coproduct
 from qsym import verification
-from qsym.expansion import TruncatedPoly, _m_monomials, poly_scale
-from qsym.ppartitions import _gamma_chain, _ups, positive_alphabet
+from qsym.expansion import TruncatedPoly, _m_monomials, poly_mul, poly_scale
+from qsym.ppartitions import (
+    _chain_m_terms,
+    _gamma_chain,
+    _ups,
+    positive_alphabet,
+    signed_alphabet,
+)
 from qsym.verification import check_eta_coproduct, check_specializations
 
 from cli_session import CLI_SESSION
@@ -483,7 +489,8 @@ def test_specializations_expand_nothing(monkeypatch):
         raise AssertionError("check_specializations expanded or built a polynomial")
 
     monkeypatch.setattr(verification, "expand", refuse)
-    monkeypatch.setattr(verification, "_gamma_chain", refuse)
+    monkeypatch.setattr(verification, "poly_mul", refuse)
+    monkeypatch.setattr(ppartitions, "_gamma_chain", refuse)
     assert check_specializations().passed
 
 
@@ -566,12 +573,14 @@ def _drop_first(real):
     return lambda *args: real(*args)[1:]
 
 
-def _doubled(real):
-    return lambda p, q: poly_scale(real(p, q), 2)
+def _doubled_walk(real):
+    return lambda basis, ca, cb: {c: 2 * v for c, v in real(basis, ca, cb).items()}
 
 
 # Each broken piece of the shuffle check, with the failure list the check
 # gave before its sides were memoised: (count, sha256 of the joined lines).
+# A doubled walk gives the list recorded for a doubled poly_mul, when the
+# left side was the product of the two chain polynomials.
 @pytest.mark.parametrize(
     "name,broken,failures",
     [
@@ -580,7 +589,7 @@ def _doubled(real):
             (837, "564f4491286f0a3cd8477e02bf61fa9b926608dcc8036093e35c7d93b6815867"),
         ),
         (
-            "poly_mul", _doubled,
+            "_pair_walk", _doubled_walk,
             (1010, "1c0a113de1120cb23e510485e2a11b8966fa70897132a1e52b5fc7549997950a"),
         ),
         (
@@ -613,60 +622,190 @@ def test_shuffle_check_fails_only_the_pair_that_lost_a_word(monkeypatch):
     ]
 
 
-@pytest.mark.parametrize("bad", [lambda c: -c, lambda c: c + (1 << 16)])
-def test_shuffle_check_fails_a_product_coefficient_outside_its_field(monkeypatch, bad):
-    """poly_mul rewrites c_(3,1,1) of one product on every monomial of
-    M_(3,1,1), so the product stays quasisymmetric; the coefficient no
-    longer fits its field, and only that case fails."""
-    real = verification.poly_mul
-    pos = positive_alphabet(4)
-    target = (
-        _gamma_chain(_ups((1, 2, 3)), (1, 1, 1), pos, 4),
-        _gamma_chain(_ups((2, 1)), (1, 1), pos, 4),
-    )
+def _shuffle_cases(monkeypatch):
+    """Every case of a full check_shuffle_products run, in order: the factors
+    (pi, alpha, sigma, beta) and the counterexample text up to its |Z|."""
+    cases = []
+    real_shuffles, real_coshuffles = verification.shuffles, verification.coshuffle_product
 
-    def patched(p, q):
-        out = real(p, q)
-        if (p, q) != target:
-            return out
-        terms = dict(out.terms)
-        for mono in _m_monomials((3, 1, 1), pos):
-            terms[mono] = bad(terms[mono])
-        return TruncatedPoly(out.nvars, out.degree, terms)
+    def shuffles(pi, sigma):
+        ones = (1,) * (len(pi) + len(sigma))
+        text = f"shuffle product pi={pi} sigma={sigma} |Z|="
+        cases.append((pi, ones[: len(pi)], sigma, ones[: len(sigma)], text))
+        return real_shuffles(pi, sigma)
 
-    monkeypatch.setattr(verification, "poly_mul", patched)
+    def coshuffles(pi, alpha, sigma, beta):
+        text = f"coshuffle product ({pi},{alpha}) x ({sigma},{beta}) |Z|="
+        cases.append((pi, alpha, sigma, beta, text))
+        return real_coshuffles(pi, alpha, sigma, beta)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(verification, "shuffles", shuffles)
+        patch.setattr(verification, "coshuffle_product", coshuffles)
+        assert verification.check_shuffle_products().passed
+    assert len(cases) == 1012 // 2
+    return cases
+
+
+def _chain_codes(ups, ws, zs):
+    return {_code(b): c for b, c in _chain_m_terms(ups, ws, zs).items()}
+
+
+_SHUFFLE_ALPHABETS = (positive_alphabet(4), signed_alphabet(4))
+
+
+def test_shuffle_left_side_is_the_chain_polynomials_product(monkeypatch):
+    """The oracle route: for every left side of a full run, at both
+    alphabets, the packed M quasi-shuffle of the two chain functions, cut
+    down to 4 parts, equals the M-coefficients read from poly_mul of the
+    two chain polynomials, which are written back onto every monomial."""
+    keys = {(_ups(pi), alpha, _ups(sigma), beta)
+            for pi, alpha, sigma, beta, _ in _shuffle_cases(monkeypatch)}
+    slots: dict = {}
+    mags = positive_alphabet(4)  # the magnitudes of both alphabets
+    for (ups_pi, alpha, ups_sigma, beta), zs in itertools.product(keys, _SHUFFLE_ALPHABETS):
+        ta, tb = _chain_codes(ups_pi, alpha, zs), _chain_codes(ups_sigma, beta, zs)
+        walks = {
+            (ca, cb): verification._packed_with_bound(
+                {c: v for c, v in core._pair_walk("M", ca, cb).items() if c.bit_count() <= 4},
+                slots,
+            )
+            for ca in ta for cb in tb
+        }
+        packed = verification._packed_side(
+            ((ta[ca] * tb[cb], walk) for (ca, cb), walk in walks.items()), "case"
+        )
+        product = poly_mul(_gamma_chain(ups_pi, alpha, zs, 4), _gamma_chain(ups_sigma, beta, zs, 4))
+        oracle = {
+            tuple(e for _, e in mono): c
+            for mono, c in product.terms.items()
+            if not mono or mono[-1][0] == len(mono)
+        }
+        written = {mono: c for b, c in oracle.items() for mono in _m_monomials(b, mags)}
+        assert written == product.terms
+        assert all(c.denominator == 1 for c in oracle.values())
+        assert packed == verification._packed(
+            {_code(b): int(c) for b, c in oracle.items()}, slots
+        )
+
+
+def test_shuffle_check_fails_exactly_the_cases_whose_factors_hold_a_broken_pair(monkeypatch):
+    """A walk broken for the one pair M_(2,1) * M_(1) fails a case at an
+    alphabet exactly when its first factor has an M_(2,1) term and its
+    second an M_(1) term there: every such left side is off by a nonzero
+    multiple of that walk's surviving terms, and no other changes."""
+    pair = (_code((2, 1)), _code((1,)))
+    expected = [
+        f"{text}{len(zs)}"
+        for pi, alpha, sigma, beta, text in _shuffle_cases(monkeypatch)
+        for zs in _SHUFFLE_ALPHABETS
+        if pair[0] in _chain_codes(_ups(pi), alpha, zs)
+        and pair[1] in _chain_codes(_ups(sigma), beta, zs)
+    ]
+    assert 0 < len(expected) < 1012
+    real = verification._pair_walk
+
+    def broken(basis, ca, cb):
+        out = real(basis, ca, cb)
+        return {c: 2 * v for c, v in out.items()} if (ca, cb) == pair else out
+
+    monkeypatch.setattr(verification, "_pair_walk", broken)
     result = verification.check_shuffle_products()
     assert result.detail == "1012 products"
-    assert result.failures == ["shuffle product pi=(1, 2, 3) sigma=(2, 1) |Z|=4"]
+    assert result.failures == expected
+
+
+def _field(packed, slot):
+    """The signed verification._FIELD-bit field at slot of a packed int."""
+    width = verification._FIELD
+    low = lambda x: ((x + (1 << width - 1)) & ((1 << width) - 1)) - (1 << width - 1)
+    for _ in range(slot):
+        packed = (packed - low(packed)) >> width
+    return low(packed)
+
+
+@pytest.mark.parametrize("bad", [lambda c: -c, lambda c: c + (1 << 16)])
+def test_shuffle_check_fails_a_product_coefficient_outside_its_field(monkeypatch, bad):
+    """The packed left side of one product, (1,2,3) x (2,1) over the
+    positive alphabet of 4, has its field for M_(3,1,1) rewritten from
+    c_(3,1,1) to bad(c_(3,1,1)); no other field changes, and only that
+    case fails."""
+    target = "shuffle product pi=(1, 2, 3) sigma=(2, 1) |Z|=4"
+    code, seen, rewritten = _code((3, 1, 1)), [], []
+    real_packed, real_side = verification._packed, verification._packed_side
+
+    def packed(coeffs, slots):
+        seen.append(slots)
+        return real_packed(coeffs, slots)
+
+    def side(items, describe, *args):
+        total = real_side(items, describe, *args)
+        if describe.format(*args) != target:
+            return total
+        slot = seen[0][code]
+        c = _field(total, slot)
+        assert c > 0 and bad(c) != c
+        rewritten.append(c)
+        return total + ((bad(c) - c) << verification._FIELD * slot)
+
+    monkeypatch.setattr(verification, "_packed", packed)
+    monkeypatch.setattr(verification, "_packed_side", side)
+    result = verification.check_shuffle_products()
+    assert len(rewritten) == 1
+    assert result.detail == "1012 products"
+    assert result.failures == [target]
 
 
 def test_packed_product_refuses_what_would_alias():
     """c_(1) = 1, c_(2) = 2 packs to 1 + 2 * 2^32, and so do the field
-    overflows (1 + 2^32, 1) and (1 - 2^32, 3): those are refused, as are a
-    coefficient of 2^31, past the signed field, a zero, a fraction and a
-    product that is not sum c_b M_b."""
-    mags = (1, 2, 3)
+    overflows (1 + 2^32, 1) and (1 - 2^32, 3): a packed product summed by
+    _packed_side refuses those, as it does a coefficient of 2^31, past the
+    signed field, while 2^31 - 1 and signed sums within the field pass."""
     slots = {(1,): 0, (2,): 1}
-
-    def poly(c1, c2):
-        return {
-            **dict.fromkeys(_m_monomials((1,), mags), c1),
-            **dict.fromkeys(_m_monomials((2,), mags), c2),
-        }
-
-    packed = verification._packed_product
-    assert packed(poly(1, 2), mags, slots) == 1 + (2 << 32)
-    for c1, c2 in [(1 + (1 << 32), 1), (1 - (1 << 32), 3)]:
+    side = verification._packed_side
+    item = lambda c1, c2: (1, verification._packed_with_bound({(1,): c1, (2,): c2}, slots))
+    label = "product {}"
+    assert side([item(1, 2)], label, 0) == 1 + (2 << 32)
+    for n, (c1, c2) in enumerate([(1 + (1 << 32), 1), (1 - (1 << 32), 3)], 1):
         assert verification._packed({(1,): c1, (2,): c2}, slots) == 1 + (2 << 32)
-        assert packed(poly(c1, c2), mags, slots) is None
-    assert packed(poly((1 << 31) - 1, 2), mags, slots) == (1 << 31) - 1 + (2 << 32)
-    assert packed(poly(1 << 31, 2), mags, slots) is None
-    assert packed(poly(0, 2), mags, slots) is None
-    assert packed(poly(Fraction(1, 2), 2), mags, slots) is None
-    assert packed(poly(Fraction(4, 4), 2), mags, slots) == 1 + (2 << 32)
-    assert packed({**poly(1, 2), ((2, 1),): 2}, mags, slots) is None
-    assert packed({**poly(1, 2), ((3, 5),): 1}, mags, slots) is None
+        with pytest.raises(ValueError, match=rf"product {n}: .* overflow a 32-bit field"):
+            side([item(c1, c2)], label, n)
+    assert side([item((1 << 31) - 1, 2)], label, 3) == (1 << 31) - 1 + (2 << 32)
+    with pytest.raises(ValueError, match=r"product 4: M-coefficients up to 2147483648"):
+        side([item(1 << 31, 2)], label, 4)
+    assert side([item(3, -5), (-2, item(1, -2)[1])], label, 5) == 1 - (1 << 32)
     assert slots == {(1,): 0, (2,): 1}
+
+
+def test_shuffle_left_side_past_its_field_bound_is_refused(monkeypatch):
+    """The first case, (1) x (1), has the left side c * c * M_(1) * M_(1) =
+    c^2 (2 M_(1,1) + M_(2)), with c = 1 over the positive alphabet of 4 and
+    c = 2 over the signed one.  A walk for M_(1) * M_(1) whose largest
+    coefficient is t bounds those left sides' fields by t and 4t: past
+    2^31 - 1 they could alias, and the check raises a ValueError naming
+    the first case that reaches 2^31."""
+    assert verification._FIELD == 32
+    real = verification._pair_walk
+
+    def walk_with(t):
+        def patched(basis, ca, cb):
+            out = real(basis, ca, cb)
+            return {**out, _code((1, 1)): t} if (ca, cb) == (1, 1) else out
+        return patched
+
+    monkeypatch.setattr(verification, "_pair_walk", walk_with((1 << 29) - 1))
+    result = verification.check_shuffle_products()
+    assert result.failures[:2] == [
+        f"shuffle product pi=(1,) sigma=(1,) |Z|={z}" for z in (4, 8)
+    ]
+    for t, z in [(1 << 29, 8), ((1 << 31) - 1, 8), (1 << 31, 4)]:
+        monkeypatch.setattr(verification, "_pair_walk", walk_with(t))
+        message = (
+            rf"shuffle product pi=\(1,\) sigma=\(1,\) \|Z\|={z}: "
+            rf"M-coefficients up to {t if z == 4 else 4 * t} can overflow a 32-bit field"
+        )
+        with pytest.raises(ValueError, match=message):
+            verification.check_shuffle_products()
 
 
 def test_a_chain_list_too_long_for_its_fields_is_refused(monkeypatch):
@@ -692,11 +831,12 @@ def test_eta_product_sides_too_large_for_their_fields_are_refused(monkeypatch):
     assert packed({0: 1 + (1 << 32), 1: 1})[0] == packed({0: 1, 1: 2})[0]
     assert packed({1: 3, 2: -5}) == ((3 << 32) - (5 << 64), 5)
     side = verification._packed_side
-    assert side([(1, packed({0: (1 << 31) - 1}))], (), ()) == (1 << 31) - 1
-    assert side([(3, (7, 2)), (-2, (5, 1))], (), ()) == 11
+    label = "eta_{} * eta_{}"
+    assert side([(1, packed({0: (1 << 31) - 1}))], label, (), ()) == (1 << 31) - 1
+    assert side([(3, (7, 2)), (-2, (5, 1))], label, (), ()) == 11
     message = r"eta_\(\) \* eta_\(\): M-coefficients up to 2147483648 can overflow a 32-bit field"
     with pytest.raises(ValueError, match=message):
-        side([(1, (0, 1 << 30)), (-1, (0, 1 << 30))], (), ())
+        side([(1, (0, 1 << 30)), (-1, (0, 1 << 30))], label, (), ())
     real_product, real_convert = verification.eta_product, verification.convert
     monkeypatch.setattr(
         verification, "eta_product", lambda a, b: real_product(a, b).scale(1 << 31)

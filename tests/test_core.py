@@ -1,7 +1,9 @@
 """Basis elements, conversions, products, coproducts, antipodes."""
 
+import functools
 import itertools
 import random
+import re
 from collections import Counter
 from collections.abc import Mapping
 from fractions import Fraction
@@ -865,6 +867,72 @@ def test_linear_extensions_sum_as_fractions_do(seed):
         _one_fraction_per_value(legs.terms.values())
 
 
+def _counting_cleared(monkeypatch):
+    """A list that core._cleared appends each map it clears to."""
+    cleared = []
+    real = core._cleared
+
+    def counting(terms):
+        cleared.append(terms)
+        return real(terms)
+
+    monkeypatch.setattr(core, "_cleared", counting)
+    return cleared
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_map_legs_maps_and_clears_each_distinct_leg_once(monkeypatch, seed):
+    """On tensors whose legs repeat, map_legs equals the entry-by-entry
+    Fraction sum, calls each leg map once per distinct code and call, and
+    clears each image once: a second call with the same images clears none."""
+    rng = random.Random(f"legs/{seed}")
+    pool = [comp for n in range(4) for comp in compositions(n)]
+    tensor = TensorElement(
+        ("M", "L"),
+        [
+            ((rng.choice(pool), rng.choice(pool)), Fraction(rng.randint(-9, 9), rng.randint(1, 6)))
+            for _ in range(40)
+        ],
+    )
+    lefts, rights = Counter(l for l, _ in tensor.terms), Counter(r for _, r in tensor.terms)
+    assert max(lefts.values()) > 1 and max(rights.values()) > 1
+    calls = Counter()
+
+    def counted(side, fn):
+        def mapped(comp):
+            calls[side, comp] += 1
+            return fn(comp)
+
+        return mapped
+
+    left, right = _seeded_map(rng, "eta"), _seeded_map(rng, "L")
+    cleared = _counting_cleared(monkeypatch)
+    for run in (1, 2):
+        legs = tensor.map_legs(counted("l", left), counted("r", right), ("eta", "L"))
+        assert dict(legs.terms) == _legs_by_fractions(tensor, left, right)
+        _one_fraction_per_value(legs.terms.values())
+        assert calls == Counter(
+            {**{("l", c): run for c in lefts}, **{("r", c): run for c in rights}}
+        )
+        assert len(cleared) == len(lefts) + len(rights)
+
+
+def test_eta_coproduct_legs_are_cleared_once_per_image(monkeypatch):
+    """The 64 map_legs calls of check_eta_coproduct map 256 tensor terms
+    through one cache of the 64 M images of eta_alpha, n <= 6: each image
+    is cleared once, not once per leg (512)."""
+    in_m = functools.cache(lambda c: convert(QSymElement.term("eta", c), "M"))
+    comps = [alpha for n in range(7) for alpha in compositions(n)]
+    tensors = [coproduct(QSymElement.term("eta", alpha)) for alpha in comps]
+    for alpha in comps:
+        in_m(alpha)
+    cleared = _counting_cleared(monkeypatch)
+    for tensor in tensors:
+        tensor.map_legs(in_m, in_m, ("M", "M"))
+    assert (len(tensors), sum(len(t.terms) for t in tensors)) == (64, 256)
+    assert len(cleared) == 64
+
+
 def test_linear_extensions_of_cancelling_and_empty_inputs():
     """Sums that cancel entirely, zero images and empty inputs give the zero
     element with the asked basis; a wrong image basis is still refused."""
@@ -910,7 +978,7 @@ def test_linear_extensions_build_one_fraction_per_distinct_value(monkeypatch):
 
 def test_product_walks_are_refused_past_the_walk_budget(monkeypatch):
     """A walk that could hold more than _WALK_BUDGET map entries counts its
-    two live grid rows after each row.  At a budget of 100, (1^3)(1^3) is
+    two live grid rows state by state.  At a budget of 100, (1^3)(1^3) is
     counted and holds at most 60, so it runs; (1^6)(1^6) holds over 800 in
     every basis and is refused; (1)(1,1) can hold at most 48 and is not
     counted."""
@@ -930,6 +998,65 @@ def test_product_walks_are_refused_past_the_walk_budget(monkeypatch):
         message = f"the {basis} product in degree 12 holds [0-9]+ partial products at once, "
         with pytest.raises(ValueError, match=message + "over the budget of 100$"):
             multiply(term(6), term(6))
+
+
+def _logged_live_counts(monkeypatch):
+    """A list of the entries each counted state hands its walk's live
+    counter, with None where a row is finished."""
+    log = []
+    real = core._live_counter
+
+    def logging(*args):
+        count = real(*args)
+
+        def logged(*maps):
+            log.append(sum(map(len, filter(None, maps))) if maps else None)
+            return count(*maps)
+
+        return count and logged
+
+    monkeypatch.setattr(core, "_live_counter", logging)
+    return log
+
+
+def _two_row_peak(log):
+    """The largest count of two whole rows: what a count taken once per
+    row would have compared with the budget."""
+    rows, now = [0], 0
+    for entries in log:
+        if entries is None:
+            rows.append(now)
+            now = 0
+        else:
+            now += entries
+    return max(before + now for before, now in zip(rows, rows[1:] + [now]))
+
+
+@pytest.mark.parametrize("basis", ["M", "L", "eta"])
+def test_a_walk_is_refused_within_one_state_of_its_budget(monkeypatch, basis):
+    """At a budget of 100, (1^6)(1^6) is refused once the state that passes
+    the budget is counted, not a row later.  The running count at a row's
+    end is the two rows' total, so over every budget around the two-row
+    peak of (1^4)(1^4), a walk is refused exactly when that peak is over."""
+    term = lambda k: QSymElement.term(basis, (1,) * k)
+    log = _logged_live_counts(monkeypatch)
+    monkeypatch.setattr(core, "_WALK_BUDGET", 100)
+    with pytest.raises(ValueError, match="over the budget of 100$") as refused:
+        multiply(term(6), term(6))
+    held = int(re.search(r"holds (\d+) partial", str(refused.value)).group(1))
+    assert held - log[-1] <= 100 < held
+    # 5 states a row, degree 8: counted below 5 << 9 = 2560 entries
+    monkeypatch.setattr(core, "_WALK_BUDGET", 2559)
+    log.clear()
+    want = multiply(term(4), term(4))
+    peak = _two_row_peak(log)
+    for budget in sorted({0, peak // 2, *range(peak - 3, peak + 4)}):
+        monkeypatch.setattr(core, "_WALK_BUDGET", budget)
+        if peak > budget:
+            with pytest.raises(ValueError, match=f"over the budget of {budget}$"):
+                multiply(term(4), term(4))
+        else:
+            assert multiply(term(4), term(4)) == want
 
 
 def test_L_product_through_M():

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from qsym import ppartitions
+from qsym import combinatorics, ppartitions, verification
 from qsym.combinatorics import (
     composition_of_subset,
     contract_set,
@@ -941,6 +941,23 @@ def test_universal_to_eta_matches_the_checked_formula(n):
             got = universal_to_eta(word, alpha)
             assert got == _universal_to_eta_reference(word, alpha)
             assert all(type(c) is Fraction and c for c in got.terms.values())
+
+
+def test_u_expansion_checks_each_word_once(monkeypatch):
+    """universal_to_eta reads the peaks from the word it checked, so one
+    check_u_expansion run checks each of its 1944 words once."""
+    calls = 0
+    real = combinatorics.check_permutation
+
+    def counting(pi):
+        nonlocal calls
+        calls += 1
+        return real(pi)
+
+    for module in (combinatorics, ppartitions):
+        monkeypatch.setattr(module, "check_permutation", counting)
+    assert verification.check_u_expansion().passed
+    assert calls == 1944
 
 
 @pytest.mark.parametrize("n", range(1, 4))
