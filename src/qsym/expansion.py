@@ -3,14 +3,15 @@
 This is the ground truth the symbolic layer is certified against: every
 basis element has a defining series.  A quasisymmetric function is fixed
 by its coefficients on the monomials x_1^b_1 ... x_k^b_k, one for every
-composition b, so ``certify_equal`` compares those coefficients, read
-straight from each element's defining series (the weakly increasing index
-tuples whose value set is exactly {1..k}).  ``expand`` builds the full
-expansion in N variables from the same coefficients c_b: every monomial
-x_i1^b1 ... x_ik^bk with i1 < ... < ik lies in exactly one M_b, so the
-expansion is the disjoint union of c_b times the monomials of M_b, and
-needs no sums.  Both are sized before they enumerate, and refused past a
-fixed budget.
+composition b, so ``certify_equal`` compares those coefficients, keyed by
+the code of b (bit s-1 for each partial sum s) and read straight from each
+element's defining series: the weakly increasing index tuples whose value
+set is exactly {1..k}, each read as the mask of the places where it steps
+up.  ``expand`` builds the full expansion in N variables from the same
+coefficients c_b: every monomial x_i1^b1 ... x_ik^bk with i1 < ... < ik
+lies in exactly one M_b, so the expansion is the disjoint union of c_b
+times the monomials of M_b, and needs no sums.  Both are sized before
+they enumerate, and refused past a fixed budget.
 
 Monomials are sparse tuples of (variable, exponent) pairs with variables
 ascending; coefficients are exact (int or Fraction, interchangeable).
@@ -30,12 +31,7 @@ from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 
-from .combinatorics import (
-    _check_count,
-    _composition_of_code,
-    descent_set,
-    peak_set_of_composition,
-)
+from .combinatorics import _check_count, _composition_of_code, _peaks_of_code
 from .core import QSymElement, _add_into, _exact, _nonzero, _signed_sum, format_rational
 
 Monomial = tuple[tuple[int, int], ...]
@@ -255,78 +251,72 @@ _MONOMIAL_BUDGET = 10**6  # monomials in one expansion
 
 
 @lru_cache(maxsize=4096)
-def _m_coefficients(basis: str, comp: tuple) -> Mapping[tuple, int]:
-    """Coefficients of one basis element on x_1^b_1 ... x_k^b_k, keyed by b.
+def _m_coefficients(basis: str, code: int) -> Mapping[int, int]:
+    """Coefficients of one basis element on x_1^b_1 ... x_k^b_k, keyed by
+    the code of b; the element's composition is given by its code too.
 
-    Read from the defining series over the weakly increasing index tuples
-    whose value set is exactly {1..k}: 2^(len(parts)-1) of them, refused
-    past _SERIES_BUDGET.  Cached, so returned read-only.
+    Read from the defining series, whose weakly increasing index tuples onto
+    {1..k} are each fixed by the set S of places where they step up: b's
+    partial sums are those places (for eta, the partial sums of its parts
+    there) and the top, so code(b) = S | top, with S a mask below the top.
+    Writing D for the descent mask of the composition:
+
+    L:   every S that contains D, weight 1;
+    K:   every S that meets {j-1, j} at each peak j, weight 2^(1+|S|);
+    eta: every S inside D, weight 2^(1+|S|).
+
+    The series has 2^(len(parts)-1) index tuples, one index per unit (per
+    part for eta), and is refused past _SERIES_BUDGET before any is read.
+    Cached, so returned read-only.
     """
-    if basis == "M":
-        return MappingProxyType({comp: 1})
-    parts = _series_parts(basis, comp)
-    tuples = 1 << max(len(parts) - 1, 0)
+    if basis == "M" or not code:
+        return MappingProxyType({code: 1})
+    n = code.bit_length()
+    tuples = 1 << (code.bit_count() if basis == "eta" else n) - 1
     if tuples > _SERIES_BUDGET:
         raise ValueError(
-            f"the series of {basis}{list(comp)} needs {tuples} index tuples, "
-            f"over the budget of {_SERIES_BUDGET}"
+            f"the series of {basis}{list(_composition_of_code(code))} needs {tuples} "
+            f"index tuples, over the budget of {_SERIES_BUDGET}"
         )
-    acc: dict[tuple, int] = {}
-    for t, weight in _series_terms(basis, comp, _onto_tuples(len(parts))):
-        b = [0] * (t[-1] if t else 0)
-        for v, part in zip(t, parts):
-            b[v - 1] += part
-        key = tuple(b)
-        acc[key] = acc.get(key, 0) + weight
-    return MappingProxyType(_nonzero(acc))
+    top = 1 << n - 1
+    descents = code ^ top
+    if basis == "L":
+        return MappingProxyType(dict.fromkeys((code | s for s in _submasks(top - 1 ^ descents)), 1))
+    if basis == "eta":
+        masks = _submasks(descents)
+    else:  # K: (S | S >> 1) has bit j-2 exactly when S meets {j-1, j}
+        lows = _peaks_of_code(code) >> 1
+        masks = (s for s in range(top) if (s | s >> 1) & lows == lows)
+    return MappingProxyType({top | s: 2 << s.bit_count() for s in masks})
+
+
+def _submasks(mask: int) -> Iterator[int]:
+    """Every submask of mask, from mask itself down to 0."""
+    sub = mask
+    while sub:
+        yield sub
+        sub = sub - 1 & mask
+    yield 0
 
 
 @lru_cache(maxsize=1024)
-def _m_monomials(b: tuple, variables: tuple) -> tuple[Monomial, ...]:
-    """The monomials x_i1^b1 ... x_ik^bk of M_b over the ascending variables,
-    i1 < ... < ik, in the order of itertools.combinations."""
+def _m_monomials(code: int, variables: tuple) -> tuple[Monomial, ...]:
+    """The monomials x_i1^b1 ... x_ik^bk of M_b, for b the composition with
+    this code, over the ascending variables, i1 < ... < ik, in the order of
+    itertools.combinations."""
+    b = _composition_of_code(code)
     return tuple(tuple(zip(idx, b)) for idx in itertools.combinations(variables, len(b)))
 
 
-def _series_parts(basis: str, comp: tuple) -> tuple:
-    """The exponent each index of an L, K or eta series tuple carries."""
-    return comp if basis == "eta" else (1,) * sum(comp)
-
-
-def _series_terms(basis: str, comp: tuple, tuples: Iterable[tuple]) -> Iterator[tuple]:
-    """(t, weight) for the weakly increasing index tuples t in the defining
-    series of one L, K or eta element:
-
-    L:   strict ascent at every descent of comp, weight 1;
-    K:   i_(j-1) < i_(j+1) at every peak j of comp, weight 2^#distinct;
-    eta: no condition (one index per part), weight 2^#distinct.
-    """
-    if basis == "L":
-        descents = descent_set(comp)
-        return ((t, 1) for t in tuples if all(t[j - 1] < t[j] for j in descents))
-    if basis == "K":
-        peaks = peak_set_of_composition(comp)
-        tuples = (t for t in tuples if all(t[j - 2] < t[j] for j in peaks))
-    return ((t, 1 << len(set(t))) for t in tuples)
-
-
-def _onto_tuples(length: int) -> Iterator[tuple]:
-    """The weakly increasing tuples of a given length onto some {1..k}:
-    they start at 1, and each later entry repeats the last or adds one."""
-    if not length:
-        return iter([()])
-    steps = itertools.product((0, 1), repeat=length - 1)
-    return (tuple(itertools.accumulate(s, initial=1)) for s in steps)
-
-
 def _int_sum(a: QSymElement, common: int) -> dict:
-    """a's coefficients on x_1^b_1 ... x_k^b_k by b, times common (a multiple of every
-    denominator), summed in ints from its terms' _m_coefficients.  Reads the
-    code-keyed terms, so no ``terms`` view is built."""
+    """a's coefficients on x_1^b_1 ... x_k^b_k by the code of b, times common
+    (a multiple of every denominator), summed in ints from its terms'
+    _m_coefficients.  Reads the code-keyed terms, so no ``terms`` view is
+    built and no composition decoded."""
     acc: dict = {}
     for code, coeff in a._terms.items():
         scaled = coeff.numerator * (common // coeff.denominator)
-        _add_into(acc, _m_coefficients(a.basis, _composition_of_code(code)), scaled)
+        _add_into(acc, _m_coefficients(a.basis, code), scaled)
     return _nonzero(acc)
 
 
@@ -337,7 +327,8 @@ def expand(a: QSymElement, nvars: int, degree: int | None = None) -> TruncatedPo
     The expansion is the disjoint union of c_b * M_b over the compositions b
     with c_b != 0: every monomial lies in exactly one M_b, so each is written
     once, with no sums.  Refused past _MONOMIAL_BUDGET monomials, counted
-    (C(nvars, len(b)) per b) before any is built.
+    (C(nvars, len(b)) per b, len(b) the bit count of b's code) before any
+    is built.
     """
     _check_count("nvars", nvars)
     if degree is None:
@@ -350,16 +341,16 @@ def expand(a: QSymElement, nvars: int, degree: int | None = None) -> TruncatedPo
         )
     common = math.lcm(*(coeff.denominator for coeff in a._terms.values()))
     coeffs = _int_sum(a, common)
-    size = sum(math.comb(nvars, len(b)) for b in coeffs)
+    size = sum(math.comb(nvars, code.bit_count()) for code in coeffs)
     if size > _MONOMIAL_BUDGET:
         raise ValueError(
             f"expanding in {nvars} variables needs {size} monomials, "
             f"over the budget of {_MONOMIAL_BUDGET}"
         )
     if common != 1:
-        coeffs = {b: Fraction(c, common) for b, c in coeffs.items()}
+        coeffs = {code: Fraction(c, common) for code, c in coeffs.items()}
     variables = tuple(range(1, nvars + 1))
-    acc = {mono: c for b, c in coeffs.items() for mono in _m_monomials(b, variables)}
+    acc = {mono: c for code, c in coeffs.items() for mono in _m_monomials(code, variables)}
     return _raw_poly(nvars, degree, acc)
 
 

@@ -95,6 +95,10 @@ def _bits(mask: int) -> list[int]:
 # least one step per vertex, so past _STEP_BUDGET it would refuse anyway.
 _FILE_VERTEX_LIMIT = 10**6
 
+# The most predecessor bits a closed order may hold, 128 MiB of masks: a
+# chain of n holds n(n-1)/2, so the 40,000-vertex chain (8.0e8) still fits.
+_CLOSURE_BUDGET = 1 << 30
+
 
 class LabelledWeightedPoset:
     """A strict partial order on labels 1..n with a positive weight per vertex.
@@ -102,8 +106,10 @@ class LabelledWeightedPoset:
     The order is stored closed, as predecessor bitmasks: bit i of _preds[j]
     is set exactly when i <_P j, and _preds[0] is 0.  It is closed in
     topological order (Kahn): each vertex ORs in the closed masks of its
-    direct predecessors, and vertices never reached lie on a cycle.
-    Instances are immutable and hashable.
+    direct predecessors, and vertices never reached lie on a cycle.  The
+    bits of each closed mask are counted as it closes, and the order is
+    refused once they pass _CLOSURE_BUDGET.  Instances are immutable and
+    hashable.
     """
 
     __slots__ = ("n", "weights", "_preds")
@@ -134,12 +140,19 @@ class LabelledWeightedPoset:
             waiting[j] += 1
         preds = [0] * (n + 1)
         ready = [v for v in range(1, n + 1) if not waiting[v]]
+        held = 0  # the bits of the closed masks so far
         for i in ready:
             for j in after.get(i, ()):
                 preds[j] |= preds[i] | 1 << i
                 waiting[j] -= 1
                 if not waiting[j]:
                     ready.append(j)
+                    held += preds[j].bit_count()
+                    if held > _CLOSURE_BUDGET:
+                        raise ValueError(
+                            f"the closed order needs at least {held} predecessor bits, "
+                            f"over the budget of {_CLOSURE_BUDGET}"
+                        )
         if len(ready) < n:
             raise ValueError("relations contain a cycle; not a partial order")
         object.__setattr__(self, "n", n)
@@ -172,14 +185,7 @@ class LabelledWeightedPoset:
 
     def covers(self) -> list[tuple[int, int]]:
         """Covering relations: i < j with no k strictly between."""
-        preds = self._preds
-        out = []
-        for j, mask in enumerate(preds):
-            below = 0
-            for i in _bits(mask):
-                below |= preds[i]
-            out.extend((i, j) for i in _bits(mask & ~below))
-        return sorted(out)
+        return sorted((i, j) for j, mask in _lower_covers(self._preds) for i in _bits(mask))
 
     def with_relation(self, i: int, j: int) -> "LabelledWeightedPoset":
         if self.less(j, i):
@@ -265,6 +271,17 @@ class LabelledWeightedPoset:
         if weights is not None and not isinstance(weights, (list, tuple)):
             raise ValueError(f"poset field 'weights' must be a list, got {weights!r}")
         return cls(n, [tuple(pair) for pair in covers], weights)
+
+
+def _lower_covers(preds: Sequence[int]) -> Iterator[tuple[int, int]]:
+    """(j, mask of the vertices j covers) for each vertex j that has
+    predecessors in the closed masks preds: those below none of the others."""
+    for j, mask in enumerate(preds):
+        if mask:
+            below = 0
+            for i in _bits(mask):
+                below |= preds[i]
+            yield j, mask & ~below
 
 
 def chain_poset(pi: Iterable[int]) -> LabelledWeightedPoset:
@@ -476,8 +493,11 @@ def _steps(poset: LabelledWeightedPoset, signs: set, spent: int) -> tuple[dict, 
     successors, so the free set is carried along; it is the next ideal's."""
     n, preds, weights = poset.n, poset._preds, poset.weights
     after: list[list[int]] = [[] for _ in range(n + 1)]  # direct successors
-    for i, j in poset.covers():
-        after[i].append(j)
+    for j, mask in _lower_covers(preds):
+        while mask:
+            low = mask & -mask
+            after[low.bit_length() - 1].append(j)
+            mask ^= low
     words = 1 + n // 64  # of a mask, the charge of each step
     table: dict[int, list[list]] = {}
     todo = {0: sum(1 << v for v in range(1, n + 1) if not preds[v])}  # ideal: its free vertices
@@ -566,18 +586,18 @@ def _gamma_chain(ups: tuple, ws: tuple, zs: tuple, nvars: int) -> TruncatedPoly:
     ws[k] is the weight of vertex k.  Every magnitude of the checked
     alphabet zs carries the same signs, or _chain_m_terms refuses it;
     universal_gamma sends a chain over a mixed alphabet to gamma.  Each of
-    _chain_m_terms' c_b is written onto the monomials of M_b over Z's
-    magnitudes: one walk serves this writer and the callers that sum chain
-    functions by M-coefficient.
+    _chain_m_terms' c_b, keyed by the code of b, is written onto the
+    monomials of M_b over Z's magnitudes: one walk serves this writer and
+    the callers that sum chain functions by M-coefficient.
     """
     mags, acc = tuple(_sign_sets(zs)), {}
-    for b, c in _chain_m_terms(ups, ws, zs).items():
-        acc.update(dict.fromkeys(_m_monomials(b, mags), c))
+    for code, c in _chain_m_terms(ups, ws, zs).items():
+        acc.update(dict.fromkeys(_m_monomials(code, mags), c))
     return _raw_poly(nvars, sum(ws), acc)
 
 
-def _chain_m_terms(ups: tuple, ws: tuple, zs: tuple) -> dict[tuple, int]:
-    """A chain's function as {b: c_b}, the sum of c_b M_b over the k
+def _chain_m_terms(ups: tuple, ws: tuple, zs: tuple) -> dict[int, int]:
+    """A chain's function as {code(b): c_b}, the sum of c_b M_b over the k
     magnitudes of a checked alphabet zs in which each carries the same
     signs; every b has at most k parts.  One block of equal magnitudes at
     a time.
@@ -592,7 +612,9 @@ def _chain_m_terms(ups: tuple, ws: tuple, zs: tuple) -> dict[tuple, int]:
     blocks of equal magnitude m_1 < ... < m_j, and the monomial is
     x_m1^b1 ... x_mj^bj with b_i the weight of block i.  Weights are
     positive, so b fixes the cut set: each cut set is a composition b of
-    its own.  Inside a block the signs run -...-+...+, so the block takes m in
+    its own, whose code has the bit of the weight prefix sum at each
+    block's last vertex.  Inside a block the signs run -...-+...+, so the
+    block takes m in
       1 way if Z holds only +m and the block never goes down,
       1 way if Z holds only -m and the block never goes up,
       2 ways if Z holds both and no up-step comes before a down-step
@@ -603,7 +625,7 @@ def _chain_m_terms(ups: tuple, ws: tuple, zs: tuple) -> dict[tuple, int]:
     up Z's magnitudes.  c_b is the product of b's block counts.
     """
     if not ws:
-        return {(): 1}
+        return {0: 1}
     signs = _sign_sets(zs)
     kinds = set(signs.values())
     if len(kinds) > 1:
@@ -611,10 +633,12 @@ def _chain_m_terms(ups: tuple, ws: tuple, zs: tuple) -> dict[tuple, int]:
     kind = kinds.pop() if kinds else 0
     kind, per_block = (_BOTH, 2) if kind == _MINUS | _PLUS else (kind, 1)
     n, k, acc = len(ws), len(signs), {}
-    stack = [(0, ())] if k else []  # (first vertex of the next block, block weights so far)
+    ends = [1 << s - 1 for s in itertools.accumulate(ws)]  # code bit of a block ending there
+    stack = [(0, 0)] if k else []  # (first vertex of the next block, code of the blocks so far)
     while stack:
-        start, bs = stack.pop()
-        killed = b = 0  # the sign sets that cannot take the block, its weight
+        start, code = stack.pop()
+        blocks = code.bit_count() + 1  # with the block that starts here
+        killed = 0  # the sign sets that cannot take the block
         for end in range(start, n):
             if end > start:
                 if ups[end - 1]:
@@ -623,11 +647,10 @@ def _chain_m_terms(ups: tuple, ws: tuple, zs: tuple) -> dict[tuple, int]:
                     killed |= _PLUS | (_BOTH if killed & _MINUS else 0)
                 if killed & kind:
                     break
-            b += ws[end]
             if end + 1 == n:
-                acc[bs + (b,)] = per_block ** (len(bs) + 1)
-            elif len(bs) + 1 < k:
-                stack.append((end + 1, bs + (b,)))
+                acc[code | ends[end]] = per_block ** blocks
+            elif blocks < k:
+                stack.append((end + 1, code | ends[end]))
     return acc
 
 

@@ -27,8 +27,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .combinatorics import (
-    _code,
-    _composition_of_code,
     compositions,
     contract,
     contract_set,
@@ -253,10 +251,7 @@ def check_eta_product_rule(max_degree: int | None = None) -> CheckResult:
     slots: dict = {}  # keyed by the code of b
     walk = functools.cache(lambda ca, cb: _packed_with_bound(_pair_walk("M", ca, cb), slots))
 
-    @functools.cache
-    def series(code):
-        coeffs = _m_coefficients("eta", _composition_of_code(code))
-        return _packed_with_bound({_code(b): c for b, c in coeffs.items()}, slots)
+    series = functools.cache(lambda code: _packed_with_bound(_m_coefficients("eta", code), slots))
 
     for total in range(top + 1):
         for na in range(total + 1):
@@ -355,9 +350,9 @@ def check_antipode(max_degree: int | None = None) -> CheckResult:
 
 def _chain_agrees(nvars: int, ups: tuple, ws: tuple, zs: tuple, elem: QSymElement) -> bool:
     """Whether the function of the chain (ups, ws) over the alphabet zs of
-    nvars magnitudes has elem's M-coefficients {b: c_b}, read from elem's
-    defining series and kept for the b with at most nvars parts: exactly
-    those an expansion in nvars variables keeps.
+    nvars magnitudes has elem's M-coefficients {code(b): c_b}, read from
+    elem's defining series and kept for the b with at most nvars parts
+    (bits): exactly those an expansion in nvars variables keeps.
 
     A pure function of its arguments, elem by value, so a check memoises it
     per (up-down pattern, weights, alphabet, element): every case still
@@ -366,7 +361,7 @@ def _chain_agrees(nvars: int, ups: tuple, ws: tuple, zs: tuple, elem: QSymElemen
     """
     common = math.lcm(*(c.denominator for c in elem._terms.values()))
     coeffs = _int_sum(elem, common)
-    return {b: c for b, c in coeffs.items() if len(b) <= nvars} == {
+    return {b: c for b, c in coeffs.items() if b.bit_count() <= nvars} == {
         b: c * common for b, c in _chain_m_terms(ups, ws, zs).items()
     }
 
@@ -433,9 +428,7 @@ def check_shuffle_products(max_degree: int | None = None) -> CheckResult:
     slots: dict = {}  # keyed by the code of b
     left: dict = {}  # (chain keys, alphabet) -> packed left side
     r = _Recorder()
-    terms = functools.cache(
-        lambda ups, ws, zs: {_code(b): c for b, c in _chain_m_terms(ups, ws, zs).items()}
-    )
+    terms = functools.cache(_chain_m_terms)
     chain = functools.cache(lambda ups, ws, zs: _packed(terms(ups, ws, zs), slots))
 
     @functools.cache

@@ -405,6 +405,15 @@ OUTPUT_GOLDEN = [
          "--zset", "Ppm", "--nvars", "3", "--format", "json"],
     ),
     ("u_function_eta.json", ["u-function", "2 4 1 3", "1,2,1,1", "--format", "json"]),
+    (
+        "expand_K.json",
+        ["expand", "K[1,3,1] - 1/2*K[5] + 2*K[3,1,1]", "--nvars", "4", "--format", "json"],
+    ),
+    ("expand_eta.txt", ["expand", "eta[1,2,1] + 3/4*eta[2,2] - eta[4]", "--nvars", "3"]),
+    (
+        "u_function_Ppm.json",
+        ["u-function", "2 4 1 3", "1,2,1,1", "--zset", "Ppm", "--nvars", "3", "--format", "json"],
+    ),
 ]
 
 
@@ -647,10 +656,6 @@ def _shuffle_cases(monkeypatch):
     return cases
 
 
-def _chain_codes(ups, ws, zs):
-    return {_code(b): c for b, c in _chain_m_terms(ups, ws, zs).items()}
-
-
 _SHUFFLE_ALPHABETS = (positive_alphabet(4), signed_alphabet(4))
 
 
@@ -664,7 +669,7 @@ def test_shuffle_left_side_is_the_chain_polynomials_product(monkeypatch):
     slots: dict = {}
     mags = positive_alphabet(4)  # the magnitudes of both alphabets
     for (ups_pi, alpha, ups_sigma, beta), zs in itertools.product(keys, _SHUFFLE_ALPHABETS):
-        ta, tb = _chain_codes(ups_pi, alpha, zs), _chain_codes(ups_sigma, beta, zs)
+        ta, tb = _chain_m_terms(ups_pi, alpha, zs), _chain_m_terms(ups_sigma, beta, zs)
         walks = {
             (ca, cb): verification._packed_with_bound(
                 {c: v for c, v in core._pair_walk("M", ca, cb).items() if c.bit_count() <= 4},
@@ -677,16 +682,14 @@ def test_shuffle_left_side_is_the_chain_polynomials_product(monkeypatch):
         )
         product = poly_mul(_gamma_chain(ups_pi, alpha, zs, 4), _gamma_chain(ups_sigma, beta, zs, 4))
         oracle = {
-            tuple(e for _, e in mono): c
+            _code(tuple(e for _, e in mono)): c
             for mono, c in product.terms.items()
             if not mono or mono[-1][0] == len(mono)
         }
         written = {mono: c for b, c in oracle.items() for mono in _m_monomials(b, mags)}
         assert written == product.terms
         assert all(c.denominator == 1 for c in oracle.values())
-        assert packed == verification._packed(
-            {_code(b): int(c) for b, c in oracle.items()}, slots
-        )
+        assert packed == verification._packed({b: int(c) for b, c in oracle.items()}, slots)
 
 
 def test_shuffle_check_fails_exactly_the_cases_whose_factors_hold_a_broken_pair(monkeypatch):
@@ -699,8 +702,8 @@ def test_shuffle_check_fails_exactly_the_cases_whose_factors_hold_a_broken_pair(
         f"{text}{len(zs)}"
         for pi, alpha, sigma, beta, text in _shuffle_cases(monkeypatch)
         for zs in _SHUFFLE_ALPHABETS
-        if pair[0] in _chain_codes(_ups(pi), alpha, zs)
-        and pair[1] in _chain_codes(_ups(sigma), beta, zs)
+        if pair[0] in _chain_m_terms(_ups(pi), alpha, zs)
+        and pair[1] in _chain_m_terms(_ups(sigma), beta, zs)
     ]
     assert 0 < len(expected) < 1012
     real = verification._pair_walk

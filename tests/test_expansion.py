@@ -12,6 +12,7 @@ import pytest
 import qsym
 from qsym import expansion
 from qsym.combinatorics import (
+    _code,
     compositions,
     descent_set,
     odd_compositions,
@@ -196,11 +197,52 @@ def _single_terms(n):
 def test_m_coefficients_match_expansion(n):
     for basis, comp in _single_terms(n):
         series = _series_expansion(basis, comp, n)
-        got = _m_coefficients(basis, comp)
-        assert set(got) <= set(compositions(n))
+        got = _m_coefficients(basis, _code(comp))
+        assert set(got) <= set(map(_code, compositions(n)))
         for b in compositions(n):
             want = series.get(tuple(enumerate(b, 1)), 0)  # x1^b1 ... xk^bk
-            assert got.get(b, 0) == want, (basis, comp, b)
+            assert got.get(_code(b), 0) == want, (basis, comp, b)
+
+
+def _tuple_keyed_m_coefficients(basis, comp):
+    """The reference for ``_m_coefficients``, as it stood keyed by the tuple
+    b: every weakly increasing index tuple onto some {1..k} is built (it
+    starts at 1, and each later entry repeats the last or adds one), kept
+    by the series' condition on its entries and weighted:
+
+    L:   strict ascent at every descent of comp, weight 1;
+    K:   i_(j-1) < i_(j+1) at every peak j of comp, weight 2^#distinct;
+    eta: no condition (one index per part), weight 2^#distinct.
+    """
+    if basis == "M":
+        return {comp: 1}
+    parts = comp if basis == "eta" else (1,) * sum(comp)
+    steps = itertools.product((0, 1), repeat=max(len(parts) - 1, 0))
+    tuples = [tuple(itertools.accumulate(s, initial=1)) for s in steps] if parts else [()]
+    if basis == "L":
+        descents = descent_set(comp)
+        terms = ((t, 1) for t in tuples if all(t[j - 1] < t[j] for j in descents))
+    else:
+        if basis == "K":
+            peaks = peak_set_of_composition(comp)
+            tuples = [t for t in tuples if all(t[j - 2] < t[j] for j in peaks)]
+        terms = ((t, 1 << len(set(t))) for t in tuples)
+    acc = {}
+    for t, weight in terms:
+        b = [0] * (t[-1] if t else 0)
+        for v, part in zip(t, parts):
+            b[v - 1] += part
+        acc[tuple(b)] = acc.get(tuple(b), 0) + weight
+    return {b: c for b, c in acc.items() if c}
+
+
+@pytest.mark.parametrize("n", range(10))
+def test_m_coefficients_by_code_match_the_tuple_keyed_walk(n):
+    """Every M, L, K and eta term with n <= 9: the step-mask walk gives the
+    tuple-keyed walk's coefficients, keyed by the code of b."""
+    for basis, comp in _single_terms(n):
+        want = {_code(b): c for b, c in _tuple_keyed_m_coefficients(basis, comp).items()}
+        assert dict(_m_coefficients(basis, _code(comp))) == want, (basis, comp)
 
 
 @pytest.mark.parametrize("n", range(7))

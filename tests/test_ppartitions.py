@@ -10,6 +10,7 @@ import pytest
 
 from qsym import combinatorics, ppartitions, verification
 from qsym.combinatorics import (
+    _code,
     composition_of_subset,
     contract_set,
     descent_set_of_permutation,
@@ -102,6 +103,20 @@ def test_poset_json_vertex_limit_is_inclusive(monkeypatch):
     assert LabelledWeightedPoset.from_json_dict({"n": 5}) == LabelledWeightedPoset(5)
     with pytest.raises(ValueError, match="poset field 'n' must be at most 5, got 6"):
         LabelledWeightedPoset.from_json_dict({"n": 6})
+
+
+def test_closure_budget_is_inclusive_and_names_the_count(monkeypatch):
+    """A chain of n holds n(n-1)/2 predecessor bits: 10 at n = 5, within a
+    budget of 10; at n = 6 the sixth vertex closes at 15 and is refused."""
+    monkeypatch.setattr(ppartitions, "_CLOSURE_BUDGET", 10)
+    assert chain_poset(range(1, 6)).chain_order() == (1, 2, 3, 4, 5)
+    fan = LabelledWeightedPoset(11, [(1, j) for j in range(2, 12)])  # one bit per vertex
+    assert fan.covers() == [(1, j) for j in range(2, 12)]
+    message = "the closed order needs at least 15 predecessor bits, over the budget of 10"
+    with pytest.raises(ValueError, match=message):
+        chain_poset(range(1, 7))
+    with pytest.raises(ValueError, match=message):
+        LabelledWeightedPoset.from_json_dict({"n": 6, "covers": [[i, i + 1] for i in range(1, 6)]})
 
 
 def test_chain_poset():
@@ -567,7 +582,9 @@ def test_chain_m_terms_written_on_monomials_are_the_chain_function():
                 for zs in alphabets:
                     mags, nvars = sorted({abs(z) for z in zs}), abs(zs[-1])
                     coeffs = _chain_m_terms(ups, ws, zs)
-                    assert all(len(b) <= len(mags) and sum(b) == sum(ws) for b in coeffs)
+                    assert all(
+                        b.bit_count() <= len(mags) and b.bit_length() == sum(ws) for b in coeffs
+                    )
                     assert all(c > 0 for c in coeffs.values())
                     written = {
                         mono: c for b, c in coeffs.items() for mono in _m_monomials(b, tuple(mags))
@@ -578,9 +595,58 @@ def test_chain_m_terms_written_on_monomials_are_the_chain_function():
     # chains that need more blocks than the alphabet has magnitudes are among them
     assert zero > 0
     assert _chain_m_terms((False,), (1, 1), (1,)) == {}
-    assert _chain_m_terms((), (), ()) == {(): 1}
+    assert _chain_m_terms((), (), ()) == {0: 1}
     with pytest.raises(ValueError, match="different sign sets"):
         _chain_m_terms((True,), (1, 1), (-1, 2))
+
+
+def _tuple_keyed_chain_m_terms(ups, ws, zs):
+    """The reference for ``_chain_m_terms``, as it stood keyed by the tuple
+    b: the same depth-first walk over cut sets, carrying each block's
+    weights in a tuple."""
+    if not ws:
+        return {(): 1}
+    signs = ppartitions._sign_sets(zs)
+    kinds = set(signs.values())
+    assert len(kinds) <= 1
+    minus, plus, both = ppartitions._MINUS, ppartitions._PLUS, ppartitions._BOTH
+    kind = kinds.pop() if kinds else 0
+    kind, per_block = (both, 2) if kind == minus | plus else (kind, 1)
+    n, k, acc = len(ws), len(signs), {}
+    stack = [(0, ())] if k else []
+    while stack:
+        start, bs = stack.pop()
+        killed = b = 0
+        for end in range(start, n):
+            if end > start:
+                if ups[end - 1]:
+                    killed |= minus
+                else:
+                    killed |= plus | (both if killed & minus else 0)
+                if killed & kind:
+                    break
+            b += ws[end]
+            if end + 1 == n:
+                acc[bs + (b,)] = per_block ** (len(bs) + 1)
+            elif len(bs) + 1 < k:
+                stack.append((end + 1, bs + (b,)))
+    return acc
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_chain_m_terms_by_code_match_the_tuple_keyed_walk(n):
+    """Every up-down pattern of n <= 7 vertices, every weighting from
+    {1, 2}, over P_k and Ppm_k for k <= 4: the code-keyed walk gives the
+    tuple-keyed walk's coefficients, keyed by the code of b."""
+    alphabets = [positive_alphabet(k) for k in range(1, 5)]
+    alphabets += [signed_alphabet(k) for k in range(1, 5)]
+    for ups in itertools.product((False, True), repeat=max(n - 1, 0)):
+        for ws in itertools.product((1, 2), repeat=n):
+            for zs in alphabets:
+                want = _tuple_keyed_chain_m_terms(ups, ws, zs)
+                assert _chain_m_terms(ups, ws, zs) == {
+                    _code(b): c for b, c in want.items()
+                }, (ups, ws, zs)
 
 
 def _words_by_pattern(n):
