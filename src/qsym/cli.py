@@ -193,16 +193,20 @@ def _basis_term(basis: str, comp) -> str:
 def format_element(elem: QSymElement) -> str:
     """Canonical text form; ``parse_element`` round-trips it."""
     return _signed_sum(
-        elem.sorted_terms(), lambda comp: _basis_term(elem.basis, comp), f"0*{elem.basis}[]"
+        elem._sorted_items(),
+        lambda comp: _basis_term(elem.basis, comp),
+        f"0*{elem.basis}[]",
+        elem._den,
     )
 
 
 def format_tensor(tensor: TensorElement) -> str:
     lb, rb = tensor.bases
     return _signed_sum(
-        tensor.sorted_terms(),
+        tensor._sorted_items(),
         lambda pair: f"{_basis_term(lb, pair[0])} (x) {_basis_term(rb, pair[1])}",
         "0",
+        tensor._den,
     )
 
 
@@ -251,21 +255,23 @@ def _json_exps(key) -> str:
 def _print_json(value) -> None:
     """Print an element, a tensor or a polynomial as ``--format json``: the
     bytes of ``json.dumps(value.to_json_dict(), indent=2)``, one f-string
-    per sorted term (basis names and coefficients need no escaping)."""
+    per sorted term (basis names and coefficients need no escaping).  An
+    element's or tensor's coefficient is written from its numerator and
+    ``_den``, so no Fraction is built."""
     if isinstance(value, QSymElement):
         head = f'"basis": "{value.basis}"'
         terms = [
             f'{{\n      "comp": {_json_comp(comp)},\n'
-            f'      "coeff": "{format_rational(coeff)}"\n    }}'
-            for comp, coeff in value.sorted_terms()
+            f'      "coeff": "{format_rational(num, value._den)}"\n    }}'
+            for comp, num in value._sorted_items()
         ]
     elif isinstance(value, TensorElement):
         head = '"basis": ' + _json_list([f'"{b}"' for b in value.bases], "  ")
         terms = [
             f'{{\n      "comp_left": {_json_comp(left)},\n'
             f'      "comp_right": {_json_comp(right)},\n'
-            f'      "coeff": "{format_rational(coeff)}"\n    }}'
-            for (left, right), coeff in value.sorted_terms()
+            f'      "coeff": "{format_rational(num, value._den)}"\n    }}'
+            for (left, right), num in value._sorted_items()
         ]
     else:
         head = f'"nvars": {value.nvars},\n  "degree": {value.degree}'

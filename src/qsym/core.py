@@ -1,23 +1,33 @@
 """Sparse exact linear combinations in the bases M, L, K and eta.
 
 Elements are immutable basis-tagged dictionaries mapping compositions to
-nonzero rational coefficients.  Inside this module a composition of n is
-its int code, mask | 1 << (n-1) for its descent mask (0 for ()), so n is
-``code.bit_length()``; a tensor term is a pair of codes.  Codes are made
-and read back only at the boundary: the constructors, ``term``,
-``coefficient``, ``eta_product``'s arguments and the functions handed to
-``map_terms`` and ``map_legs`` encode or decode, and ``terms``,
-``sorted_terms``, ``repr`` and ``to_json_dict`` decode.  ``terms`` is a
-read-only mapping from compositions to Fractions whose size is read
-without decoding.  The kernels read and write codes; the one decode left
-in them is the pair walk's, which reads each M or eta operand's parts.
-The subset codec lives in ``combinatorics``.
+nonzero int numerators, over one denominator per element.  Inside this
+module a composition of n is its int code, mask | 1 << (n-1) for its
+descent mask (0 for ()), so n is ``code.bit_length()``; a tensor term is a
+pair of codes.  Codes are made and read back only at the boundary: the
+constructors, ``term``, ``coefficient``, ``eta_product``'s arguments and
+the functions handed to ``map_terms`` and ``map_legs`` encode or decode,
+and ``terms``, ``sorted_terms``, ``repr`` and ``to_json_dict`` decode.
+``terms`` is a read-only mapping from compositions to Fractions whose size
+is read without decoding.  The kernels read and write codes; the one
+decode left in them is the pair walk's, which reads each M or eta
+operand's parts.  The subset codec lives in ``combinatorics``.
+
+Coefficients are stored as ``_terms``, {code: int}, and ``_den``, one int,
+in canonical form: no zero numerator, ``_den >= 1``, and no common factor
+of ``_den`` and the numerators (so the zero element has ``_den == 1``).
+Equal elements therefore have equal ``(basis, _den, _terms)``.  ``_raw``
+(``_raw_tensor``) is the one normaliser; every kernel ends with it or
+keeps an input's numerators as they are.  Fractions are built only at the
+public boundary: the values of ``terms``, ``coefficient``, ``counit`` and
+``sorted_terms``; ``repr``, ``to_json_dict`` and the CLI write each term
+from its numerator and ``_den`` with one gcd.  The constructors clear
+their input to this form in one pass.
 
 The eta basis (enriched monomials) is defined by eta_alpha = sum of
 2^len(beta) * M_beta over all beta whose descent set is contained in that
 of alpha; it is a basis of QSym over any ring in which 2 is invertible, so
-coefficients here are Fractions whose denominators are powers of 2 under
-all conversions.
+denominators are powers of 2 under all conversions.
 
 Every conversion and every antipode is one Boolean-lattice transform: a
 degree-n component is a vector indexed by subsets of [n-1], and the map
@@ -63,10 +73,9 @@ ints, in one accumulator keyed by code.
 Every sum adds with ``dict.get``, a whole map at a time by ``_add_into``
 or inline where keys are computed per item, and drops the entries that
 cancel once, at the end.  Products, coproducts, conversions, antipodes
-and the linear extensions ``map_terms`` and ``map_legs`` sum in machine
-ints: each operand's denominators are cleared once with an lcm, and each
-distinct output coefficient costs one Fraction, which the terms that
-carry it share.
+and the linear extensions ``map_terms`` and ``map_legs`` read their
+operands' numerators and denominators as they are stored and sum in ints
+over the product or lcm of those denominators.
 Conversions and antipodes are sized before they run, and refused past
 ``_MASK_BUDGET`` output masks in one degree.  Products are sized while they
 run: a pair walk that could hold more than ``_WALK_BUDGET`` map entries
@@ -79,9 +88,9 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from collections.abc import Callable, ItemsView, Iterable, Mapping
+from collections.abc import Callable, ItemsView, Iterable, Mapping, ValuesView
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import cache, lru_cache, partial
 
 from .combinatorics import (
     Composition,
@@ -96,20 +105,18 @@ from .combinatorics import (
     descent_set_of_permutation,
     odd_composition_of_peak_set,
     peak_set_of_permutation,
-    subsets,
 )
 
 BASES = ("M", "L", "K", "eta")
 _WALK_BUDGET = 1 << 24  # map entries a product walk holds in two grid rows
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)  # the coefficient every unit term shares
 
 
 def _add_into(acc: dict, vec: Mapping, scale=1) -> None:
     """acc += scale * vec.  Entries that cancel stay, as 0, until the sum is
-    finished by ``_nonzero`` or by a transform that skips them.  A scale of 1
-    skips the multiply, which costs more than the add on a Fraction."""
+    finished by ``_nonzero``, by ``_raw`` or by a transform that skips them.
+    A scale of 1 skips the multiply."""
     if scale == 1:
         for key, c in vec.items():
             acc[key] = acc.get(key, 0) + c
@@ -123,39 +130,49 @@ def _nonzero(acc: dict) -> dict:
     return {key: c for key, c in acc.items() if c}
 
 
-def _cleared(terms: Mapping) -> tuple[dict, int]:
-    """The coefficients as ints over one common denominator, and that denominator."""
-    common = math.lcm(*(v.denominator for v in terms.values()))
-    return {k: v.numerator * (common // v.denominator) for k, v in terms.items()}, common
+def _lowest(acc: dict, den: int) -> tuple[dict, int]:
+    """acc / den in canonical form: the zero entries dropped, and the gcd of
+    den and the numerators divided out of both (den 1 when nothing is left).
+    den is positive."""
+    if 0 in acc.values():
+        acc = _nonzero(acc)
+    common = math.gcd(den, *acc.values())
+    if common != 1:
+        den //= common
+        acc = {key: v // common for key, v in acc.items()}
+    return acc, den
 
 
-def _int_terms(elem: "QSymElement") -> tuple[dict, int]:
-    """``_cleared(elem._terms)``, computed once per element and kept on it:
-    the element is immutable, so an image that a term map returns from its
-    own cache is cleared once however often it is mapped."""
-    try:
-        return elem._ints
-    except AttributeError:
-        object.__setattr__(elem, "_ints", _cleared(elem._terms))
-        return elem._ints
+def _clear(items: Iterable, encode) -> tuple[dict, int]:
+    """The (key, coeff) items summed as {encode(key): numerator} over one
+    common denominator, returned with it, in one pass: each key is checked
+    before its coefficient, and when a coefficient's denominator does not
+    divide the common one, the common one grows to their lcm and the sum so
+    far is rescaled."""
+    acc: dict = {}
+    den = 1
+    for key, coeff in items:
+        code = encode(key)
+        if type(coeff) is not Fraction and type(coeff) is not int:
+            coeff = _coerce_coeff(coeff)
+        q = coeff.denominator
+        if den % q:
+            grow = q // math.gcd(den, q)
+            den *= grow
+            acc = {c: v * grow for c, v in acc.items()}
+        acc[code] = acc.get(code, 0) + coeff.numerator * (den // q)
+    return acc, den
 
 
-def _fractions(acc: dict, common: int) -> dict:
-    """A finished int sum divided by common: the nonzero entries, with one
-    Fraction per distinct value, shared by the keys that carry it."""
-    shared = {v: Fraction(v, common) for v in set(acc.values()) if v}
-    return {key: shared[v] for key, v in acc.items() if v}
-
-
-def _linear_sum(images: list) -> dict:
-    """The finished sum of coeff * vec / den over the (coeff, vec, den) in
-    images, each vec an int map over its int den: summed in ints over one
-    common denominator, as ``_bilinear`` sums."""
-    common = math.lcm(*(coeff.denominator * den for coeff, _, den in images))
+def _linear_sum(images: list) -> tuple[dict, int]:
+    """The sum of coeff * vec / den over the (coeff, vec, den) in images,
+    coeff an int and vec an int map: summed in ints over the lcm of the
+    dens, and returned with that lcm, as ``_bilinear`` sums."""
+    common = math.lcm(*(den for _, _, den in images))
     acc: dict = {}
     for coeff, vec, den in images:
-        _add_into(acc, vec, coeff.numerator * (common // (coeff.denominator * den)))
-    return _fractions(acc, common)
+        _add_into(acc, vec, coeff * (common // den))
+    return acc, common
 
 
 def term_sort_key(comp: Composition):
@@ -170,33 +187,42 @@ def _exact(value) -> Fraction | int:
     raise TypeError(f"coefficients must be exact rationals, got {value!r}")
 
 
-def _coerce_coeff(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
+def _coerce_coeff(value) -> Fraction | int:
+    """An exact coefficient: a Fraction or an int as it is, a string read as
+    a Fraction; anything else is refused by ``_exact``."""
+    if not isinstance(value, str):
+        return _exact(value)
     try:
-        return Fraction(value if isinstance(value, str) else _exact(value))
+        return Fraction(value)
     except ZeroDivisionError:
         raise ValueError(f"coefficient {value!r} has a zero denominator") from None
 
 
-def format_rational(value: Fraction | int) -> str:
-    """p/q with q omitted when 1 and the sign on the numerator."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+def format_rational(value: Fraction | int, den: int = 1) -> str:
+    """value / den as p/q in lowest terms, q omitted when 1 and the sign on
+    the numerator; value is a Fraction or an int, den a positive int."""
+    num, q = value.numerator, value.denominator * den
+    if den != 1:
+        common = math.gcd(num, q)
+        num, q = num // common, q // common
+    return str(num) if q == 1 else f"{num}/{q}"
 
 
-def _signed_sum(items, body, zero: str) -> str:
-    """``a + 2*b - c`` from (key, coeff) items, ``body(key)`` naming each term.
+def _signed_sum(items, body, zero: str, den: int = 1) -> str:
+    """``a + 2*b - c`` from (key, coeff) items, each coefficient coeff / den
+    (coeff an int or a Fraction), ``body(key)`` naming each term.
 
     A key whose body is empty prints its coefficient alone.
     """
     pieces = []
     for key, coeff in items:
-        num, den, text = coeff.numerator, coeff.denominator, body(key)
+        num, q, text = coeff.numerator, coeff.denominator * den, body(key)
+        if den != 1:
+            common = math.gcd(num, q)
+            num, q = num // common, q // common
         mag = -num if num < 0 else num
-        if den != 1 or mag != 1 or not text:
-            mag = f"{mag}/{den}" if den != 1 else str(mag)
+        if q != 1 or mag != 1 or not text:
+            mag = f"{mag}/{q}" if q != 1 else str(mag)
             text = f"{mag}*{text}" if text else mag
         if pieces:
             pieces.append(f" - {text}" if num < 0 else f" + {text}")
@@ -252,14 +278,15 @@ def _pair_of_compositions(codes: tuple[int, int]) -> tuple[Composition, Composit
 
 
 class _Terms(Mapping):
-    """A read-only view of a code-keyed term dict by compositions (pairs of
-    them for a tensor).  Its size is the dict's; iterating decodes each
-    key, and a lookup encodes its key."""
+    """A read-only view of a code-keyed dict of int numerators over one
+    denominator, by compositions (pairs of them for a tensor).  Its size is
+    the dict's; iterating decodes each key, a lookup encodes its key, and
+    each value read is built as a Fraction."""
 
-    __slots__ = ("_codes", "_decode", "_encode")
+    __slots__ = ("_codes", "_den", "_decode", "_encode")
 
-    def __init__(self, codes: dict, decode, encode):
-        self._codes, self._decode, self._encode = codes, decode, encode
+    def __init__(self, codes: dict, den: int, decode, encode):
+        self._codes, self._den, self._decode, self._encode = codes, den, decode, encode
 
     def __len__(self):
         return len(self._codes)
@@ -271,16 +298,29 @@ class _Terms(Mapping):
         value = self._codes.get(self._encode(key))
         if value is None:
             raise KeyError(key)
-        return value
+        return Fraction(value, self._den)
 
     def items(self):
         return _TermItems(self)
 
     def values(self):
-        return self._codes.values()
+        return _TermValues(self)
 
     def __repr__(self):
         return f"{type(self).__name__}({dict(self.items())!r})"
+
+
+class _TermValues(ValuesView):
+    """``_Terms.values()``: each numerator over the denominator.  Each pass
+    builds one Fraction per distinct numerator, shared by the terms that
+    carry it."""
+
+    __slots__ = ()
+
+    def __iter__(self):
+        den, numerators = self._mapping._den, self._mapping._codes.values()
+        made = {v: Fraction(v, den) for v in set(numerators)}
+        return map(made.__getitem__, numerators)
 
 
 class _TermItems(ItemsView):
@@ -290,33 +330,28 @@ class _TermItems(ItemsView):
     __slots__ = ()
 
     def __iter__(self):
-        codes = self._mapping._codes
-        return zip(map(self._mapping._decode, codes), codes.values())
+        terms = self._mapping
+        return zip(map(terms._decode, terms._codes), terms.values())
 
 
 class QSymElement:
     """A finite linear combination of basis elements of one fixed basis.
 
     Values are immutable; all arithmetic returns new elements.  Equality is
-    per-basis dictionary equality; use expansion.certify_equal to compare
-    elements expressed in different bases.  ``_terms`` is keyed by the codes
-    of the compositions (see ``combinatorics``); ``_ints`` holds them cleared
-    to ints once ``_int_terms`` has been asked.
+    per-basis equality of the coefficients; use expansion.certify_equal to
+    compare elements expressed in different bases.  ``_terms`` maps the
+    codes of the compositions (see ``combinatorics``) to int numerators
+    over the one denominator ``_den``, in the canonical form the module
+    docstring gives.
     """
 
-    __slots__ = ("basis", "_terms", "_ints")
+    __slots__ = ("basis", "_terms", "_den")
 
     def __init__(self, basis: str, terms: Mapping | Iterable = ()):
         _check_basis(basis)
         items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[int, Fraction] = {}
-        for comp, coeff in items:
-            code = _index_code(basis, comp)
-            coeff = _coerce_coeff(coeff)
-            old = acc.get(code)
-            acc[code] = coeff if old is None else old + coeff
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "_terms", _nonzero(acc))
+        acc, den = _clear(items, partial(_index_code, basis))
+        _fill(self, "basis", basis, *_lowest(acc, den))
 
     def __setattr__(self, name, value):
         raise AttributeError("QSymElement is immutable")
@@ -324,14 +359,17 @@ class QSymElement:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def term(cls, basis: str, comp: Iterable[int], coeff=_ONE) -> "QSymElement":
+    def term(cls, basis: str, comp: Iterable[int], coeff=1) -> "QSymElement":
         """The one-term element coeff * basis_comp, checked as the constructor
         checks it: basis, then index, then coefficient."""
         comp = tuple(comp)
         _check_basis(basis)
         code = _index_code(basis, comp)
         coeff = _coerce_coeff(coeff)
-        return _raw(basis, {code: coeff} if coeff else {})
+        # a Fraction's numerator and denominator are coprime, an int's denominator 1
+        if not coeff:
+            return _element(basis, {}, 1)
+        return _element(basis, {code: coeff.numerator}, coeff.denominator)
 
     @classmethod
     def unit(cls, basis: str) -> "QSymElement":
@@ -345,15 +383,16 @@ class QSymElement:
 
     @property
     def terms(self) -> Mapping[Composition, Fraction]:
-        return _Terms(self._terms, _composition_of_code, _lookup_code)
+        return _Terms(self._terms, self._den, _composition_of_code, _lookup_code)
 
     def coefficient(self, comp: Iterable[int]) -> Fraction:
         """The coefficient of comp; 0 when comp is no composition."""
-        return self._terms.get(_lookup_code(tuple(comp)), _ZERO)
+        value = self._terms.get(_lookup_code(tuple(comp)))
+        return _ZERO if value is None else Fraction(value, self._den)
 
     def counit(self) -> Fraction:
         """Coefficient of the empty composition."""
-        return self._terms.get(0, _ZERO)
+        return Fraction(self._terms.get(0, 0), self._den)
 
     @property
     def is_zero(self) -> bool:
@@ -364,8 +403,13 @@ class QSymElement:
         """Max size of an indexing composition; 0 for the zero element."""
         return max(self._terms, default=0).bit_length()
 
+    def _sorted_items(self) -> list[tuple[Composition, int]]:
+        """(composition, numerator) pairs in ``term_sort_key`` order."""
+        pairs = zip(map(_composition_of_code, self._terms), self._terms.values())
+        return sorted(pairs, key=lambda kv: term_sort_key(kv[0]))
+
     def sorted_terms(self) -> list[tuple[Composition, Fraction]]:
-        return sorted(self.terms.items(), key=lambda kv: term_sort_key(kv[0]))
+        return [(comp, Fraction(v, self._den)) for comp, v in self._sorted_items()]
 
     # -- arithmetic --------------------------------------------------------
 
@@ -379,9 +423,11 @@ class QSymElement:
         if not isinstance(other, QSymElement):
             return NotImplemented
         self._require_same_basis(other)
-        acc = dict(self._terms)
-        _add_into(acc, other._terms)
-        return _raw(self.basis, _nonzero(acc))
+        den = math.lcm(self._den, other._den)
+        up = den // self._den
+        acc = dict(self._terms) if up == 1 else {c: v * up for c, v in self._terms.items()}
+        _add_into(acc, other._terms, den // other._den)
+        return _raw(self.basis, acc, den)
 
     def __sub__(self, other):
         if not isinstance(other, QSymElement):
@@ -389,13 +435,16 @@ class QSymElement:
         return self + (-other)
 
     def __neg__(self):
-        return _raw(self.basis, {c: -v for c, v in self._terms.items()})
+        return _element(self.basis, {c: -v for c, v in self._terms.items()}, self._den)
 
     def scale(self, scalar) -> "QSymElement":
         scalar = _coerce_coeff(scalar)
-        if not scalar:
-            return _raw(self.basis, {})
-        return _raw(self.basis, {c: v * scalar for c, v in self._terms.items()})
+        num = scalar.numerator
+        return _raw(
+            self.basis,
+            {c: v * num for c, v in self._terms.items()} if num else {},
+            self._den * scalar.denominator,
+        )
 
     def __mul__(self, other):
         if isinstance(other, QSymElement):
@@ -412,16 +461,19 @@ class QSymElement:
     def __eq__(self, other):
         if not isinstance(other, QSymElement):
             return NotImplemented
-        return self.basis == other.basis and self._terms == other._terms
+        return (
+            self.basis == other.basis and self._den == other._den and self._terms == other._terms
+        )
 
     def __hash__(self):
-        return hash((self.basis, frozenset(self._terms.items())))
+        return hash((self.basis, self._den, frozenset(self._terms.items())))
 
     def __repr__(self):
         if not self._terms:
             return f"QSymElement({self.basis!r}, 0)"
         body = " + ".join(
-            f"{format_rational(v)}*{self.basis}{list(c)}" for c, v in self.sorted_terms()
+            f"{format_rational(v, self._den)}*{self.basis}{list(c)}"
+            for c, v in self._sorted_items()
         )
         return f"QSymElement({body})"
 
@@ -431,14 +483,15 @@ class QSymElement:
         self, fn: Callable[[Composition], "QSymElement"], basis: str
     ) -> "QSymElement":
         """Apply a basis-term map linearly; ``basis`` tags the (possibly zero) result.
-        The images are summed in ints by ``_linear_sum``."""
+        The images' numerators are summed in ints by ``_linear_sum``."""
         images = []
         for code, coeff in self._terms.items():
             image = fn(_composition_of_code(code))
             if image.basis != basis:
                 raise ValueError(f"term map returned basis {image.basis}, expected {basis}")
-            images.append((coeff, *_cleared(image._terms)))
-        return _raw(basis, _linear_sum(images))
+            images.append((coeff, image._terms, image._den))
+        acc, common = _linear_sum(images)
+        return _raw(basis, acc, common * self._den)
 
     # -- serialization -------------------------------------------------------
 
@@ -446,8 +499,8 @@ class QSymElement:
         return {
             "basis": self.basis,
             "terms": [
-                {"comp": list(comp), "coeff": format_rational(coeff)}
-                for comp, coeff in self.sorted_terms()
+                {"comp": list(comp), "coeff": format_rational(v, self._den)}
+                for comp, v in self._sorted_items()
             ],
         }
 
@@ -469,73 +522,87 @@ class QSymElement:
         return cls(data["basis"], [(tuple(t["comp"]), t["coeff"]) for t in terms])
 
 
-def _raw(basis: str, acc: dict) -> QSymElement:
-    """Internal constructor for already-normalized term dictionaries."""
-    elem = QSymElement.__new__(QSymElement)
-    object.__setattr__(elem, "basis", basis)
-    object.__setattr__(elem, "_terms", acc)
-    return elem
+def _fill(obj, tag: str, value, terms: dict, den: int):
+    """Set the slots of a new element (tag "basis") or tensor (tag "bases")
+    and return it; terms / den must already be canonical."""
+    object.__setattr__(obj, tag, value)
+    object.__setattr__(obj, "_terms", terms)
+    object.__setattr__(obj, "_den", den)
+    return obj
 
 
-def _raw_tensor(bases: tuple[str, str], acc: dict) -> "TensorElement":
-    """Internal constructor for already-normalized tensor term dictionaries."""
-    out = TensorElement.__new__(TensorElement)
-    object.__setattr__(out, "bases", bases)
-    object.__setattr__(out, "_terms", acc)
-    return out
+def _element(basis: str, terms: dict, den: int) -> QSymElement:
+    """Internal constructor for terms / den already in canonical form."""
+    return _fill(QSymElement.__new__(QSymElement), "basis", basis, terms, den)
+
+
+def _raw(basis: str, acc: dict, den: int = 1) -> QSymElement:
+    """The element sum of acc[code] / den * basis[code]: the one normaliser
+    of int sums, which drops their zeros and divides out the gcd."""
+    return _element(basis, *_lowest(acc, den))
+
+
+def _raw_tensor(bases: tuple[str, str], acc: dict, den: int = 1) -> "TensorElement":
+    """``_raw`` for tensors, keyed by pairs of codes."""
+    return _fill(TensorElement.__new__(TensorElement), "bases", bases, *_lowest(acc, den))
 
 
 class TensorElement:
-    """A linear combination of pure tensors of basis elements."""
+    """A linear combination of pure tensors of basis elements, stored as
+    ``QSymElement`` stores its terms, keyed by pairs of codes."""
 
-    __slots__ = ("bases", "_terms")
+    __slots__ = ("bases", "_terms", "_den")
 
     def __init__(self, bases: tuple[str, str], terms: Mapping | Iterable = ()):
         left, right = bases
         if left not in BASES or right not in BASES:
             raise ValueError(f"unknown basis pair {bases!r}")
+
+        def encode(pair):
+            cl, cr = pair
+            return _index_code(left, cl), _index_code(right, cr)
+
         items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[tuple[int, int], Fraction] = {}
-        for (cl, cr), coeff in items:
-            key = (_index_code(left, cl), _index_code(right, cr))
-            coeff = _coerce_coeff(coeff)
-            old = acc.get(key)
-            acc[key] = coeff if old is None else old + coeff
-        object.__setattr__(self, "bases", (left, right))
-        object.__setattr__(self, "_terms", _nonzero(acc))
+        acc, den = _clear(items, encode)
+        _fill(self, "bases", (left, right), *_lowest(acc, den))
 
     def __setattr__(self, name, value):
         raise AttributeError("TensorElement is immutable")
 
     @property
     def terms(self) -> Mapping:
-        return _Terms(self._terms, _pair_of_compositions, _pair_of_codes)
+        return _Terms(self._terms, self._den, _pair_of_compositions, _pair_of_codes)
 
     @property
     def is_zero(self) -> bool:
         return not self._terms
 
+    def _sorted_items(self) -> list:
+        """((left, right), numerator) pairs, ordered by the left leg's
+        ``term_sort_key``, then the right leg's."""
+        pairs = zip(map(_pair_of_compositions, self._terms), self._terms.values())
+        return sorted(pairs, key=lambda kv: (term_sort_key(kv[0][0]), term_sort_key(kv[0][1])))
+
     def sorted_terms(self):
-        return sorted(
-            self.terms.items(),
-            key=lambda kv: (term_sort_key(kv[0][0]), term_sort_key(kv[0][1])),
-        )
+        return [(pair, Fraction(v, self._den)) for pair, v in self._sorted_items()]
 
     def __eq__(self, other):
         if not isinstance(other, TensorElement):
             return NotImplemented
-        return self.bases == other.bases and self._terms == other._terms
+        return (
+            self.bases == other.bases and self._den == other._den and self._terms == other._terms
+        )
 
     def __hash__(self):
-        return hash((self.bases, frozenset(self._terms.items())))
+        return hash((self.bases, self._den, frozenset(self._terms.items())))
 
     def __repr__(self):
         if not self._terms:
             return f"TensorElement({self.bases!r}, 0)"
         lb, rb = self.bases
         body = " + ".join(
-            f"{format_rational(v)}*{lb}{list(l)}(x){rb}{list(r)}"
-            for (l, r), v in self.sorted_terms()
+            f"{format_rational(v, self._den)}*{lb}{list(l)}(x){rb}{list(r)}"
+            for (l, r), v in self._sorted_items()
         )
         return f"TensorElement({body})"
 
@@ -548,7 +615,7 @@ class TensorElement:
         """Apply basis-term maps to both legs, linearly extended; each leg
         pair's tensor product is taken in ints and summed by ``_linear_sum``.
         Each distinct leg code is decoded and mapped once per call, and each
-        image is cleared once (see ``_int_terms``)."""
+        image's numerators are read as they are stored."""
         bases = tuple(bases)
 
         def leg(fn, basis):
@@ -557,7 +624,7 @@ class TensorElement:
                 out = fn(_composition_of_code(code))
                 if out.basis != basis:
                     raise ValueError("leg maps returned unexpected bases")
-                return _int_terms(out)
+                return out._terms, out._den
 
             return image
 
@@ -567,7 +634,8 @@ class TensorElement:
             (tl, dl), (tr, dr) = left(cl), right(cr)
             vec = {(l2, r2): vl * vr for l2, vl in tl.items() for r2, vr in tr.items()}
             images.append((coeff, vec, dl * dr))
-        return _raw_tensor(bases, _linear_sum(images))
+        acc, common = _linear_sum(images)
+        return _raw_tensor(bases, acc, common * self._den)
 
     def multiply_legs(self) -> QSymElement:
         """Multiply the two legs of every tensor and sum the results."""
@@ -580,9 +648,8 @@ class TensorElement:
                 lambda c: convert(QSymElement.term("K", c), "eta"),
                 ("eta", "eta"),
             ).multiply_legs()
-        terms, common = _cleared(self._terms)
-        pairs = ((cl, cr, coeff) for (cl, cr), coeff in terms.items())
-        return _bilinear(left, pairs, common)
+        pairs = ((cl, cr, coeff) for (cl, cr), coeff in self._terms.items())
+        return _bilinear(left, pairs, self._den)
 
     def to_json_dict(self) -> dict:
         return {
@@ -591,9 +658,9 @@ class TensorElement:
                 {
                     "comp_left": list(l),
                     "comp_right": list(r),
-                    "coeff": format_rational(v),
+                    "coeff": format_rational(v, self._den),
                 }
-                for (l, r), v in self.sorted_terms()
+                for (l, r), v in self._sorted_items()
             ],
         }
 
@@ -601,16 +668,20 @@ class TensorElement:
 def signed_subset_sum(s: Iterable, t: Iterable) -> int:
     """Sum over subsets I of s of (-1)^|I \\ t|, computed literally.
 
-    Equals 2^|s| when s is contained in t and 0 otherwise.
+    Equals 2^|s| when s is contained in t and 0 otherwise.  The sorted
+    distinct elements of s are numbered as bits, so each subset is an int
+    below 2^|s| and its sign is the parity of its bits outside t.
 
     >>> signed_subset_sum({1, 2}, {1, 2, 3})
     4
     >>> signed_subset_sum({1, 4}, {1})
     0
     """
-    s = set(s)
+    elems = sorted(set(s))
     t = set(t)
-    return sum(-1 if len(set(i) - t) % 2 else 1 for i in subsets(sorted(s)))
+    outside = sum(1 << k for k, x in enumerate(elems) if x not in t)
+    odd = sum((i & outside).bit_count() & 1 for i in range(1 << len(elems)))
+    return (1 << len(elems)) - 2 * odd
 
 
 def L_of_permutation(pi: Iterable[int]) -> QSymElement:
@@ -663,22 +734,22 @@ def multiply(a: QSymElement, b: QSymElement) -> QSymElement:
         raise ValueError(f"basis mismatch: {a.basis} vs {b.basis}; convert first")
     if a.basis == "K":
         a, b = convert(a, "eta"), convert(b, "eta")
-    (ta, da), (tb, db) = _cleared(a._terms), _cleared(b._terms)
+    ta, tb = a._terms, b._terms
     pairs = ((ca, cb, va * vb) for ca, va in ta.items() for cb, vb in tb.items())
-    return _bilinear(a.basis, pairs, da * db)
+    return _bilinear(a.basis, pairs, a._den * b._den)
 
 
 def _bilinear(basis: str, pairs, common: int) -> QSymElement:
     """Sum of coeff/common * (term ca times term cb) over (ca, cb, coeff), in M, L or eta.
 
     The coefficients are ints, so the walk multiplicities accumulate as ints
-    in one accumulator (codes of distinct degrees never meet), and each
-    distinct output coefficient costs one Fraction.
+    in one accumulator (codes of distinct degrees never meet), and the sum
+    over common is made canonical by ``_raw``.
     """
     acc: dict[int, int] = {}
     for ca, cb, coeff in pairs:
         _add_into(acc, _pair_walk(basis, ca, cb), coeff)
-    return _raw(basis, _fractions(acc, common))
+    return _raw(basis, acc, common)
 
 
 def _pair_walk(basis: str, ca: int, cb: int) -> dict[int, int]:
@@ -843,12 +914,12 @@ def coproduct(a: QSymElement) -> TensorElement:
     In L, Delta L_alpha is the sum over k = 0..n of L on [k] tensor L on
     [n-k], with descent sets Des(alpha) cut at k.  K input returns an
     (eta, eta)-tensor.  No two deconcatenations of distinct (alpha, k)
-    coincide, so M and eta copy their coefficients; the L cuts do collide
-    and are summed as ints over one denominator, so each distinct output
-    coefficient costs one Fraction.  On codes both are shifts and masks:
-    cutting the code c at size k leaves c >> k on the right, and on the left
-    the bits of c below k, with bit k-1 set (deconcatenation cuts only
-    where it is already set).
+    coincide, so M and eta copy their numerators and denominator; the L
+    cuts do collide and are summed as ints over the input's denominator.
+    Both end with ``_raw_tensor``.  On codes
+    both are shifts and masks: cutting the code c at size k leaves c >> k
+    on the right, and on the left the bits of c below k, with bit k-1 set
+    (deconcatenation cuts only where it is already set).
     """
     if a.basis == "K":
         return coproduct(convert(a, "eta"))
@@ -861,14 +932,13 @@ def coproduct(a: QSymElement) -> TensorElement:
                 low = rest & -rest
                 acc[code & (low << 1) - 1, code >> low.bit_length()] = coeff
                 rest ^= low
-        return _raw_tensor((a.basis, a.basis), acc)
-    terms, common = _cleared(a._terms)
+        return _raw_tensor((a.basis, a.basis), acc, a._den)
     sums: dict[tuple[int, int], int] = {}
-    for code, coeff in terms.items():
+    for code, coeff in a._terms.items():
         for k in range(code.bit_length() + 1):
             key = (code & (1 << k) - 1 | 1 << k >> 1, code >> k)
             sums[key] = sums.get(key, 0) + coeff
-    return _raw_tensor(("L", "L"), _fractions(sums, common))
+    return _raw_tensor(("L", "L"), sums, a._den)
 
 
 def antipode(a: QSymElement) -> QSymElement:
@@ -883,7 +953,8 @@ def antipode(a: QSymElement) -> QSymElement:
     """
     if a.basis == "K":
         return antipode(convert(a, "eta"))
-    flipped = _raw(a.basis, {_reversed_code(code): coeff for code, coeff in a._terms.items()})
+    flipped = {_reversed_code(code): coeff for code, coeff in a._terms.items()}
+    flipped = _element(a.basis, flipped, a._den)
     return _lattice_transform(flipped, a.basis)
 
 
@@ -948,10 +1019,12 @@ def _lattice_transform(a: QSymElement, target: str, then: str | None = None) -> 
     one 2x2 matrix, applied one bit at a time (Yates' algorithm): to the
     current support of a dict, or, when the support holds at least
     1/_DENSE_SHARE of the masks, to a list indexed by mask, whose output
-    keys are its indices with the top bit set.  Denominators are cleared
-    per degree first, so the butterflies run on ints and each distinct
-    output coefficient of a degree costs one Fraction.  A degree with more than _MASK_BUDGET masks
-    is sized before any pass: a bit whose matrix row has two nonzero
+    keys are its indices with the top bit set.  The butterflies run on the
+    stored numerators; degree n's output lies over the input's denominator
+    times den^(n-1) and the scale's denominator (den the matrix's), and the
+    degrees are scaled to the lcm of those before ``_raw`` makes the sum
+    canonical.  A degree with more than _MASK_BUDGET masks is sized before
+    any pass: a bit whose matrix row has two nonzero
     entries at most doubles a mask's image, and the transform is refused
     when the images' sizes sum past the budget.
 
@@ -965,7 +1038,7 @@ def _lattice_transform(a: QSymElement, target: str, then: str | None = None) -> 
     """
     rows, den, scale_num, scale_den = _int_lattice(a.basis, target)
     peaks = "K" in (a.basis, target)
-    by_degree: dict[int, dict[int, Fraction]] = {}
+    by_degree: dict[int, dict[int, int]] = {}
     for code, coeff in a._terms.items():
         n = code.bit_length()
         mask = _peaks_of_code(code) if peaks else code ^ 1 << n >> 1
@@ -984,26 +1057,27 @@ def _lattice_transform(a: QSymElement, target: str, then: str | None = None) -> 
             if then == "L" or sum(component.values()):
                 raise _over_budget(f"eta to {then}", n, 1 << n - 1)
             break
-    out: dict[int, Fraction] = {}
+    pieces = []  # (denominator, scale numerator, {code: numerator}) per degree
     for n, component in by_degree.items():
         if n == 0:
-            out[0] = component[0]
+            pieces.append((a._den, 1, component))
             continue
-        vec, common = _cleared(component)
-        if len(vec) * _DENSE_SHARE >= 1 << n - 1:
-            values = _yates_list(vec, n - 1, rows)
-            items = enumerate(values)
+        if len(component) * _DENSE_SHARE >= 1 << n - 1:
+            items = enumerate(_yates_list(component, n - 1, rows))
         else:
-            vec = _yates_dict(vec, n - 1, rows)
-            values, items = vec.values(), vec.items()
-        denom = scale_den * common * den ** (n - 1)
-        shared = {v: Fraction(v * scale_num, denom) for v in set(values) if v}
+            items = _yates_dict(component, n - 1, rows).items()
         if peaks:
-            out.update({_code_of_peaks(n, m): shared[v] for m, v in items if v})
+            codes = {_code_of_peaks(n, m): v for m, v in items if v}
         else:
             top = 1 << n - 1
-            out.update({m | top: shared[v] for m, v in items if v})
-    return _raw(target, out)
+            codes = {m | top: v for m, v in items if v}
+        pieces.append((scale_den * a._den * den ** (n - 1), scale_num, codes))
+    common = math.lcm(*(d for d, _, _ in pieces))
+    out: dict[int, int] = {}
+    for d, num, codes in pieces:
+        factor = num * (common // d)
+        out.update(codes if factor == 1 else {c: v * factor for c, v in codes.items()})
+    return _raw(target, out, common)
 
 
 def _yates_dict(vec: dict[int, int], bits: int, rows) -> dict[int, int]:
@@ -1080,5 +1154,5 @@ def convert(a: QSymElement, target: str) -> QSymElement:
     if target == "K":
         residual = {c: v for c, v in a._terms.items() if not _is_odd_code(c)}
         if residual:
-            raise NotInPeakSpanError(_raw("eta", residual))
+            raise NotInPeakSpanError(_raw("eta", residual, a._den))
     return _lattice_transform(a, target)

@@ -310,13 +310,13 @@ def _m_monomials(code: int, variables: tuple) -> tuple[Monomial, ...]:
 
 def _int_sum(a: QSymElement, common: int) -> dict:
     """a's coefficients on x_1^b_1 ... x_k^b_k by the code of b, times common
-    (a multiple of every denominator), summed in ints from its terms'
-    _m_coefficients.  Reads the code-keyed terms, so no ``terms`` view is
-    built and no composition decoded."""
+    (a multiple of a's denominator), summed in ints from its terms'
+    _m_coefficients.  Reads the code-keyed numerators, so no ``terms`` view
+    is built and no composition decoded."""
     acc: dict = {}
+    up = common // a._den
     for code, coeff in a._terms.items():
-        scaled = coeff.numerator * (common // coeff.denominator)
-        _add_into(acc, _m_coefficients(a.basis, code), scaled)
+        _add_into(acc, _m_coefficients(a.basis, code), coeff * up)
     return _nonzero(acc)
 
 
@@ -339,7 +339,7 @@ def expand(a: QSymElement, nvars: int, degree: int | None = None) -> TruncatedPo
             f"degree bound {degree} below element degree {a.degree}; "
             "expanding would silently truncate"
         )
-    common = math.lcm(*(coeff.denominator for coeff in a._terms.values()))
+    common = a._den
     coeffs = _int_sum(a, common)
     size = sum(math.comb(nvars, code.bit_count()) for code in coeffs)
     if size > _MONOMIAL_BUDGET:
@@ -363,5 +363,5 @@ def certify_equal(a: QSymElement, b: QSymElement) -> bool:
     a basis conversion; both sides are scaled by one common denominator
     and summed in ints.
     """
-    common = math.lcm(*(c.denominator for x in (a, b) for c in x._terms.values()))
+    common = math.lcm(a._den, b._den)
     return _int_sum(a, common) == _int_sum(b, common)

@@ -31,7 +31,6 @@ from __future__ import annotations
 import itertools
 import operator
 from collections.abc import Iterable, Iterator, Mapping, Sequence
-from fractions import Fraction
 from functools import lru_cache
 
 from .combinatorics import (
@@ -185,7 +184,7 @@ class LabelledWeightedPoset:
 
     def covers(self) -> list[tuple[int, int]]:
         """Covering relations: i < j with no k strictly between."""
-        return sorted((i, j) for j, mask in _lower_covers(self._preds) for i in _bits(mask))
+        return sorted((i, j) for j, below in _lower_covers(self._preds) for i in below)
 
     def with_relation(self, i: int, j: int) -> "LabelledWeightedPoset":
         if self.less(j, i):
@@ -273,15 +272,30 @@ class LabelledWeightedPoset:
         return cls(n, [tuple(pair) for pair in covers], weights)
 
 
-def _lower_covers(preds: Sequence[int]) -> Iterator[tuple[int, int]]:
-    """(j, mask of the vertices j covers) for each vertex j that has
-    predecessors in the closed masks preds: those below none of the others."""
-    for j, mask in enumerate(preds):
-        if mask:
-            below = 0
-            for i in _bits(mask):
-                below |= preds[i]
-            yield j, mask & ~below
+def _lower_covers(preds: Sequence[int]) -> Iterator[tuple[int, list[int]]]:
+    """(j, the vertices j covers) for each vertex j that has predecessors in
+    the closed masks preds: those below none of the others.  The vertices
+    sorted by predecessor count, which rises along every relation, are a
+    linear extension; j's predecessors all come before the vertices with
+    j's count.  They are visited from there down until none is left: each
+    one still left when visited is a cover, and takes itself and its own
+    predecessors out.  So on a chain, however labelled, each vertex costs
+    one visit and one OR, and the leaves of a fan one visit each."""
+    counts = [mask.bit_count() for mask in preds]
+    order = sorted(range(len(preds)), key=counts.__getitem__)
+    first: dict[int, int] = {}  # count: the first place in order with that count
+    for p, v in enumerate(order):
+        first.setdefault(counts[v], p)
+    for j, left in enumerate(preds):
+        if left:
+            below, p = [], first[counts[j]]
+            while left:
+                p -= 1
+                i = order[p]
+                if left >> i & 1:
+                    below.append(i)
+                    left &= ~(preds[i] | 1 << i)
+            yield j, below
 
 
 def chain_poset(pi: Iterable[int]) -> LabelledWeightedPoset:
@@ -493,11 +507,9 @@ def _steps(poset: LabelledWeightedPoset, signs: set, spent: int) -> tuple[dict, 
     successors, so the free set is carried along; it is the next ideal's."""
     n, preds, weights = poset.n, poset._preds, poset.weights
     after: list[list[int]] = [[] for _ in range(n + 1)]  # direct successors
-    for j, mask in _lower_covers(preds):
-        while mask:
-            low = mask & -mask
-            after[low.bit_length() - 1].append(j)
-            mask ^= low
+    for j, below in _lower_covers(preds):
+        for i in below:
+            after[i].append(j)
     words = 1 + n // 64  # of a mask, the charge of each step
     table: dict[int, list[list]] = {}
     todo = {0: sum(1 << v for v in range(1, n + 1) if not preds[v])}  # ideal: its free vertices
@@ -683,7 +695,7 @@ def universal_gamma(
     return _gamma_chain(_ups(word), parts, zs, nvars)
 
 
-_SIGNS = (Fraction(1), Fraction(-1))
+_SIGNS = (1, -1)
 
 
 def universal_to_eta(pi: Iterable[int], alpha: Iterable[int]) -> QSymElement:

@@ -44,7 +44,6 @@ from .core import (
     L_of_permutation,
     QSymElement,
     _add_into,
-    _cleared,
     _nonzero,
     _pair_walk,
     antipode,
@@ -247,7 +246,7 @@ def check_eta_product_rule(max_degree: int | None = None) -> CheckResult:
     """
     top = _cap(7, max_degree)
     r = _Recorder()
-    in_m = functools.cache(lambda c: _cleared(convert(QSymElement.term("eta", c), "M")._terms))
+    in_m = functools.cache(lambda c: convert(QSymElement.term("eta", c), "M"))
     slots: dict = {}  # keyed by the code of b
     walk = functools.cache(lambda ca, cb: _packed_with_bound(_pair_walk("M", ca, cb), slots))
 
@@ -256,18 +255,17 @@ def check_eta_product_rule(max_degree: int | None = None) -> CheckResult:
     for total in range(top + 1):
         for na in range(total + 1):
             for alpha, beta in itertools.product(compositions(na), compositions(total - na)):
-                (ta, da), (tb, db) = in_m(alpha), in_m(beta)
-                direct = eta_product(alpha, beta)._terms
-                common = math.lcm(da * db, *(c.denominator for c in direct.values()))
-                scale = common // (da * db)
+                a, b = in_m(alpha), in_m(beta)
+                direct = eta_product(alpha, beta)
+                common = math.lcm(a._den * b._den, direct._den)
+                up, scale = common // direct._den, common // (a._den * b._den)
                 closed = _packed_side(
-                    ((c.numerator * (common // c.denominator), series(code))
-                     for code, c in direct.items()),
+                    ((c * up, series(code)) for code, c in direct._terms.items()),
                     "eta_{} * eta_{}", alpha, beta,
                 )
                 reference = _packed_side(
                     ((va * vb * scale, walk(ca, cb))
-                     for ca, va in ta.items() for cb, vb in tb.items()),
+                     for ca, va in a._terms.items() for cb, vb in b._terms.items()),
                     "eta_{} * eta_{}", alpha, beta,
                 )
                 r.check(closed == reference, "eta_{} * eta_{}", alpha, beta)
@@ -359,7 +357,7 @@ def _chain_agrees(nvars: int, ups: tuple, ws: tuple, zs: tuple, elem: QSymElemen
     computes its own element, and a word whose element differs from its
     pattern's other words is compared on its own.
     """
-    common = math.lcm(*(c.denominator for c in elem._terms.values()))
+    common = elem._den
     coeffs = _int_sum(elem, common)
     return {b: c for b, c in coeffs.items() if b.bit_count() <= nvars} == {
         b: c * common for b, c in _chain_m_terms(ups, ws, zs).items()

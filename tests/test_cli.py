@@ -414,6 +414,15 @@ OUTPUT_GOLDEN = [
         "u_function_Ppm.json",
         ["u-function", "2 4 1 3", "1,2,1,1", "--zset", "Ppm", "--nvars", "3", "--format", "json"],
     ),
+    (
+        "convert_M_eta.json",
+        ["convert", "1/3*M[2] - 5/4*M[1,1,1] + 7/6*M[]", "--to", "eta", "--format", "json"],
+    ),
+    ("convert_K_L.txt", ["convert", "K[1,3] - 2/3*K[3,1,1] + 1/2*K[1]", "--to", "L"]),
+    (
+        "coproduct_L.json",
+        ["coproduct", "3/4*L[1,2,1] - 1/6*L[2,2] + L[3]", "--format", "json"],
+    ),
 ]
 
 

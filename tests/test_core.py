@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import math
 import random
 import re
 from collections import Counter
@@ -313,7 +314,9 @@ def test_terms_is_a_read_only_mapping_of_compositions(monkeypatch):
         raise AssertionError("a term was decoded")
 
     monkeypatch.setattr(core, "_composition_of_code", refuse)
+    built = _counting_fractions(monkeypatch)
     assert len(x.terms) == 3 and len(tensor.terms) == len(tensor._terms)
+    assert built == []
 
 
 def test_terms_items_is_a_view_that_pairs_keys_and_values_as_it_iterates(monkeypatch):
@@ -454,6 +457,12 @@ def test_signed_subset_sum():
     assert signed_subset_sum(set(), {9}) == 1
     assert signed_subset_sum({1, 2}, {1, 2, 3}) == 4
     assert signed_subset_sum({1, 4}, {1}) == 0
+    # the closed form on every pair of subsets of [7]
+    subs = [set(c) for k in range(8) for c in itertools.combinations(range(1, 8), k)]
+    assert len(subs) == 128
+    for s in subs:
+        for t in subs:
+            assert signed_subset_sum(s, t) == (2 ** len(s) if s <= t else 0)
 
 
 def test_K_to_eta():
@@ -755,11 +764,15 @@ def _inhomogeneous(basis, rng):
     )
 
 
-def _one_fraction_per_value(coeffs):
-    """Every coefficient is a nonzero Fraction, and equal ones are one object."""
-    coeffs = list(coeffs)
-    assert all(type(v) is Fraction and v for v in coeffs)
-    assert len({id(v) for v in coeffs}) == len(set(coeffs))
+def _assert_canonical(x):
+    """x stores int numerators over one denominator in canonical form: no
+    zero numerator, a positive denominator, and no factor common to the
+    denominator and every numerator (so the zero element has den 1); the
+    public coefficients are nonzero Fractions."""
+    assert type(x._den) is int and x._den >= 1
+    assert all(type(v) is int and v for v in x._terms.values())
+    assert math.gcd(x._den, *x._terms.values()) == 1
+    assert all(type(v) is Fraction and v for v in x.terms.values())
 
 
 @pytest.mark.parametrize("basis", ["M", "L", "eta", "K"])
@@ -776,7 +789,7 @@ def test_inhomogeneous_rational_products_are_sums_of_term_products(basis):
                     QSymElement.term(basis, ca, va), QSymElement.term(basis, cb, vb)
                 )
         assert prod == total
-        _one_fraction_per_value(prod.terms.values())
+        _assert_canonical(prod)
 
 
 @pytest.mark.parametrize("basis", ["M", "L", "eta", "K"])
@@ -793,11 +806,8 @@ def test_inhomogeneous_conversions_and_L_coproducts_are_sums_over_terms(basis):
             for piece in pieces:
                 total += convert(piece, target)
             assert image == total
-            if target == basis:
-                continue  # the identity conversion builds no coefficients
-            # conversions build their Fractions degree by degree
-            for n in {sum(c) for c in image.terms}:
-                _one_fraction_per_value(v for c, v in image.terms.items() if sum(c) == n)
+            # conversions scale every degree to one denominator
+            _assert_canonical(image)
         if basis == "L":
             sums = {}
             for piece in pieces:
@@ -805,7 +815,7 @@ def test_inhomogeneous_conversions_and_L_coproducts_are_sums_over_terms(basis):
                     sums[key] = sums.get(key, 0) + v
             cop = coproduct(a)
             assert cop == TensorElement(("L", "L"), sums)
-            _one_fraction_per_value(cop.terms.values())
+            _assert_canonical(cop)
 
 
 def _by_fractions(elem, fn):
@@ -850,41 +860,41 @@ def _seeded_map(rng, basis):
 @pytest.mark.parametrize("seed", range(6))
 def test_linear_extensions_sum_as_fractions_do(seed):
     """map_terms and map_legs sum in ints over one denominator: the same
-    terms as the entry-by-entry Fraction sums, every coefficient a nonzero
-    Fraction, equal ones one object."""
+    terms as the entry-by-entry Fraction sums, in canonical form."""
     rng = random.Random(f"linear/{seed}")
     for basis in ("M", "L", "eta"):
         elem = _inhomogeneous(basis, rng)
         fn = _seeded_map(rng, "M")
         got = elem.map_terms(fn, "M")
         assert got.basis == "M" and dict(got.terms) == _by_fractions(elem, fn)
-        _one_fraction_per_value(got.terms.values())
+        _assert_canonical(got)
         tensor = coproduct(elem)
         left, right = _seeded_map(rng, "eta"), _seeded_map(rng, "L")
         legs = tensor.map_legs(left, right, ["eta", "L"])
         assert legs.bases == ("eta", "L")
         assert dict(legs.terms) == _legs_by_fractions(tensor, left, right)
-        _one_fraction_per_value(legs.terms.values())
+        _assert_canonical(legs)
 
 
-def _counting_cleared(monkeypatch):
-    """A list that core._cleared appends each map it clears to."""
-    cleared = []
-    real = core._cleared
+def _counting_fractions(monkeypatch):
+    """A list that the arguments of each Fraction built are appended to."""
+    built = []
+    real = Fraction.__new__
 
-    def counting(terms):
-        cleared.append(terms)
-        return real(terms)
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return real(cls, *args, **kwargs)
 
-    monkeypatch.setattr(core, "_cleared", counting)
-    return cleared
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    return built
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_map_legs_maps_and_clears_each_distinct_leg_once(monkeypatch, seed):
     """On tensors whose legs repeat, map_legs equals the entry-by-entry
     Fraction sum, calls each leg map once per distinct code and call, and
-    clears each image once: a second call with the same images clears none."""
+    reads each image's numerators and denominator as they are stored: a
+    second call, whose images are all built, builds no Fraction."""
     rng = random.Random(f"legs/{seed}")
     pool = [comp for n in range(4) for comp in compositions(n)]
     tensor = TensorElement(
@@ -906,31 +916,34 @@ def test_map_legs_maps_and_clears_each_distinct_leg_once(monkeypatch, seed):
         return mapped
 
     left, right = _seeded_map(rng, "eta"), _seeded_map(rng, "L")
-    cleared = _counting_cleared(monkeypatch)
     for run in (1, 2):
+        built = _counting_fractions(monkeypatch)
         legs = tensor.map_legs(counted("l", left), counted("r", right), ("eta", "L"))
+        monkeypatch.undo()
         assert dict(legs.terms) == _legs_by_fractions(tensor, left, right)
-        _one_fraction_per_value(legs.terms.values())
+        _assert_canonical(legs)
         assert calls == Counter(
             {**{("l", c): run for c in lefts}, **{("r", c): run for c in rights}}
         )
-        assert len(cleared) == len(lefts) + len(rights)
+        assert run == 1 or built == []
 
 
-def test_eta_coproduct_legs_are_cleared_once_per_image(monkeypatch):
+def test_eta_coproduct_legs_build_no_fraction(monkeypatch):
     """The 64 map_legs calls of check_eta_coproduct map 256 tensor terms
-    through one cache of the 64 M images of eta_alpha, n <= 6: each image
-    is cleared once, not once per leg (512)."""
+    through one cache of the 64 M images of eta_alpha, n <= 6, reading each
+    image's numerators and denominator as stored: no Fraction is built, and
+    each result is the coproduct of the M image."""
     in_m = functools.cache(lambda c: convert(QSymElement.term("eta", c), "M"))
     comps = [alpha for n in range(7) for alpha in compositions(n)]
     tensors = [coproduct(QSymElement.term("eta", alpha)) for alpha in comps]
     for alpha in comps:
         in_m(alpha)
-    cleared = _counting_cleared(monkeypatch)
-    for tensor in tensors:
-        tensor.map_legs(in_m, in_m, ("M", "M"))
+    built = _counting_fractions(monkeypatch)
+    legs = [tensor.map_legs(in_m, in_m, ("M", "M")) for tensor in tensors]
+    monkeypatch.undo()
+    assert built == []
     assert (len(tensors), sum(len(t.terms) for t in tensors)) == (64, 256)
-    assert len(cleared) == 64
+    assert legs == [coproduct(in_m(alpha)) for alpha in comps]
 
 
 def test_linear_extensions_of_cancelling_and_empty_inputs():
@@ -952,28 +965,25 @@ def test_linear_extensions_of_cancelling_and_empty_inputs():
         tensor.map_legs(same, same, ("M", "L"))
 
 
-def test_linear_extensions_build_one_fraction_per_distinct_value(monkeypatch):
-    """With the images built beforehand, map_terms and map_legs construct
-    exactly one Fraction per distinct coefficient of their result."""
+def test_linear_extensions_build_no_fraction(monkeypatch):
+    """With the images built beforehand, map_terms and map_legs build no
+    Fraction: they read numerators and denominators as stored, and their
+    results are canonical."""
     rng = random.Random(29)
     elem = _inhomogeneous("M", rng)
     tensor = coproduct(elem)
     comps = set(elem.terms) | {comp for pair in tensor.terms for comp in pair}
     images = {comp: _inhomogeneous("eta", rng) for comp in comps}
-    built = []
-    real = Fraction.__new__
-
-    def counting(cls, *args, **kwargs):
-        built.append(args)
-        return real(cls, *args, **kwargs)
-
-    monkeypatch.setattr(Fraction, "__new__", counting)
+    built = _counting_fractions(monkeypatch)
     got = elem.map_terms(images.__getitem__, "eta")
-    mapped = len(built)
     legs = tensor.map_legs(images.__getitem__, images.__getitem__, ("eta", "eta"))
     monkeypatch.undo()
-    assert mapped == len(set(got.terms.values())) > 1
-    assert len(built) - mapped == len(set(legs.terms.values())) > 1
+    assert built == []
+    assert dict(got.terms) == _by_fractions(elem, images.__getitem__)
+    assert dict(legs.terms) == _legs_by_fractions(tensor, images.__getitem__, images.__getitem__)
+    assert len(set(got.terms.values())) > 1 and len(set(legs.terms.values())) > 1
+    _assert_canonical(got)
+    _assert_canonical(legs)
 
 
 def test_product_walks_are_refused_past_the_walk_budget(monkeypatch):
@@ -1257,3 +1267,161 @@ def test_composition_of_mask_inverts_descent_mask():
         bounds = [0, *cuts, n]
         comp = tuple(b - a for a, b in zip(bounds, bounds[1:]))
         assert _composition_of_mask(n, _descent_mask(comp)) == comp
+
+
+# ---------------------------------------------------------------------------
+# int numerators over one denominator per element
+
+
+def _seeded_pair(basis, seed):
+    """Two seeded inhomogeneous elements of basis, with mixed denominators."""
+    rng = random.Random(f"canonical/{basis}/{seed}")
+    return _inhomogeneous(basis, rng), _inhomogeneous(basis, rng)
+
+
+def _kernel_outputs(basis, seed):
+    """Every kernel's output on a seeded pair of elements of basis."""
+    a, b = _seeded_pair(basis, seed)
+    outs = [a, b, a + b, a - b, a - a, -a, a.scale(Fraction(-6, 5)), a.scale(0), 3 * b]
+    outs += [multiply(a, b), antipode(a), coproduct(a), coproduct(b).multiply_legs()]
+    targets = ("M", "L", "eta", "K") if basis in ("K", "eta") else ("M", "L", "eta")
+    for target in targets:
+        try:
+            outs.append(convert(a, target))
+        except NotInPeakSpanError as err:  # an eta element with an even part
+            outs.append(err.residual)
+    mapped = a.map_terms(lambda c: convert(QSymElement.term(basis, c), "M"), "M")
+    legs = coproduct(b).map_legs(
+        lambda c: QSymElement.term("L", c, Fraction(1, len(c) + 1)),
+        lambda c: QSymElement.term("eta", c, Fraction(2, len(c) + 2)),
+        ("L", "eta"),
+    )
+    outs += [mapped, legs, eta_product((1, 2), (2, 1)), qsym.universal_to_eta((2, 3, 1), (1, 2, 1))]
+    return outs
+
+
+@pytest.mark.parametrize("basis", ["M", "L", "eta", "K"])
+@pytest.mark.parametrize("seed", range(3))
+def test_every_kernel_output_is_canonical(basis, seed):
+    """No zero numerator, a denominator of at least 1, and gcd 1 of the
+    denominator and the numerators, after every kernel."""
+    for out in _kernel_outputs(basis, seed):
+        _assert_canonical(out)
+
+
+def test_sums_divide_out_common_factors():
+    """1/2 M[2] + 3/2 M[1,1] is stored as {code: 1, 3} over 2; doubled, as
+    {1, 3} over 1; and a sum that cancels as the zero element, over 1."""
+    a = QSymElement("M", {(2,): Fraction(1, 2), (1, 1): Fraction(3, 2)})
+    assert (a._terms, a._den) == ({0b10: 1, 0b11: 3}, 2)
+    assert ((a + a)._terms, (a + a)._den) == ({0b10: 1, 0b11: 3}, 1)
+    assert (a.scale(4)._terms, a.scale(4)._den) == ({0b10: 2, 0b11: 6}, 1)
+    zero = a - a
+    assert (zero._terms, zero._den) == ({}, 1) and zero == QSymElement.zero("M")
+
+
+def _routes(x):
+    """x reached by other routes: the constructor, scale, +, a convert
+    round trip and a product with the unit (in eta for K, whose products
+    are eta-tagged)."""
+    through = "eta" if x.basis == "K" else "M" if x.basis != "M" else "L"
+    product = multiply(x, QSymElement.unit(x.basis))
+    return [
+        QSymElement(x.basis, dict(x.terms)),
+        QSymElement(x.basis, [(c, str(v)) for c, v in x.terms.items()]),
+        x.scale(6).scale(Fraction(1, 6)),
+        x + QSymElement.zero(x.basis),
+        (x + x).scale(Fraction(1, 2)),
+        x.scale(Fraction(7, 3)) - x.scale(Fraction(4, 3)),
+        convert(convert(x, through), x.basis),
+        product if x.basis != "K" else convert(product, "K"),
+    ]
+
+
+@pytest.mark.parametrize("basis", ["M", "L", "eta", "K"])
+def test_equality_and_hash_follow_the_fraction_maps(basis):
+    """Elements reached by different routes are equal and hash alike
+    exactly when their bases and terms as Fraction maps are equal."""
+    for seed in range(3):
+        for x in _seeded_pair(basis, seed):
+            for y in _routes(x):
+                assert y.basis == x.basis and dict(y.terms) == dict(x.terms)
+                assert y == x and hash(y) == hash(x)
+                _assert_canonical(y)
+            for other in (x.scale(2), x + QSymElement.term(basis, (1,), Fraction(1, 3))):
+                assert (other == x) == (dict(other.terms) == dict(x.terms)) is False
+    tensors = [coproduct(x) for seed in range(3) for x in _seeded_pair(basis, seed)]
+    for s, t in itertools.product(tensors, repeat=2):
+        same = s.bases == t.bases and dict(s.terms) == dict(t.terms)
+        assert (s == t) == same and (not same or hash(s) == hash(t))
+    tensor = tensors[0]
+    rebuilt = TensorElement(tensor.bases, [(k, str(v)) for k, v in tensor.terms.items()])
+    assert rebuilt == tensor and hash(rebuilt) == hash(tensor)
+
+
+def _json_coeff(value):
+    return str(value.numerator) if value.denominator == 1 else f"{value.numerator}/{value.denominator}"
+
+
+@pytest.mark.parametrize("basis", ["M", "L", "eta", "K"])
+def test_public_values_are_the_exact_fractions(basis):
+    """terms, coefficient, counit, sorted_terms and to_json_dict give the
+    exact coefficients as Fractions (strings in JSON), on elements built
+    from a Fraction map and on kernel outputs checked against a Fraction
+    sum; len(terms) builds no Fraction."""
+    rng = random.Random(f"public/{basis}")
+    pool = [c for n in range(6) for c in (odd_compositions(n) if basis == "K" else compositions(n))]
+    for _ in range(5):
+        items = [
+            (rng.choice(pool), Fraction(rng.randint(-12, 12), rng.choice((1, 2, 4, 6, 9))))
+            for _ in range(8)
+        ]
+        want = {}
+        for comp, v in items:
+            want[comp] = want.get(comp, 0) + v
+        want = {c: v for c, v in want.items() if v}
+        x = QSymElement(basis, items)
+        assert dict(x.terms) == want and len(x.terms) == len(want)
+        assert all(type(v) is Fraction for v in x.terms.values())
+        assert all(type(v) is Fraction for _, v in x.terms.items())
+        for comp in pool:
+            got = x.coefficient(comp)
+            assert type(got) is Fraction and got == want.get(comp, 0)
+            if comp in want:
+                assert x.terms[comp] == want[comp] and type(x.terms[comp]) is Fraction
+        assert type(x.counit()) is Fraction and x.counit() == want.get((), 0)
+        ordered = sorted(want.items(), key=lambda kv: (sum(kv[0]), len(kv[0]), kv[0]))
+        assert x.sorted_terms() == ordered
+        assert all(type(v) is Fraction for _, v in x.sorted_terms())
+        assert x.to_json_dict() == {
+            "basis": basis,
+            "terms": [{"comp": list(c), "coeff": _json_coeff(v)} for c, v in ordered],
+        }
+        image = lambda c: convert(QSymElement.term(basis, c), "eta")
+        mapped = x.map_terms(image, "eta")
+        assert dict(mapped.terms) == _by_fractions(x, image)
+        tensor = coproduct(x)
+        cut = {}
+        for comp, v in want.items():
+            for pair, w in coproduct(QSymElement.term(basis, comp)).terms.items():
+                cut[pair] = cut.get(pair, 0) + v * w
+        cut = {k: v for k, v in cut.items() if v}
+        assert dict(tensor.terms) == cut
+        assert tensor.to_json_dict()["terms"] == [
+            {"comp_left": list(l), "comp_right": list(r), "coeff": _json_coeff(v)}
+            for (l, r), v in tensor.sorted_terms()
+        ]
+        assert all(type(v) is Fraction for _, v in tensor.sorted_terms())
+
+
+def test_signed_subset_sum_reads_unsorted_and_repeated_elements():
+    assert signed_subset_sum([3, 1, 2], (2, 3, 1)) == 8
+    assert signed_subset_sum([3, 1, 3, 1], [1, 3, 3]) == 4
+    assert signed_subset_sum((5, 2, 5), [2]) == 0
+    assert signed_subset_sum(iter([2, 2, 2]), iter([2, 9])) == 2
+    assert signed_subset_sum([], []) == 1
+    rng = random.Random(32)
+    for _ in range(200):
+        s = [rng.randint(1, 6) for _ in range(rng.randint(0, 8))]
+        t = [rng.randint(1, 6) for _ in range(rng.randint(0, 8))]
+        assert signed_subset_sum(s, t) == (2 ** len(set(s)) if set(s) <= set(t) else 0)

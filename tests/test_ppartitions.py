@@ -762,6 +762,37 @@ def test_poset_queries_match_a_brute_force_closure(n):
         assert rebuilt == poset and hash(rebuilt) == hash(poset)
 
 
+def _covers_by_or_of_every_predecessor(poset):
+    """covers() as the reference: each vertex ORs the closed masks of all
+    its predecessors, and covers the predecessors outside that OR."""
+    preds, out = poset._preds, []
+    for j, mask in enumerate(preds):
+        below = 0
+        for i in ppartitions._bits(mask):
+            below |= preds[i]
+        out += [(i, j) for i in ppartitions._bits(mask & ~below)]
+    return sorted(out)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_covers_match_the_or_of_every_predecessor_on_seeded_posets(seed):
+    rng = random.Random(f"covers/{seed}")
+    for _ in range(150):
+        poset = _random_poset(rng, max_n=8)
+        assert poset.covers() == _covers_by_or_of_every_predecessor(poset)
+        assert LabelledWeightedPoset(poset.n, poset.covers()) == poset
+
+
+def test_covers_of_a_long_chain_with_shuffled_labels_and_of_a_wide_fan():
+    labels = list(range(1, 2001))
+    random.Random(2000).shuffle(labels)
+    poset = LabelledWeightedPoset(2000, zip(labels, labels[1:]))
+    want = sorted(zip(labels, labels[1:]))
+    assert poset.covers() == want == _covers_by_or_of_every_predecessor(poset)
+    fan = _fan(20000)
+    assert fan.covers() == [(1, j) for j in range(2, 20001)]
+
+
 @pytest.mark.parametrize("n", range(5))
 def test_linear_extensions_of_every_small_poset(n):
     posets = _every_poset(n)
