@@ -17,6 +17,10 @@ order and canonical rational formatting.
 Elements are read a whole term per regex match; the token parser reads the
 rest and reports every error.  ``--format json`` is written per shape
 straight from the sorted terms, in the bytes ``json.dumps(indent=2)`` gives.
+
+The argv grammar is written once, as data in ``_GRAMMAR``.  ``build_parser``
+adds its entries to argparse, and ``_argv_table`` reads the same entries into
+the table that ``main`` reads plain argvs from; argparse reads every other.
 """
 
 from __future__ import annotations
@@ -379,132 +383,84 @@ def _cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
+# The argv grammar, written once: per verb, its help text, its command and its
+# arguments in ``--help`` order as (name, ``add_argument`` keywords).
+_ELEMENT = ("element", {})
+_FORMAT = ("--format", dict(choices=("text", "json"), default="text"))
+_TO = ("--to", dict(choices=BASES, help="convert the result"))
+_GRAMMAR = {
+    "convert": ("rewrite an element in another basis", _cmd_convert, [
+        _ELEMENT, ("--to", dict(choices=BASES, required=True)), _FORMAT]),
+    "multiply": ("product of two elements", _cmd_multiply, [
+        ("left", {}), ("right", {}),
+        ("--basis", dict(choices=BASES, help="convert both operands first")), _TO, _FORMAT]),
+    "coproduct": ("coproduct of an element", _cmd_coproduct, [_ELEMENT, _FORMAT]),
+    "antipode": ("antipode of an element", _cmd_antipode, [_ELEMENT, _TO, _FORMAT]),
+    "expand": ("truncated polynomial expansion", _cmd_expand, [
+        _ELEMENT,
+        ("--nvars", dict(type=int, help="variable count (default: element degree)")),
+        ("--degree", dict(type=int, help="degree bound (default: element degree)")),
+        _FORMAT]),
+    "gamma": ("generating function of a weighted poset", _cmd_gamma, [
+        ("--poset", dict(required=True, metavar="FILE", help="poset JSON file")),
+        ("--zset", dict(required=True, help="P, Ppm, or an explicit list "
+                        "(use --zset=-1,+1,-2 for leading minus)")),
+        ("--nvars", dict(type=int, help="variable count (default: total weight)")),
+        _FORMAT]),
+    "u-function": ("weighted-chain generating function; symbolic eta expansion "
+                   "when --zset is omitted", _cmd_u_function, [
+        ("permutation", dict(help="one-line word, e.g. '1 3 2'")),
+        ("composition", dict(help="comma-separated parts, e.g. '1,1,1'")),
+        ("--zset", dict(help="P, Ppm, or an explicit list")),
+        ("--nvars", dict(type=int, help="variable count (default: |composition|)")),
+        _FORMAT]),
+    "verify": ("run the bundled identity suite", _cmd_verify, [
+        ("--max-degree", dict(type=int, help="cap the per-check sweep bounds "
+                              "(default: full bounds)"))]),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
-    """A new parser on every call, so changing it never reaches ``main``."""
+    """A new parser on every call, so changing it never reaches ``main``:
+    one subparser per ``_GRAMMAR`` entry, its arguments added in order."""
     parser = argparse.ArgumentParser(
         prog="qsym",
         description="Exact computer algebra for quasisymmetric functions "
         "(bases M, L, K, eta).",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    def add_format(p):
-        p.add_argument("--format", choices=("text", "json"), default="text")
-
-    p = sub.add_parser("convert", help="rewrite an element in another basis")
-    p.add_argument("element")
-    p.add_argument("--to", choices=BASES, required=True)
-    add_format(p)
-    p.set_defaults(func=_cmd_convert)
-
-    p = sub.add_parser("multiply", help="product of two elements")
-    p.add_argument("left")
-    p.add_argument("right")
-    p.add_argument("--basis", choices=BASES, help="convert both operands first")
-    p.add_argument("--to", choices=BASES, help="convert the result")
-    add_format(p)
-    p.set_defaults(func=_cmd_multiply)
-
-    p = sub.add_parser("coproduct", help="coproduct of an element")
-    p.add_argument("element")
-    add_format(p)
-    p.set_defaults(func=_cmd_coproduct)
-
-    p = sub.add_parser("antipode", help="antipode of an element")
-    p.add_argument("element")
-    p.add_argument("--to", choices=BASES, help="convert the result")
-    add_format(p)
-    p.set_defaults(func=_cmd_antipode)
-
-    p = sub.add_parser("expand", help="truncated polynomial expansion")
-    p.add_argument("element")
-    p.add_argument("--nvars", type=int, help="variable count (default: element degree)")
-    p.add_argument("--degree", type=int, help="degree bound (default: element degree)")
-    add_format(p)
-    p.set_defaults(func=_cmd_expand)
-
-    p = sub.add_parser("gamma", help="generating function of a weighted poset")
-    p.add_argument("--poset", required=True, metavar="FILE", help="poset JSON file")
-    p.add_argument(
-        "--zset",
-        required=True,
-        help="P, Ppm, or an explicit list (use --zset=-1,+1,-2 for leading minus)",
-    )
-    p.add_argument("--nvars", type=int, help="variable count (default: total weight)")
-    add_format(p)
-    p.set_defaults(func=_cmd_gamma)
-
-    p = sub.add_parser(
-        "u-function",
-        help="weighted-chain generating function; symbolic eta expansion "
-        "when --zset is omitted",
-    )
-    p.add_argument("permutation", help="one-line word, e.g. '1 3 2'")
-    p.add_argument("composition", help="comma-separated parts, e.g. '1,1,1'")
-    p.add_argument("--zset", help="P, Ppm, or an explicit list")
-    p.add_argument("--nvars", type=int, help="variable count (default: |composition|)")
-    add_format(p)
-    p.set_defaults(func=_cmd_u_function)
-
-    p = sub.add_parser("verify", help="run the bundled identity suite")
-    p.add_argument(
-        "--max-degree",
-        type=int,
-        default=None,
-        help="cap the per-check sweep bounds (default: full bounds)",
-    )
-    p.set_defaults(func=_cmd_verify)
-
+    for verb, (text, func, arguments) in _GRAMMAR.items():
+        p = sub.add_parser(verb, help=text)
+        for name, keywords in arguments:
+            p.add_argument(name, **keywords)
+        p.set_defaults(func=func)
     return parser
 
 
-def _defaults(parser: argparse.ArgumentParser) -> dict:
-    """The Namespace entries ``parser`` sets before it reads an argument."""
-    return {
-        **parser._defaults,
-        **{
-            action.dest: action.default
-            for action in parser._actions
-            if action.dest is not argparse.SUPPRESS and action.default is not argparse.SUPPRESS
-        },
-    }
-
-
-def _argv_table(parser: argparse.ArgumentParser) -> dict:
-    """Per verb: option string -> (dest, type, choices), the positionals'
-    (dest, type, choices) in order, the dests of the required options, and
-    the Namespace before any argument is read.
-
-    Read from each subparser's own actions, so the grammar is written once,
-    in ``build_parser``.  A verb with an action other than a one-value
-    store (``-h`` aside), a typed string default or an exclusive group is
-    left out, and argparse parses all of its argvs.
-    """
-    (verbs,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+def _argv_table(grammar: dict = _GRAMMAR) -> dict:
+    """Per verb of ``grammar``: option string -> (dest, type, choices), the
+    positionals' (dest, type, choices) in order, the required options'
+    dests, and the Namespace before any argument is read (the verb, ``func``
+    and each option's default).  An option's dest is derived as argparse
+    derives it: its name without the leading dashes, "-" read as "_".  A
+    verb with an ``action`` or ``nargs`` keyword is left out, and argparse
+    parses all of its argvs."""
     table = {}
-    for verb, sub in verbs.choices.items():
-        if sub._mutually_exclusive_groups:
+    for verb, (_, func, arguments) in grammar.items():
+        if any("action" in kw or "nargs" in kw for _, kw in arguments):
             continue
         options, positionals, required = {}, [], set()
-        for action in sub._actions:
-            if isinstance(action, argparse._HelpAction):
+        start = {"verb": verb, "func": func}
+        for name, kw in arguments:
+            if name[:1] != "-":
+                positionals.append((name, kw.get("type"), kw.get("choices")))
                 continue
-            if (
-                type(action) is not argparse._StoreAction
-                or action.nargs is not None
-                or (action.type is not None and isinstance(action.default, str))
-            ):
-                break
-            spec = (action.dest, action.type, action.choices)
-            if not action.option_strings:
-                positionals.append(spec)
-                continue
-            options.update(dict.fromkeys(action.option_strings, spec))
-            if action.required:
-                required.add(action.dest)
-        else:
-            start = {**_defaults(parser), verbs.dest: verb, **_defaults(sub)}
-            table[verb] = (options, positionals, required, start)
+            dest = name.lstrip("-").replace("-", "_")
+            options[name] = (dest, kw.get("type"), kw.get("choices"))
+            start[dest] = kw.get("default")
+            if kw.get("required"):
+                required.add(dest)
+        table[verb] = (options, positionals, required, start)
     return table
 
 
@@ -564,21 +520,20 @@ def _table_args(argv: list, table: dict) -> argparse.Namespace | None:
 
 
 _PARSER: argparse.ArgumentParser | None = None
-_VERBS: dict | None = None  # _argv_table(_PARSER), built with it
+_VERBS: dict | None = None  # _argv_table(), built with _PARSER
 
 
 def main(argv=None) -> int:
     """Run one command; every call in a process parses with one private parser.
 
-    A plain argv is read from ``_VERBS``, the table of each verb's options
-    and positionals that is built once from ``_PARSER``; every other argv
-    goes to ``_PARSER.parse_args``.  Both give the same Namespace, and help
-    and usage errors are argparse's own.
+    A plain argv is read from ``_VERBS``; every other argv goes to
+    ``_PARSER.parse_args``.  Both are built once, from ``_GRAMMAR``, give the
+    same Namespace, and leave help and usage errors to argparse.
     """
     global _PARSER, _VERBS
     if _PARSER is None:
         _PARSER = build_parser()
-        _VERBS = _argv_table(_PARSER)
+        _VERBS = _argv_table()
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _table_args(argv, _VERBS) or _PARSER.parse_args(argv)
     try:

@@ -133,10 +133,11 @@ def descent_set(alpha: Iterable[int]) -> Subset:
 
 def _code(parts: tuple) -> int:
     """The code of parts, bit s-1 for each partial sum s, refused as
-    ``check_composition`` refuses them."""
+    ``check_composition`` refuses them.  A part of type ``int`` skips the two
+    ``isinstance`` calls, a third of a constructor's time."""
     code = total = 0
     for a in parts:
-        if not isinstance(a, int) or isinstance(a, bool) or a < 1:
+        if type(a) is not int and (not isinstance(a, int) or isinstance(a, bool)) or a < 1:
             raise ValueError(f"composition parts must be positive integers, got {parts!r}")
         total += a
         code |= 1 << total - 1

@@ -10,21 +10,10 @@ import contextlib
 import io
 import random
 
-from qsym.cli import _argv_table, _table_args, build_parser
+from qsym.cli import _GRAMMAR, _argv_table, _table_args, build_parser
 
 from cli_session import CLI_SESSION, POSET
 
-# verb: (positional count, its options), as ``qsym VERB --help`` lists them
-_GRAMMAR = {
-    "convert": (1, ("--to", "--format")),
-    "multiply": (2, ("--basis", "--to", "--format")),
-    "coproduct": (1, ("--format",)),
-    "antipode": (1, ("--to", "--format")),
-    "expand": (1, ("--nvars", "--degree", "--format")),
-    "gamma": (0, ("--poset", "--zset", "--nvars", "--format")),
-    "u-function": (2, ("--zset", "--nvars", "--format")),
-    "verify": (0, ("--max-degree",)),
-}
 _VALUES = {
     "--to": ("M", "L", "K", "eta", "Q", ""),
     "--basis": ("M", "eta", "X"),
@@ -83,14 +72,15 @@ def seeded_argvs(seed: int, count: int = 1000) -> list:
     argvs = []
     for _ in range(count):
         verb = rng.choice(sorted(_GRAMMAR))
-        npos, names = _GRAMMAR[verb]
+        arguments = _GRAMMAR[verb][2]
+        names = [name for name, _ in arguments if name[0] == "-"]
         if verb == "u-function":
             words = [rng.choice(("1 3 2", "132", "2 1", "1")), rng.choice(("1,1,1", "2,1", ""))]
         else:
-            words = [_element(rng) for _ in range(npos)]
+            words = [_element(rng) for _ in range(len(arguments) - len(names))]
         if rng.random() < 0.1:
             words.pop() if words and rng.random() < 0.5 else words.append(_element(rng))
-        required = {"convert": ["--to"], "gamma": ["--poset", "--zset"]}.get(verb, [])
+        required = [name for name, kw in arguments if kw.get("required")]
         chosen = required + [rng.choice(names) for _ in range(rng.randint(0, 3))]
         if rng.random() < 0.05:
             chosen.append(rng.choice(sorted(_VALUES)))
@@ -122,7 +112,7 @@ def check(argvs) -> int:
     """Every Namespace the table gives equals argparse's; returns how many
     argvs the table settled."""
     parser = build_parser()
-    table = _argv_table(parser)
+    table = _argv_table()
     settled = 0
     for argv in argvs:
         got = _table_args(list(argv), table)
@@ -154,11 +144,11 @@ def test_the_table_agrees_with_argparse_on_seeded_argvs():
 
 
 def test_a_verb_with_another_kind_of_action_goes_to_argparse():
-    parser = build_parser()
-    sub = parser._subparsers._group_actions[0].choices["expand"]
-    sub.add_argument("--quiet", action="store_true")
-    table = _argv_table(parser)
-    assert "expand" not in table and "convert" in table
+    text, func, arguments = _GRAMMAR["expand"]
+    for keywords in ({"action": "store_true"}, {"nargs": "+"}):
+        expand = (text, func, [*arguments, ("--quiet", keywords)])
+        table = _argv_table({**_GRAMMAR, "expand": expand})
+        assert "expand" not in table and "convert" in table
 
 
 if __name__ == "__main__":

@@ -39,6 +39,7 @@ from qsym.ppartitions import (
 from qsym.verification import check_eta_coproduct, check_specializations
 
 from cli_session import CLI_SESSION
+from golden_cli import DATA, DENSE_5, GOLDEN, HELP, MULTIPLY, OUTPUT, TRANSFORM, WRAPPED_FROM_3_13
 
 
 def test_parse_element_golden():
@@ -295,79 +296,52 @@ def test_cli_verify(capsys):
     assert out.count("PASS") == 10
 
 
-def test_cli_verify_stdout_is_byte_identical(capsys):
-    golden = pathlib.Path(__file__).parent / "data" / "verify_stdout.txt"
-    rc = main(["verify"])
-    assert rc == 0
-    assert capsys.readouterr().out.encode() == golden.read_bytes()
+def _assert_golden(monkeypatch, capsys, name):
+    """``main`` on the argv ``GOLDEN`` gives for ``name`` exits with its code
+    and writes the golden file's bytes to its stream."""
+    argv, stream, code = GOLDEN[name]
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        rc = main(argv)
+    except SystemExit as exc:
+        rc = exc.code
+    assert rc == code
+    assert getattr(capsys.readouterr(), stream).encode() == (DATA / name).read_bytes()
 
 
-def test_cli_verify_max_degree_3_stdout_is_byte_identical(capsys):
+def test_cli_verify_stdout_is_byte_identical(monkeypatch, capsys):
+    _assert_golden(monkeypatch, capsys, "verify_stdout.txt")
+
+
+def test_cli_verify_max_degree_3_stdout_is_byte_identical(monkeypatch, capsys):
     # every check, its tables included, stays inside the --max-degree cap
-    golden = pathlib.Path(__file__).parent / "data" / "verify_max3_stdout.txt"
-    rc = main(["verify", "--max-degree", "3"])
-    assert rc == 0
-    assert capsys.readouterr().out.encode() == golden.read_bytes()
+    _assert_golden(monkeypatch, capsys, "verify_max3_stdout.txt")
 
 
-def test_cli_verify_max_degree_1_stdout_is_byte_identical(capsys):
+def test_cli_verify_max_degree_1_stdout_is_byte_identical(monkeypatch, capsys):
     # the smallest bound: empty compositions and one-letter words
-    golden = pathlib.Path(__file__).parent / "data" / "verify_max1_stdout.txt"
-    rc = main(["verify", "--max-degree", "1"])
-    assert rc == 0
-    assert capsys.readouterr().out.encode() == golden.read_bytes()
+    _assert_golden(monkeypatch, capsys, "verify_max1_stdout.txt")
 
 
-def test_cli_verify_max_degree_5_stdout_is_byte_identical(capsys):
+def test_cli_verify_max_degree_5_stdout_is_byte_identical(monkeypatch, capsys):
     # at this bound the shuffle and coshuffle checks run capped, with their
     # own case counts
-    golden = pathlib.Path(__file__).parent / "data" / "verify_max5_stdout.txt"
-    rc = main(["verify", "--max-degree", "5"])
-    assert rc == 0
-    assert capsys.readouterr().out.encode() == golden.read_bytes()
+    _assert_golden(monkeypatch, capsys, "verify_max5_stdout.txt")
 
 
 @pytest.mark.parametrize("k", [2, 4, 6])
-def test_cli_verify_even_max_degree_stdout_is_byte_identical(capsys, k):
+def test_cli_verify_even_max_degree_stdout_is_byte_identical(monkeypatch, capsys, k):
     # each cap sets its own chain-list sizes in the shuffle check
-    golden = pathlib.Path(__file__).parent / "data" / f"verify_max{k}_stdout.txt"
-    rc = main(["verify", "--max-degree", str(k)])
-    assert rc == 0
-    assert capsys.readouterr().out.encode() == golden.read_bytes()
+    _assert_golden(monkeypatch, capsys, f"verify_max{k}_stdout.txt")
 
 
-# Products whose operands repeat equal parts, so the pair walk sums two
-# sources at one size, each recorded as `qsym multiply ... --format json`.
-MULTIPLY_GOLDEN = [
-    ("multiply_M.json", "M[2,1,2] + 1/2*M[1,1]", "M[2,2,1] - 3*M[1,2,1]"),
-    ("multiply_L.json", "L[1,2,1] - 2/3*L[2]", "L[2,1,1] + L[1,1]"),
-    ("multiply_eta.json", "eta[1,1,2] + 3/4*eta[2,2]", "eta[1,2,1] - 5*eta[1]"),
-    ("multiply_K.json", "K[1,3] + 1/2*K[3]", "K[3,1,1] - 2*K[1]"),
-]
-
-
-@pytest.mark.parametrize("name, left, right", MULTIPLY_GOLDEN)
-def test_cli_multiply_json_is_byte_identical(capsys, name, left, right):
-    golden = pathlib.Path(__file__).parent / "data" / name
-    rc = main(["multiply", left, right, "--format", "json"])
-    assert rc == 0
-    assert capsys.readouterr().out.encode() == golden.read_bytes()
-
-
-# Every composition of 5, the i-th of ``compositions(5)`` with coefficient
-# (-1)^i (i+1)/(i%3+2), in the basis B.
-DENSE_5 = (
-    "1/2*B[5] - 2/3*B[1,4] + 3/4*B[2,3] - 2*B[3,2] + 5/3*B[4,1] - 3/2*B[1,1,3]"
-    " + 7/2*B[1,2,2] - 8/3*B[1,3,1] + 9/4*B[2,1,2] - 5*B[2,2,1] + 11/3*B[3,1,1]"
-    " - 3*B[1,1,1,2] + 13/2*B[1,1,2,1] - 14/3*B[1,2,1,1] + 15/4*B[2,1,1,1]"
-    " - 8*B[1,1,1,1,1]"
+# In the parametrized tests below, the parameters besides ``name`` only give
+# each case its test id.
+@pytest.mark.parametrize(
+    "name, left, right", [(name, argv[1], argv[2]) for name, (argv, _, _) in MULTIPLY.items()]
 )
-
-# A dense conversion and antipode, each recorded as `qsym ... --format json`.
-TRANSFORM_GOLDEN = [
-    ("convert_eta_L.json", ["convert", DENSE_5.replace("B", "eta"), "--to", "L"]),
-    ("antipode_M.json", ["antipode", DENSE_5.replace("B", "M")]),
-]
+def test_cli_multiply_json_is_byte_identical(monkeypatch, capsys, name, left, right):
+    _assert_golden(monkeypatch, capsys, name)
 
 
 def test_the_dense_element_lists_every_composition_once():
@@ -376,62 +350,14 @@ def test_the_dense_element_lists_every_composition_once():
     assert len(set(elem.terms.values())) == 16
 
 
-@pytest.mark.parametrize("name, argv", TRANSFORM_GOLDEN)
-def test_cli_transform_json_is_byte_identical(capsys, name, argv):
-    golden = pathlib.Path(__file__).parent / "data" / name
-    rc = main([*argv, "--format", "json"])
-    assert rc == 0
-    assert capsys.readouterr().out.encode() == golden.read_bytes()
+@pytest.mark.parametrize("name, argv", [(name, argv) for name, (argv, _, _) in TRANSFORM.items()])
+def test_cli_transform_json_is_byte_identical(monkeypatch, capsys, name, argv):
+    _assert_golden(monkeypatch, capsys, name)
 
 
-# Each of the three JSON shapes, and a text expansion, recorded as stdout.
-OUTPUT_GOLDEN = [
-    (
-        "expand_L.json",
-        ["expand", "1/2*L[2,1] - 3*L[1,1,1] + 2/3*L[3] - 5/4*L[1,2]", "--nvars", "3",
-         "--format", "json"],
-    ),
-    (
-        "expand_L.txt",
-        ["expand", "1/2*L[2,1] - 3*L[1,1,1] + 2/3*L[3] - 5/4*L[1,2]", "--nvars", "3"],
-    ),
-    (
-        "coproduct_eta.json",
-        ["coproduct", "eta[1,2,1] - 3/4*eta[2,1] - 5/2*eta[3] + 1/3*eta[]", "--format", "json"],
-    ),
-    (
-        "gamma_fork_Ppm.json",
-        ["gamma", "--poset", str(pathlib.Path(__file__).parent / "data" / "poset_fork.json"),
-         "--zset", "Ppm", "--nvars", "3", "--format", "json"],
-    ),
-    ("u_function_eta.json", ["u-function", "2 4 1 3", "1,2,1,1", "--format", "json"]),
-    (
-        "expand_K.json",
-        ["expand", "K[1,3,1] - 1/2*K[5] + 2*K[3,1,1]", "--nvars", "4", "--format", "json"],
-    ),
-    ("expand_eta.txt", ["expand", "eta[1,2,1] + 3/4*eta[2,2] - eta[4]", "--nvars", "3"]),
-    (
-        "u_function_Ppm.json",
-        ["u-function", "2 4 1 3", "1,2,1,1", "--zset", "Ppm", "--nvars", "3", "--format", "json"],
-    ),
-    (
-        "convert_M_eta.json",
-        ["convert", "1/3*M[2] - 5/4*M[1,1,1] + 7/6*M[]", "--to", "eta", "--format", "json"],
-    ),
-    ("convert_K_L.txt", ["convert", "K[1,3] - 2/3*K[3,1,1] + 1/2*K[1]", "--to", "L"]),
-    (
-        "coproduct_L.json",
-        ["coproduct", "3/4*L[1,2,1] - 1/6*L[2,2] + L[3]", "--format", "json"],
-    ),
-]
-
-
-@pytest.mark.parametrize("name, argv", OUTPUT_GOLDEN)
-def test_cli_output_is_byte_identical(capsys, name, argv):
-    golden = pathlib.Path(__file__).parent / "data" / name
-    rc = main(argv)
-    assert rc == 0
-    assert capsys.readouterr().out.encode() == golden.read_bytes()
+@pytest.mark.parametrize("name, argv", [(name, argv) for name, (argv, _, _) in OUTPUT.items()])
+def test_cli_output_is_byte_identical(monkeypatch, capsys, name, argv):
+    _assert_golden(monkeypatch, capsys, name)
 
 
 def test_cli_verify_smallest_bound(capsys):
@@ -1052,27 +978,23 @@ def run_cli_session() -> tuple[str, list[int]]:
 
 
 def test_cli_session_stdout_is_byte_identical():
-    golden = pathlib.Path(__file__).parent / "data" / "cli_session_stdout.txt"
+    golden = DATA / "cli_session_stdout.txt"
     out, codes = run_cli_session()
     assert codes == [code for _, code in CLI_SESSION]
     assert out.encode() == golden.read_bytes()
-
-
-_DATA = pathlib.Path(__file__).parent / "data"
 
 
 @pytest.mark.parametrize(
     "argv, stream, code, name",
     [
         pytest.param(
-            ["--help"], "out", 0, "help_stdout.txt",
+            argv, stream, code, name,
             marks=pytest.mark.skipif(
-                sys.version_info >= (3, 13), reason="argparse 3.13 wraps this usage line"
+                name in WRAPPED_FROM_3_13 and sys.version_info >= (3, 13),
+                reason="argparse 3.13 wraps this usage line",
             ),
-        ),
-        (["gamma", "--help"], "out", 0, "gamma_help_stdout.txt"),
-        (["convert", "M[1]"], "err", 2, "convert_usage_error_stderr.txt"),
-        (["multiply", "M[1]"], "err", 2, "multiply_usage_error_stderr.txt"),
+        )
+        for name, (argv, stream, code) in HELP.items()
     ],
 )
 def test_help_and_usage_errors_are_byte_identical(monkeypatch, capsys, argv, stream, code, name):
@@ -1084,7 +1006,7 @@ def test_help_and_usage_errors_are_byte_identical(monkeypatch, capsys, argv, str
         assert info.value.code == code
         texts.append(getattr(capsys.readouterr(), stream))
     assert texts[0] == texts[1]
-    assert texts[0].encode() == (_DATA / name).read_bytes()
+    assert texts[0].encode() == (DATA / name).read_bytes()
 
 
 def test_cli_refuses_a_product_past_the_walk_budget(monkeypatch, capsys):

@@ -14,6 +14,7 @@ from qsym.combinatorics import (
     _odd_composition_of_mask,
     _peaks_of_code,
     _reversed_code,
+    check_composition,
     complement,
     composition_of_subset,
     compositions,
@@ -187,6 +188,25 @@ def test_every_composition_round_trips_through_its_code():
         seen |= codes
     assert _code(()) == 0 and _composition_of_code(0) == ()
     assert len(seen) == sum(1 << n >> 1 for n in range(13)) + 1
+
+
+@pytest.mark.parametrize("bad", [True, 2.0, 0, -1, "1"])
+def test_code_refuses_as_check_composition_refuses(bad):
+    for parts in ((bad,), (2, bad, 1)):
+        message = f"composition parts must be positive integers, got {parts!r}"
+        for refuse in (_code, check_composition):
+            with pytest.raises(ValueError) as info:
+                refuse(parts)
+            assert str(info.value) == message
+
+
+def test_code_accepts_an_int_subclass_that_is_not_bool():
+    class Part(int):
+        pass
+
+    parts = (Part(2), 1, Part(3))
+    assert check_composition(parts) == parts
+    assert _code(parts) == _code((2, 1, 3)) == 0b100110
 
 
 def test_every_odd_composition_round_trips_through_its_peak_mask():
