@@ -519,6 +519,11 @@ class QSymElement:
             for t in terms
         ):
             raise ValueError(f"element field 'terms' must list comp/coeff objects, got {terms!r}")
+        for coeff in (t["coeff"] for t in terms):
+            if type(coeff) not in (int, str):  # a float, bool, null, list or object
+                raise ValueError(
+                    f"element field 'coeff' must be an integer or a string, got {coeff!r}"
+                )
         return cls(data["basis"], [(tuple(t["comp"]), t["coeff"]) for t in terms])
 
 

@@ -23,11 +23,14 @@ x_|z|^weight(S), with the ideal alone as its state, one connected
 component at a time.
 
 A poset stores its order once, as one closed predecessor bitmask per
-vertex; relations and covers are derived from them on demand.
+vertex; relations and covers are derived from them on demand.  Every
+poset, the components gamma splits off included, is built by the
+constructor, which alone writes that order.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import operator
 from collections.abc import Iterable, Iterator, Mapping, Sequence
@@ -192,22 +195,45 @@ class LabelledWeightedPoset:
         return LabelledWeightedPoset(self.n, self.covers() + [(i, j)], self.weights)
 
     def linear_extension(self) -> tuple[int, ...]:
-        """Smallest-label-first topological order."""
-        return next(self.linear_extensions())
+        """Smallest-label-first topological order, the first of
+        linear_extensions(): Kahn with a heap over the direct successors."""
+        after: list[list[int]] = [[] for _ in range(self.n + 1)]
+        waiting = [0] * (self.n + 1)  # direct predecessors not yet placed
+        for j, below in _lower_covers(self._preds):
+            waiting[j] = len(below)
+            for i in below:
+                after[i].append(j)
+        ready, word = [v for v in range(1, self.n + 1) if not waiting[v]], []
+        while ready:  # ascending, so already a heap
+            v = heapq.heappop(ready)
+            word.append(v)
+            for j in after[v]:
+                waiting[j] -= 1
+                if not waiting[j]:
+                    heapq.heappush(ready, j)
+        return tuple(word)
 
     def linear_extensions(self) -> Iterator[tuple[int, ...]]:
         """Every linear extension, in lexicographic order of the label words:
-        depth first, testing each label's predecessor bitmask."""
+        depth first with an explicit stack, testing each label's predecessor
+        bitmask."""
         n, preds = self.n, self._preds
-
-        def rec(word: tuple, placed: int) -> Iterator[tuple[int, ...]]:
+        word, placed, tried = [], 0, [0]  # tried[k]: the last label tried at place k
+        while tried:
             if len(word) == n:
-                yield word
-            for v in range(1, n + 1):
-                if not placed >> v & 1 and preds[v] & placed == preds[v]:
-                    yield from rec(word + (v,), placed | 1 << v)
-
-        return rec((), 0)
+                yield tuple(word)
+            v = tried[-1] + 1
+            while v <= n and (placed >> v & 1 or preds[v] & ~placed):
+                v += 1
+            if v > n:  # place len(word) is done: take back the label before it
+                tried.pop()
+                if word:
+                    placed ^= 1 << word.pop()
+            else:
+                tried[-1] = v
+                word.append(v)
+                placed |= 1 << v
+                tried.append(0)
 
     def chain_order(self) -> tuple[int, ...] | None:
         """The labels along the chain when the order is total, else None.
@@ -350,25 +376,25 @@ def is_enriched_partition(
 def _assignments(poset: LabelledWeightedPoset, zs: tuple) -> Iterator[Assignment]:
     """Every enriched assignment into the checked alphabet zs.
 
-    Depth-first along a linear extension, pruning a value as soon as it
-    breaks a relation to an already-assigned vertex.
+    Depth-first along a linear extension, with an explicit stack, pruning a
+    value as soon as it breaks a relation to an already-assigned vertex.
     """
     n, preds = poset.n, poset._preds
     order = poset.linear_extension()
     vals: list[SignedValue] = [0] * (n + 1)  # by label; entry 0 is unused
-
-    def rec(k: int) -> Iterator[Assignment]:
+    stack = [(0, 0)]  # (place k in order, the index in zs of the next value to try there)
+    while stack:
+        k, t = stack.pop()
         if k == n:
             yield tuple(vals[1:])
-            return
+            continue
         label = order[k]
         below = _bits(preds[label])
-        for z in zs:
-            if all(_respects(i, label, vals[i], z) for i in below):
-                vals[label] = z
-                yield from rec(k + 1)
-
-    return rec(0)
+        for t in range(t, len(zs)):
+            if all(_respects(i, label, vals[i], zs[t]) for i in below):
+                vals[label] = zs[t]
+                stack += ((k, t + 1), (k + 1, 0))
+                break
 
 
 _ASSIGNMENT_BUDGET = 10**6  # candidate assignments |Z|^n for enumerate_assignments
@@ -461,12 +487,12 @@ def gamma(
 
 
 def _components(poset: LabelledWeightedPoset) -> Iterator[LabelledWeightedPoset]:
-    """The connected components, by union-find in which each vertex meets
-    each component below it once: the poset itself if it is connected, else
-    each one relabelled 1..k in label order (all the tie rule reads), with
-    its closed masks renumbered."""
-    preds, root = poset._preds, list(range(poset.n + 1))
-    members: dict[int, int] = {}  # each merged root's component, as a mask
+    """The connected components, by union-find along the covers, in order of
+    their smallest labels: the poset itself if it is connected, else each
+    one built by the constructor from its covers, relabelled 1..k in label
+    order (all the tie rule reads), and its weights."""
+    covers = [(i, j) for j, below in _lower_covers(poset._preds) for i in below]
+    root = list(range(poset.n + 1))
 
     def find(v: int) -> int:
         while root[v] != v:
@@ -474,26 +500,22 @@ def _components(poset: LabelledWeightedPoset) -> Iterator[LabelledWeightedPoset]
             v = root[v]
         return v
 
+    for i, j in covers:
+        root[find(i)] = find(j)
+    comps: dict[int, list[int]] = {}  # root: its component's labels, ascending
+    index = [0] * (poset.n + 1)  # each label's label in its component
     for v in range(1, poset.n + 1):
-        rest = preds[v]
-        while rest:
-            u, r = find((rest & -rest).bit_length() - 1), find(v)
-            rest &= ~members.get(u, 1 << u)
-            if u != r:
-                root[u] = r
-                members[r] = members.get(r, 1 << r) | members.pop(u, 1 << u)
-    comps: dict[int, list[int]] = {}
-    for v in range(1, poset.n + 1):
-        comps.setdefault(find(v), []).append(v)
+        labels = comps.setdefault(find(v), [])
+        labels.append(v)
+        index[v] = len(labels)
     if len(comps) < 2:
         yield poset
         return
-    for labels in comps.values():
-        index = {v: i for i, v in enumerate(labels, 1)}
-        masks = (sum(1 << index[u] for u in _bits(preds[v])) for v in labels)
-        part = LabelledWeightedPoset(len(labels), (), map(poset.weight, labels))
-        object.__setattr__(part, "_preds", (0, *masks))
-        yield part
+    inside: dict[int, list] = {r: [] for r in comps}  # root: its component's covers, relabelled
+    for i, j in covers:
+        inside[find(i)].append((index[i], index[j]))
+    for r, labels in comps.items():
+        yield LabelledWeightedPoset(len(labels), inside[r], map(poset.weight, labels))
 
 
 def _steps(poset: LabelledWeightedPoset, signs: set, spent: int) -> tuple[dict, int]:

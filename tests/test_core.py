@@ -380,10 +380,10 @@ def test_a_zero_denominator_is_a_value_error():
 
 
 def test_from_json_dict_refuses_inexact_coefficients():
-    # a JSON float or bool is refused as the constructor refuses it, not
-    # read as the float's binary value or as 1
-    for coeff in (0.1, True):
-        with pytest.raises(TypeError, match="exact rationals"):
+    # a JSON float, bool, null or list is refused with a ValueError naming
+    # the field, not read as the float's binary value or as 1
+    for coeff in (0.1, 1.5, None, True, [1]):
+        with pytest.raises(ValueError, match="field 'coeff' must be an integer or a string"):
             QSymElement.from_json_dict({"basis": "M", "terms": [{"comp": [1], "coeff": coeff}]})
     data = {"basis": "M", "terms": [{"comp": [1], "coeff": "1/2"}, {"comp": [2], "coeff": 3}]}
     assert QSymElement.from_json_dict(data) == QSymElement("M", {(1,): Fraction(1, 2), (2,): 3})
@@ -391,6 +391,12 @@ def test_from_json_dict_refuses_inexact_coefficients():
         "basis": "M",
         "terms": [{"comp": [1], "coeff": "1/2"}, {"comp": [2], "coeff": "3"}],
     }
+    data = {"basis": "L", "terms": [{"comp": [2, 1], "coeff": "3/2"}, {"comp": [1], "coeff": 2}]}
+    assert QSymElement.from_json_dict(data) == QSymElement("L", {(2, 1): Fraction(3, 2), (1,): 2})
+    # a library call still gets the constructor's own TypeError
+    for coeff in (1.5, None, True, [1]):
+        with pytest.raises(TypeError, match="exact rationals"):
+            QSymElement("M", {(1,): coeff})
 
 
 # ---------------------------------------------------------------------------

@@ -824,6 +824,68 @@ def test_linear_extensions_of_antichains_and_chains():
             assert all(word.index(i) < word.index(j) for i, j in poset.relations)
 
 
+def _linear_extensions_by_recursion(poset):
+    """linear_extensions() as the reference: the recursive depth-first walk."""
+    n, preds = poset.n, poset._preds
+
+    def rec(word, placed):
+        if len(word) == n:
+            yield word
+        for v in range(1, n + 1):
+            if not placed >> v & 1 and preds[v] & placed == preds[v]:
+                yield from rec(word + (v,), placed | 1 << v)
+
+    return list(rec((), 0))
+
+
+def _assignments_by_recursion(poset, zs):
+    """_assignments as the reference: the recursive depth-first walk along
+    the first linear extension."""
+    n, preds = poset.n, poset._preds
+    order = _linear_extensions_by_recursion(poset)[0]
+    vals = [0] * (n + 1)
+
+    def rec(k):
+        if k == n:
+            yield tuple(vals[1:])
+            return
+        label = order[k]
+        below = ppartitions._bits(preds[label])
+        for z in zs:
+            if all(ppartitions._respects(i, label, vals[i], z) for i in below):
+                vals[label] = z
+                yield from rec(k + 1)
+
+    return list(rec(0))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_walks_with_a_stack_match_the_recursive_walks_on_seeded_posets(seed):
+    rng = random.Random(f"stack/{seed}")
+    posets = [LabelledWeightedPoset(0)] + [_random_poset(rng, max_n=7) for _ in range(60)]
+    for poset in posets:
+        extensions = _linear_extensions_by_recursion(poset)
+        assert list(poset.linear_extensions()) == extensions
+        assert poset.linear_extension() == extensions[0]
+        for zs in ((1,), (-1, 1), (1, -2, 2)):
+            want = _assignments_by_recursion(poset, zs)
+            assert list(ppartitions._assignments(poset, zs)) == want
+
+
+def test_walks_past_the_recursion_limit():
+    labels = list(range(1, 5001))
+    random.Random(5000).shuffle(labels)
+    assert chain_poset(labels).linear_extension() == tuple(labels)
+    assert chain_poset(range(1, 2001)).linear_extension() == tuple(range(1, 2001))
+    antichain = LabelledWeightedPoset(1500)
+    assert antichain.linear_extension() == tuple(range(1, 1501))
+    assert enumerate_assignments(antichain, (1,)) == [(1,) * 1500]
+    chain = chain_poset(range(1, 1101))
+    assert list(chain.linear_extensions()) == [tuple(range(1, 1101))]
+    assert enumerate_assignments(chain, (1,)) == [(1,) * 1100]
+    assert enumerate_assignments(chain, (-1,)) == []
+
+
 def _assert_gamma_is_assignment_sum(poset, zs, nvars):
     got, want = gamma(poset, zs, nvars), _assignment_sum(poset, zs, nvars)
     assert got == want
@@ -898,6 +960,62 @@ def test_gamma_of_a_disjoint_union_is_the_product():
     mixed = _disjoint_union(_disjoint_union(weighted_chain((2, 1), (1, 2)), fan), vee)
     for zs, nvars in ((signed_alphabet(2), 2), ((1, -2, 2), 2), ((-4, -2, 1, 3), 4)):
         _assert_gamma_is_assignment_sum(mixed, zs, nvars)
+
+
+def _components_by_search(poset):
+    """The components as the reference: breadth-first search over the
+    relations, by smallest label, each as its size, its relations relabelled
+    1..k in label order, and its weights."""
+    near = {v: set() for v in range(1, poset.n + 1)}
+    for i, j in poset.relations:
+        near[i].add(j)
+        near[j].add(i)
+    seen, out = set(), []
+    for v in range(1, poset.n + 1):
+        if v in seen:
+            continue
+        seen.add(v)
+        queue, found = [v], []
+        for u in queue:  # grows while it is read
+            found.append(u)
+            queue += sorted(near[u] - seen)
+            seen |= near[u]
+        index = {u: k for k, u in enumerate(sorted(found), 1)}
+        relations = {(index[i], index[j]) for i, j in poset.relations if i in index}
+        out.append((len(index), relations, tuple(poset.weight(u) for u in sorted(found))))
+    return out
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_components_match_a_breadth_first_search(seed):
+    rng = random.Random(f"components/{seed}")
+    split = 0
+    for _ in range(250):
+        n = rng.randint(1, 9)
+        density = rng.choice((0.05, 0.15, 0.3))
+        theta = list(range(1, n + 1))
+        rng.shuffle(theta)
+        relations = [
+            (theta[i], theta[j]) for i, j in itertools.combinations(range(n), 2)
+            if rng.random() < density
+        ]
+        poset = LabelledWeightedPoset(n, relations, [rng.randint(1, 3) for _ in range(n)])
+        parts = list(ppartitions._components(poset))
+        want = _components_by_search(poset)
+        assert [(p.n, p.relations, p.weights) for p in parts] == want
+        if len(want) > 1:
+            split += 1
+        else:
+            assert parts[0] is poset
+    assert split >= 250 / 3
+
+
+def test_gamma_of_two_long_chains():
+    chains = LabelledWeightedPoset(
+        4000, [(i, i + 1) for i in itertools.chain(range(1, 2000), range(2001, 4000))]
+    )
+    assert len(list(ppartitions._components(chains))) == 2
+    assert dict(gamma(chains, positive_alphabet(1), 1).terms) == {((1, 4000),): 1}
 
 
 def _extension_sum(poset, zs, nvars):
