@@ -66,9 +66,10 @@ The M, L and eta products share one pair walk over (parts of alpha
 consumed, parts of beta consumed) that merges equal partial products as it
 goes, so no product term is enumerated twice.  A step that starts a new
 part sets a new top bit of the descent mask, so the maps of two states
-merge by ``dict.update`` unless both cut at the same size, and only then
+merge by dict unpacking unless both cut at the same size, and only then
 are they summed.  The multiplicities of all pairs of terms are summed in
-ints, in one accumulator keyed by code.
+ints, in one accumulator keyed by code: each walk adds its last state into
+it, setting the top bit as it reads, and builds no result map.
 
 Every sum adds with ``dict.get``, a whole map at a time by ``_add_into``
 or inline where keys are computed per item, and drops the entries that
@@ -747,18 +748,42 @@ def multiply(a: QSymElement, b: QSymElement) -> QSymElement:
 def _bilinear(basis: str, pairs, common: int) -> QSymElement:
     """Sum of coeff/common * (term ca times term cb) over (ca, cb, coeff), in M, L or eta.
 
-    The coefficients are ints, so the walk multiplicities accumulate as ints
-    in one accumulator (codes of distinct degrees never meet), and the sum
-    over common is made canonical by ``_raw``.
+    The coefficients are ints, so each pair's walk adds its multiplicities
+    times coeff straight into one int accumulator (codes of distinct degrees
+    never meet), and the sum over common is made canonical by ``_raw``.
     """
     acc: dict[int, int] = {}
     for ca, cb, coeff in pairs:
-        _add_into(acc, _pair_walk(basis, ca, cb), coeff)
+        _product_into(acc, coeff, basis, ca, cb)
     return _raw(basis, acc, common)
 
 
 def _pair_walk(basis: str, ca: int, cb: int) -> dict[int, int]:
-    """The product of the basis terms with codes ca and cb, as {code: multiplicity}.
+    """The product of the basis terms with codes ca and cb, as {code: multiplicity}:
+    ``_product_into`` at scale 1 into an empty map, so no entry is 0."""
+    out: dict[int, int] = {}
+    _product_into(out, 1, basis, ca, cb)
+    return out
+
+
+def _add_topped(acc: dict, vec: Mapping, top: int, scale) -> None:
+    """acc += scale * vec with the top bit set on every mask of vec; the
+    entries of vec that cancelled are skipped."""
+    if scale == 1:
+        for mask, c in vec.items():
+            if c:
+                key = mask | top
+                acc[key] = acc.get(key, 0) + c
+    else:
+        for mask, c in vec.items():
+            if c:
+                key = mask | top
+                acc[key] = acc.get(key, 0) + c * scale
+
+
+def _product_into(acc: dict, scale, basis: str, ca: int, cb: int) -> None:
+    """acc += scale * (the product of the basis terms with codes ca and cb),
+    keyed by code, in M, L (``_shuffle_walk``) or eta.
 
     A walk over the grid of states (i, j): i parts of alpha and j parts of
     beta consumed.  Each state holds the partial products that reach it,
@@ -766,22 +791,25 @@ def _pair_walk(basis: str, ca: int, cb: int) -> dict[int, int]:
     The size output so far is fixed by (i, j), and every mask at (i, j) has
     its bits below that size minus 1, so a step that starts a new part sets
     a new top bit: the cut.  Each state's map is copied once with its cut
-    applied, and a state's sources are merged by ``dict.update`` wherever
+    applied, and a state's sources are merged by dict unpacking wherever
     their top bits differ, since such maps share no mask.  Only two sources
     at the same size need a summing loop.  The walk keeps one grid row at a
     time besides the one it builds, and is refused when the two hold more
-    than ``_WALK_BUDGET`` entries (see ``_live_counter``); ``_bilinear``
-    sums its multiplicities in ints.  Each operand is decoded once, to read
-    its parts (L needs only the descent masks), and the last state's masks
-    get the top bit of the product's size.  Steps per basis:
+    than ``_WALK_BUDGET`` entries (see ``_live_counter``).  Each operand is
+    decoded once, to read its parts (L needs only the descent masks).  Row
+    0 holds one partial product a state, the prefixes of beta, and is
+    written directly.  The last state is read once, into acc, with the top
+    bit of the product's size set on each mask.  Steps per basis:
 
     - M: alpha_i, beta_j, or the quasi-shuffle merge alpha_i + beta_j,
       each as a new part.  The two single steps into (i, j) cut at the same
-      size exactly when alpha_i = beta_j; the merge cuts lower.
+      size exactly when alpha_i = beta_j; the merge cuts lower.  Successors
+      read only the cut maps, so a state keeps only its cut map.
     - eta: alpha_i or beta_j as a new part, or beta_j followed by alpha_i
       added to the previous part with sign -1 (the contraction; needs a
       previous part).  The contraction source is the map of (i-1, j-1),
-      negated and not cut, so its top bit lies below both others.
+      negated and not cut, so its top bit lies below both others and its
+      masks are written by assignment.  A state keeps both its maps.
     - L: the shuffle rule, one letter per step, with alpha and beta read
       as words of |alpha| and |beta| letters whose descent sets are
       Des(alpha) and Des(beta), every letter of the second word larger
@@ -789,50 +817,64 @@ def _pair_walk(basis: str, ca: int, cb: int) -> dict[int, int]:
       part after a second-word letter, or after a first-word letter at a
       descent of alpha; a second-word letter starts one only after a
       second-word letter at a descent of beta.  So each state has two maps,
-      by which word the last letter came from, and the two merge by
-      ``dict.update`` unless both cut or neither does.
+      by which word the last letter came from, and the two merge by dict
+      unpacking unless both cut or neither does.
     """
     if not ca or not cb:
-        return {ca | cb: 1}
+        key = ca | cb
+        acc[key] = acc.get(key, 0) + scale
+        return
     if basis == "L":
-        return _shuffle_walk(ca, cb)
+        _shuffle_walk(acc, scale, ca, cb)
+        return
     alpha, beta = _composition_of_code(ca), _composition_of_code(cb)
     size_a = list(itertools.accumulate(alpha, initial=0))
     size_b = list(itertools.accumulate(beta, initial=0))
     l, m = len(alpha), len(beta)
     eta = basis == "eta"
     live = _live_counter(basis, m, size_a[l] + size_b[m])
-    # row[j] = (map at (i, j), that map with its cut), for the current i.
-    above: list[tuple[dict[int, int], dict[int, int]]] = []
-    for i in range(l + 1):
-        row: list[tuple[dict[int, int], dict[int, int]]] = []
-        for j in range(m + 1):
-            if i and j:
-                vec = dict(above[j][1])
-                if alpha[i - 1] == beta[j - 1]:
-                    _add_into(vec, row[j - 1][1])
-                else:
-                    vec.update(row[j - 1][1])
-                if not eta:
-                    vec.update(above[j - 1][1])
-                elif i + j > 2:
-                    vec.update({mask: -c for mask, c in above[j - 1][0].items()})
-            elif i or j:
-                vec = above[j][1] if i else row[j - 1][1]
+    # cuts[j] = the map at (i - 1, j) with its cut, and in eta flats[j] =
+    # the map itself, while row i is built into row (and row_flats).  In
+    # row 0 the map at (0, j) is the cut map at (0, j - 1).
+    cuts: list[dict[int, int]] = [{0: 1}]
+    prefix = 0
+    for j in range(1, m + 1):
+        prefix |= 1 << size_b[j] - 1
+        cuts.append({prefix: 1})
+        if live:
+            live(cuts[-2], cuts[-1])
+    if live:
+        live()
+    flats = [cuts[0], *cuts[:-1]] if eta else cuts
+    for i in range(1, l + 1):
+        part, vec = alpha[i - 1], cuts[0]
+        row = [{mask | 1 << size_a[i] - 1: c for mask, c in vec.items()}]
+        row_flats = [vec] if eta else row
+        if live:
+            live(vec, row[0])
+        for j in range(1, m + 1):
+            if part == beta[j - 1]:
+                vec = dict(cuts[j])
+                _add_into(vec, row[j - 1])
             else:
-                row.append(({0: 1}, {0: 1}))
-                continue
+                vec = {**cuts[j], **row[j - 1]}
+            if not eta:
+                vec.update(cuts[j - 1])
+            elif i + j > 2:
+                for mask, c in flats[j - 1].items():
+                    vec[mask] = -c
             if i == l and j == m:
                 break
-            cut = 1 << (size_a[i] + size_b[j] - 1)
-            row.append((vec, {mask | cut: c for mask, c in vec.items()}))
+            cut = 1 << size_a[i] + size_b[j] - 1
+            row.append({mask | cut: c for mask, c in vec.items()})
+            if eta:
+                row_flats.append(vec)
             if live:
-                live(*row[-1])
+                live(vec, row[j])
         if live:
             live()
-        above = row
-    top = 1 << size_a[l] + size_b[m] - 1
-    return {mask | top: c for mask, c in vec.items() if c}
+        cuts, flats = row, row_flats
+    _add_topped(acc, vec, 1 << size_a[l] + size_b[m] - 1, scale)
 
 
 def _live_counter(basis: str, m: int, n: int):
@@ -863,8 +905,9 @@ def _live_counter(basis: str, m: int, n: int):
     return count
 
 
-def _shuffle_walk(ca: int, cb: int) -> dict[int, int]:
-    """``_pair_walk`` in L: the shuffle product of two nonempty compositions."""
+def _shuffle_walk(acc: dict, scale, ca: int, cb: int) -> None:
+    """``_product_into`` in L: acc += scale * the shuffle product of two
+    nonempty compositions.  The last state's two maps are added into acc."""
     l, m = ca.bit_length(), cb.bit_length()
     des_a, des_b = ca ^ 1 << l - 1, cb ^ 1 << m - 1
     live = _live_counter("L", m, l + m)
@@ -889,13 +932,12 @@ def _shuffle_walk(ca: int, cb: int) -> dict[int, int]:
                     to_a = {mask | cut: c for mask, c in last_a.items()}
                     _add_into(to_a, b_cut)
                 else:
-                    to_a = dict(last_a)
-                    to_a.update(b_cut)
+                    to_a = {**last_a, **b_cut}
             if j < m:
-                to_b = dict(last_a)
                 if j and des_b >> (j - 1) & 1:
-                    to_b.update(b_cut)
+                    to_b = {**last_a, **b_cut}
                 else:
+                    to_b = dict(last_a)
                     _add_into(to_b, last_b)
             row.append((to_a, to_b))
             if live:
@@ -903,10 +945,9 @@ def _shuffle_walk(ca: int, cb: int) -> dict[int, int]:
         if live:
             live()
         above = row
-    out = dict(last_a)
-    _add_into(out, last_b)
     top = 1 << l + m - 1
-    return {mask | top: c for mask, c in out.items() if c}
+    _add_topped(acc, last_a, top, scale)
+    _add_topped(acc, last_b, top, scale)
 
 
 # ---------------------------------------------------------------------------

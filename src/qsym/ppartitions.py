@@ -377,10 +377,16 @@ def _assignments(poset: LabelledWeightedPoset, zs: tuple) -> Iterator[Assignment
     """Every enriched assignment into the checked alphabet zs.
 
     Depth-first along a linear extension, with an explicit stack, pruning a
-    value as soon as it breaks a relation to an already-assigned vertex.
+    value as soon as it breaks a cover relation to an already-assigned
+    vertex.  The covers suffice: along i < m < j, values that rise or tie
+    at both covers rise from i to j, and a tie across both has one sign, so
+    the labels move the same way along both covers and so from i to j.
     """
-    n, preds = poset.n, poset._preds
+    n = poset.n
     order = poset.linear_extension()
+    covered: list[list[int]] = [[] for _ in range(n + 1)]
+    for j, below in _lower_covers(poset._preds):
+        covered[j] = below
     vals: list[SignedValue] = [0] * (n + 1)  # by label; entry 0 is unused
     stack = [(0, 0)]  # (place k in order, the index in zs of the next value to try there)
     while stack:
@@ -389,7 +395,7 @@ def _assignments(poset: LabelledWeightedPoset, zs: tuple) -> Iterator[Assignment
             yield tuple(vals[1:])
             continue
         label = order[k]
-        below = _bits(preds[label])
+        below = covered[label]
         for t in range(t, len(zs)):
             if all(_respects(i, label, vals[i], zs[t]) for i in below):
                 vals[label] = zs[t]

@@ -992,6 +992,53 @@ def test_linear_extensions_build_no_fraction(monkeypatch):
     _assert_canonical(legs)
 
 
+@pytest.mark.parametrize(
+    "basis,left,right,other",
+    [("eta", (1, 2), (2, 1), (1, 1, 1)), ("K", (1, 3), (3, 1), (1,))],
+)
+def test_products_whose_walks_cancel_come_back_canonical(monkeypatch, basis, left, right, other):
+    """(x_left / 2 - x_right / 2) * 2 x_other: the walks add into one
+    accumulator where some codes cancel to 0 and every numerator is even
+    over a denominator of 2, so the result drops the zeros and the 2.  (K
+    operands are converted to eta first; the product's sum is the last one
+    normalised.)"""
+    a = QSymElement(basis, {left: Fraction(1, 2), right: Fraction(-1, 2)})
+    b = QSymElement.term(basis, other, 2)
+    zeros = []
+    real = core._raw
+    monkeypatch.setattr(core, "_raw", lambda *args: zeros.append(0 in args[1].values()) or real(*args))
+    prod = multiply(a, b)
+    monkeypatch.undo()
+    assert zeros[-1]
+    assert prod._den == 1 and prod._terms
+    _assert_canonical(prod)
+    term = lambda comp, coeff: QSymElement.term(basis, comp, coeff)
+    assert prod == multiply(term(left, 1), term(other, 1)) - multiply(term(right, 1), term(other, 1))
+
+
+@pytest.mark.parametrize("basis", ["M", "L", "eta"])
+def test_a_walk_adds_its_scaled_product_into_the_accumulator(basis):
+    """_pair_walk is the kernel at scale 1 into an empty map, with no zero
+    entry; at scale -3 the kernel adds -3 times it into a filled map."""
+    codes = [core._index_code(basis, comp) for n in range(8) for comp in compositions(n)]
+    for ca in codes:
+        for cb in codes:
+            if ca.bit_length() + cb.bit_length() > 8:
+                continue
+            walk = core._pair_walk(basis, ca, cb)
+            assert all(walk.values())
+            acc = {}
+            core._product_into(acc, 1, basis, ca, cb)
+            assert acc == walk
+            filled = {code: 5 for code in list(walk)[::2] + [ca | 1 << 20]}
+            acc = dict(filled)
+            core._product_into(acc, -3, basis, ca, cb)
+            want = dict(filled)
+            for code, c in walk.items():
+                want[code] = want.get(code, 0) - 3 * c
+            assert acc == want
+
+
 def test_product_walks_are_refused_past_the_walk_budget(monkeypatch):
     """A walk that could hold more than _WALK_BUDGET map entries counts its
     two live grid rows state by state.  At a budget of 100, (1^3)(1^3) is

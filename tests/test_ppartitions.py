@@ -884,6 +884,41 @@ def test_walks_past_the_recursion_limit():
     assert list(chain.linear_extensions()) == [tuple(range(1, 1101))]
     assert enumerate_assignments(chain, (1,)) == [(1,) * 1100]
     assert enumerate_assignments(chain, (-1,)) == []
+    assert enumerate_assignments(chain_poset(range(1, 3001)), (1,)) == [(1,) * 3000]
+
+
+def _assignments_by_every_predecessor(poset, zs):
+    """_assignments as it checked a value before the covers sufficed: the
+    same stack walk, against every predecessor in the closed mask."""
+    n, preds = poset.n, poset._preds
+    order = poset.linear_extension()
+    vals = [0] * (n + 1)
+    stack = [(0, 0)]
+    while stack:
+        k, t = stack.pop()
+        if k == n:
+            yield tuple(vals[1:])
+            continue
+        label = order[k]
+        below = ppartitions._bits(preds[label])
+        for t in range(t, len(zs)):
+            if all(ppartitions._respects(i, label, vals[i], zs[t]) for i in below):
+                vals[label] = zs[t]
+                stack += ((k, t + 1), (k + 1, 0))
+                break
+
+
+_ALPHABETS = ((1,), (-1,), (-1, 1), (1, 2), (-2, -1), (1, -2, 2), signed_alphabet(2))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_checking_covers_only_gives_every_assignment_in_the_same_order(seed):
+    rng = random.Random(f"covers/{seed}")
+    for _ in range(100):
+        poset = _random_poset(rng, max_n=7)
+        for zs in _ALPHABETS:
+            want = list(_assignments_by_every_predecessor(poset, zs))
+            assert list(ppartitions._assignments(poset, zs)) == want
 
 
 def _assert_gamma_is_assignment_sum(poset, zs, nvars):
