@@ -422,7 +422,7 @@ def coshuffles(
     shifted = tuple(n + x for x in right_word)
     out = []
     for word, positions in _interleavings(left_word, shifted):
-        comp = _interleave_values(left_parts, right_parts, positions, n + len(shifted))
+        comp = _interleave_values(left_parts, right_parts, positions)
         out.append(CoshufflePair(word, comp, positions))
     return out
 
@@ -431,20 +431,14 @@ def _interleavings(left: tuple, right: tuple):
     """Yield (merged word, 1-based positions of right's letters)."""
     total = len(left) + len(right)
     for positions in itertools.combinations(range(1, total + 1), len(right)):
-        yield _interleave_values(left, right, positions, total), positions
+        yield _interleave_values(left, right, positions), positions
 
 
-def _interleave_values(left: tuple, right: tuple, positions: Sequence[int], total: int):
-    pos = set(positions)
-    word = []
-    li = ri = 0
-    for k in range(1, total + 1):
-        if k in pos:
-            word.append(right[ri])
-            ri += 1
-        else:
-            word.append(left[li])
-            li += 1
+def _interleave_values(left: tuple, right: tuple, positions: Sequence[int]) -> tuple:
+    """left with right's items inserted at the ascending 1-based positions."""
+    word = list(left)
+    for k, value in zip(positions, right):
+        word.insert(k - 1, value)
     return tuple(word)
 
 

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import operator
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from functools import lru_cache
@@ -45,7 +46,7 @@ from .combinatorics import (
     coshuffles,
     subsets,
 )
-from .core import QSymElement, _raw
+from .core import QSymElement, _element
 from .expansion import TruncatedPoly, _field_width, _m_monomials, _pack
 from .expansion import _packed_mul, _raw_poly, _unpack
 
@@ -431,11 +432,12 @@ def enumerate_assignments(
 # generating functions
 
 # gamma's work budget in steps, over the whole call: each (order ideal, set
-# it can grow by at a sign Z has) in its tables, counted before any
-# polynomial work; then each monomial a walk carries along a step, and each
-# pair of terms a product multiplies.  A step is charged the 64-bit words of
-# the int it builds, a mask or a packed monomial.  From {1}, the fan
-# 1 < {2, ..., 40} has 2^39 sets to grow by.
+# it can grow by at a sign Z has) in its tables, and each monomial of a
+# chain component, counted before any polynomial work; then each
+# monomial a walk carries along a step, and each pair of terms a product
+# multiplies.  A step is charged the 64-bit words of the int it builds, a
+# mask or a packed monomial.  From {1}, the fan 1 < {2, ..., 40} has 2^39
+# sets to grow by.
 _STEP_BUDGET = 10**6
 
 
@@ -443,6 +445,35 @@ def _spend(spent: int, steps: int) -> int:
     if spent + steps > _STEP_BUDGET:
         raise ValueError(f"gamma takes more than {_STEP_BUDGET} steps")
     return spent + steps
+
+
+def _chain_steps(n: int, ups: tuple, signs: dict[int, int], width: int) -> int:
+    """The charge of a chain of n vertices with up-down pattern ups over
+    magnitudes that all carry one sign set: its monomials, each the 64-bit
+    words of a monomial packed width bits per variable.
+
+    A monomial is a cut set with j blocks (see _chain_m_terms) and j of the
+    k magnitudes.  Over +m only each descent is cut, over -m only each
+    ascent; over both, each peak's two steps hold one cut or two, which
+    counts as x(2 + x) = x(1 + (1 + x)) by cuts.  The other steps are free.
+    With d forced cuts and f free steps, Vandermonde sums C(k, j) over the
+    cut sets to C(f + k, k - d - 1), and a peak's second choice adds a free
+    step: t of them add C(d, t) C(f + t + k, k - d - 1).  The sum stops
+    once it passes _STEP_BUDGET.
+    """
+    k, kind = len(signs), next(iter(signs.values()), 0)
+    if kind == _MINUS | _PLUS:  # d peaks, each an ascent then a descent
+        d = sum(map(operator.gt, ups, ups[1:]))
+        free, ts = n - 1 - 2 * d, range(d + 1)
+    else:  # d descents over +m, ascents over -m
+        d = ups.count(kind == _MINUS)
+        free, ts = n - 1 - d, range(1)
+    count = 0 if n else 1
+    for t in ts if n and d < k else ():
+        count += math.comb(d, t) * math.comb(free + t + k, k - d - 1)
+        if count > _STEP_BUDGET:  # refused already: the sum stops
+            break
+    return count * (1 + k * width // 64)
 
 
 def gamma(
@@ -457,8 +488,8 @@ def gamma(
     magnitudes renumbered 1..k, which keeps the signed order, and on one
     connected component at a time, since their functions multiply: a chain
     by _gamma_chain if every magnitude carries the same signs, any other by
-    the walk over order ideals, once _steps has sized every walk; refused
-    past _STEP_BUDGET.
+    the walk over order ideals, once _steps has sized every walk and
+    _chain_steps every chain; refused past _STEP_BUDGET.
     """
     zs = _check_alphabet(alphabet)
     nvars = _check_nvars(zs, nvars)
@@ -473,6 +504,8 @@ def gamma(
         order, table = part.chain_order(), None
         if order is None or len(set(signs.values())) > 1:
             table, spent = _steps(part, {z > 0 for z in zs}, spent)
+        else:
+            spent = _spend(spent, _chain_steps(part.n, _ups(order), signs, width))
         parts.append((part, order, table))
     product = {0: 1}  # the components' functions so far, packed as in poly_mul
     for part, order, table in parts:
@@ -628,9 +661,12 @@ def _gamma_chain(ups: tuple, ws: tuple, zs: tuple, nvars: int) -> TruncatedPoly:
     universal_gamma sends a chain over a mixed alphabet to gamma.  Each of
     _chain_m_terms' c_b, keyed by the code of b, is written onto the
     monomials of M_b over Z's magnitudes: one walk serves this writer and
-    the callers that sum chain functions by M-coefficient.
+    the callers that sum chain functions by M-coefficient.  A chain whose
+    monomials pass _STEP_BUDGET is refused before the walk.
     """
-    mags, acc = tuple(_sign_sets(zs)), {}
+    signs, acc = _sign_sets(zs), {}
+    _spend(0, _chain_steps(len(ws), ups, signs, _field_width(sum(ws))))
+    mags = tuple(signs)
     for code, c in _chain_m_terms(ups, ws, zs).items():
         acc.update(dict.fromkeys(_m_monomials(code, mags), c))
     return _raw_poly(nvars, sum(ws), acc)
@@ -713,7 +749,8 @@ def universal_gamma(
     gives the enriched monomial of alpha; the reversed identity over the
     positive alphabet gives the monomial function of alpha.  Equal to
     ``gamma(weighted_chain(pi, alpha), alphabet, nvars)``: read from the chain
-    key, or walked by gamma when Z's magnitudes carry different sign sets.
+    key, or walked by gamma when Z's magnitudes carry different sign sets,
+    and refused as gamma refuses a chain past its step budget.
     """
     word, parts = _check_weighted_word(pi, alpha)
     zs = _check_alphabet(alphabet)
@@ -737,13 +774,15 @@ def universal_to_eta(pi: Iterable[int], alpha: Iterable[int]) -> QSymElement:
     # merges parts i-1, i and i+1, so it clears the bits that end parts i-1
     # and i.  The peaks of a permutation are interior and no two are
     # adjacent, so every subset of them contracts, and distinct subsets
-    # clear distinct bits: each index comes from one subset, with its sign.
+    # clear distinct bits: each index comes from one subset, with its sign,
+    # so the terms are already canonical: nonzero, distinct, over 1.
     # The peaks are read from the checked word, not checked again.
     ends = [1 << s - 1 for s in itertools.accumulate(parts)]
     peaks = (i for i in range(2, len(word)) if word[i - 2] < word[i - 1] > word[i])
     cuts = [ends[i - 2] | ends[i - 1] for i in peaks]
     code = sum(ends)
-    return _raw("eta", {code ^ sum(chosen): _SIGNS[len(chosen) % 2] for chosen in subsets(cuts)})
+    terms = {code ^ sum(chosen): _SIGNS[len(chosen) % 2] for chosen in subsets(cuts)}
+    return _element("eta", terms, 1)
 
 
 def coshuffle_product(

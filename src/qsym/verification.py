@@ -4,16 +4,14 @@ Every check runs exact arithmetic at desk scale and reports pass/fail with
 counterexamples.  The acceptance tests call the same functions at their
 full sweep bounds; the CLI can cap the bounds with --max-degree for a
 quicker run.  A sub-result that a check repeats is computed once per run,
-through a functools.cache made inside the check (or a dict, where the
-first case that needs a packed side names it): nothing outlives the call.
-The chain checks memoise their comparison too, keyed by the element each
-case computed, so a case passes only on its own element's verdict.  The
-shuffle and eta product checks compare M-coefficients packed into one int
-per side, each side a sum of int multiples of packed ints that the check
-computes once per call, with a field size bound that raises ValueError
-rather than let one field alias another.  Both take their reference side
-from the M quasi-shuffle of the factors' M-coefficients, one _pair_walk
-per pair of codes.
+through a functools.cache made inside the check: nothing outlives the
+call.  The chain checks memoise their comparison too, keyed by the element
+each case computed, so a case passes only on its own element's verdict.
+The shuffle and eta product checks compare exact int maps of
+M-coefficients {code(b): c_b}, each side summed with _add_into and
+finished with _nonzero.  Both take their reference side from the M
+quasi-shuffle of the factors' M-coefficients, one _pair_walk per pair of
+codes.
 """
 
 from __future__ import annotations
@@ -22,6 +20,7 @@ import functools
 import itertools
 import math
 import random
+from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -54,7 +53,6 @@ from .core import (
 )
 from .expansion import (
     _int_sum,
-    _m_coefficients,
     certify_equal,
     embed,
     expand,
@@ -196,79 +194,42 @@ def check_basis_round_trip(max_degree: int | None = None) -> CheckResult:
     return r.result(f"basis round trips (n <= {top})", "round trips")
 
 
-_FIELD = 32  # bits per composition b in a packed sum of M-coefficients
-
-
-def _packed(coeffs: Mapping, slots: dict) -> int:
-    """{b: c_b} as one int: c_b in the signed _FIELD-bit field of b's slot,
-    each new b taking the next slot.  Two sums of int multiples of ints
-    packed with one slots dict are equal exactly when their fields are,
-    while every field stays below 2^(_FIELD - 1) in magnitude."""
-    return sum(c << _FIELD * slots.setdefault(b, len(slots)) for b, c in coeffs.items())
-
-
-def _packed_side(items, describe: str, *args) -> int:
-    """One side of a case: the sum of k * packed over the (k, (packed,
-    largest |c_b|)) items, whose fields stay within the sum of |k| * largest
-    |c_b|.  A ValueError names the case, describe.format(*args), when that
-    bound reaches 2^(_FIELD - 1), where a field could alias its neighbours."""
-    total = bound = 0
-    for k, (packed, mag) in items:
-        total += k * packed
-        bound += abs(k) * mag
-    if bound >> _FIELD - 1:
-        raise ValueError(
-            f"{describe.format(*args)}: M-coefficients up to {bound} "
-            f"can overflow a {_FIELD}-bit field"
-        )
-    return total
-
-
-def _packed_with_bound(coeffs: Mapping, slots: dict) -> tuple[int, int]:
-    """_packed(coeffs, slots) and the largest |c_b|, an item of _packed_side."""
-    return _packed(coeffs, slots), max(map(abs, coeffs.values()), default=0)
+def _quasi_shuffle(ta: Mapping, tb: Mapping, walk, scale: int = 1) -> dict:
+    """The M quasi-shuffle of two int maps of M-coefficients {code: c},
+    times scale: the sum of scale * c_a * c_b * walk(a, b) over their codes,
+    finished by _nonzero, so two such maps are equal exactly when the
+    products are."""
+    acc: dict = {}
+    for ca, va in ta.items():
+        for cb, vb in tb.items():
+            _add_into(acc, walk(ca, cb), va * vb * scale)
+    return _nonzero(acc)
 
 
 def check_eta_product_rule(max_degree: int | None = None) -> CheckResult:
-    """Closed eta product rule vs the M quasi-shuffle, compared on packed
-    M-coefficients.
+    """Closed eta product rule vs the M quasi-shuffle, compared on
+    M-coefficients {code(b): c_b}.
 
     The closed side is eta_product(alpha, beta), whose coefficients on
-    x_1^b_1 ... x_k^b_k are read from the eta defining series of its terms.
-    The reference side is the M quasi-shuffle of convert(eta_alpha, "M") and
-    convert(eta_beta, "M"), whose M coefficients are those same numbers.
-    Within one call each eta term is converted to M, each eta term's series
-    packed and each pair of M terms walked and packed once, with one slot
-    per code(b) (see _packed).  Each side is then a sum of int multiples of
-    packed ints over one common denominator, so
-    equal packed sides are equal {b: c_b}; a case whose fields could reach
-    2^(_FIELD - 1) in magnitude raises ValueError (see _packed_side).
+    x_1^b_1 ... x_k^b_k are read from the eta defining series of its terms
+    by _int_sum.  The reference side is the M quasi-shuffle of
+    convert(eta_alpha, "M") and convert(eta_beta, "M"), whose M coefficients
+    are those same numbers.  Both are exact int maps over one common
+    denominator.  Within one call each eta term is converted to M and each
+    pair of M terms walked once.
     """
     top = _cap(7, max_degree)
     r = _Recorder()
     in_m = functools.cache(lambda c: convert(QSymElement.term("eta", c), "M"))
-    slots: dict = {}  # keyed by the code of b
-    walk = functools.cache(lambda ca, cb: _packed_with_bound(_pair_walk("M", ca, cb), slots))
-
-    series = functools.cache(lambda code: _packed_with_bound(_m_coefficients("eta", code), slots))
-
+    walk = functools.cache(lambda ca, cb: _pair_walk("M", ca, cb))
     for total in range(top + 1):
         for na in range(total + 1):
             for alpha, beta in itertools.product(compositions(na), compositions(total - na)):
                 a, b = in_m(alpha), in_m(beta)
                 direct = eta_product(alpha, beta)
                 common = math.lcm(a._den * b._den, direct._den)
-                up, scale = common // direct._den, common // (a._den * b._den)
-                closed = _packed_side(
-                    ((c * up, series(code)) for code, c in direct._terms.items()),
-                    "eta_{} * eta_{}", alpha, beta,
-                )
-                reference = _packed_side(
-                    ((va * vb * scale, walk(ca, cb))
-                     for ca, va in a._terms.items() for cb, vb in b._terms.items()),
-                    "eta_{} * eta_{}", alpha, beta,
-                )
-                r.check(closed == reference, "eta_{} * eta_{}", alpha, beta)
+                reference = _quasi_shuffle(a._terms, b._terms, walk, common // (a._den * b._den))
+                r.check(_int_sum(direct, common) == reference, "eta_{} * eta_{}", alpha, beta)
     return r.result(f"eta product rule (|a|+|b| <= {top})", "products certified")
 
 
@@ -405,53 +366,42 @@ def check_specializations(max_degree: int | None = None) -> CheckResult:
 def check_shuffle_products(max_degree: int | None = None) -> CheckResult:
     """Chain generating functions multiply by (co)shuffling, at both alphabets.
 
-    Both sides are compared as M-coefficients {code(b): c_b} packed into one
-    int (see _packed; slots assigned within this call), which is the same as
-    comparing the chain functions in nvars variables.  Each chain key
-    (up-down pattern, weights, alphabet) is read from _chain_m_terms once.
-    The left side multiplies the two chain functions by the M quasi-shuffle,
-    the eta product rule's reference: the sum of c_a * c_b * _pair_walk("M",
-    a, b) over their terms, each walk cut down to the b with at most nvars
-    parts (the M_b that survive in nvars variables) and packed once per
-    call.  Each left side is summed by _packed_side once per pair of chain
-    keys and kept in a dict, so that the first case that needs it names an
-    overflow.  The right side, the rule under test, adds one packed int per
-    word, each chain key's packed once; every c_b of a chain is at most
-    2^nvars, so a list of chains that could overflow a field is refused
-    with a ValueError.
+    Both sides are compared as int maps of M-coefficients {code(b): c_b},
+    which is the same as comparing the chain functions in nvars variables.
+    Each chain key (up-down pattern, weights, alphabet) is read from
+    _chain_m_terms once per call.  The left side multiplies the two chain
+    functions by the M quasi-shuffle, the eta product rule's reference, each
+    walk cut down to the b with at most nvars parts (the M_b that survive in
+    nvars variables); it is computed once per pair of chain keys.  The right
+    side, the rule under test, sums the chain functions of the (co)shuffled
+    words, each chain key's times its multiplicity, once per distinct
+    multiset of chain keys within this call: 194 sums for the 1012 cases.
     """
     top = _cap(6, max_degree)
     nvars = 4
     alphabets = (positive_alphabet(nvars), signed_alphabet(nvars))
-    slots: dict = {}  # keyed by the code of b
-    left: dict = {}  # (chain keys, alphabet) -> packed left side
     r = _Recorder()
     terms = functools.cache(_chain_m_terms)
-    chain = functools.cache(lambda ups, ws, zs: _packed(terms(ups, ws, zs), slots))
 
     @functools.cache
     def walk(ca, cb):
-        out = _pair_walk("M", ca, cb)
-        return _packed_with_bound({c: v for c, v in out.items() if c.bit_count() <= nvars}, slots)
+        return {c: v for c, v in _pair_walk("M", ca, cb).items() if c.bit_count() <= nvars}
 
-    def rhs(chains, zs):
-        if len(chains) << nvars >= 1 << _FIELD - 1:
-            raise ValueError(
-                f"{len(chains)} chain functions in {nvars} variables "
-                f"can overflow a {_FIELD}-bit field"
-            )
-        return sum(chain(ups, ws, zs) for ups, ws in chains)
+    @functools.cache
+    def left(keys, zs):
+        return _quasi_shuffle(terms(*keys[:2], zs), terms(*keys[2:], zs), walk)
+
+    @functools.cache
+    def right(counts, zs):
+        acc: dict = {}
+        for (ups, ws), k in counts:
+            _add_into(acc, terms(ups, ws, zs), k)
+        return _nonzero(acc)
 
     def check(keys, chains, describe, *args):
+        counts = frozenset(Counter(chains).items())  # the case's chain keys, with multiplicity
         for zs in alphabets:
-            case = (*args, len(zs))
-            if (keys, zs) not in left:
-                ta, tb = terms(*keys[:2], zs), terms(*keys[2:], zs)
-                left[keys, zs] = _packed_side(
-                    ((va * vb, walk(ca, cb)) for ca, va in ta.items() for cb, vb in tb.items()),
-                    describe, *case,
-                )
-            r.check(left[keys, zs] == rhs(chains, zs), describe, *case)
+            r.check(left(keys, zs) == right(counts, zs), describe, *args, len(zs))
 
     for n in range(1, top):
         for m in range(1, top - n + 1):

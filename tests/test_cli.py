@@ -595,26 +595,23 @@ _SHUFFLE_ALPHABETS = (positive_alphabet(4), signed_alphabet(4))
 
 
 def test_shuffle_left_side_is_the_chain_polynomials_product(monkeypatch):
-    """The oracle route: for every left side of a full run, at both
-    alphabets, the packed M quasi-shuffle of the two chain functions, cut
-    down to 4 parts, equals the M-coefficients read from poly_mul of the
-    two chain polynomials, which are written back onto every monomial."""
+    """The oracle route: every left side of a full run, at both alphabets,
+    the M quasi-shuffle of the two chain functions cut down to 4 parts, is
+    the map of M-coefficients read from poly_mul of the two chain
+    polynomials, which are written back onto every monomial."""
+    real, left = verification._quasi_shuffle, {}
+
+    def recorded(ta, tb, walk, scale=1):
+        out = real(ta, tb, walk, scale)
+        left[tuple(ta.items()), tuple(tb.items())] = out
+        return out
+
+    monkeypatch.setattr(verification, "_quasi_shuffle", recorded)
     keys = {(_ups(pi), alpha, _ups(sigma), beta)
             for pi, alpha, sigma, beta, _ in _shuffle_cases(monkeypatch)}
-    slots: dict = {}
     mags = positive_alphabet(4)  # the magnitudes of both alphabets
     for (ups_pi, alpha, ups_sigma, beta), zs in itertools.product(keys, _SHUFFLE_ALPHABETS):
         ta, tb = _chain_m_terms(ups_pi, alpha, zs), _chain_m_terms(ups_sigma, beta, zs)
-        walks = {
-            (ca, cb): verification._packed_with_bound(
-                {c: v for c, v in core._pair_walk("M", ca, cb).items() if c.bit_count() <= 4},
-                slots,
-            )
-            for ca in ta for cb in tb
-        }
-        packed = verification._packed_side(
-            ((ta[ca] * tb[cb], walk) for (ca, cb), walk in walks.items()), "case"
-        )
         product = poly_mul(_gamma_chain(ups_pi, alpha, zs, 4), _gamma_chain(ups_sigma, beta, zs, 4))
         oracle = {
             _code(tuple(e for _, e in mono)): c
@@ -624,7 +621,7 @@ def test_shuffle_left_side_is_the_chain_polynomials_product(monkeypatch):
         written = {mono: c for b, c in oracle.items() for mono in _m_monomials(b, mags)}
         assert written == product.terms
         assert all(c.denominator == 1 for c in oracle.values())
-        assert packed == verification._packed({b: int(c) for b, c in oracle.items()}, slots)
+        assert left[tuple(ta.items()), tuple(tb.items())] == oracle
 
 
 def test_shuffle_check_fails_exactly_the_cases_whose_factors_hold_a_broken_pair(monkeypatch):
@@ -653,138 +650,65 @@ def test_shuffle_check_fails_exactly_the_cases_whose_factors_hold_a_broken_pair(
     assert result.failures == expected
 
 
-def _field(packed, slot):
-    """The signed verification._FIELD-bit field at slot of a packed int."""
-    width = verification._FIELD
-    low = lambda x: ((x + (1 << width - 1)) & ((1 << width) - 1)) - (1 << width - 1)
-    for _ in range(slot):
-        packed = (packed - low(packed)) >> width
-    return low(packed)
-
-
 @pytest.mark.parametrize("bad", [lambda c: -c, lambda c: c + (1 << 16)])
 def test_shuffle_check_fails_a_product_coefficient_outside_its_field(monkeypatch, bad):
-    """The packed left side of one product, (1,2,3) x (2,1) over the
-    positive alphabet of 4, has its field for M_(3,1,1) rewritten from
-    c_(3,1,1) to bad(c_(3,1,1)); no other field changes, and only that
-    case fails."""
+    """The left side of one product, (1,2,3) x (2,1) over the positive
+    alphabet of 4, has its coefficient of M_(3,1,1) rewritten from
+    c_(3,1,1) to bad(c_(3,1,1)); no other coefficient changes, and only
+    that case fails."""
     target = "shuffle product pi=(1, 2, 3) sigma=(2, 1) |Z|=4"
-    code, seen, rewritten = _code((3, 1, 1)), [], []
-    real_packed, real_side = verification._packed, verification._packed_side
+    zs = positive_alphabet(4)
+    factors = (
+        _chain_m_terms(_ups((1, 2, 3)), (1, 1, 1), zs), _chain_m_terms(_ups((2, 1)), (1, 1), zs)
+    )
+    code, rewritten = _code((3, 1, 1)), []
+    real = verification._quasi_shuffle
 
-    def packed(coeffs, slots):
-        seen.append(slots)
-        return real_packed(coeffs, slots)
-
-    def side(items, describe, *args):
-        total = real_side(items, describe, *args)
-        if describe.format(*args) != target:
-            return total
-        slot = seen[0][code]
-        c = _field(total, slot)
+    def product(ta, tb, walk, scale=1):
+        out = real(ta, tb, walk, scale)
+        if (ta, tb) != factors:
+            return out
+        c = out[code]
         assert c > 0 and bad(c) != c
         rewritten.append(c)
-        return total + ((bad(c) - c) << verification._FIELD * slot)
+        return {**out, code: bad(c)}
 
-    monkeypatch.setattr(verification, "_packed", packed)
-    monkeypatch.setattr(verification, "_packed_side", side)
+    monkeypatch.setattr(verification, "_quasi_shuffle", product)
     result = verification.check_shuffle_products()
     assert len(rewritten) == 1
     assert result.detail == "1012 products"
     assert result.failures == [target]
 
 
-def test_packed_product_refuses_what_would_alias():
-    """c_(1) = 1, c_(2) = 2 packs to 1 + 2 * 2^32, and so do the field
-    overflows (1 + 2^32, 1) and (1 - 2^32, 3): a packed product summed by
-    _packed_side refuses those, as it does a coefficient of 2^31, past the
-    signed field, while 2^31 - 1 and signed sums within the field pass."""
-    slots = {(1,): 0, (2,): 1}
-    side = verification._packed_side
-    item = lambda c1, c2: (1, verification._packed_with_bound({(1,): c1, (2,): c2}, slots))
-    label = "product {}"
-    assert side([item(1, 2)], label, 0) == 1 + (2 << 32)
-    for n, (c1, c2) in enumerate([(1 + (1 << 32), 1), (1 - (1 << 32), 3)], 1):
-        assert verification._packed({(1,): c1, (2,): c2}, slots) == 1 + (2 << 32)
-        with pytest.raises(ValueError, match=rf"product {n}: .* overflow a 32-bit field"):
-            side([item(c1, c2)], label, n)
-    assert side([item((1 << 31) - 1, 2)], label, 3) == (1 << 31) - 1 + (2 << 32)
-    with pytest.raises(ValueError, match=r"product 4: M-coefficients up to 2147483648"):
-        side([item(1 << 31, 2)], label, 4)
-    assert side([item(3, -5), (-2, item(1, -2)[1])], label, 5) == 1 - (1 << 32)
-    assert slots == {(1,): 0, (2,): 1}
-
-
-def test_shuffle_left_side_past_its_field_bound_is_refused(monkeypatch):
-    """The first case, (1) x (1), has the left side c * c * M_(1) * M_(1) =
-    c^2 (2 M_(1,1) + M_(2)), with c = 1 over the positive alphabet of 4 and
-    c = 2 over the signed one.  A walk for M_(1) * M_(1) whose largest
-    coefficient is t bounds those left sides' fields by t and 4t: past
-    2^31 - 1 they could alias, and the check raises a ValueError naming
-    the first case that reaches 2^31."""
-    assert verification._FIELD == 32
+def test_product_checks_fail_a_walk_coefficient_of_any_size(monkeypatch):
+    """A walk of M_(1) * M_(1) whose M_(1,1) coefficient is 2^40, not 2,
+    fails exactly the cases that read it, with counterexamples, in both
+    product checks: eta_(1) * eta_(1), whose M images are 2 M_(1), and
+    each shuffle case whose factors both have an M_(1) term at an
+    alphabet.  Sides are exact int maps, so no coefficient is too large
+    to compare."""
+    pair = (_code((1,)), _code((1,)))
+    expected = [
+        f"{text}{len(zs)}"
+        for pi, alpha, sigma, beta, text in _shuffle_cases(monkeypatch)
+        for zs in _SHUFFLE_ALPHABETS
+        if pair[0] in _chain_m_terms(_ups(pi), alpha, zs)
+        and pair[1] in _chain_m_terms(_ups(sigma), beta, zs)
+    ]
+    assert 0 < len(expected) < 1012
     real = verification._pair_walk
 
-    def walk_with(t):
-        def patched(basis, ca, cb):
-            out = real(basis, ca, cb)
-            return {**out, _code((1, 1)): t} if (ca, cb) == (1, 1) else out
-        return patched
+    def broken(basis, ca, cb):
+        out = real(basis, ca, cb)
+        return {**out, _code((1, 1)): 1 << 40} if (ca, cb) == pair else out
 
-    monkeypatch.setattr(verification, "_pair_walk", walk_with((1 << 29) - 1))
+    monkeypatch.setattr(verification, "_pair_walk", broken)
     result = verification.check_shuffle_products()
-    assert result.failures[:2] == [
-        f"shuffle product pi=(1,) sigma=(1,) |Z|={z}" for z in (4, 8)
-    ]
-    for t, z in [(1 << 29, 8), ((1 << 31) - 1, 8), (1 << 31, 4)]:
-        monkeypatch.setattr(verification, "_pair_walk", walk_with(t))
-        message = (
-            rf"shuffle product pi=\(1,\) sigma=\(1,\) \|Z\|={z}: "
-            rf"M-coefficients up to {t if z == 4 else 4 * t} can overflow a 32-bit field"
-        )
-        with pytest.raises(ValueError, match=message):
-            verification.check_shuffle_products()
-
-
-def test_a_chain_list_too_long_for_its_fields_is_refused(monkeypatch):
-    """c_b <= 2^4 per chain in 4 variables, so 2^27 chains could fill a
-    signed 32-bit field, too many to build here; at a field of 16 bits,
-    2^11 could, and 4096 are refused."""
-    monkeypatch.setattr(verification, "_FIELD", 16)
-    real = verification.shuffles
-    monkeypatch.setattr(verification, "shuffles", lambda pi, sigma: real(pi, sigma) * 2048)
-    with pytest.raises(ValueError, match="4096 chain functions .* overflow a 16-bit field"):
-        verification.check_shuffle_products()
-
-
-def test_eta_product_sides_too_large_for_their_fields_are_refused(monkeypatch):
-    """A side's fields are bounded by the sum of |multiple| times the largest
-    |c_b| of what it multiplies, which must stay below 2^31 in a signed
-    32-bit field: eta_() * eta_() scaled by 2^31 reaches it on the closed
-    side, and both M images of eta_() scaled by 2^16 on the reference side.
-    Past the bound, fields alias: (1 + 2^32, 1) packs as (1, 2)."""
-    assert verification._FIELD == 32
-    slots = {0: 0, 1: 1, 2: 2}
-    packed = lambda coeffs: verification._packed_with_bound(coeffs, slots)
-    assert packed({0: 1 + (1 << 32), 1: 1})[0] == packed({0: 1, 1: 2})[0]
-    assert packed({1: 3, 2: -5}) == ((3 << 32) - (5 << 64), 5)
-    side = verification._packed_side
-    label = "eta_{} * eta_{}"
-    assert side([(1, packed({0: (1 << 31) - 1}))], label, (), ()) == (1 << 31) - 1
-    assert side([(3, (7, 2)), (-2, (5, 1))], label, (), ()) == 11
-    message = r"eta_\(\) \* eta_\(\): M-coefficients up to 2147483648 can overflow a 32-bit field"
-    with pytest.raises(ValueError, match=message):
-        side([(1, (0, 1 << 30)), (-1, (0, 1 << 30))], label, (), ())
-    real_product, real_convert = verification.eta_product, verification.convert
-    monkeypatch.setattr(
-        verification, "eta_product", lambda a, b: real_product(a, b).scale(1 << 31)
-    )
-    with pytest.raises(ValueError, match=message):
-        verification.check_eta_product_rule()
-    monkeypatch.setattr(verification, "eta_product", real_product)
-    monkeypatch.setattr(verification, "convert", _m_image_scaled(real_convert, 1 << 16))
-    with pytest.raises(ValueError, match=message.replace("2147483648", "4294967296")):
-        verification.check_eta_product_rule()
+    assert result.detail == "1012 products"
+    assert result.failures == expected
+    result = verification.check_eta_product_rule()
+    assert result.detail == "576 products certified"
+    assert result.failures == ["eta_(1,) * eta_(1,)"]
 
 
 def _m_image_scaled(real, factor, length=None):

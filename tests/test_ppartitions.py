@@ -391,6 +391,67 @@ def test_universal_gamma_walks_a_chain_over_a_mixed_alphabet_within_the_budget(m
         universal_gamma(range(1, 99), (1,) * 98, (-1, 2))
 
 
+def test_a_chain_is_charged_its_monomials_before_any_polynomial_work(monkeypatch):
+    """A chain of n vertices over k magnitudes has at most C(n + k - 1, k - 1)
+    monomials, one per weakly increasing sequence of magnitudes, and the
+    increasing word over the signed alphabet has them all.  gamma charges
+    that count times a packed monomial's words (one word here) before it
+    builds any, and so does the chain kernel behind universal_gamma."""
+    for n, k in [(1, 1), (5, 3), (8, 4), (6, 6)]:
+        got = universal_gamma(range(1, n + 1), (1,) * n, signed_alphabet(k))
+        assert len(got.terms) == math.comb(n + k - 1, k - 1)
+        assert gamma(chain_poset(range(1, n + 1)), signed_alphabet(k)) == got
+    # C(11, 3) = 165 monomials: a budget of exactly the charge computes,
+    # one step less refuses
+    for budget, refused in ((165, False), (164, True)):
+        monkeypatch.setattr(ppartitions, "_STEP_BUDGET", budget)
+        for run in (
+            lambda: gamma(chain_poset(range(1, 9)), signed_alphabet(4)),
+            lambda: universal_gamma(range(1, 9), (1,) * 8, signed_alphabet(4)),
+        ):
+            ppartitions._gamma_chain.cache_clear()  # a cached chain was charged once
+            if refused:
+                with pytest.raises(ValueError, match="gamma takes more than 164 steps"):
+                    run()
+            else:
+                assert len(run().terms) == 165
+    monkeypatch.setattr(ppartitions, "_STEP_BUDGET", 10**6)
+
+    def work(*args):
+        raise AssertionError("polynomial work before the refusal")
+
+    for name in ("_chain_m_terms", "_m_monomials"):
+        monkeypatch.setattr(ppartitions, name, work)
+    # C(67, 7) = 869,648,208 and C(45, 5) = 1,221,759 monomials
+    with pytest.raises(ValueError, match="gamma takes more than 1000000 steps"):
+        gamma(chain_poset(range(1, 61)), signed_alphabet(8))
+    with pytest.raises(ValueError, match="gamma takes more than 1000000 steps"):
+        universal_gamma(range(1, 61), (1,) * 60, signed_alphabet(8))
+    with pytest.raises(ValueError, match="gamma takes more than 1000000 steps"):
+        universal_gamma(range(1, 41), (1,) * 40, signed_alphabet(6))
+
+
+def test_a_chain_is_charged_exactly_the_monomials_its_pattern_allows():
+    """Descents over +m, ascents over -m and peaks over both force cuts,
+    and the charge counts them: it is the number of monomials of every
+    chain, so a long chain with a small function is computed."""
+    rng = random.Random(36)
+    for _ in range(400):
+        n, k = rng.randint(0, 8), rng.randint(0, 5)
+        word, parts = rng.sample(range(1, n + 1), n), [rng.randint(1, 3) for _ in range(n)]
+        for zs in (positive_alphabet(k), tuple(-m for m in range(1, k + 1)), signed_alphabet(k)):
+            charge = ppartitions._chain_steps(n, ppartitions._ups(word), ppartitions._sign_sets(zs), 0)
+            assert len(universal_gamma(word, parts, zs).terms) == charge
+    # the reversed identity over the positive alphabet: M_(1^12), one monomial
+    got = universal_gamma(range(12, 0, -1), (1,) * 12, positive_alphabet(12))
+    assert got.terms == {tuple((m, 1) for m in range(1, 13)): 1}
+    assert gamma(weighted_chain(range(12, 0, -1), (1,) * 12), positive_alphabet(12)) == got
+    # 39 descents over 6 magnitudes, and 29 peaks over 8 signed ones: zero
+    assert not universal_gamma(range(40, 0, -1), (1,) * 40, positive_alphabet(6)).terms
+    zigzag = [v for i in range(1, 60, 2) for v in (i + 1, i)]
+    assert not gamma(chain_poset(zigzag), signed_alphabet(8)).terms
+
+
 def test_gamma_renames_magnitudes_instead_of_packing_them():
     """Only the order of Z's magnitudes counts: over (..., 10^7) gamma is
     its value over (..., 2) with x2 renamed, at the same cost."""
