@@ -897,10 +897,8 @@ def _live_counter(basis: str, m: int, n: int):
             return
         now += sum(map(len, filter(None, maps)))
         if before + now > _WALK_BUDGET:
-            raise ValueError(
-                f"the {basis} product in degree {n} holds {before + now} partial "
-                f"products at once, over the budget of {_WALK_BUDGET}"
-            )
+            head = f"the {basis} product in degree {n} holds"
+            raise _over_budget(head, before + now, "partial products at once", _WALK_BUDGET)
 
     return count
 
@@ -1044,16 +1042,13 @@ def _int_lattice(source: str, target: str) -> tuple[tuple, int, int, int]:
     return rows, den, scale.numerator, scale.denominator
 
 
-def _over_budget(what: str, n: int, bound: int) -> ValueError:
-    """The refusal of a transform whose degree-n image may reach ``bound``
-    masks.  A bound of more than 20 digits is written as the power of two
+def _over_budget(head: str, count: int, tail: str, budget: int) -> ValueError:
+    """The refusal of work sized at count, past budget: every work budget's
+    message.  A count of more than 20 digits is written as the power of two
     at or above it, which keeps the line short and within Python's limit
     on int-to-str conversion."""
-    shown = bound if bound < 10**20 else f"2^{(bound - 1).bit_length()}"
-    return ValueError(
-        f"{what} in degree {n} needs up to {shown} subset masks, "
-        f"over the budget of {_MASK_BUDGET}"
-    )
+    shown = count if count < 10**20 else f"2^{(count - 1).bit_length()}"
+    return ValueError(f"{head} {shown} {tail}, over the budget of {budget}")
 
 
 def _lattice_transform(a: QSymElement, target: str, then: str | None = None) -> QSymElement:
@@ -1097,11 +1092,13 @@ def _lattice_transform(a: QSymElement, target: str, then: str | None = None) -> 
             bound = min(sum(images), 1 << n - 1)
             if bound > _MASK_BUDGET:
                 what = "the antipode" if a.basis == target else f"{a.basis} to {target}"
-                raise _over_budget(what, n, bound)
+                head = f"{what} in degree {n} needs up to"
+                raise _over_budget(head, bound, "subset masks", _MASK_BUDGET)
     for n, component in by_degree.items() if then else ():
         if n and 1 << n - 1 > _MASK_BUDGET:
             if then == "L" or sum(component.values()):
-                raise _over_budget(f"eta to {then}", n, 1 << n - 1)
+                head = f"eta to {then} in degree {n} needs up to"
+                raise _over_budget(head, 1 << n - 1, "subset masks", _MASK_BUDGET)
             break
     pieces = []  # (denominator, scale numerator, {code: numerator}) per degree
     for n, component in by_degree.items():

@@ -32,7 +32,8 @@ from functools import lru_cache
 from types import MappingProxyType
 
 from .combinatorics import _check_count, _composition_of_code, _peaks_of_code
-from .core import QSymElement, _add_into, _exact, _nonzero, _signed_sum, format_rational
+from .core import QSymElement, _add_into, _exact, _nonzero, _over_budget, _signed_sum
+from .core import format_rational
 
 Monomial = tuple[tuple[int, int], ...]
 
@@ -244,8 +245,8 @@ def embed(p: TruncatedPoly, nvars: int, offset: int = 0) -> TruncatedPoly:
 # defining series of the basis elements
 
 
-# Work budgets: each enumeration is sized before it starts and refused,
-# with its estimate, when it would exceed these.
+# Work budgets: each enumeration is sized before it starts and refused, by
+# core._over_budget with its estimate, when it would exceed these.
 _SERIES_BUDGET = 1 << 20  # index tuples in the defining series of one term
 _MONOMIAL_BUDGET = 10**6  # monomials in one expansion
 
@@ -274,10 +275,8 @@ def _m_coefficients(basis: str, code: int) -> Mapping[int, int]:
     n = code.bit_length()
     tuples = 1 << (code.bit_count() if basis == "eta" else n) - 1
     if tuples > _SERIES_BUDGET:
-        raise ValueError(
-            f"the series of {basis}{list(_composition_of_code(code))} needs {tuples} "
-            f"index tuples, over the budget of {_SERIES_BUDGET}"
-        )
+        head = f"the series of {basis}{list(_composition_of_code(code))} needs"
+        raise _over_budget(head, tuples, "index tuples", _SERIES_BUDGET)
     top = 1 << n - 1
     descents = code ^ top
     if basis == "L":
@@ -343,10 +342,8 @@ def expand(a: QSymElement, nvars: int, degree: int | None = None) -> TruncatedPo
     coeffs = _int_sum(a, common)
     size = sum(math.comb(nvars, code.bit_count()) for code in coeffs)
     if size > _MONOMIAL_BUDGET:
-        raise ValueError(
-            f"expanding in {nvars} variables needs {size} monomials, "
-            f"over the budget of {_MONOMIAL_BUDGET}"
-        )
+        head = f"expanding in {nvars} variables needs"
+        raise _over_budget(head, size, "monomials", _MONOMIAL_BUDGET)
     if common != 1:
         coeffs = {code: Fraction(c, common) for code, c in coeffs.items()}
     variables = tuple(range(1, nvars + 1))

@@ -46,7 +46,7 @@ from .combinatorics import (
     coshuffles,
     subsets,
 )
-from .core import QSymElement, _element
+from .core import QSymElement, _element, _over_budget
 from .expansion import TruncatedPoly, _field_width, _m_monomials, _pack
 from .expansion import _packed_mul, _raw_poly, _unpack
 
@@ -152,10 +152,8 @@ class LabelledWeightedPoset:
                     ready.append(j)
                     held += preds[j].bit_count()
                     if held > _CLOSURE_BUDGET:
-                        raise ValueError(
-                            f"the closed order needs at least {held} predecessor bits, "
-                            f"over the budget of {_CLOSURE_BUDGET}"
-                        )
+                        head = "the closed order needs at least"
+                        raise _over_budget(head, held, "predecessor bits", _CLOSURE_BUDGET)
         if len(ready) < n:
             raise ValueError("relations contain a cycle; not a partial order")
         object.__setattr__(self, "n", n)
@@ -198,12 +196,10 @@ class LabelledWeightedPoset:
     def linear_extension(self) -> tuple[int, ...]:
         """Smallest-label-first topological order, the first of
         linear_extensions(): Kahn with a heap over the direct successors."""
-        after: list[list[int]] = [[] for _ in range(self.n + 1)]
+        after = _direct_successors(self._preds)
         waiting = [0] * (self.n + 1)  # direct predecessors not yet placed
-        for j, below in _lower_covers(self._preds):
-            waiting[j] = len(below)
-            for i in below:
-                after[i].append(j)
+        for j in itertools.chain.from_iterable(after):
+            waiting[j] += 1
         ready, word = [v for v in range(1, self.n + 1) if not waiting[v]], []
         while ready:  # ascending, so already a heap
             v = heapq.heappop(ready)
@@ -216,24 +212,28 @@ class LabelledWeightedPoset:
 
     def linear_extensions(self) -> Iterator[tuple[int, ...]]:
         """Every linear extension, in lexicographic order of the label words:
-        depth first with an explicit stack, testing each label's predecessor
-        bitmask."""
-        n, preds = self.n, self._preds
-        word, placed, tried = [], 0, [0]  # tried[k]: the last label tried at place k
+        depth first with an explicit stack over a bitmask of the ready labels,
+        unplaced with every predecessor placed.  Placing a label readies its
+        direct successors with no ready predecessor; taking it back unreadies them."""
+        n, preds, after = self.n, self._preds, _direct_successors(self._preds)
+        ready = sum(1 << v for v in range(1, n + 1) if not preds[v])
+        tried = [0]  # tried[k]: the label placed at place k; at the last, the last one tried
         while tried:
-            if len(word) == n:
-                yield tuple(word)
-            v = tried[-1] + 1
-            while v <= n and (placed >> v & 1 or preds[v] & ~placed):
-                v += 1
-            if v > n:  # place len(word) is done: take back the label before it
+            if len(tried) > n:
+                yield tuple(tried[:n])
+            later = ready >> tried[-1] + 1 << tried[-1] + 1
+            if not later:  # the last place is done: take back the label before it
                 tried.pop()
-                if word:
-                    placed ^= 1 << word.pop()
+                if tried:
+                    ready |= 1 << tried[-1]
+                    for u in after[tried[-1]]:
+                        ready &= ~(1 << u)
             else:
-                tried[-1] = v
-                word.append(v)
-                placed |= 1 << v
+                v = tried[-1] = (later & -later).bit_length() - 1
+                ready ^= 1 << v
+                for u in after[v]:
+                    if not preds[u] & ready:  # so all are placed: placed labels are closed downward
+                        ready |= 1 << u
                 tried.append(0)
 
     def chain_order(self) -> tuple[int, ...] | None:
@@ -323,6 +323,15 @@ def _lower_covers(preds: Sequence[int]) -> Iterator[tuple[int, list[int]]]:
                     below.append(i)
                     left &= ~(preds[i] | 1 << i)
             yield j, below
+
+
+def _direct_successors(preds: Sequence[int]) -> list[list[int]]:
+    """The direct successors of each vertex, ascending, from the closed masks preds."""
+    after: list[list[int]] = [[] for _ in preds]
+    for j, below in _lower_covers(preds):
+        for i in below:
+            after[i].append(j)
+    return after
 
 
 def chain_poset(pi: Iterable[int]) -> LabelledWeightedPoset:
@@ -419,10 +428,8 @@ def enumerate_assignments(
     zs = _check_alphabet(alphabet)
     candidates = len(zs) ** poset.n
     if candidates > _ASSIGNMENT_BUDGET:
-        raise ValueError(
-            f"{len(zs)} values on {poset.n} vertices give {candidates} candidate "
-            f"assignments, over the budget of {_ASSIGNMENT_BUDGET}"
-        )
+        head = f"{len(zs)} values on {poset.n} vertices give"
+        raise _over_budget(head, candidates, "candidate assignments", _ASSIGNMENT_BUDGET)
     out = list(_assignments(poset, zs))
     out.sort(key=lambda t: tuple(signed_order_key(v) for v in t))
     return out
@@ -567,10 +574,7 @@ def _steps(poset: LabelledWeightedPoset, signs: set, spent: int) -> tuple[dict, 
     predecessors are all inside.  A vertex that joins frees only direct
     successors, so the free set is carried along; it is the next ideal's."""
     n, preds, weights = poset.n, poset._preds, poset.weights
-    after: list[list[int]] = [[] for _ in range(n + 1)]  # direct successors
-    for j, below in _lower_covers(preds):
-        for i in below:
-            after[i].append(j)
+    after = _direct_successors(preds)
     words = 1 + n // 64  # of a mask, the charge of each step
     table: dict[int, list[list]] = {}
     todo = {0: sum(1 << v for v in range(1, n + 1) if not preds[v])}  # ideal: its free vertices

@@ -1,8 +1,14 @@
 """Basis elements, conversions, products, coproducts, antipodes."""
 
+import ast
+import contextlib
 import functools
+import importlib
+import inspect
+import io
 import itertools
 import math
+import pkgutil
 import random
 import re
 from collections import Counter
@@ -34,7 +40,9 @@ from qsym.core import (
     multiply,
     signed_subset_sum,
 )
-from qsym.expansion import TruncatedPoly, certify_equal, poly_add
+from qsym.cli import main
+from qsym.expansion import TruncatedPoly, certify_equal, expand, poly_add
+from qsym.ppartitions import LabelledWeightedPoset, enumerate_assignments
 
 
 def M(*parts, coeff=1):
@@ -608,6 +616,70 @@ def test_a_bound_past_20_digits_is_written_as_a_power_of_two():
     # past 4,300 digits str(bound) itself would raise
     with pytest.raises(ValueError, match=rf"M to L in degree 15000 needs up to 2\^14999 {budget}"):
         convert(M(15000), "L")
+
+
+def _library_refusal(call, *args):
+    with pytest.raises(ValueError) as refused:
+        call(*args)
+    return str(refused.value)
+
+
+def _cli_refusal(*argv):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert main(list(argv)) == 1
+    return err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "refusal, message",
+    [
+        (
+            lambda: _library_refusal(expand, QSymElement.term("L", (20000,)), 1),
+            "the series of L[20000] needs 2^19999 index tuples, over the budget of 1048576",
+        ),
+        (
+            lambda: _library_refusal(expand, M(*[1] * 20000), 40000),
+            "expanding in 40000 variables needs 2^39993 monomials, over the budget of 1000000",
+        ),
+        (
+            lambda: _library_refusal(enumerate_assignments, LabelledWeightedPoset(20000), (1, 2)),
+            "2 values on 20000 vertices give 2^20000 candidate assignments, "
+            "over the budget of 1000000",
+        ),
+        (
+            lambda: _cli_refusal("expand", "L[20000]", "--nvars", "1"),
+            "error: the series of L[20000] needs 2^19999 index tuples, "
+            "over the budget of 1048576\n",
+        ),
+    ],
+    ids=["series", "monomials", "assignments", "cli"],
+)
+def test_every_refusal_writes_a_count_past_20_digits_as_a_power_of_two(refusal, message):
+    # str() of a count past 4,300 digits would raise instead of naming the budget
+    assert refusal() == message
+
+
+def test_over_budget_writes_every_work_budget_refusal():
+    """No module of qsym formats a budget refusal but core._over_budget, so
+    every budget, a new one too, writes its count the same way."""
+    inside, outside = 0, []
+    for info in pkgutil.iter_modules(qsym.__path__):
+        tree = ast.parse(inspect.getsource(importlib.import_module(f"qsym.{info.name}")))
+        writer = {
+            id(node)
+            for func in ast.walk(tree)
+            if isinstance(func, ast.FunctionDef) and (info.name, func.name) == ("core", "_over_budget")
+            for node in ast.walk(func)
+        }
+        docstrings = {id(node.value) for node in ast.walk(tree) if isinstance(node, ast.Expr)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and "over the budget of" in str(node.value):
+                if id(node) in writer:
+                    inside += 1
+                elif id(node) not in docstrings:
+                    outside.append(f"qsym.{info.name}, line {node.lineno}")
+    assert (inside, outside) == (1, [])
 
 
 def test_routed_K_conversions_are_refused_before_their_first_stage(monkeypatch):

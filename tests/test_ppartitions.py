@@ -943,6 +943,10 @@ def test_walks_past_the_recursion_limit():
     assert enumerate_assignments(antichain, (1,)) == [(1,) * 1500]
     chain = chain_poset(range(1, 1101))
     assert list(chain.linear_extensions()) == [tuple(range(1, 1101))]
+    labels = list(range(1, 3001))
+    random.Random(3000).shuffle(labels)
+    shuffled = chain_poset(labels)
+    assert next(shuffled.linear_extensions()) == shuffled.linear_extension()
     assert enumerate_assignments(chain, (1,)) == [(1,) * 1100]
     assert enumerate_assignments(chain, (-1,)) == []
     assert enumerate_assignments(chain_poset(range(1, 3001)), (1,)) == [(1,) * 3000]
