@@ -23,14 +23,13 @@ x_|z|^weight(S), with the ideal alone as its state, one connected
 component at a time.
 
 A poset stores its order once, as one closed predecessor bitmask per
-vertex; relations and covers are derived from them on demand.  Every
-poset, the components gamma splits off included, is built by the
-constructor, which alone writes that order.
+vertex, and its covers, which the constructor derives from those masks
+once; relations are derived on demand.  Every poset, the components gamma
+splits off included, is built by the constructor, which alone writes them.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 import operator
@@ -111,11 +110,12 @@ class LabelledWeightedPoset:
     topological order (Kahn): each vertex ORs in the closed masks of its
     direct predecessors, and vertices never reached lie on a cycle.  The
     bits of each closed mask are counted as it closes, and the order is
-    refused once they pass _CLOSURE_BUDGET.  Instances are immutable and
-    hashable.
+    refused once they pass _CLOSURE_BUDGET.  Then _below[j] and _above[j]
+    hold the covers below and above j, read from the closed masks once.
+    Instances are immutable and hashable.
     """
 
-    __slots__ = ("n", "weights", "_preds")
+    __slots__ = ("n", "weights", "_preds", "_below", "_above")
 
     def __init__(
         self,
@@ -141,7 +141,7 @@ class LabelledWeightedPoset:
                 raise ValueError(f"relation ({i}, {j}) is reflexive")
             after.setdefault(i, []).append(j)
             waiting[j] += 1
-        preds = [0] * (n + 1)
+        preds, counts = [0] * (n + 1), [0] * (n + 1)  # closed masks, and their bits
         ready = [v for v in range(1, n + 1) if not waiting[v]]
         held = 0  # the bits of the closed masks so far
         for i in ready:
@@ -150,15 +150,20 @@ class LabelledWeightedPoset:
                 waiting[j] -= 1
                 if not waiting[j]:
                     ready.append(j)
-                    held += preds[j].bit_count()
+                    counts[j] = preds[j].bit_count()
+                    held += counts[j]
                     if held > _CLOSURE_BUDGET:
                         head = "the closed order needs at least"
                         raise _over_budget(head, held, "predecessor bits", _CLOSURE_BUDGET)
         if len(ready) < n:
             raise ValueError("relations contain a cycle; not a partial order")
+        none = ((),) * (n + 1)  # the covers when no relation holds
+        below, above = _lower_covers(preds, counts) if held else (none, none)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "_preds", tuple(preds))
+        object.__setattr__(self, "_below", below)
+        object.__setattr__(self, "_above", above)
 
     def __setattr__(self, name, value):
         raise AttributeError("LabelledWeightedPoset is immutable")
@@ -185,8 +190,8 @@ class LabelledWeightedPoset:
         ]
 
     def covers(self) -> list[tuple[int, int]]:
-        """Covering relations: i < j with no k strictly between."""
-        return sorted((i, j) for j, below in _lower_covers(self._preds) for i in below)
+        """Covering relations: i < j with no k strictly between, ascending."""
+        return [(i, j) for i, above in enumerate(self._above) for j in above]
 
     def with_relation(self, i: int, j: int) -> "LabelledWeightedPoset":
         if self.less(j, i):
@@ -194,28 +199,15 @@ class LabelledWeightedPoset:
         return LabelledWeightedPoset(self.n, self.covers() + [(i, j)], self.weights)
 
     def linear_extension(self) -> tuple[int, ...]:
-        """Smallest-label-first topological order, the first of
-        linear_extensions(): Kahn with a heap over the direct successors."""
-        after = _direct_successors(self._preds)
-        waiting = [0] * (self.n + 1)  # direct predecessors not yet placed
-        for j in itertools.chain.from_iterable(after):
-            waiting[j] += 1
-        ready, word = [v for v in range(1, self.n + 1) if not waiting[v]], []
-        while ready:  # ascending, so already a heap
-            v = heapq.heappop(ready)
-            word.append(v)
-            for j in after[v]:
-                waiting[j] -= 1
-                if not waiting[j]:
-                    heapq.heappush(ready, j)
-        return tuple(word)
+        """Smallest-label-first topological order, the first of linear_extensions()."""
+        return next(self.linear_extensions())
 
     def linear_extensions(self) -> Iterator[tuple[int, ...]]:
         """Every linear extension, in lexicographic order of the label words:
         depth first with an explicit stack over a bitmask of the ready labels,
         unplaced with every predecessor placed.  Placing a label readies its
         direct successors with no ready predecessor; taking it back unreadies them."""
-        n, preds, after = self.n, self._preds, _direct_successors(self._preds)
+        n, preds, after = self.n, self._preds, self._above
         ready = sum(1 << v for v in range(1, n + 1) if not preds[v])
         tried = [0]  # tried[k]: the label placed at place k; at the last, the last one tried
         while tried:
@@ -299,39 +291,35 @@ class LabelledWeightedPoset:
         return cls(n, [tuple(pair) for pair in covers], weights)
 
 
-def _lower_covers(preds: Sequence[int]) -> Iterator[tuple[int, list[int]]]:
-    """(j, the vertices j covers) for each vertex j that has predecessors in
-    the closed masks preds: those below none of the others.  The vertices
-    sorted by predecessor count, which rises along every relation, are a
-    linear extension; j's predecessors all come before the vertices with
-    j's count.  They are visited from there down until none is left: each
-    one still left when visited is a cover, and takes itself and its own
-    predecessors out.  So on a chain, however labelled, each vertex costs
-    one visit and one OR, and the leaves of a fan one visit each."""
-    counts = [mask.bit_count() for mask in preds]
+def _lower_covers(preds: Sequence[int], counts: Sequence[int]) -> tuple[tuple, tuple]:
+    """The covers of the closed masks preds, with counts[j] the bits of
+    preds[j]: for each vertex j, the vertices j covers, its predecessors
+    below none of the others, and the vertices covering j, ascending.  The
+    vertices sorted by predecessor count, which rises along every relation,
+    are a linear extension; j's predecessors all come before the vertices
+    with j's count.  They are visited from there down until none is left:
+    each one still left when visited is a cover, and takes itself and its
+    own predecessors out; a cover with one predecessor fewer than j is the
+    only one, as it and those are all of j's.  So on a chain, however
+    labelled, each vertex costs one visit, and the leaves of a fan one each."""
     order = sorted(range(len(preds)), key=counts.__getitem__)
     first: dict[int, int] = {}  # count: the first place in order with that count
     for p, v in enumerate(order):
         first.setdefault(counts[v], p)
+    below, above = [()] * len(preds), [[] for _ in preds]
     for j, left in enumerate(preds):
-        if left:
-            below, p = [], first[counts[j]]
-            while left:
-                p -= 1
-                i = order[p]
-                if left >> i & 1:
-                    below.append(i)
-                    left &= ~(preds[i] | 1 << i)
-            yield j, below
-
-
-def _direct_successors(preds: Sequence[int]) -> list[list[int]]:
-    """The direct successors of each vertex, ascending, from the closed masks preds."""
-    after: list[list[int]] = [[] for _ in preds]
-    for j, below in _lower_covers(preds):
-        for i in below:
-            after[i].append(j)
-    return after
+        covered, p = [], first[counts[j]]
+        while left:
+            p -= 1
+            i = order[p]
+            if left >> i & 1:
+                covered.append(i)
+                above[i].append(j)
+                if counts[i] + 1 == counts[j]:
+                    break
+                left &= ~(preds[i] | 1 << i)
+        below[j] = tuple(covered)
+    return tuple(below), tuple(map(tuple, above))
 
 
 def chain_poset(pi: Iterable[int]) -> LabelledWeightedPoset:
@@ -378,8 +366,10 @@ def is_enriched_partition(
     for v in values:
         if not _is_int(v) or v == 0:
             raise ValueError(f"values must be nonzero ints, got {v!r}")
-    return all(
-        _respects(i, j, values[i - 1], values[j - 1]) for i, j in poset.relations
+    return all(  # along the covers, which suffice (see _assignments)
+        _respects(i, j, values[i - 1], values[j - 1])
+        for j, below in enumerate(poset._below)
+        for i in below
     )
 
 
@@ -392,11 +382,8 @@ def _assignments(poset: LabelledWeightedPoset, zs: tuple) -> Iterator[Assignment
     at both covers rise from i to j, and a tie across both has one sign, so
     the labels move the same way along both covers and so from i to j.
     """
-    n = poset.n
+    n, covered = poset.n, poset._below
     order = poset.linear_extension()
-    covered: list[list[int]] = [[] for _ in range(n + 1)]
-    for j, below in _lower_covers(poset._preds):
-        covered[j] = below
     vals: list[SignedValue] = [0] * (n + 1)  # by label; entry 0 is unused
     stack = [(0, 0)]  # (place k in order, the index in zs of the next value to try there)
     while stack:
@@ -537,7 +524,7 @@ def _components(poset: LabelledWeightedPoset) -> Iterator[LabelledWeightedPoset]
     their smallest labels: the poset itself if it is connected, else each
     one built by the constructor from its covers, relabelled 1..k in label
     order (all the tie rule reads), and its weights."""
-    covers = [(i, j) for j, below in _lower_covers(poset._preds) for i in below]
+    covers = poset.covers()
     root = list(range(poset.n + 1))
 
     def find(v: int) -> int:
@@ -573,8 +560,7 @@ def _steps(poset: LabelledWeightedPoset, signs: set, spent: int) -> tuple[dict, 
     free vertices past its last one: those outside the ideal and S whose
     predecessors are all inside.  A vertex that joins frees only direct
     successors, so the free set is carried along; it is the next ideal's."""
-    n, preds, weights = poset.n, poset._preds, poset.weights
-    after = _direct_successors(preds)
+    n, preds, weights, after = poset.n, poset._preds, poset.weights, poset._above
     words = 1 + n // 64  # of a mask, the charge of each step
     table: dict[int, list[list]] = {}
     todo = {0: sum(1 << v for v in range(1, n + 1) if not preds[v])}  # ideal: its free vertices
@@ -701,8 +687,11 @@ def _chain_m_terms(ups: tuple, ws: tuple, zs: tuple) -> dict[int, int]:
         (the sign changes at the valley's last down-step or just after it),
     and none otherwise.  Each condition, once false, stays false as the
     block grows, so the walk over cut sets stops extending a block as soon
-    as Z's sign set cannot take it, and stops cutting once the blocks use
-    up Z's magnitudes.  c_b is the product of b's block counts.
+    as Z's sign set cannot take it, and cuts before vertex s only if the
+    blocks so far and need[s] more fit in Z's k magnitudes, so every cut set
+    it starts finishes: need[s], the fewest blocks that cover s..n-1, takes
+    the longest block each time, since a part of a block is one.  c_b is
+    the product of b's block counts.
     """
     if not ws:
         return {0: 1}
@@ -714,6 +703,16 @@ def _chain_m_terms(ups: tuple, ws: tuple, zs: tuple) -> dict[int, int]:
     kind, per_block = (_BOTH, 2) if kind == _MINUS | _PLUS else (kind, 1)
     n, k, acc = len(ws), len(signs), {}
     ends = [1 << s - 1 for s in itertools.accumulate(ws)]  # code bit of a block ending there
+    need = [1] * n + [0]  # a bound that serves while k >= n: the blocks cannot run out
+    if k < n:
+        reach = rise = n - 1  # from s: the last vertex of the longest block, of the longest rise
+        for s in range(n - 2, -1, -1):
+            if ups[s]:
+                reach = s if kind == _MINUS else rise
+            else:
+                rise = s
+                reach = s if kind == _PLUS else reach
+            need[s] = 1 + need[reach + 1]
     stack = [(0, 0)] if k else []  # (first vertex of the next block, code of the blocks so far)
     while stack:
         start, code = stack.pop()
@@ -729,7 +728,7 @@ def _chain_m_terms(ups: tuple, ws: tuple, zs: tuple) -> dict[int, int]:
                     break
             if end + 1 == n:
                 acc[code | ends[end]] = per_block ** blocks
-            elif blocks < k:
+            elif blocks + need[end + 1] <= k:
                 stack.append((end + 1, code | ends[end]))
     return acc
 

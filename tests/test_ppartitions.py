@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -199,6 +200,19 @@ def test_is_enriched_partition():
     for bad in (1.5, True, 0):
         with pytest.raises(ValueError, match="values must be nonzero ints"):
             is_enriched_partition(LabelledWeightedPoset(1), [bad])
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_is_enriched_partition_checks_covers_as_every_relation_would(n):
+    """Every labelled poset with n <= 4, every assignment over (-2, -1, 1, 2):
+    checking the covers gives the check of every relation."""
+    for poset in _every_poset(n):
+        relations = poset.relations
+        for values in itertools.product((-2, -1, 1, 2), repeat=n):
+            want = all(
+                ppartitions._respects(i, j, values[i - 1], values[j - 1]) for i, j in relations
+            )
+            assert is_enriched_partition(poset, values) == want, (poset, values)
 
 
 def test_enumerate_assignments_small():
@@ -710,6 +724,33 @@ def test_chain_m_terms_by_code_match_the_tuple_keyed_walk(n):
                 }, (ups, ws, zs)
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_chain_m_terms_match_the_tuple_keyed_walk_in_order_on_seeded_chains(seed):
+    """Chains of up to 12 vertices over alphabets of up to 8 magnitudes,
+    each carrying -m, +m or both: the walk that cuts only where its blocks
+    can finish builds the reference's terms in the reference's order."""
+    rng = random.Random(f"chain/{seed}")
+    for _ in range(600):
+        n, k = rng.randint(0, 12), rng.randint(0, 8)
+        ups = tuple(rng.random() < 0.5 for _ in range(max(n - 1, 0)))
+        ws = tuple(rng.choice((1, 1, 2, 3)) for _ in range(n))
+        zs = rng.choice((positive_alphabet(k), signed_alphabet(k), tuple(range(-k, 0))))
+        got = _chain_m_terms(ups, ws, zs)
+        want = {_code(b): c for b, c in _tuple_keyed_chain_m_terms(ups, ws, zs).items()}
+        assert list(got.items()) == list(want.items()), (ups, ws, zs)
+
+
+def test_a_chain_whose_blocks_just_fit_returns_at_once():
+    """1..22 then 44 down to 23 over P_22: the rise and each of the 21
+    descents take all 22 magnitudes, so the walk has one cut set to finish."""
+    word = tuple(range(1, 23)) + tuple(range(44, 22, -1))
+    start = time.process_time()
+    got = universal_gamma(word, (1,) * 44, positive_alphabet(22))
+    assert time.process_time() - start < 1
+    assert dict(got.terms) == {((1, 23),) + tuple((m, 1) for m in range(2, 23)): 1}
+    assert got == _gamma_chain(_ups(word), (1,) * 44, positive_alphabet(22), 22)
+
+
 def _words_by_pattern(n):
     groups: dict = {}
     for word in itertools.permutations(range(1, n + 1)):
@@ -852,6 +893,30 @@ def test_covers_of_a_long_chain_with_shuffled_labels_and_of_a_wide_fan():
     assert poset.covers() == want == _covers_by_or_of_every_predecessor(poset)
     fan = _fan(20000)
     assert fan.covers() == [(1, j) for j in range(2, 20001)]
+
+
+def test_a_poset_reads_its_covers_once(monkeypatch):
+    """The constructor reads the covers from the closed masks; gamma,
+    covers(), linear_extension() and enumerate_assignments read them back."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return lower_covers(*args)
+
+    lower_covers = ppartitions._lower_covers
+    monkeypatch.setattr(ppartitions, "_lower_covers", counted)
+    fan = LabelledWeightedPoset.from_json_dict({"n": 4, "covers": [[1, 2], [1, 3], [1, 4]]})
+    assert dict(gamma(fan, (1,)).terms) == {((1, 4),): 1}
+    assert len(calls) == 1
+    assert fan.covers() == [(1, 2), (1, 3), (1, 4)]
+    assert fan.linear_extension() == (1, 2, 3, 4)
+    assert len(enumerate_assignments(fan, signed_alphabet(2))) > 0
+    assert len(calls) == 1
+    assert fan._below == ((), (), (1,), (1,), (1,))
+    assert fan._above == ((), (2, 3, 4), (), (), ())
+    LabelledWeightedPoset(40000)  # no relation, so no cover to read
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("n", range(5))
