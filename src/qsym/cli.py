@@ -18,18 +18,19 @@ Elements are read a whole term per regex match; the token parser reads the
 rest and reports every error.  ``--format json`` is written per shape
 straight from the sorted terms, in the bytes ``json.dumps(indent=2)`` gives.
 
-The argv grammar is written once, as data in ``_GRAMMAR``.  ``build_parser``
-adds its entries to argparse, and ``_argv_table`` reads the same entries into
-the table that ``main`` reads plain argvs from; argparse reads every other.
+The argv grammar is written once, as data in ``_GRAMMAR``.  ``_argv_table``
+reads its entries into the table that ``main`` reads plain argvs from, and
+``build_parser`` adds the same entries to argparse, which reads every other
+argv.  argparse is imported, and its parser built, only for such an argv.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import re
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
+from typing import TYPE_CHECKING
 
 from .core import BASES, QSymElement, TensorElement, _signed_sum, format_rational
 from .core import antipode, convert, coproduct, multiply
@@ -43,6 +44,9 @@ from .ppartitions import (
     universal_to_eta,
 )
 from .verification import run_all
+
+if TYPE_CHECKING:
+    import argparse
 
 
 class ElementParseError(ValueError):
@@ -349,6 +353,8 @@ def _cmd_expand(args) -> int:
 
 
 def _load_poset(path: str) -> LabelledWeightedPoset:
+    import json
+
     with open(path, encoding="utf-8") as handle:
         return LabelledWeightedPoset.from_json_dict(json.load(handle))
 
@@ -422,7 +428,11 @@ _GRAMMAR = {
 
 def build_parser() -> argparse.ArgumentParser:
     """A new parser on every call, so changing it never reaches ``main``:
-    one subparser per ``_GRAMMAR`` entry, its arguments added in order."""
+    one subparser per ``_GRAMMAR`` entry, its arguments added in order.
+    argparse is imported here, so a process that never calls this never
+    loads it."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="qsym",
         description="Exact computer algebra for quasisymmetric functions "
@@ -472,6 +482,8 @@ def _plain(arg: str) -> bool:
 
 
 def _typed(spec, text: str):
+    """text as its spec's type, in its choices; else ValueError, or what the
+    type raises, which is ``int``'s: ``_GRAMMAR`` names no other type."""
     _, kind, choices = spec
     value = text if kind is None else kind(text)
     if choices is not None and value not in choices:
@@ -479,14 +491,15 @@ def _typed(spec, text: str):
     return value
 
 
-def _table_args(argv: list, table: dict) -> argparse.Namespace | None:
-    """``parse_args(argv)`` of the parser ``table`` was read from, for a
-    plain argv: a verb in the table, then values and ``--option value`` or
-    ``--option=value`` pairs with exact option names, every value typed and
-    in its choices, every positional filled once and every required option
-    given.  None for any other argv (help, ``--``, abbreviations, unknown
-    options, values that start with "-" but not "- ", usage errors): those
-    are argparse's to decide, so its texts and exit codes stay its own.
+def _table_args(argv: list, table: dict) -> SimpleNamespace | None:
+    """The attributes of ``parse_args(argv)`` of the parser ``table`` was
+    read from, for a plain argv: a verb in the table, then values and
+    ``--option value`` or ``--option=value`` pairs with exact option names,
+    every value typed and in its choices, every positional filled once and
+    every required option given.  None for any other argv (help, ``--``,
+    abbreviations, unknown options, values that start with "-" but not
+    "- ", usage errors): those are argparse's to decide, so its texts and
+    exit codes stay its own.
     """
     entry = table.get(argv[0]) if argv else None
     if entry is None:
@@ -512,30 +525,36 @@ def _table_args(argv: list, table: dict) -> argparse.Namespace | None:
     pairs += zip(positionals, given)
     try:
         values = {spec[0]: _typed(spec, text) for spec, text in pairs}
-    except (TypeError, ValueError, argparse.ArgumentTypeError):
+    except (TypeError, ValueError):
         return None
     if not required <= values.keys():
         return None
-    return argparse.Namespace(**{**start, **values})
+    return SimpleNamespace(**{**start, **values})
 
 
-_PARSER: argparse.ArgumentParser | None = None
-_VERBS: dict | None = None  # _argv_table(), built with _PARSER
+_VERBS: dict | None = None  # _argv_table(), built on the first call of main
+_PARSER: argparse.ArgumentParser | None = None  # built for the first argv _VERBS cannot read
 
 
 def main(argv=None) -> int:
-    """Run one command; every call in a process parses with one private parser.
+    """Run one command.
 
-    A plain argv is read from ``_VERBS``; every other argv goes to
-    ``_PARSER.parse_args``.  Both are built once, from ``_GRAMMAR``, give the
-    same Namespace, and leave help and usage errors to argparse.
+    A plain argv is read from ``_VERBS``, the argv table, built from
+    ``_GRAMMAR`` on the first call.  Every other argv goes to
+    ``_PARSER.parse_args``; that parser is built from the same grammar the
+    first time such an argv comes, so a process of plain requests never
+    loads argparse.  Both routes give the same attributes, and help and
+    usage errors stay argparse's own.
     """
     global _PARSER, _VERBS
-    if _PARSER is None:
-        _PARSER = build_parser()
+    if _VERBS is None:
         _VERBS = _argv_table()
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = _table_args(argv, _VERBS) or _PARSER.parse_args(argv)
+    args = _table_args(argv, _VERBS)
+    if args is None:
+        if _PARSER is None:
+            _PARSER = build_parser()
+        args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -676,7 +676,9 @@ def signed_subset_sum(s: Iterable, t: Iterable) -> int:
 
     Equals 2^|s| when s is contained in t and 0 otherwise.  The sorted
     distinct elements of s are numbered as bits, so each subset is an int
-    below 2^|s| and its sign is the parity of its bits outside t.
+    below 2^|s| and its sign is the parity of its bits outside t.  More
+    than _MASK_BUDGET subsets (past 21 distinct elements) are refused
+    before the loop.
 
     >>> signed_subset_sum({1, 2}, {1, 2, 3})
     4
@@ -684,6 +686,9 @@ def signed_subset_sum(s: Iterable, t: Iterable) -> int:
     0
     """
     elems = sorted(set(s))
+    if 1 << len(elems) > _MASK_BUDGET:
+        head = f"the signed sum over the subsets of {len(elems)} elements needs"
+        raise _over_budget(head, 1 << len(elems), "subsets", _MASK_BUDGET)
     t = set(t)
     outside = sum(1 << k for k, x in enumerate(elems) if x not in t)
     odd = sum((i & outside).bit_count() & 1 for i in range(1 << len(elems)))

@@ -24,8 +24,11 @@ component at a time.
 
 A poset stores its order once, as one closed predecessor bitmask per
 vertex, and its covers, which the constructor derives from those masks
-once; relations are derived on demand.  Every poset, the components gamma
-splits off included, is built by the constructor, which alone writes them.
+once; relations are derived on demand.  Every poset is built by the
+constructor, which alone writes them.  gamma reads a chain component's
+order and weights straight from its poset, and builds a component of its
+own only to walk it: one that is not a chain, or any over an alphabet
+whose magnitudes carry different sign sets.
 """
 
 from __future__ import annotations
@@ -229,15 +232,8 @@ class LabelledWeightedPoset:
                 tried.append(0)
 
     def chain_order(self) -> tuple[int, ...] | None:
-        """The labels along the chain when the order is total, else None.
-
-        The order is total exactly when the predecessor counts are 0..n-1,
-        each once; then the vertex with k predecessors sits at place k.
-        """
-        order = [0] * self.n
-        for v in range(1, self.n + 1):
-            order[self._preds[v].bit_count()] = v
-        return None if 0 in order else tuple(order)
+        """The labels along the chain when the order is total, else None."""
+        return _chain_order(self._preds, range(1, self.n + 1))
 
     def __eq__(self, other):
         if not isinstance(other, LabelledWeightedPoset):
@@ -481,9 +477,11 @@ def gamma(
     with degree bound equal to the total weight.  The work runs on Z's
     magnitudes renumbered 1..k, which keeps the signed order, and on one
     connected component at a time, since their functions multiply: a chain
-    by _gamma_chain if every magnitude carries the same signs, any other by
-    the walk over order ideals, once _steps has sized every walk and
-    _chain_steps every chain; refused past _STEP_BUDGET.
+    by _gamma_chain if every magnitude carries the same signs, read off the
+    poset's own masks with no poset built, any other by the walk over order
+    ideals, on the poset itself or on the component built by _subposet,
+    once _steps has sized every walk and _chain_steps every chain; refused
+    past _STEP_BUDGET.
     """
     zs = _check_alphabet(alphabet)
     nvars = _check_nvars(zs, nvars)
@@ -493,20 +491,24 @@ def gamma(
     degree = sum(poset.weights)
     width = _field_width(degree)
     words = 1 + len(rank) * width // 64  # of a packed monomial, the charge of each product
-    parts, spent = [], 0  # (component, chain order or None, walk table or None)
-    for part in _components(poset):
-        order, table = part.chain_order(), None
-        if order is None or len(set(signs.values())) > 1:
+    one_kind = len(set(signs.values())) < 2  # so a chain goes to _gamma_chain
+    parts, spent = [], 0  # (walk table and vertex count) or (None, chain ups and weights)
+    for labels in _components(poset):
+        order = _chain_order(poset._preds, labels) if one_kind else None
+        if order is None:
+            part = poset if len(labels) == poset.n else _subposet(poset, labels)
             table, spent = _steps(part, {z > 0 for z in zs}, spent)
+            parts.append((table, part.n))
         else:
-            spent = _spend(spent, _chain_steps(part.n, _ups(order), signs, width))
-        parts.append((part, order, table))
+            ups = _ups(order)
+            spent = _spend(spent, _chain_steps(len(order), ups, signs, width))
+            parts.append((None, (ups, tuple(poset.weights[v - 1] for v in order))))
     product = {0: 1}  # the components' functions so far, packed as in poly_mul
-    for part, order, table in parts:
+    for table, part in parts:
         if table is not None:
             product, spent = _walk(part, table, ranked, width, product, spent)
             continue
-        terms = _gamma_chain(_ups(order), tuple(map(part.weight, order)), ranked, len(rank)).terms
+        terms = _gamma_chain(*part, ranked, len(rank)).terms
         if len(parts) == 1:  # a chain alone: its function as it is
             break
         spent = _spend(spent, len(product) * len(terms) * words)
@@ -519,13 +521,11 @@ def gamma(
     return _raw_poly(nvars, degree, terms)
 
 
-def _components(poset: LabelledWeightedPoset) -> Iterator[LabelledWeightedPoset]:
-    """The connected components, by union-find along the covers, in order of
-    their smallest labels: the poset itself if it is connected, else each
-    one built by the constructor from its covers, relabelled 1..k in label
-    order (all the tie rule reads), and its weights."""
-    covers = poset.covers()
-    root = list(range(poset.n + 1))
+def _components(poset: LabelledWeightedPoset) -> list[list[int]]:
+    """The labels of each connected component, ascending, found by
+    union-find along the stored covers, in order of their smallest labels;
+    one empty list for the empty poset."""
+    above, root = poset._above, list(range(poset.n + 1))
 
     def find(v: int) -> int:
         while root[v] != v:
@@ -533,22 +533,33 @@ def _components(poset: LabelledWeightedPoset) -> Iterator[LabelledWeightedPoset]
             v = root[v]
         return v
 
-    for i, j in covers:
-        root[find(i)] = find(j)
+    for i in range(1, poset.n + 1):
+        for j in above[i]:
+            root[find(i)] = find(j)
     comps: dict[int, list[int]] = {}  # root: its component's labels, ascending
-    index = [0] * (poset.n + 1)  # each label's label in its component
     for v in range(1, poset.n + 1):
-        labels = comps.setdefault(find(v), [])
-        labels.append(v)
-        index[v] = len(labels)
-    if len(comps) < 2:
-        yield poset
-        return
-    inside: dict[int, list] = {r: [] for r in comps}  # root: its component's covers, relabelled
-    for i, j in covers:
-        inside[find(i)].append((index[i], index[j]))
-    for r, labels in comps.items():
-        yield LabelledWeightedPoset(len(labels), inside[r], map(poset.weight, labels))
+        comps.setdefault(find(v), []).append(v)
+    return list(comps.values()) or [[]]
+
+
+def _chain_order(preds: Sequence[int], labels: Sequence[int]) -> tuple[int, ...] | None:
+    """The labels along the chain when the order on labels, a component or
+    the whole poset, is total, else None.  It is total exactly when their
+    predecessor counts are 0..k-1, each once; then the label with j
+    predecessors sits at place j."""
+    order = [0] * len(labels)
+    for v in labels:
+        order[preds[v].bit_count()] = v
+    return None if 0 in order else tuple(order)
+
+
+def _subposet(poset: LabelledWeightedPoset, labels: list[int]) -> LabelledWeightedPoset:
+    """The component on labels, ascending, built by the constructor from its
+    covers, relabelled 1..k in label order (all the tie rule reads), and its
+    weights."""
+    index = {v: k for k, v in enumerate(labels, 1)}
+    covers = [(index[i], index[j]) for i in labels for j in poset._above[i]]
+    return LabelledWeightedPoset(len(labels), covers, [poset.weights[v - 1] for v in labels])
 
 
 def _steps(poset: LabelledWeightedPoset, signs: set, spent: int) -> tuple[dict, int]:
@@ -594,14 +605,13 @@ def _steps(poset: LabelledWeightedPoset, signs: set, spent: int) -> tuple[dict, 
     return table, spent
 
 
-def _walk(
-    poset: LabelledWeightedPoset, table: dict, zs: tuple, width: int, start: dict, spent: int
-) -> tuple[dict, int]:
-    """start times gamma, from the _steps table, and spent plus the steps it
-    took.  Each ideal holds its monomials so far, packed with width bits per
-    variable, the empty ideal those of start; at each value of Z, in signed
-    order, the ideals move largest first, so a step, which only grows an
-    ideal, adds into one that has already moved."""
+def _walk(n: int, table: dict, zs: tuple, width: int, start: dict, spent: int) -> tuple[dict, int]:
+    """start times gamma of the poset of n vertices the _steps table was
+    built from, and spent plus the steps it took.  Each ideal holds its
+    monomials so far, packed with width bits per variable, the empty ideal
+    those of start; at each value of Z, in signed order, the ideals move
+    largest first, so a step, which only grows an ideal, adds into one that
+    has already moved."""
     words = 1 + max(map(abs, zs), default=0) * width // 64  # of a packed monomial
     states = {0: start}
     for z in zs:
@@ -614,7 +624,7 @@ def _walk(
                 w <<= shift
                 for mono, c in here.items():
                     there[mono + w] = there.get(mono + w, 0) + c
-    return states.get((1 << poset.n + 1) - 2, {}), spent
+    return states.get((1 << n + 1) - 2, {}), spent
 
 
 def _check_nvars(zs: tuple, nvars: int | None) -> int:

@@ -22,7 +22,6 @@ import math
 import random
 from collections import Counter
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .combinatorics import (
@@ -72,12 +71,29 @@ _COPRODUCT_SAMPLES = 20  # random elements whose coproduct check_eta_coproduct s
 _MAX_REPORTED = 5
 
 
-@dataclass
 class CheckResult:
-    name: str
-    passed: bool
-    detail: str
-    failures: list[str] = field(default_factory=list)
+    """One check's verdict: its name, whether it passed, a detail line and
+    its counterexamples (a fresh list by default).  Results compare and
+    print field by field, as a dataclass's would; a plain class keeps
+    ``dataclasses``, and the ``inspect`` it loads, out of every import."""
+
+    def __init__(self, name: str, passed: bool, detail: str, failures: list[str] | None = None):
+        self.name, self.passed, self.detail = name, passed, detail
+        self.failures = [] if failures is None else failures
+
+    def _fields(self) -> tuple:
+        return self.name, self.passed, self.detail, self.failures
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self):
+        return (
+            f"CheckResult(name={self.name!r}, passed={self.passed!r}, "
+            f"detail={self.detail!r}, failures={self.failures!r})"
+        )
 
     def lines(self) -> list[str]:
         status = "PASS" if self.passed else "FAIL"

@@ -9,6 +9,7 @@ import itertools
 import json
 import pathlib
 import re
+import subprocess
 import sys
 from fractions import Fraction
 
@@ -38,7 +39,7 @@ from qsym.ppartitions import (
 )
 from qsym.verification import check_eta_coproduct, check_specializations
 
-from cli_session import CLI_SESSION
+from cli_session import CLI_SESSION, POSET
 from golden_cli import DATA, DENSE_5, GOLDEN, HELP, MULTIPLY, OUTPUT, TRANSFORM, WRAPPED_FROM_3_13
 
 
@@ -426,6 +427,15 @@ def test_specializations_fail_on_a_broken_piece(monkeypatch, broken, failures):
     assert not result.passed
     assert result.detail == "430 specializations"
     assert _digest(result.failures) == failures
+
+
+def test_check_results_build_compare_and_print_field_by_field():
+    first = verification.CheckResult(name="a", passed=True, detail="d")
+    second = verification.CheckResult("a", True, "d")
+    assert first.failures == [] and first.failures is not second.failures
+    assert first == second and first != verification.CheckResult("a", True, "d", ["x"])
+    assert first != ("a", True, "d", [])
+    assert repr(first) == "CheckResult(name='a', passed=True, detail='d', failures=[])"
 
 
 def test_specializations_expand_nothing(monkeypatch):
@@ -960,7 +970,9 @@ def test_cli_refuses_routed_K_conversions_and_huge_bounds_at_once(capsys):
     assert captured.err == f"error: M to L in degree 15000 needs up to 2^14999 {budget}\n"
 
 
-def test_main_builds_its_parser_once(monkeypatch):
+def test_main_builds_its_parser_only_for_argparse_and_once(monkeypatch):
+    """The plain argvs of CLI_SESSION build no parser; the argvs only
+    argparse may decide (its usage errors) build one, once per process."""
     built = []
 
     def counting_build():
@@ -968,9 +980,62 @@ def test_main_builds_its_parser_once(monkeypatch):
         return build_parser()
 
     monkeypatch.setattr(cli, "_PARSER", None)
+    monkeypatch.setattr(cli, "_VERBS", None)
     monkeypatch.setattr(cli, "build_parser", counting_build)
-    run_cli_session()
-    assert len(built) == 1
+    usage_errors = [argv for argv, code in CLI_SESSION if code == 2]
+    assert usage_errors
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        for argv, code in CLI_SESSION:
+            if code != 2:
+                assert main(argv) == code
+        assert built == [] and cli._PARSER is None
+        for argv in usage_errors * 2:
+            with pytest.raises(SystemExit) as info:
+                main(argv)
+            assert info.value.code == 2
+    assert built == [1]
+
+
+_PROBE = """
+import sys
+sys.path.insert(0, sys.argv[1])
+before = set(sys.modules)
+import contextlib, io
+import qsym.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in ARGVS:
+        assert qsym.cli.main(argv) == 0, argv
+print(" ".join(sorted({"argparse", "dataclasses", "inspect"} & (set(sys.modules) - before))))
+"""
+
+
+def test_plain_requests_load_no_argparse_dataclasses_or_inspect():
+    """In a fresh isolated interpreter, importing qsym.cli and running one
+    plain request of each verb loads none of the three modules."""
+    argvs = [
+        ["convert", "M[1]", "--to", "L"],
+        ["multiply", "M[1]", "L[2]", "--basis", "eta"],
+        ["coproduct", "eta[1,2]", "--format", "json"],
+        ["antipode", "K[1,3]", "--to", "M"],
+        ["expand", "M[2,1]", "--nvars", "3"],
+        ["gamma", "--poset", POSET, "--zset", "Ppm", "--nvars", "2"],
+        ["u-function", "1 3 2", "1,1,1", "--zset", "P"],
+        ["verify", "--max-degree", "2"],
+    ]
+    assert sorted(argv[0] for argv in argvs) == sorted(cli._GRAMMAR)
+    code = _PROBE.replace("ARGVS", repr(argvs))
+    src = str(pathlib.Path(cli.__file__).parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-I", "-c", code, src], capture_output=True, text=True, check=True
+    )
+    assert done.stdout == "\n"
+
+
+def test_every_type_in_the_grammar_is_int_or_none():
+    """_typed catches only what int raises, so the grammar names no other type."""
+    for _, _, arguments in cli._GRAMMAR.values():
+        for _, keywords in arguments:
+            assert keywords.get("type") in (int, None)
 
 
 def test_build_parser_returns_a_new_parser_each_call():

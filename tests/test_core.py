@@ -11,6 +11,7 @@ import math
 import pkgutil
 import random
 import re
+import time
 from collections import Counter
 from collections.abc import Mapping
 from fractions import Fraction
@@ -1537,6 +1538,23 @@ def test_public_values_are_the_exact_fractions(basis):
             for (l, r), v in tensor.sorted_terms()
         ]
         assert all(type(v) is Fraction for _, v in tensor.sorted_terms())
+
+
+def test_signed_subset_sum_is_sized_before_its_loop():
+    """2^21 subsets, the mask budget, are still summed; 2^22 and 2^40 are
+    refused with their count before the first one."""
+    assert signed_subset_sum(range(21), [*range(21), 99]) == 1 << 21
+    assert signed_subset_sum(range(21), range(20)) == 0
+    with pytest.raises(ValueError, match="of 22 elements needs 4194304 subsets"):
+        signed_subset_sum(range(22), range(22))
+    start = time.process_time()
+    with pytest.raises(ValueError) as info:
+        signed_subset_sum(range(40), range(40))
+    assert time.process_time() - start < 1
+    assert str(info.value) == (
+        "the signed sum over the subsets of 40 elements needs 1099511627776 subsets, "
+        "over the budget of 2097152"
+    )
 
 
 def test_signed_subset_sum_reads_unsorted_and_repeated_elements():

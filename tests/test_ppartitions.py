@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from qsym import combinatorics, ppartitions, verification
+from qsym import cli, combinatorics, ppartitions, verification
 from qsym.combinatorics import (
     _code,
     composition_of_subset,
@@ -1129,8 +1129,8 @@ def test_gamma_of_a_disjoint_union_is_the_product():
 
 def _components_by_search(poset):
     """The components as the reference: breadth-first search over the
-    relations, by smallest label, each as its size, its relations relabelled
-    1..k in label order, and its weights."""
+    relations, by smallest label, each as its labels, ascending, its
+    relations relabelled 1..k in label order, and its weights."""
     near = {v: set() for v in range(1, poset.n + 1)}
     for i, j in poset.relations:
         near[i].add(j)
@@ -1147,14 +1147,17 @@ def _components_by_search(poset):
             seen |= near[u]
         index = {u: k for k, u in enumerate(sorted(found), 1)}
         relations = {(index[i], index[j]) for i, j in poset.relations if i in index}
-        out.append((len(index), relations, tuple(poset.weight(u) for u in sorted(found))))
+        out.append((sorted(found), relations, tuple(poset.weight(u) for u in sorted(found))))
     return out
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_components_match_a_breadth_first_search(seed):
+    """_components gives each component's labels; _subposet builds it
+    relabelled 1..k, and _chain_order reads a chain's order off the
+    parent's masks, the order of the built component read back in labels."""
     rng = random.Random(f"components/{seed}")
-    split = 0
+    split = chains = 0
     for _ in range(250):
         n = rng.randint(1, 9)
         density = rng.choice((0.05, 0.15, 0.3))
@@ -1165,22 +1168,66 @@ def test_components_match_a_breadth_first_search(seed):
             if rng.random() < density
         ]
         poset = LabelledWeightedPoset(n, relations, [rng.randint(1, 3) for _ in range(n)])
-        parts = list(ppartitions._components(poset))
+        parts = ppartitions._components(poset)
         want = _components_by_search(poset)
-        assert [(p.n, p.relations, p.weights) for p in parts] == want
-        if len(want) > 1:
-            split += 1
-        else:
-            assert parts[0] is poset
-    assert split >= 250 / 3
+        assert parts == [labels for labels, _, _ in want]
+        for labels, relations, weights in want:
+            part = ppartitions._subposet(poset, labels)
+            assert (part.relations, part.weights) == (relations, weights)
+            order = part.chain_order()
+            if order is not None:
+                chains += 1
+                order = tuple(labels[v - 1] for v in order)
+            assert ppartitions._chain_order(poset._preds, labels) == order
+        split += len(want) > 1
+    assert split >= 250 / 3 and chains >= 250
 
 
 def test_gamma_of_two_long_chains():
     chains = LabelledWeightedPoset(
         4000, [(i, i + 1) for i in itertools.chain(range(1, 2000), range(2001, 4000))]
     )
-    assert len(list(ppartitions._components(chains))) == 2
+    parts = ppartitions._components(chains)
+    assert parts == [list(range(1, 2001)), list(range(2001, 4001))]
+    assert [ppartitions._chain_order(chains._preds, labels) for labels in parts] == [
+        tuple(labels) for labels in parts
+    ]
     assert dict(gamma(chains, positive_alphabet(1), 1).terms) == {((1, 4000),): 1}
+
+
+def _counting_constructor(monkeypatch) -> list:
+    """Count the calls of the poset constructor from here on."""
+    calls = []
+    init = LabelledWeightedPoset.__init__
+
+    def counted(self, *args, **kwargs):
+        calls.append(args[0] if args else kwargs["n"])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(LabelledWeightedPoset, "__init__", counted)
+    return calls
+
+
+def test_gamma_builds_a_poset_only_for_a_component_it_walks(monkeypatch, tmp_path):
+    # through the CLI, the 40,000-vertex antichain is the one poset read
+    # from its file, and each vertex goes to the chain kernel
+    path = tmp_path / "antichain.json"
+    path.write_text('{"n": 40000}')
+    calls = _counting_constructor(monkeypatch)
+    assert cli.main(["gamma", "--poset", str(path), "--zset", "P", "--nvars", "1"]) == 0
+    assert calls == [40000]
+    two_chains = LabelledWeightedPoset(4, [(3, 2), (1, 4)])
+    fan_and_chain = LabelledWeightedPoset(6, [(1, 3), (1, 4), (2, 5)], [1, 2, 1, 1, 2, 1])
+    # the walk needs a poset: over a mixed alphabet each component is built
+    for poset, zs, built in (
+        (two_chains, signed_alphabet(2), []),
+        (fan_and_chain, signed_alphabet(2), [3]),
+        (two_chains, (-1, 2), [2, 2]),
+    ):
+        want = _assignment_sum(poset, zs, 2)
+        calls.clear()
+        assert gamma(poset, zs) == want
+        assert calls == built, (poset, zs)
 
 
 def _extension_sum(poset, zs, nvars):
