@@ -475,10 +475,7 @@ def contract(alpha: Iterable[int], i: int) -> Composition:
     >>> contract((2, 1, 4, 3, 2), 3)
     (2, 8, 2)
     """
-    parts = check_composition(alpha)
-    if not 2 <= i <= len(parts) - 1:
-        raise ValueError(f"index {i} not in [2, {len(parts) - 1}]")
-    return _contracted(parts, (i,))
+    return contract_set(alpha, (i,))
 
 
 def _contracted(parts: Composition, indices: Sequence[int]) -> Composition:

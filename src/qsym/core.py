@@ -67,9 +67,11 @@ consumed, parts of beta consumed) that merges equal partial products as it
 goes, so no product term is enumerated twice.  A step that starts a new
 part sets a new top bit of the descent mask, so the maps of two states
 merge by dict unpacking unless both cut at the same size, and only then
-are they summed.  The multiplicities of all pairs of terms are summed in
-ints, in one accumulator keyed by code: each walk adds its last state into
-it, setting the top bit as it reads, and builds no result map.
+are they summed.  Every mask carries the product's top bit from the
+walk's first state, so the last state is already keyed by code.  The
+multiplicities of all pairs of terms are summed in ints, in one
+accumulator: each walk adds its last state into it and builds no result
+map.
 
 Every sum adds with ``dict.get``, a whole map at a time by ``_add_into``
 or inline where keys are computed per item, and drops the entries that
@@ -388,7 +390,7 @@ class QSymElement:
 
     def coefficient(self, comp: Iterable[int]) -> Fraction:
         """The coefficient of comp; 0 when comp is no composition."""
-        value = self._terms.get(_lookup_code(tuple(comp)))
+        value = self._terms.get(_lookup_code(comp))
         return _ZERO if value is None else Fraction(value, self._den)
 
     def counit(self) -> Fraction:
@@ -765,25 +767,12 @@ def _bilinear(basis: str, pairs, common: int) -> QSymElement:
 
 def _pair_walk(basis: str, ca: int, cb: int) -> dict[int, int]:
     """The product of the basis terms with codes ca and cb, as {code: multiplicity}:
-    ``_product_into`` at scale 1 into an empty map, so no entry is 0."""
+    ``_product_into`` at scale 1 into an empty map.  No entry is 0: every
+    path to gamma adds +1 in M and L, and in eta each contraction merges two
+    parts into one, so every path adds (-1)^((l(alpha) + l(beta) - l(gamma))/2)."""
     out: dict[int, int] = {}
     _product_into(out, 1, basis, ca, cb)
     return out
-
-
-def _add_topped(acc: dict, vec: Mapping, top: int, scale) -> None:
-    """acc += scale * vec with the top bit set on every mask of vec; the
-    entries of vec that cancelled are skipped."""
-    if scale == 1:
-        for mask, c in vec.items():
-            if c:
-                key = mask | top
-                acc[key] = acc.get(key, 0) + c
-    else:
-        for mask, c in vec.items():
-            if c:
-                key = mask | top
-                acc[key] = acc.get(key, 0) + c * scale
 
 
 def _product_into(acc: dict, scale, basis: str, ca: int, cb: int) -> None:
@@ -803,8 +792,9 @@ def _product_into(acc: dict, scale, basis: str, ca: int, cb: int) -> None:
     than ``_WALK_BUDGET`` entries (see ``_live_counter``).  Each operand is
     decoded once, to read its parts (L needs only the descent masks).  Row
     0 holds one partial product a state, the prefixes of beta, and is
-    written directly.  The last state is read once, into acc, with the top
-    bit of the product's size set on each mask.  Steps per basis:
+    written directly.  Every mask carries the top bit of the product's size
+    from the start, so the last state is added into acc as it is.  Steps
+    per basis:
 
     - M: alpha_i, beta_j, or the quasi-shuffle merge alpha_i + beta_j,
       each as a new part.  The two single steps into (i, j) cut at the same
@@ -841,8 +831,8 @@ def _product_into(acc: dict, scale, basis: str, ca: int, cb: int) -> None:
     # cuts[j] = the map at (i - 1, j) with its cut, and in eta flats[j] =
     # the map itself, while row i is built into row (and row_flats).  In
     # row 0 the map at (0, j) is the cut map at (0, j - 1).
-    cuts: list[dict[int, int]] = [{0: 1}]
-    prefix = 0
+    prefix = 1 << size_a[l] + size_b[m] - 1  # the top bit
+    cuts: list[dict[int, int]] = [{prefix: 1}]
     for j in range(1, m + 1):
         prefix |= 1 << size_b[j] - 1
         cuts.append({prefix: 1})
@@ -879,7 +869,7 @@ def _product_into(acc: dict, scale, basis: str, ca: int, cb: int) -> None:
         if live:
             live()
         cuts, flats = row, row_flats
-    _add_topped(acc, vec, 1 << size_a[l] + size_b[m] - 1, scale)
+    _add_into(acc, vec, scale)
 
 
 def _live_counter(basis: str, m: int, n: int):
@@ -914,6 +904,7 @@ def _shuffle_walk(acc: dict, scale, ca: int, cb: int) -> None:
     l, m = ca.bit_length(), cb.bit_length()
     des_a, des_b = ca ^ 1 << l - 1, cb ^ 1 << m - 1
     live = _live_counter("L", m, l + m)
+    top = 1 << l + m - 1
     # row[j] = (the maps that step into (i+1, j) with a first-word letter,
     # and into (i, j+1) with a second-word letter), for the current i.
     above: list[tuple[dict[int, int], dict[int, int]]] = []
@@ -921,7 +912,7 @@ def _shuffle_walk(acc: dict, scale, ca: int, cb: int) -> None:
         row: list[tuple[dict[int, int], dict[int, int]]] = []
         for j in range(m + 1):
             if not i and not j:
-                row.append(({0: 1}, {0: 1}))
+                row.append(({top: 1}, {top: 1}))
                 continue
             last_a = above[j][0] if i else {}
             last_b = row[j - 1][1] if j else {}
@@ -948,9 +939,8 @@ def _shuffle_walk(acc: dict, scale, ca: int, cb: int) -> None:
         if live:
             live()
         above = row
-    top = 1 << l + m - 1
-    _add_topped(acc, last_a, top, scale)
-    _add_topped(acc, last_b, top, scale)
+    _add_into(acc, last_a, scale)
+    _add_into(acc, last_b, scale)
 
 
 # ---------------------------------------------------------------------------

@@ -23,12 +23,12 @@ x_|z|^weight(S), with the ideal alone as its state, one connected
 component at a time.
 
 A poset stores its order once, as one closed predecessor bitmask per
-vertex, and its covers, which the constructor derives from those masks
-once; relations are derived on demand.  Every poset is built by the
-constructor, which alone writes them.  gamma reads a chain component's
-order and weights straight from its poset, and builds a component of its
-own only to walk it: one that is not a chain, or any over an alphabet
-whose magnitudes carry different sign sets.
+vertex, and its covers, which the constructor reads off the relations it
+is given as it closes the masks; relations are derived on demand.  Every
+poset is built by the constructor, which alone writes them.  gamma reads
+a chain component's order and weights straight from its poset, and
+builds a component of its own only to walk it: one that is not a chain,
+or any over an alphabet whose magnitudes carry different sign sets.
 """
 
 from __future__ import annotations
@@ -110,12 +110,14 @@ class LabelledWeightedPoset:
 
     The order is stored closed, as predecessor bitmasks: bit i of _preds[j]
     is set exactly when i <_P j, and _preds[0] is 0.  It is closed in
-    topological order (Kahn): each vertex ORs in the closed masks of its
-    direct predecessors, and vertices never reached lie on a cycle.  The
-    bits of each closed mask are counted as it closes, and the order is
-    refused once they pass _CLOSURE_BUDGET.  Then _below[j] and _above[j]
-    hold the covers below and above j, read from the closed masks once.
-    Instances are immutable and hashable.
+    topological order (Kahn): once its given predecessors are closed, a
+    vertex ORs in their closed masks, and vertices never reached lie on a
+    cycle.  Every cover is a given relation, since i < j derived through k
+    has i < k < j, so j covers the given predecessors outside that OR:
+    _below[j] holds them ascending, and _above[j] the vertices covering j.
+    The bits of each closed mask are counted as it closes, and the order is
+    refused once they pass _CLOSURE_BUDGET.  Instances are immutable and
+    hashable.
     """
 
     __slots__ = ("n", "weights", "_preds", "_below", "_above")
@@ -135,33 +137,48 @@ class LabelledWeightedPoset:
             raise ValueError(f"expected {n} weights, got {len(weights)}")
         if any(not _is_int(w) or w < 1 for w in weights):
             raise ValueError("weights must be positive integers")
-        after: dict[int, list[int]] = {}  # direct successors
-        waiting = [0] * (n + 1)  # direct predecessors not yet closed
+        after: dict[int, list[int]] = {}  # given successors
+        before: dict[int, list[int]] = {}  # given predecessors
+        waiting = [0] * (n + 1)  # given predecessors not yet closed
         for i, j in relations:
             if not (_is_int(i) and _is_int(j) and 1 <= i <= n and 1 <= j <= n):
                 raise ValueError(f"relation ({i}, {j}) outside labels 1..{n}")
             if i == j:
                 raise ValueError(f"relation ({i}, {j}) is reflexive")
             after.setdefault(i, []).append(j)
+            before.setdefault(j, []).append(i)
             waiting[j] += 1
-        preds, counts = [0] * (n + 1), [0] * (n + 1)  # closed masks, and their bits
+        preds, below = [0] * (n + 1), [()] * (n + 1)  # closed masks, and lower covers
         ready = [v for v in range(1, n + 1) if not waiting[v]]
         held = 0  # the bits of the closed masks so far
         for i in ready:
             for j in after.get(i, ()):
-                preds[j] |= preds[i] | 1 << i
                 waiting[j] -= 1
-                if not waiting[j]:
-                    ready.append(j)
-                    counts[j] = preds[j].bit_count()
-                    held += counts[j]
-                    if held > _CLOSURE_BUDGET:
-                        head = "the closed order needs at least"
-                        raise _over_budget(head, held, "predecessor bits", _CLOSURE_BUDGET)
+                if waiting[j]:
+                    continue
+                covered = before[j]
+                mask = preds[covered[0]]
+                if len(covered) > 1:  # the covers: given predecessors below no other one
+                    for k in covered:
+                        mask |= preds[k]
+                    covered = sorted({k for k in covered if not mask >> k & 1})
+                for k in covered:
+                    mask |= 1 << k
+                preds[j], below[j] = mask, tuple(covered)
+                ready.append(j)
+                held += mask.bit_count()
+                if held > _CLOSURE_BUDGET:
+                    head = "the closed order needs at least"
+                    raise _over_budget(head, held, "predecessor bits", _CLOSURE_BUDGET)
         if len(ready) < n:
             raise ValueError("relations contain a cycle; not a partial order")
-        none = ((),) * (n + 1)  # the covers when no relation holds
-        below, above = _lower_covers(preds, counts) if held else (none, none)
+        above = below = tuple(below)  # with no relation, no covers either way
+        if held:
+            up: list[list[int]] = [[] for _ in below]
+            for j, covered in enumerate(below):
+                for i in covered:
+                    up[i].append(j)
+            above = tuple(map(tuple, up))
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "_preds", tuple(preds))
@@ -182,6 +199,8 @@ class LabelledWeightedPoset:
         return frozenset((i, j) for j, mask in enumerate(self._preds) for i in _bits(mask))
 
     def weight(self, i: int) -> int:
+        if not (_is_int(i) and 1 <= i <= self.n):
+            raise ValueError(f"label {i!r} not in 1..{self.n}")
         return self.weights[i - 1]
 
     def incomparable_pairs(self) -> list[tuple[int, int]]:
@@ -285,37 +304,6 @@ class LabelledWeightedPoset:
         if weights is not None and not isinstance(weights, (list, tuple)):
             raise ValueError(f"poset field 'weights' must be a list, got {weights!r}")
         return cls(n, [tuple(pair) for pair in covers], weights)
-
-
-def _lower_covers(preds: Sequence[int], counts: Sequence[int]) -> tuple[tuple, tuple]:
-    """The covers of the closed masks preds, with counts[j] the bits of
-    preds[j]: for each vertex j, the vertices j covers, its predecessors
-    below none of the others, and the vertices covering j, ascending.  The
-    vertices sorted by predecessor count, which rises along every relation,
-    are a linear extension; j's predecessors all come before the vertices
-    with j's count.  They are visited from there down until none is left:
-    each one still left when visited is a cover, and takes itself and its
-    own predecessors out; a cover with one predecessor fewer than j is the
-    only one, as it and those are all of j's.  So on a chain, however
-    labelled, each vertex costs one visit, and the leaves of a fan one each."""
-    order = sorted(range(len(preds)), key=counts.__getitem__)
-    first: dict[int, int] = {}  # count: the first place in order with that count
-    for p, v in enumerate(order):
-        first.setdefault(counts[v], p)
-    below, above = [()] * len(preds), [[] for _ in preds]
-    for j, left in enumerate(preds):
-        covered, p = [], first[counts[j]]
-        while left:
-            p -= 1
-            i = order[p]
-            if left >> i & 1:
-                covered.append(i)
-                above[i].append(j)
-                if counts[i] + 1 == counts[j]:
-                    break
-                left &= ~(preds[i] | 1 << i)
-        below[j] = tuple(covered)
-    return tuple(below), tuple(map(tuple, above))
 
 
 def chain_poset(pi: Iterable[int]) -> LabelledWeightedPoset:

@@ -341,6 +341,12 @@ def test_contract():
         contract((2, 1, 4, 3, 2), 5)
 
 
+@pytest.mark.parametrize("bad", (*_NOT_INTS, 3.0))
+def test_contract_refuses_non_ints_as_contract_set_does(bad):
+    with pytest.raises(ValueError, match="index sets hold ints"):
+        contract((2, 1, 4, 3, 2), bad)
+
+
 def test_contract_set():
     assert contract_set((2, 1, 4, 3, 2), (2, 4)) == (12,)
     assert contract_set((2, 1, 4, 3, 2), ()) == (2, 1, 4, 3, 2)

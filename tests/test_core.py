@@ -293,7 +293,7 @@ def test_hash_agrees_with_equality():
 
 def test_coefficient_of_a_non_composition_is_zero():
     x = QSymElement("M", {(1, 2): 5, (3,): 7, (1,): 2, (): 4})
-    for bad in ((0,), (1, 0, 2), (-1, 2), ("a",), (1.5, 1.5), (None,)):
+    for bad in ((0,), (1, 0, 2), (-1, 2), ("a",), (1.5, 1.5), (None,), 5):
         assert x.coefficient(bad) == 0
         assert bad not in x.terms
     # a tuple equal to a composition finds it, as a lookup by tuple would

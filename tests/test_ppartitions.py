@@ -54,6 +54,14 @@ def test_alphabets():
     assert signed_alphabet(0) == ()
 
 
+def test_weight_refuses_a_label_outside_one_to_n():
+    p = LabelledWeightedPoset(3, weights=(4, 5, 6))
+    assert [p.weight(i) for i in (1, 2, 3)] == [4, 5, 6]
+    for bad in (0, -1, 4, 2.0, True):
+        with pytest.raises(ValueError, match=rf"label {bad!r} not in 1\.\.3"):
+            p.weight(bad)
+
+
 def test_poset_construction():
     p = LabelledWeightedPoset(3, [(1, 2), (2, 3)])
     assert p.less(1, 3)  # closure
@@ -895,28 +903,50 @@ def test_covers_of_a_long_chain_with_shuffled_labels_and_of_a_wide_fan():
     assert fan.covers() == [(1, j) for j in range(2, 20001)]
 
 
+def test_covers_are_read_off_every_relation_list_on_four_labels():
+    """Every list of relations on labels 1..4, and each backwards with
+    repeated pairs: cycles are refused, and otherwise the covers are those
+    of the closure whatever order or repeats the list holds."""
+    labels = range(1, 5)
+    pairs = list(itertools.permutations(labels, 2))
+    for chosen in itertools.product((False, True), repeat=len(pairs)):
+        given = list(itertools.compress(pairs, chosen))
+        closed = _closure(given)
+        if any((v, v) in closed for v in labels):
+            with pytest.raises(ValueError, match="cycle"):
+                LabelledWeightedPoset(4, given)
+            continue
+        want = sorted(
+            (i, j) for i, j in closed
+            if not any((i, k) in closed and (k, j) in closed for k in labels)
+        )
+        for relations in (given, given[::-1] + given[::2]):
+            poset = LabelledWeightedPoset(4, relations)
+            assert poset.covers() == want
+            assert poset._below == tuple(
+                tuple(i for i, j in want if j == v) for v in range(5)
+            )
+    # ascending whatever order the labels hash into
+    fan_in = LabelledWeightedPoset(17, [(16, 17), (9, 17), (1, 17), (8, 17), (1, 17), (1, 16)])
+    assert fan_in._below[17] == (8, 9, 16)
+
+
 def test_a_poset_reads_its_covers_once(monkeypatch):
-    """The constructor reads the covers from the closed masks; gamma,
-    covers(), linear_extension() and enumerate_assignments read them back."""
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return lower_covers(*args)
-
-    lower_covers = ppartitions._lower_covers
-    monkeypatch.setattr(ppartitions, "_lower_covers", counted)
+    """The constructor reads the covers off the given relations; gamma,
+    covers(), linear_extension() and enumerate_assignments read them back
+    and build no poset."""
+    calls = _counting_constructor(monkeypatch)
     fan = LabelledWeightedPoset.from_json_dict({"n": 4, "covers": [[1, 2], [1, 3], [1, 4]]})
+    assert calls == [4]
     assert dict(gamma(fan, (1,)).terms) == {((1, 4),): 1}
-    assert len(calls) == 1
     assert fan.covers() == [(1, 2), (1, 3), (1, 4)]
     assert fan.linear_extension() == (1, 2, 3, 4)
     assert len(enumerate_assignments(fan, signed_alphabet(2))) > 0
-    assert len(calls) == 1
+    assert calls == [4]
     assert fan._below == ((), (), (1,), (1,), (1,))
     assert fan._above == ((), (2, 3, 4), (), (), ())
-    LabelledWeightedPoset(40000)  # no relation, so no cover to read
-    assert len(calls) == 1
+    antichain = LabelledWeightedPoset(40000)  # no relation, so no cover
+    assert antichain._below == antichain._above == ((),) * 40001
 
 
 @pytest.mark.parametrize("n", range(5))
